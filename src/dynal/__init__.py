@@ -42,19 +42,18 @@ from .estimators import (
     tidal_margin,
 )
 from .netcore import (
-    ForwardTrace,
     NetConfig,
     NetState,
     OptimizerConfig,
-    cross_entropy,
-    forward,
+    apply_update,
     forward_batch,
     grad_joint,
     init_net,
+    init_opt_state,
     lr_at,
-    optimizer_step,
 )
-from .tdhead import HeadConfig, HeadState, head_forward, init_head, kl_divergence, module_loss
+from .numutil import kl_rows
+from .tdhead import HeadConfig, HeadState, head_forward_batch, init_head
 from .tdtrack import TDRecord, TDStore, td_init, td_update, td_value
 from .theorysim import (
     ElasticityParams,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -29,7 +30,8 @@ def select_top_k(scores: list[AcquisitionScore], k: int) -> list[int]:
     """The k most uncertain ids, ties broken by ascending sample id.
 
     Output is ordered most-uncertain first.  Asking for more than is
-    available returns everything with a warning.
+    available returns everything with a warning.  A NaN score raises
+    ValueError naming the first sample id that has one.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -38,6 +40,9 @@ def select_top_k(scores: list[AcquisitionScore], k: int) -> list[int]:
     directions = {s.direction for s in scores}
     if len(directions) != 1:
         raise ValueError("scores mix directions")
+    nan_ids = [s.sample_id for s in scores if math.isnan(s.score)]
+    if nan_ids:
+        raise ValueError(f"NaN score for sample id {nan_ids[0]}")
     if k > len(scores):
         warnings.warn(f"requested k={k} > {len(scores)} scored samples; returning all")
         k = len(scores)

@@ -24,6 +24,7 @@ from . import netcore, tdhead
 from .acquisition import kcenter_greedy, random_select, sample_subset, select_top_k
 from .datasets import Dataset
 from .estimators import (
+    HEAD_STRATEGIES,
     AcquisitionScore,
     StrategyKind,
     entropy,
@@ -31,7 +32,7 @@ from .estimators import (
     strategy_scores,
 )
 from .netcore import NetConfig, NetState, OptimizerConfig
-from .numutil import PROB_FLOOR
+from .numutil import kl_rows
 from .tdtrack import TDStore
 
 # Stream labels for deriving independent RNGs from (seed, cycle).
@@ -146,7 +147,8 @@ def train_joint(
         seed=_stream_seed(cfg.seed, cycle, _STREAM_HEAD),
     )
     head = tdhead.init_head(head_cfg)
-    head_opt = netcore.init_opt_state(head.params(), cfg.opt.kind)
+    params = net.params() + head.params()
+    opt_state = netcore.init_opt_state(params, cfg.opt.kind)
     shuffle_rng = np.random.default_rng(_stream_seed(cfg.seed, cycle, _STREAM_SHUFFLE))
 
     store = TDStore(net_cfg.n_classes)
@@ -172,9 +174,7 @@ def train_joint(
                 net, net_cfg, head, Xb, yb, targets, cfg.lam,
                 detach=cfg.detach, sample_ids=idsb, trace=bt,
             )
-            netcore.optimizer_step(net, net_grads, cfg.opt, epoch)
-            if head_grads:
-                netcore.apply_update(head.params(), head_grads, head_opt, cfg.opt, epoch)
+            netcore.apply_update(params, net_grads + head_grads, opt_state, cfg.opt, epoch)
         if cfg.record_probs == "epoch_end":
             bt = netcore.forward_batch(net, net_cfg, labeled.X)
             store.update_batch(labeled.ids, bt.probs)
@@ -202,21 +202,12 @@ def evaluate(net: NetState, net_cfg: NetConfig, test: Dataset) -> tuple[float, n
     return acc, per_class
 
 
-_HEAD_STRATEGIES = (
-    StrategyKind.TIDAL_ENTROPY,
-    StrategyKind.TIDAL_MARGIN,
-    StrategyKind.TIDAL_MARGIN_NAIVE,
-    StrategyKind.TIDAL_PROB,
-    StrategyKind.TIDAL_PROB_NAIVE,
-)
-
-
 def _score_subset(
     result: TrainResult, cfg: ALConfig, subset_X: np.ndarray, subset_ids: np.ndarray
 ) -> tuple[list[AcquisitionScore], np.ndarray]:
     bt = netcore.forward_batch(result.net, result.net_cfg, subset_X)
     p_mod = None
-    if cfg.strategy in _HEAD_STRATEGIES:
+    if cfg.strategy in HEAD_STRATEGIES:
         p_mod, _ = tdhead.head_forward_batch(result.head, bt.taps)
     return strategy_scores(cfg.strategy, subset_ids, bt.probs, p_mod), bt.probs.argmax(axis=1)
 
@@ -269,13 +260,13 @@ def run_cycle(
     new_pool = pool_ids[keep]
 
     notes = ""
-    if cfg.lam == 0 and cfg.strategy in _HEAD_STRATEGIES:
+    if cfg.lam == 0 and cfg.strategy in HEAD_STRATEGIES:
         notes = "untrained-head-ablation"
 
     minor_acc = float("nan")
     if minor_classes:
         minor_acc = float(np.mean(per_class[list(minor_classes)]))
-    kl_rows = kl_analysis(result) if cfg.analysis else None
+    kl = kl_analysis(result) if cfg.analysis else None
     report = CycleReport(
         cycle=cycle,
         labeled_count=len(new_labeled),
@@ -285,7 +276,7 @@ def run_cycle(
         selected_ids=[int(s) for s in selected],
         wall_time=time.perf_counter() - t0,
         notes=notes,
-        kl_rows=kl_rows,
+        kl_rows=kl,
         score_rows=score_rows,
     )
     return result, report, new_labeled, new_pool
@@ -323,14 +314,6 @@ def run_experiment(
     return reports
 
 
-def _mean_kl_rows(target: np.ndarray, preds: np.ndarray) -> float:
-    """Row-mean KL(target_i || preds_i) with the 1e-12 prediction floor."""
-    q = np.asarray(target, dtype=np.float64)
-    p = np.maximum(np.asarray(preds, dtype=np.float64), PROB_FLOOR)
-    terms = np.where(q > 0, q * np.log(np.maximum(q, PROB_FLOOR) / p), 0.0)
-    return float(terms.sum(axis=1).mean())
-
-
 def kl_analysis(result: TrainResult) -> list[tuple[int, float, float]]:
     """Per-epoch divergence of head prediction and snapshot from the final
     mean-probability vector, sample-averaged on the test set.
@@ -344,7 +327,7 @@ def kl_analysis(result: TrainResult) -> list[tuple[int, float, float]]:
     final_td = trace.test_store.values(trace.test_ids)
     rows = []
     for t, (p_t, pt_t) in enumerate(zip(trace.test_probs, trace.head_probs), start=1):
-        rows.append((t, _mean_kl_rows(final_td, pt_t), _mean_kl_rows(final_td, p_t)))
+        rows.append((t, float(kl_rows(final_td, pt_t).mean()), float(kl_rows(final_td, p_t).mean())))
     return rows
 
 
@@ -367,10 +350,12 @@ def separation_auroc(scores: np.ndarray, is_minor: np.ndarray) -> float:
 @dataclass
 class PilotResult:
     """Scores of every training sample under six estimator variants plus
-    their minor-vs-major separation."""
+    their minor-vs-major separation; ``snapshot_labels`` are the final
+    classifier's argmax labels."""
 
     sample_ids: np.ndarray
     labels: np.ndarray
+    snapshot_labels: np.ndarray
     is_minor: np.ndarray
     scores: dict[str, np.ndarray]
     auroc: dict[str, float]
@@ -411,7 +396,9 @@ def run_pilot(
     for name, vals in scores.items():
         oriented = vals if name.endswith("entropy") else -vals
         auroc[name] = separation_auroc(oriented, is_minor)
-    return PilotResult(train.ids.copy(), labels.copy(), is_minor, scores, auroc, result)
+    return PilotResult(
+        train.ids.copy(), labels.copy(), snap.argmax(axis=1), is_minor, scores, auroc, result
+    )
 
 
 def save_results_csv(path, rows) -> None:

@@ -16,18 +16,20 @@ manifest rewrites byte-identical files.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
 
-from . import alengine, netcore, theorysim
+from . import alengine, theorysim
 from .alengine import ALConfig, save_kl_csv, save_results_csv
-from .datasets import Dataset, DatasetSpec, build_dataset, minor_class_set, save_csv
+from .datasets import Dataset, DatasetSpec, ImbalanceSpec, build_dataset, minor_class_set, save_csv
 from .estimators import StrategyKind, save_scores_csv
 from .netcore import NetConfig, OptimizerConfig
 from .theorysim import ElasticityParams
@@ -135,8 +137,6 @@ def _build_section(cls, mapping: dict, path: str):
         if key not in known:
             raise ValueError(f"unknown config key '{path}.{key}'")
         if key == "imbalance" and isinstance(value, dict):
-            from .datasets import ImbalanceSpec
-
             value = _build_section(ImbalanceSpec, value, f"{path}.{key}")
         kwargs[key] = value
     try:
@@ -176,25 +176,15 @@ def build_al_config(cfg: ExperimentConfig, train: Dataset, strategy: str, seed: 
         activation=cfg.net.activation,
         seed=0,
     )
-    al = cfg.al
-    return ALConfig(
-        net=net,
-        opt=cfg.optimizer,
-        strategy=StrategyKind.from_string(strategy),
-        initial_labeled=al.initial_labeled,
-        budget_per_cycle=al.budget_per_cycle,
-        n_cycles=al.n_cycles,
-        subset_size=al.subset_size,
-        epochs=al.epochs,
-        batch_size=al.batch_size,
-        lam=al.lam,
-        detach=al.detach,
-        head_reduce_dim=cfg.head.reduce_dim,
-        record_probs=al.record_probs,
-        analysis=analysis,
-        dump_scores=al.dump_scores,
-        seed=seed,
-    )
+    return ALConfig(**{
+        **dataclasses.asdict(cfg.al),
+        "net": net,
+        "opt": cfg.optimizer,
+        "strategy": StrategyKind.from_string(strategy),
+        "head_reduce_dim": cfg.head.reduce_dim,
+        "analysis": analysis,
+        "seed": seed,
+    })
 
 
 def build_pilot_config(cfg: ExperimentConfig, train: Dataset, seed: int,
@@ -254,29 +244,15 @@ def _run_al(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> int:
 
     failures = []
     all_rows: list = []
-    if manifest.jobs == 1:
-        results = []
-        for job in jobs:
+    # One job runs in this process; more run in a pool of that many processes.
+    with ProcessPoolExecutor(manifest.jobs) if manifest.jobs > 1 else nullcontext() as pool:
+        futures = [pool.submit(_al_worker, job) if pool else None for job in jobs]
+        for job, fut in zip(jobs, futures):
             try:
-                results.append(_al_worker(job))
+                all_rows.extend(_al_worker(job) if fut is None else fut.result())
             except Exception:
                 failures.append(f"{job[2].strategy.value}-seed{job[2].seed}")
                 traceback.print_exc()
-                results.append(None)
-    else:
-        with ProcessPoolExecutor(max_workers=manifest.jobs) as pool:
-            futures = [pool.submit(_al_worker, job) for job in jobs]
-            results = []
-            for job, fut in zip(jobs, futures):
-                try:
-                    results.append(fut.result())
-                except Exception:
-                    failures.append(f"{job[2].strategy.value}-seed{job[2].seed}")
-                    traceback.print_exc()
-                    results.append(None)
-    for rows in results:
-        if rows:
-            all_rows.extend(rows)
     save_results_csv(out / "summary.csv", all_rows)
     if failures:
         print(f"FAILED runs: {', '.join(failures)}", file=sys.stderr)
@@ -298,20 +274,16 @@ def _run_pilot(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> int:
     for seed in manifest.seeds:
         al_cfg = build_pilot_config(cfg, train, seed)
         pilot = alengine.run_pilot(train, al_cfg, minor)
-        tr = pilot.train_result
-        snap_pred = netcore.forward_batch(tr.net, tr.net_cfg, train.X).probs.argmax(axis=1)
         rows = []
         for name, vals in pilot.scores.items():
-            for sid, s, lbl in zip(pilot.sample_ids, vals, snap_pred):
+            for sid, s, lbl in zip(pilot.sample_ids, vals, pilot.snapshot_labels):
                 rows.append((int(sid), name, float(s), int(lbl), False))
         save_scores_csv(out / f"scores_pilot_seed{seed}.csv", rows)
         for name, a in pilot.auroc.items():
             auroc_rows.append((name, seed, a))
             print(f"pilot seed={seed} {name}: separation AUROC = {a:.4f}")
     with open(out / "pilot_auroc.csv", "w", newline="") as f:
-        import csv as _csv
-
-        w = _csv.writer(f)
+        w = csv.writer(f)
         w.writerow(["estimator", "seed", "auroc"])
         for name, seed, a in auroc_rows:
             w.writerow([name, seed, repr(float(a))])
@@ -348,11 +320,9 @@ def _run_theory_sde(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> 
 
 
 def _run_theory_closed_form(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> int:
-    import csv as _csv
-
     th = cfg.theory
     with open(out / "closed_form.csv", "w", newline="") as f:
-        w = _csv.writer(f)
+        w = csv.writer(f)
         w.writerow(["s_y", "n_classes", "entropy", "margin"])
         for C in th.classes:
             for s_y in th.sy_values:
@@ -386,11 +356,13 @@ _COMMANDS = {
 }
 
 
-def dispatch(manifest: RunManifest) -> int:
-    """Execute a manifest; returns a process exit code."""
+def dispatch(manifest: RunManifest, cfg: ExperimentConfig | None = None) -> int:
+    """Execute a manifest; returns a process exit code.  ``cfg`` is the
+    manifest's config when the caller has already parsed it."""
     if manifest.command not in _COMMANDS:
         raise ValueError(f"unknown command {manifest.command!r}")
-    cfg = parse_config(manifest.config_path)
+    if cfg is None:
+        cfg = parse_config(manifest.config_path)
     out = Path(manifest.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return _COMMANDS[manifest.command](manifest, cfg, out)
@@ -435,7 +407,7 @@ def main(argv=None) -> int:
             jobs=args.jobs,
             analysis=args.analysis,
         )
-        return dispatch(manifest)
+        return dispatch(manifest, cfg)
     except Exception as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -11,19 +11,11 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
 GENERATORS = ("gaussian_mixture", "concentric_rings", "csv_file")
 IMBALANCE_PROFILES = ("step", "exponential")
-
-
-@dataclass
-class Sample:
-    id: int
-    features: np.ndarray
-    label: int
 
 
 @dataclass
@@ -42,10 +34,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.X.shape[1]
-
-    def samples(self) -> Iterator[Sample]:
-        for i in range(len(self)):
-            yield Sample(int(self.ids[i]), self.X[i], int(self.y[i]))
 
     def take(self, indices) -> "Dataset":
         """Row subset by positional indices; shares the id space."""

@@ -53,6 +53,15 @@ SCORE_DIRECTION = {
     StrategyKind.TIDAL_PROB_NAIVE: LOWER_IS_UNCERTAIN,
 }
 
+# Strategies that score the head's predicted dynamics, not the snapshot.
+HEAD_STRATEGIES = (
+    StrategyKind.TIDAL_ENTROPY,
+    StrategyKind.TIDAL_MARGIN,
+    StrategyKind.TIDAL_MARGIN_NAIVE,
+    StrategyKind.TIDAL_PROB,
+    StrategyKind.TIDAL_PROB_NAIVE,
+)
+
 
 @dataclass
 class AcquisitionScore:
@@ -128,14 +137,7 @@ def strategy_scores(
     if kind not in SCORE_DIRECTION:
         raise ValueError(f"strategy {kind.value} does not produce scores")
     p_cls = np.atleast_2d(np.asarray(p_cls, dtype=np.float64))
-    needs_mod = kind in (
-        StrategyKind.TIDAL_ENTROPY,
-        StrategyKind.TIDAL_MARGIN,
-        StrategyKind.TIDAL_MARGIN_NAIVE,
-        StrategyKind.TIDAL_PROB,
-        StrategyKind.TIDAL_PROB_NAIVE,
-    )
-    if needs_mod:
+    if kind in HEAD_STRATEGIES:
         if p_mod is None:
             raise ValueError(f"strategy {kind.value} requires head predictions")
         p_mod = np.atleast_2d(np.asarray(p_mod, dtype=np.float64))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tdhead
-from .numutil import PROB_FLOOR, log_softmax, relu, stable_softmax
+from .numutil import kl_rows, log_softmax, relu, stable_softmax
 
 ACTIVATIONS = ("relu", "tanh")
 OPTIMIZER_KINDS = ("sgd_momentum", "adam")
@@ -110,12 +110,10 @@ def init_opt_state(params: list[np.ndarray], kind: str) -> OptState:
 
 @dataclass
 class NetState:
-    """Classifier parameters plus optimizer moments and the current epoch."""
+    """Classifier parameters."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    opt_state: OptState | None = None
-    epoch: int = 0
 
     def params(self) -> list[np.ndarray]:
         out = []
@@ -126,19 +124,8 @@ class NetState:
 
 
 @dataclass
-class ForwardTrace:
-    """Everything computed by one forward pass of a single sample."""
-
-    pre_activations: list[np.ndarray]
-    activations: list[np.ndarray]
-    logits: np.ndarray
-    probs: np.ndarray
-    taps: list[np.ndarray]
-
-
-@dataclass
 class BatchTrace:
-    """Batched counterpart of ForwardTrace (arrays are (B, dim))."""
+    """Everything computed by one forward pass of a batch (arrays are (B, dim))."""
 
     pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
@@ -190,27 +177,35 @@ def forward_batch(state: NetState, cfg: NetConfig, X: np.ndarray) -> BatchTrace:
     return BatchTrace(pre, act, logits, probs, taps)
 
 
-def forward(state: NetState, cfg: NetConfig, x: np.ndarray) -> ForwardTrace:
-    """Forward pass of a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("forward expects a 1-D feature vector")
-    bt = forward_batch(state, cfg, x[None, :])
-    return ForwardTrace(
-        pre_activations=[z[0] for z in bt.pre_activations],
-        activations=[a[0] for a in bt.activations],
-        logits=bt.logits[0],
-        probs=bt.probs[0],
-        taps=[t[0] for t in bt.taps],
-    )
+def _joint_terms(
+    state: NetState,
+    cfg: NetConfig,
+    head,
+    X: np.ndarray,
+    y: np.ndarray,
+    td_targets: np.ndarray | None,
+    trace: BatchTrace | None = None,
+) -> tuple[BatchTrace, np.ndarray, np.ndarray, tuple | None]:
+    """Per-sample terms of the joint loss, shared by joint_loss and grad_joint.
 
-
-def cross_entropy(probs: np.ndarray, y: int) -> float:
-    """-log probs[y] with the probability floored at 1e-12."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if not 0 <= y < probs.shape[-1]:
-        raise ValueError(f"class index {y} out of range for {probs.shape[-1]} classes")
-    return float(-np.log(max(float(probs[y]), PROB_FLOOR)))
+    Returns ``(trace, cross entropy, KL(target || head), head pass)``; the
+    head pass is ``(targets, head probs, head cache)``, or None without
+    targets, when the KL is zero.
+    """
+    if trace is None:
+        trace = forward_batch(state, cfg, X)
+    B = trace.logits.shape[0]
+    y = np.asarray(y, dtype=int)
+    if np.any((y < 0) | (y >= cfg.n_classes)):
+        raise ValueError(f"class index out of range for {cfg.n_classes} classes")
+    per_ce = -log_softmax(trace.logits, axis=1)[np.arange(B), y]
+    if td_targets is None:
+        return trace, per_ce, np.zeros(B), None
+    q = np.asarray(td_targets, dtype=np.float64)
+    if q.shape != (B, cfg.n_classes):
+        raise ValueError(f"td_targets shape {q.shape} != {(B, cfg.n_classes)}")
+    pt, cache = tdhead.head_forward_batch(head, trace.taps)
+    return trace, per_ce, kl_rows(q, pt), (q, pt, cache)
 
 
 def joint_loss(
@@ -222,25 +217,10 @@ def joint_loss(
     td_targets: np.ndarray | None,
     lam: float,
 ) -> tuple[float, float]:
-    """(batch-mean cross entropy, batch-mean KL) without gradients.
-
-    Used by finite-difference checks; must evaluate exactly the loss
-    whose gradients grad_joint returns.
-    """
-    trace = forward_batch(state, cfg, X)
-    B = trace.logits.shape[0]
-    logp = log_softmax(trace.logits, axis=1)
-    per_ce = -logp[np.arange(B), np.asarray(y, dtype=int)]
-    loss_target = float(per_ce.mean())
-    loss_module = 0.0
-    if td_targets is not None:
-        _, cache = tdhead.head_forward_batch(head, trace.taps)
-        q = np.asarray(td_targets, dtype=np.float64)
-        logpt = log_softmax(cache.logits, axis=1)
-        qlogq = np.where(q > 0, q * np.log(np.maximum(q, PROB_FLOOR)), 0.0)
-        per_kl = qlogq.sum(axis=1) - (q * logpt).sum(axis=1)
-        loss_module = float(per_kl.mean())
-    return loss_target, loss_module
+    """(batch-mean cross entropy, batch-mean KL) without gradients: the
+    finite-difference oracle for grad_joint, on the same loss terms."""
+    _, per_ce, per_kl, _ = _joint_terms(state, cfg, head, X, y, td_targets)
+    return float(per_ce.mean()), float(per_kl.mean())
 
 
 def grad_joint(
@@ -271,48 +251,31 @@ def grad_joint(
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=int)
     B = X.shape[0]
-    ids = np.arange(B) if sample_ids is None else np.asarray(sample_ids)
-
-    if trace is None:
-        trace = forward_batch(state, cfg, X)
-    logp = log_softmax(trace.logits, axis=1)
-    per_ce = -logp[np.arange(B), y]
-    loss_target = float(per_ce.mean())
+    trace, per_ce, per_kl, head_pass = _joint_terms(state, cfg, head, X, y, td_targets, trace)
+    per_total = per_ce + lam * per_kl
+    if not np.all(np.isfinite(per_total)):
+        ids = np.arange(B) if sample_ids is None else np.asarray(sample_ids)
+        bad = ids[np.flatnonzero(~np.isfinite(per_total))[0]]
+        raise FloatingPointError(f"non-finite loss for sample id {bad}")
 
     onehot = np.zeros_like(trace.probs)
     onehot[np.arange(B), y] = 1.0
     dlogits = (trace.probs - onehot) / B
 
     head_grads: list[np.ndarray] = []
-    tap_grads = None
-    loss_module = 0.0
-    per_kl = np.zeros(B)
-    if td_targets is not None:
-        q = np.asarray(td_targets, dtype=np.float64)
-        if q.shape != (B, cfg.n_classes):
-            raise ValueError(f"td_targets shape {q.shape} != {(B, cfg.n_classes)}")
-        pt, cache = tdhead.head_forward_batch(head, trace.taps)
-        logpt = log_softmax(cache.logits, axis=1)
-        qlogq = np.where(q > 0, q * np.log(np.maximum(q, PROB_FLOOR)), 0.0)
-        per_kl = qlogq.sum(axis=1) - (q * logpt).sum(axis=1)
-        loss_module = float(per_kl.mean())
+    tap_at_layer: dict[int, np.ndarray] = {}
+    if head_pass is not None:
+        q, pt, cache = head_pass
         # d(lam * mean KL)/d(head logits) = lam * (softmax - target) / B
         dU = lam * (pt - q) / B
         head_grads, tap_grads = tdhead.head_backward(head, cache, dU)
+        if not detach:
+            for layer, g in zip(cfg.tap_layers, tap_grads):
+                tap_at_layer[layer] = tap_at_layer.get(layer, 0.0) + g
     elif head is not None:
         head_grads = [np.zeros_like(p) for p in head.params()]
 
-    per_total = per_ce + lam * per_kl
-    if not np.all(np.isfinite(per_total)):
-        bad = ids[np.flatnonzero(~np.isfinite(per_total))[0]]
-        raise FloatingPointError(f"non-finite loss for sample id {bad}")
-
     n_hidden = len(cfg.hidden_sizes)
-    tap_at_layer: dict[int, np.ndarray] = {}
-    if tap_grads is not None and not detach:
-        for layer, g in zip(cfg.tap_layers, tap_grads):
-            tap_at_layer[layer] = tap_at_layer.get(layer, 0.0) + g
-
     dW = [None] * (n_hidden + 1)
     db = [None] * (n_hidden + 1)
     a_prev = trace.activations[n_hidden - 1]
@@ -329,11 +292,8 @@ def grad_joint(
         if l > 0:
             dA = dZ @ state.weights[l]
 
-    net_grads = []
-    for w, b in zip(dW, db):
-        net_grads.append(w)
-        net_grads.append(b)
-    return net_grads, head_grads, loss_target, loss_module
+    net_grads = NetState(dW, db).params()  # the order state.params() uses
+    return net_grads, head_grads, float(per_ce.mean()), float(per_kl.mean())
 
 
 def lr_at(opt: OptimizerConfig, epoch: int) -> float:
@@ -355,11 +315,12 @@ def apply_update(
     """In-place SGD-momentum or Adam update of one parameter group."""
     if len(params) != len(grads):
         raise ValueError("params and grads length mismatch")
+    for p, g in zip(params, grads):
+        if p.shape != g.shape:
+            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
     lr = lr_at(opt, epoch)
     if opt_state.kind == "sgd_momentum":
         for i, (p, g) in enumerate(zip(params, grads)):
-            if p.shape != g.shape:
-                raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
             g = g + opt.weight_decay * p
             opt_state.velocities[i] = opt.momentum * opt_state.velocities[i] + g
             p -= lr * opt_state.velocities[i]
@@ -369,8 +330,6 @@ def apply_update(
         bc1 = 1.0 - opt.beta1 ** t
         bc2 = 1.0 - opt.beta2 ** t
         for i, (p, g) in enumerate(zip(params, grads)):
-            if p.shape != g.shape:
-                raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
             g = g + opt.weight_decay * p
             opt_state.m[i] = opt.beta1 * opt_state.m[i] + (1.0 - opt.beta1) * g
             opt_state.v[i] = opt.beta2 * opt_state.v[i] + (1.0 - opt.beta2) * g * g
@@ -379,12 +338,5 @@ def apply_update(
             p -= lr * m_hat / (np.sqrt(v_hat) + opt.epsilon)
 
 
-def optimizer_step(
-    state: NetState, grads: list[np.ndarray], opt: OptimizerConfig, epoch: int
-) -> NetState:
-    """Update the classifier parameters in place and return the state."""
-    if state.opt_state is None or state.opt_state.kind != opt.kind:
-        state.opt_state = init_opt_state(state.params(), opt.kind)
-    apply_update(state.params(), grads, state.opt_state, opt, epoch)
-    state.epoch = epoch
-    return state
+# Kept as a second name because benchmark/tracer.py wraps netcore.optimizer_step.
+optimizer_step = apply_update

@@ -1,4 +1,4 @@
-"""Shared numerical helpers: stable softmax family and simplex checks."""
+"""Shared numerical helpers: stable softmax family and the KL divergence."""
 
 from __future__ import annotations
 
@@ -29,19 +29,10 @@ def relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-def check_prob_vector(p: np.ndarray, n_classes: int | None = None, atol: float = 1e-9) -> np.ndarray:
-    """Validate a probability vector (nonnegative, sums to 1 within atol).
-
-    Returns the input as a float64 array; raises ValueError otherwise.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError(f"probability vector must be 1-D, got shape {p.shape}")
-    if n_classes is not None and p.shape[0] != n_classes:
-        raise ValueError(f"expected {n_classes} classes, got {p.shape[0]}")
-    if np.any(p < -atol):
-        raise ValueError("probability vector has negative entries")
-    s = float(p.sum())
-    if abs(s - 1.0) > atol:
-        raise ValueError(f"probability vector sums to {s}, not 1")
-    return p
+def kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Row-wise KL(q || p) in nats over the last axis; 0*log(0/p) = 0 and
+    both sides floored at 1e-12 inside the log."""
+    q = np.asarray(q, dtype=np.float64)
+    p = np.maximum(np.asarray(p, dtype=np.float64), PROB_FLOOR)
+    terms = np.where(q > 0, q * np.log(np.maximum(q, PROB_FLOOR) / p), 0.0)
+    return terms.sum(axis=-1)

@@ -4,7 +4,7 @@ Each classifier tap is reduced by an affine map plus relu to a fixed
 dimension, the reduced vectors are concatenated, and a single affine
 layer followed by softmax produces a C-dimensional prediction of the
 per-sample running-mean probability vector.  The head is trained by
-minimizing KL(target || prediction).
+minimizing KL(target || prediction), as part of netcore's joint loss.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numutil import PROB_FLOOR, log_softmax, relu, stable_softmax
+from .numutil import relu, stable_softmax
 
 
 @dataclass
@@ -40,7 +40,6 @@ class HeadState:
     reduce_biases: list[np.ndarray]
     out_weight: np.ndarray
     out_bias: np.ndarray
-    opt_state: object | None = None
 
     def params(self) -> list[np.ndarray]:
         out = []
@@ -92,12 +91,6 @@ def head_forward_batch(head: HeadState, taps: list[np.ndarray]) -> tuple[np.ndar
     return probs, HeadCache(taps, pre, red, concat, logits)
 
 
-def head_forward(head: HeadState, taps: list[np.ndarray]) -> np.ndarray:
-    """Single-sample head pass; taps are 1-D activation vectors."""
-    probs, _ = head_forward_batch(head, [np.asarray(t)[None, :] for t in taps])
-    return probs[0]
-
-
 def head_backward(
     head: HeadState, cache: HeadCache, dlogits: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -121,36 +114,3 @@ def head_backward(
     head_grads.append(dWo)
     head_grads.append(dbo)
     return head_grads, tap_grads
-
-
-def kl_divergence(target: np.ndarray, pred: np.ndarray) -> float:
-    """KL(target || pred) in nats with 0*log(0/q)=0 and pred floored at 1e-12."""
-    target = np.asarray(target, dtype=np.float64)
-    pred = np.asarray(pred, dtype=np.float64)
-    if target.shape != pred.shape:
-        raise ValueError(f"shape mismatch {target.shape} vs {pred.shape}")
-    pred = np.maximum(pred, PROB_FLOOR)
-    terms = np.where(target > 0, target * np.log(np.maximum(target, PROB_FLOOR) / pred), 0.0)
-    return float(terms.sum())
-
-
-def module_loss(
-    head: HeadState, taps_batch: list[np.ndarray], td_targets: np.ndarray, counts: np.ndarray | None = None
-) -> tuple[float, list[np.ndarray]]:
-    """Batch-mean KL(target || head output) and exact head gradients.
-
-    ``counts``, when given, are the update counts behind each target; a
-    zero count means the target mean is undefined and is a state error.
-    """
-    q = np.atleast_2d(np.asarray(td_targets, dtype=np.float64))
-    if counts is not None and np.any(np.asarray(counts) < 1):
-        raise RuntimeError("td target with zero updates has no defined mean")
-    probs, cache = head_forward_batch(head, taps_batch)
-    if q.shape != probs.shape:
-        raise ValueError(f"targets shape {q.shape} != predictions shape {probs.shape}")
-    B = q.shape[0]
-    logpt = log_softmax(cache.logits, axis=1)
-    qlogq = np.where(q > 0, q * np.log(np.maximum(q, PROB_FLOOR)), 0.0)
-    loss = float((qlogq.sum(axis=1) - (q * logpt).sum(axis=1)).mean())
-    grads, _ = head_backward(head, cache, (probs - q) / B)
-    return loss, grads

@@ -2,13 +2,11 @@
 
 A record accumulates the arithmetic mean of the probability vectors a
 sample received across training epochs, one update per epoch.  A store
-maps sample ids to records; in analysis mode it additionally retains
-every raw vector so later studies can recompute per-epoch quantities.
+maps sample ids to records.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,20 +47,16 @@ def td_value(rec: TDRecord) -> np.ndarray:
 
 @dataclass
 class TDStore:
-    """Sample id -> TDRecord, plus optional full history for analysis."""
+    """Sample id -> TDRecord."""
 
     n_classes: int
-    keep_history: bool = False
     records: dict[int, TDRecord] = field(default_factory=dict)
-    history: dict[int, list[np.ndarray]] = field(default_factory=dict)
 
     def update(self, sample_id: int, p: np.ndarray) -> None:
         rec = self.records.get(sample_id)
         if rec is None:
             rec = td_init(self.n_classes)
         self.records[sample_id] = td_update(rec, p)
-        if self.keep_history:
-            self.history.setdefault(sample_id, []).append(np.asarray(p, dtype=np.float64).copy())
 
     def update_batch(self, sample_ids: np.ndarray, probs: np.ndarray) -> None:
         for sid, p in zip(sample_ids, probs):
@@ -80,13 +74,3 @@ class TDStore:
 
     def counts(self, sample_ids) -> np.ndarray:
         return np.array([self.records[int(s)].t if int(s) in self.records else 0 for s in sample_ids])
-
-
-def save_store_csv(store: TDStore, path) -> None:
-    """Dump records as ``sample_id,t,p_0,...,p_{C-1}`` sorted by id."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["sample_id", "t"] + [f"p_{c}" for c in range(store.n_classes)])
-        for sid in sorted(store.records):
-            rec = store.records[sid]
-            w.writerow([sid, rec.t] + [repr(float(v)) for v in rec.mean])

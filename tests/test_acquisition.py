@@ -55,6 +55,13 @@ class TestSelectTopK:
         scores = scores_from({5: 0.5, 2: 0.5, 9: 0.5}, HIGHER_IS_UNCERTAIN)
         assert select_top_k(scores, 2) == [2, 5]
 
+    @pytest.mark.parametrize("direction", [HIGHER_IS_UNCERTAIN, LOWER_IS_UNCERTAIN])
+    def test_nan_score_names_first_sample(self, direction):
+        nan = float("nan")
+        scores = scores_from({4: 0.1, 7: nan, 2: 0.3, 1: nan}, direction)
+        with pytest.raises(ValueError, match="sample id 7"):
+            select_top_k(scores, 2)
+
     def test_oversized_k_warns_and_returns_all(self):
         scores = scores_from({0: 0.3, 1: 0.1}, HIGHER_IS_UNCERTAIN)
         with pytest.warns(UserWarning):

@@ -6,6 +6,7 @@ from dynal.alengine import ALConfig, evaluate, kl_analysis, separation_auroc
 from dynal.datasets import DatasetSpec, ImbalanceSpec, build_dataset
 from dynal.estimators import StrategyKind
 from dynal.netcore import NetConfig, OptimizerConfig
+from dynal.numutil import kl_rows
 
 
 def small_data(seed=3, n_classes=4, per_class=60):
@@ -217,6 +218,17 @@ class TestTrainingModes:
         result = alengine.train_joint(train.by_ids(train.ids[:20]), cfg, cycle=0)
         assert all(rec.t == 4 for rec in result.store.records.values())
 
+    def test_one_update_of_net_and_head_per_batch(self, monkeypatch):
+        train, _ = small_data()
+        cfg = small_cfg(epochs=2, n_cycles=1)
+        sizes = []
+        update = netcore.apply_update
+        monkeypatch.setattr(netcore, "apply_update",
+                            lambda params, *a: sizes.append(len(params)) or update(params, *a))
+        result = alengine.train_joint(train.take(np.arange(40)), cfg, cycle=0)
+        assert len(sizes) == 2 * 3  # epochs x ceil(40 / batch_size 16)
+        assert set(sizes) == {len(result.net.params()) + len(result.head.params())}
+
     def test_batch_recording_counts_epochs(self):
         train, test = small_data()
         cfg = small_cfg(epochs=5, n_cycles=1)
@@ -248,7 +260,7 @@ class TestKlAnalysis:
         result = alengine.train_joint(train, cfg, cycle=0, test=test)
         trace = result.trace
         final_td = trace.test_store.values(trace.test_ids)
-        assert alengine._mean_kl_rows(final_td, final_td) == pytest.approx(0.0, abs=1e-12)
+        assert kl_rows(final_td, final_td).mean() == pytest.approx(0.0, abs=1e-12)
 
 
 class TestPilot:
@@ -272,3 +284,13 @@ class TestPilot:
         assert pilot.is_minor.sum() == (np.isin(train.y, [2, 3])).sum()
         for v in pilot.auroc.values():
             assert 0.0 <= v <= 1.0
+
+    def test_snapshot_labels_are_final_argmax(self):
+        spec = DatasetSpec(generator="gaussian_mixture", n_classes=4, dim=6, per_class=30,
+                           imbalance=ImbalanceSpec(ratio=5, profile="step", minor_classes=[2, 3]),
+                           seed=5)
+        train, _ = build_dataset(spec)
+        pilot = alengine.run_pilot(train, small_cfg(epochs=3), minor_classes=[2, 3])
+        tr = pilot.train_result
+        probs = netcore.forward_batch(tr.net, tr.net_cfg, train.X).probs
+        np.testing.assert_array_equal(pilot.snapshot_labels, probs.argmax(axis=1))

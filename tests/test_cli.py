@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from dynal import theorysim
+from dynal import cli, theorysim
 from dynal.cli import RunManifest, dispatch, main, parse_config, serialize_config
 from dynal.datasets import load_csv
 
@@ -251,6 +251,15 @@ class TestMain:
         ])
         assert code == 2
         assert "unknown strategy" in capsys.readouterr().err
+
+    def test_config_parsed_once(self, small_config, tmp_path, monkeypatch):
+        paths = []
+        parse = cli.parse_config
+        monkeypatch.setattr(cli, "parse_config", lambda p: paths.append(p) or parse(p))
+        code = main(["theory-closed-form", "--config", str(small_config),
+                     "--out", str(tmp_path / "x")])
+        assert code == 0
+        assert paths == [str(small_config)]
 
     def test_missing_config_is_reported(self, tmp_path, capsys):
         code = main([

@@ -5,6 +5,7 @@ import pytest
 
 from dynal import estimators, theorysim
 from dynal.estimators import (
+    HEAD_STRATEGIES,
     HIGHER_IS_UNCERTAIN,
     LOWER_IS_UNCERTAIN,
     SCORE_DIRECTION,
@@ -174,6 +175,15 @@ class TestStrategyScoring:
     def test_missing_head_predictions_rejected(self):
         with pytest.raises(ValueError):
             strategy_scores(StrategyKind.TIDAL_ENTROPY, np.arange(2), np.full((2, 2), 0.5))
+
+    def test_exactly_head_strategies_need_head_predictions(self):
+        p = np.full((2, 2), 0.5)
+        for kind in SCORE_DIRECTION:
+            if kind in HEAD_STRATEGIES:
+                with pytest.raises(ValueError, match="requires head predictions"):
+                    strategy_scores(kind, np.arange(2), p)
+            else:
+                assert len(strategy_scores(kind, np.arange(2), p)) == 2
 
 
 class TestSeparationOrdering:

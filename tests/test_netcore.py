@@ -18,15 +18,15 @@ class TestForward:
         state = netcore.init_net(cfg)
         for w in state.weights:
             w[:] = 0.0
-        trace = netcore.forward(state, cfg, np.array([1.0, -2.0, 0.5]))
-        np.testing.assert_allclose(trace.probs, np.full(5, 0.2), atol=1e-15)
+        trace = netcore.forward_batch(state, cfg, np.array([1.0, -2.0, 0.5]))
+        np.testing.assert_allclose(trace.probs[0], np.full(5, 0.2), atol=1e-15)
 
     def test_deterministic(self):
         cfg = tiny_cfg()
         state = netcore.init_net(cfg)
         x = np.array([0.3, -0.7])
-        t1 = netcore.forward(state, cfg, x)
-        t2 = netcore.forward(state, cfg, x)
+        t1 = netcore.forward_batch(state, cfg, x)
+        t2 = netcore.forward_batch(state, cfg, x)
         assert np.array_equal(t1.probs, t2.probs)
         assert np.array_equal(t1.logits, t2.logits)
 
@@ -50,15 +50,15 @@ class TestForward:
         exps = [math.exp(v - mx) for v in logits]
         probs = [e / sum(exps) for e in exps]
 
-        trace = netcore.forward(state, cfg, x)
-        np.testing.assert_allclose(trace.logits, logits, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(trace.probs, probs, rtol=0, atol=1e-12)
+        trace = netcore.forward_batch(state, cfg, x)
+        np.testing.assert_allclose(trace.logits[0], logits, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace.probs[0], probs, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         cfg = tiny_cfg()
         state = netcore.init_net(cfg)
         with pytest.raises(ValueError):
-            netcore.forward(state, cfg, np.zeros(3))
+            netcore.forward_batch(state, cfg, np.zeros(3))
 
     def test_softmax_always_on_simplex(self):
         cfg = NetConfig(input_dim=6, hidden_sizes=[8], n_classes=7, seed=3)
@@ -70,23 +70,34 @@ class TestForward:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
+def cross_entropy(probs, y):
+    """The cross entropy joint_loss reports for one sample whose classifier
+    outputs ``probs``: zero output weights, log-probability output biases."""
+    cfg = NetConfig(input_dim=1, hidden_sizes=[1], n_classes=len(probs), seed=0)
+    state = netcore.init_net(cfg)
+    state.weights[-1][:] = 0.0
+    with np.errstate(divide="ignore"):
+        state.biases[-1][:] = np.log(probs)
+    return netcore.joint_loss(state, cfg, None, np.zeros((1, 1)), np.array([y]), None, 0.0)[0]
+
+
 class TestCrossEntropy:
     def test_one_hot_is_zero(self):
-        assert netcore.cross_entropy(np.array([0.0, 1.0, 0.0]), 1) == 0.0
+        assert cross_entropy(np.array([0.0, 1.0, 0.0]), 1) == 0.0
 
     def test_uniform_ten_classes(self):
         p = np.full(10, 0.1)
-        assert netcore.cross_entropy(p, 3) == pytest.approx(math.log(10), abs=1e-12)
+        assert cross_entropy(p, 3) == pytest.approx(math.log(10), abs=1e-12)
 
     def test_derived_value(self):
         # oracle: direct -ln 0.2
-        got = netcore.cross_entropy(np.array([0.7, 0.2, 0.1]), 1)
+        got = cross_entropy(np.array([0.7, 0.2, 0.1]), 1)
         assert got == pytest.approx(-math.log(0.2), abs=1e-12)
         assert got == pytest.approx(1.609438, abs=1e-6)
 
     def test_bad_class_index(self):
         with pytest.raises(ValueError):
-            netcore.cross_entropy(np.array([0.5, 0.5]), 2)
+            cross_entropy(np.array([0.5, 0.5]), 2)
 
 
 class TestGradJoint:
@@ -126,6 +137,13 @@ class TestGradJoint:
         assert rel_err(ng, fd_net) < 1e-4
         assert rel_err(hg, fd_head) < 1e-4
 
+    @pytest.mark.parametrize("with_targets", [True, False])
+    def test_losses_equal_the_oracle(self, with_targets):
+        cfg, net, head, X, y, q = self.make_instance(5)
+        q = q if with_targets else None
+        _, _, lt, lm = netcore.grad_joint(net, cfg, head, X, y, q, lam=1.0)
+        assert (lt, lm) == netcore.joint_loss(net, cfg, head, X, y, q, 1.0)
+
     def test_targets_equal_predictions_zero_module_loss(self):
         cfg, net, head, X, y, _ = self.make_instance(8)
         trace = netcore.forward_batch(net, cfg, X)
@@ -163,13 +181,14 @@ class TestOptimizer:
         opt = OptimizerConfig(kind="sgd_momentum", initial_lr=0.1, momentum=0.9, weight_decay=0.0)
         before = [p.copy() for p in state.params()]
         zeros = [np.zeros_like(p) for p in state.params()]
-        netcore.optimizer_step(state, zeros, opt, epoch=0)
+        st = netcore.init_opt_state(state.params(), opt.kind)
+        netcore.apply_update(state.params(), zeros, st, opt, epoch=0)
         for p, b in zip(state.params(), before):
             np.testing.assert_array_equal(p, b)
         # preload a velocity and confirm the decay factor
-        state.opt_state.velocities[0][:] = 1.0
-        netcore.optimizer_step(state, zeros, opt, epoch=0)
-        np.testing.assert_allclose(state.opt_state.velocities[0], 0.9, atol=1e-15)
+        st.velocities[0][:] = 1.0
+        netcore.apply_update(state.params(), zeros, st, opt, epoch=0)
+        np.testing.assert_allclose(st.velocities[0], 0.9, atol=1e-15)
 
     def test_plain_sgd_step(self):
         cfg = tiny_cfg()
@@ -177,7 +196,8 @@ class TestOptimizer:
         opt = OptimizerConfig(kind="sgd_momentum", initial_lr=0.1, momentum=0.0, weight_decay=0.0)
         before = [p.copy() for p in state.params()]
         grads = [np.full_like(p, 2.0) for p in state.params()]
-        netcore.optimizer_step(state, grads, opt, epoch=0)
+        netcore.apply_update(state.params(), grads, netcore.init_opt_state(state.params(), opt.kind),
+                             opt, epoch=0)
         for p, b in zip(state.params(), before):
             np.testing.assert_allclose(p, b - 0.2, atol=1e-15)
 
@@ -192,7 +212,8 @@ class TestOptimizer:
                               epsilon=eps, weight_decay=0.0, decay_epoch=100)
         grads = [np.zeros_like(p) for p in state.params()]
         grads[0][0, 0] = g
-        netcore.optimizer_step(state, grads, opt, epoch=0)
+        netcore.apply_update(state.params(), grads, netcore.init_opt_state(state.params(), opt.kind),
+                             opt, epoch=0)
 
         m = (1 - b1) * g
         v = (1 - b2) * g * g
@@ -207,9 +228,23 @@ class TestOptimizer:
         opt = OptimizerConfig(kind="sgd_momentum", initial_lr=0.1, momentum=0.0, weight_decay=0.5)
         before = [p.copy() for p in state.params()]
         zeros = [np.zeros_like(p) for p in state.params()]
-        netcore.optimizer_step(state, zeros, opt, epoch=0)
+        netcore.apply_update(state.params(), zeros, netcore.init_opt_state(state.params(), opt.kind),
+                             opt, epoch=0)
         for p, b in zip(state.params(), before):
             np.testing.assert_allclose(p, b - 0.1 * 0.5 * b, atol=1e-15)
+
+
+    def test_shape_mismatch_moves_no_parameter(self):
+        state = netcore.init_net(tiny_cfg())
+        opt = OptimizerConfig(kind="sgd_momentum")
+        before = [p.copy() for p in state.params()]
+        grads = [np.ones_like(p) for p in state.params()]
+        grads[-1] = np.ones(5)
+        with pytest.raises(ValueError, match="gradient shape"):
+            netcore.apply_update(state.params(), grads,
+                                 netcore.init_opt_state(state.params(), opt.kind), opt, epoch=0)
+        for p, b in zip(state.params(), before):
+            np.testing.assert_array_equal(p, b)
 
 
 class TestLrSchedule:
@@ -238,9 +273,10 @@ class TestTrainingBehavior:
             X = rng.normal(size=(40, 2)) + np.where(rng.random(40)[:, None] < 0.5, 2.0, -2.0)
             y = (X[:, 0] > 0).astype(int)
             losses = []
+            st = netcore.init_opt_state(state.params(), opt.kind)
             for epoch in range(10):
                 g, _, lt, _ = netcore.grad_joint(state, cfg, None, X, y, None, lam=0.0)
-                netcore.optimizer_step(state, g, opt, epoch)
+                netcore.apply_update(state.params(), g, st, opt, epoch)
                 losses.append(lt)
             return losses
 
@@ -256,10 +292,11 @@ class TestTrainingBehavior:
         opt = OptimizerConfig(kind="sgd_momentum", initial_lr=0.1, momentum=0.9,
                               weight_decay=0.0, decay_epoch=1000)
         first = None
+        st = netcore.init_opt_state(state.params(), opt.kind)
         for epoch in range(50):
             g, _, lt, _ = netcore.grad_joint(state, cfg, None, X, y, None, lam=0.0)
             if first is None:
                 first = lt
-            netcore.optimizer_step(state, g, opt, epoch)
+            netcore.apply_update(state.params(), g, st, opt, epoch)
         _, _, last, _ = netcore.grad_joint(state, cfg, None, X, y, None, lam=0.0)
         assert last < 0.1 * first

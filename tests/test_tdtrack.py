@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from dynal import tdtrack
 from dynal.tdtrack import TDStore, td_init, td_update, td_value
 
 
@@ -108,21 +107,3 @@ class TestStore:
     def test_missing_id(self):
         with pytest.raises(KeyError):
             TDStore(2).value(0)
-
-    def test_history_retention(self):
-        store = TDStore(2, keep_history=True)
-        store.update(1, np.array([1.0, 0.0]))
-        store.update(1, np.array([0.0, 1.0]))
-        assert len(store.history[1]) == 2
-        np.testing.assert_array_equal(store.history[1][0], [1.0, 0.0])
-
-    def test_csv_dump(self, tmp_path):
-        store = TDStore(3)
-        store.update(2, np.array([0.5, 0.25, 0.25]))
-        store.update(0, np.array([0.1, 0.6, 0.3]))
-        path = tmp_path / "td.csv"
-        tdtrack.save_store_csv(store, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "sample_id,t,p_0,p_1,p_2"
-        assert lines[1].startswith("0,1,")  # sorted by id
-        assert lines[2].startswith("2,1,")
