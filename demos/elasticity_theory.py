@@ -15,7 +15,7 @@ either estimator read off the mean trajectory orders samples by how
 fast they converged.
 """
 
-from dynal.estimators import entropy, margin_with_label
+from dynal.estimators import entropy, margin
 from dynal.theorysim import (
     ElasticityParams,
     convergence_gap,
@@ -53,7 +53,7 @@ print("\ns_y  | entropy(C=10) | margin(C=10) | matches generic estimators?")
 for s in (0.55, 0.65, 0.75, 0.85, 0.95):
     e, m = theorem2_entropy(s, 10), theorem2_margin(s, 10)
     v = s_vector(s, 10)
-    ok = abs(e - entropy(v)) < 1e-12 and abs(m - margin_with_label(v, 0)) < 1e-12
+    ok = abs(e - entropy(v)) < 1e-12 and abs(m - margin(v, 0)) < 1e-12
     print(f"{s:.2f} | {e:13.6f} | {m:12.6f} | {ok}")
 
 print("\nentropy decreasing + margin increasing in s_y means a slower-converging")

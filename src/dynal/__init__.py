@@ -30,17 +30,7 @@ from .datasets import (
     save_csv,
     split,
 )
-from .estimators import (
-    AcquisitionScore,
-    StrategyKind,
-    entropy,
-    margin_naive,
-    margin_with_label,
-    prob_at_predicted,
-    prob_max,
-    strategy_scores,
-    tidal_margin,
-)
+from .estimators import StrategyKind, entropy, margin, strategy_scores, uncertainty
 from .netcore import (
     NetConfig,
     NetState,
@@ -54,7 +44,7 @@ from .netcore import (
 )
 from .numutil import kl_rows
 from .tdhead import HeadConfig, HeadState, head_forward_batch, init_head
-from .tdtrack import TDRecord, TDStore, td_init, td_update, td_value
+from .tdtrack import TDStore
 from .theorysim import (
     ElasticityParams,
     convergence_gap,

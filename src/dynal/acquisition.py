@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
 
-from .estimators import AcquisitionScore, uncertainty_value
+# Entries of one chunk of k-center's labeled-distance tensor (8 MB of float64).
+KCENTER_CHUNK_FLOATS = 2**20
 
 
 def sample_subset(pool_ids: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -26,28 +26,28 @@ def random_select(pool_ids: np.ndarray, k: int, rng: np.random.Generator) -> lis
     return [int(i) for i in sample_subset(pool_ids, k, rng)]
 
 
-def select_top_k(scores: list[AcquisitionScore], k: int) -> list[int]:
-    """The k most uncertain ids, ties broken by ascending sample id.
+def select_top_k(sample_ids, uncertainty, k: int) -> np.ndarray:
+    """The k ids of largest uncertainty, ties broken by ascending sample id.
 
+    ``uncertainty`` is oriented so that larger means more uncertain.
     Output is ordered most-uncertain first.  Asking for more than is
-    available returns everything with a warning.  A NaN score raises
-    ValueError naming the first sample id that has one.
+    available returns everything with a warning.  A NaN uncertainty
+    raises ValueError naming the first sample id that has one.
     """
+    ids = np.asarray(sample_ids)
+    u = np.asarray(uncertainty, dtype=np.float64)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not scores:
+    if ids.size == 0:
         raise ValueError("no scores given")
-    directions = {s.direction for s in scores}
-    if len(directions) != 1:
-        raise ValueError("scores mix directions")
-    nan_ids = [s.sample_id for s in scores if math.isnan(s.score)]
-    if nan_ids:
-        raise ValueError(f"NaN score for sample id {nan_ids[0]}")
-    if k > len(scores):
-        warnings.warn(f"requested k={k} > {len(scores)} scored samples; returning all")
-        k = len(scores)
-    ranked = sorted(scores, key=lambda s: (-uncertainty_value(s), s.sample_id))
-    return [s.sample_id for s in ranked[:k]]
+    if u.shape != ids.shape:
+        raise ValueError(f"{u.size} scores for {ids.size} sample ids")
+    nan = np.flatnonzero(np.isnan(u))
+    if nan.size:
+        raise ValueError(f"NaN score for sample id {ids[nan[0]]}")
+    if k > ids.size:
+        warnings.warn(f"requested k={k} > {ids.size} scored samples; returning all")
+    return ids[np.lexsort((ids, -u))[:k]]
 
 
 def kcenter_greedy(
@@ -82,15 +82,19 @@ def kcenter_greedy(
     chosen = np.zeros(n, dtype=bool)
     labeled_feats = np.asarray(labeled_feats, dtype=np.float64)
     if labeled_feats.size == 0:
-        min_dist = np.full(n, np.inf)
         selected.append(int(ids[0]))
         chosen[0] = True
         diff = feats - feats[0]
-        min_dist = np.minimum(min_dist, np.sqrt((diff * diff).sum(axis=1)))
+        min_dist = np.sqrt((diff * diff).sum(axis=1))
     else:
         labeled_feats = np.atleast_2d(labeled_feats)
-        d2 = ((feats[:, None, :] - labeled_feats[None, :, :]) ** 2).sum(axis=2)
-        min_dist = np.sqrt(d2.min(axis=1))
+        # Row chunks of the (n, m, d) difference tensor, so memory stays
+        # bounded by KCENTER_CHUNK_FLOATS whatever the pool size.
+        min_dist = np.empty(n)
+        step = max(1, KCENTER_CHUNK_FLOATS // labeled_feats.size)
+        for lo in range(0, n, step):
+            d2 = ((feats[lo : lo + step, None, :] - labeled_feats[None, :, :]) ** 2).sum(axis=2)
+            min_dist[lo : lo + step] = np.sqrt(d2.min(axis=1))
 
     while len(selected) < k:
         masked = np.where(chosen, -np.inf, min_dist)

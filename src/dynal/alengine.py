@@ -23,14 +23,7 @@ from scipy.stats import rankdata
 from . import netcore, tdhead
 from .acquisition import kcenter_greedy, random_select, sample_subset, select_top_k
 from .datasets import Dataset
-from .estimators import (
-    HEAD_STRATEGIES,
-    AcquisitionScore,
-    StrategyKind,
-    entropy,
-    margin_with_label,
-    strategy_scores,
-)
+from .estimators import HEAD_STRATEGIES, StrategyKind, entropy, margin, strategy_scores, uncertainty
 from .netcore import NetConfig, NetState, OptimizerConfig
 from .numutil import kl_rows
 from .tdtrack import TDStore
@@ -85,7 +78,6 @@ class ALConfig:
 class TrainingTrace:
     """Per-epoch test-set snapshots kept only in analysis mode."""
 
-    test_ids: np.ndarray
     test_probs: list[np.ndarray] = field(default_factory=list)
     head_probs: list[np.ndarray] = field(default_factory=list)
     test_store: TDStore | None = None
@@ -131,10 +123,11 @@ def train_joint(
 
     Per epoch, each labeled sample's probability vector from the
     training-time forward pass (taken before that batch's update) is
-    folded into its dynamics record, and the current record is the
-    head's KL target for the same batch.  ``record_probs='epoch_end'``
-    instead refreshes records with a full evaluation pass after each
-    epoch; the head loss then starts at the second epoch.
+    folded into its running mean, and the current mean is the head's KL
+    target for the same batch.  ``record_probs='epoch_end'`` instead
+    refreshes the means with a full evaluation pass after each epoch;
+    the head loss then starts at the second epoch.  Store rows are
+    positions in ``labeled`` (and in ``test`` for the trace).
     """
     net_cfg = replace(cfg.net, seed=_stream_seed(cfg.seed, cycle, _STREAM_NET))
     if net_cfg.input_dim != labeled.dim or net_cfg.n_classes != labeled.n_classes:
@@ -151,39 +144,39 @@ def train_joint(
     opt_state = netcore.init_opt_state(params, cfg.opt.kind)
     shuffle_rng = np.random.default_rng(_stream_seed(cfg.seed, cycle, _STREAM_SHUFFLE))
 
-    store = TDStore(net_cfg.n_classes)
+    n = len(labeled)
+    store = TDStore(n, net_cfg.n_classes)
     trace = None
     if test is not None:
-        trace = TrainingTrace(test_ids=test.ids.copy(), test_store=TDStore(net_cfg.n_classes))
+        trace = TrainingTrace(test_store=TDStore(len(test), net_cfg.n_classes))
 
-    n = len(labeled)
     loss_target = loss_module = 0.0
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
-            Xb, yb, idsb = labeled.X[idx], labeled.y[idx], labeled.ids[idx]
+            Xb, yb = labeled.X[idx], labeled.y[idx]
             bt = netcore.forward_batch(net, net_cfg, Xb)
             targets = None
             if cfg.record_probs == "batch":
-                store.update_batch(idsb, bt.probs)
-                targets = store.values(idsb)
-            elif np.all(store.counts(idsb) >= 1):
-                targets = store.values(idsb)
+                store.update_batch(idx, bt.probs)
+                targets = store.values(idx)
+            elif np.all(store.count[idx] >= 1):
+                targets = store.values(idx)
             net_grads, head_grads, loss_target, loss_module = netcore.grad_joint(
                 net, net_cfg, head, Xb, yb, targets, cfg.lam,
-                detach=cfg.detach, sample_ids=idsb, trace=bt,
+                detach=cfg.detach, sample_ids=labeled.ids[idx], trace=bt,
             )
             netcore.apply_update(params, net_grads + head_grads, opt_state, cfg.opt, epoch)
         if cfg.record_probs == "epoch_end":
             bt = netcore.forward_batch(net, net_cfg, labeled.X)
-            store.update_batch(labeled.ids, bt.probs)
+            store.update_batch(np.arange(n), bt.probs)
         if trace is not None:
             tt = netcore.forward_batch(net, net_cfg, test.X)
             pt, _ = tdhead.head_forward_batch(head, tt.taps)
             trace.test_probs.append(tt.probs)
             trace.head_probs.append(pt)
-            trace.test_store.update_batch(test.ids, tt.probs)
+            trace.test_store.update_batch(np.arange(len(test)), tt.probs)
     return TrainResult(net, net_cfg, head, head_cfg, store, loss_target, loss_module, trace)
 
 
@@ -200,16 +193,6 @@ def evaluate(net: NetState, net_cfg: NetConfig, test: Dataset) -> tuple[float, n
         if mask.any():
             per_class[c] = float((pred[mask] == c).mean())
     return acc, per_class
-
-
-def _score_subset(
-    result: TrainResult, cfg: ALConfig, subset_X: np.ndarray, subset_ids: np.ndarray
-) -> tuple[list[AcquisitionScore], np.ndarray]:
-    bt = netcore.forward_batch(result.net, result.net_cfg, subset_X)
-    p_mod = None
-    if cfg.strategy in HEAD_STRATEGIES:
-        p_mod, _ = tdhead.head_forward_batch(result.head, bt.taps)
-    return strategy_scores(cfg.strategy, subset_ids, bt.probs, p_mod), bt.probs.argmax(axis=1)
 
 
 def run_cycle(
@@ -246,13 +229,18 @@ def run_cycle(
         sub_feats = netcore.forward_batch(result.net, result.net_cfg, subset_X).activations[-1]
         selected = kcenter_greedy(lab_feats, sub_feats, subset_ids, cfg.budget_per_cycle)
     else:
-        scores, pred_labels = _score_subset(result, cfg, subset_X, subset_ids)
-        selected = select_top_k(scores, cfg.budget_per_cycle)
+        bt = netcore.forward_batch(result.net, result.net_cfg, subset_X)
+        p_mod = None
+        if cfg.strategy in HEAD_STRATEGIES:
+            p_mod, _ = tdhead.head_forward_batch(result.head, bt.taps)
+        scores = strategy_scores(cfg.strategy, bt.probs, p_mod)
+        selected = select_top_k(subset_ids, uncertainty(cfg.strategy, scores), cfg.budget_per_cycle)
         if cfg.dump_scores:
-            chosen = set(selected)
+            chosen = np.isin(subset_ids, selected)
             score_rows = [
-                (s.sample_id, cfg.strategy.value, s.score, int(lbl), s.sample_id in chosen)
-                for s, lbl in zip(scores, pred_labels)
+                (sid, cfg.strategy.value, s, lbl, c)
+                for sid, s, lbl, c in zip(subset_ids.tolist(), scores.tolist(),
+                                          bt.probs.argmax(axis=1).tolist(), chosen.tolist())
             ]
 
     new_labeled = list(labeled_ids) + [int(s) for s in selected]
@@ -324,7 +312,7 @@ def kl_analysis(result: TrainResult) -> list[tuple[int, float, float]]:
     if result.trace is None:
         raise RuntimeError("kl_analysis needs a training run with analysis mode enabled")
     trace = result.trace
-    final_td = trace.test_store.values(trace.test_ids)
+    final_td = trace.test_store.values(np.arange(trace.test_store.count.size))
     rows = []
     for t, (p_t, pt_t) in enumerate(zip(trace.test_probs, trace.head_probs), start=1):
         rows.append((t, float(kl_rows(final_td, pt_t).mean()), float(kl_rows(final_td, p_t).mean())))
@@ -373,29 +361,20 @@ def run_pilot(
     on the training samples themselves.
 
     Margins use the true labels (training data is analysis data here);
-    entropy needs none.  AUROC orientation: larger = more uncertain, so
-    margins enter negated.
+    entropy needs none.  AUROC reads the scores through ``uncertainty``.
     """
     result = train_joint(train, cfg, cycle=0, test=test)
     bt = netcore.forward_batch(result.net, result.net_cfg, train.X)
     snap = bt.probs
-    td = result.store.values(train.ids)
+    td = result.store.values(np.arange(len(train)))
     pred_td, _ = tdhead.head_forward_batch(result.head, bt.taps)
 
     labels = train.y
-    scores = {
-        "snapshot_entropy": np.array([entropy(p) for p in snap]),
-        "td_entropy": np.array([entropy(p) for p in td]),
-        "pred_td_entropy": np.array([entropy(p) for p in pred_td]),
-        "snapshot_margin": np.array([margin_with_label(p, int(y)) for p, y in zip(snap, labels)]),
-        "td_margin": np.array([margin_with_label(p, int(y)) for p, y in zip(td, labels)]),
-        "pred_td_margin": np.array([margin_with_label(p, int(y)) for p, y in zip(pred_td, labels)]),
-    }
+    vectors = {"snapshot": snap, "td": td, "pred_td": pred_td}
+    scores = {f"{name}_entropy": entropy(p) for name, p in vectors.items()}
+    scores.update({f"{name}_margin": margin(p, labels) for name, p in vectors.items()})
     is_minor = np.isin(labels, list(minor_classes))
-    auroc = {}
-    for name, vals in scores.items():
-        oriented = vals if name.endswith("entropy") else -vals
-        auroc[name] = separation_auroc(oriented, is_minor)
+    auroc = {k: separation_auroc(uncertainty(k, v), is_minor) for k, v in scores.items()}
     return PilotResult(
         train.ids.copy(), labels.copy(), snap.argmax(axis=1), is_minor, scores, auroc, result
     )

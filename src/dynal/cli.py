@@ -235,7 +235,7 @@ def _al_worker(args):
 
 def _run_al(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> int:
     train, test = build_dataset(cfg.dataset)
-    minor = minor_class_set(cfg.dataset)
+    minor = minor_class_set(cfg.dataset, train.n_classes)
     jobs = []
     for strategy in manifest.strategies:
         for seed in manifest.seeds:
@@ -267,7 +267,7 @@ def _run_al(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> int:
 
 def _run_pilot(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> int:
     train, test = build_dataset(cfg.dataset)
-    minor = minor_class_set(cfg.dataset)
+    minor = minor_class_set(cfg.dataset, train.n_classes)
     if not minor:
         raise ValueError("pilot needs an imbalanced dataset (imbalance.ratio > 1)")
     auroc_rows = []

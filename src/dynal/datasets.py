@@ -154,7 +154,7 @@ def apply_imbalance(
     C = ds.n_classes
     if profile == "step":
         if minor_classes is None:
-            minor_classes = list(range(C // 2, C))
+            minor_classes = _default_minor_classes(profile, C)
         minor = set(int(c) for c in minor_classes)
         targets = [int(n_max // ratio) if c in minor else int(counts[c]) for c in range(C)]
     else:
@@ -212,17 +212,24 @@ def build_dataset(spec: DatasetSpec) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def minor_class_set(spec: DatasetSpec) -> list[int]:
-    """Classes treated as minority under the spec's imbalance settings."""
+def _default_minor_classes(profile: str, n_classes: int) -> list[int]:
+    """Classes an imbalance profile cuts when none are named: the upper
+    half of the class range for step, every class but 0 for exponential."""
+    if profile == "step":
+        return list(range(n_classes // 2, n_classes))
+    return list(range(1, n_classes))
+
+
+def minor_class_set(spec: DatasetSpec, n_classes: int) -> list[int]:
+    """Classes treated as minority under the spec's imbalance settings, for
+    a built dataset of ``n_classes`` classes (a CSV's label range, not the
+    spec's ``n_classes``)."""
     imb = spec.imbalance
     if imb.ratio <= 1:
         return []
-    if imb.profile == "step":
-        if imb.minor_classes is not None:
-            return [int(c) for c in imb.minor_classes]
-        return list(range(spec.n_classes // 2, spec.n_classes))
-    # exponential: every class below the head count is reduced
-    return list(range(1, spec.n_classes))
+    if imb.profile == "step" and imb.minor_classes is not None:
+        return [int(c) for c in imb.minor_classes]
+    return _default_minor_classes(imb.profile, n_classes)
 
 
 def save_csv(ds: Dataset, path) -> None:

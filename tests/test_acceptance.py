@@ -13,7 +13,7 @@ from dynal import alengine, cli, netcore, tdhead, tdtrack, theorysim
 from dynal.acquisition import kcenter_greedy, select_top_k
 from dynal.alengine import ALConfig
 from dynal.datasets import DatasetSpec, ImbalanceSpec, build_dataset, nearest_mean_predict
-from dynal.estimators import HIGHER_IS_UNCERTAIN, LOWER_IS_UNCERTAIN, AcquisitionScore, StrategyKind
+from dynal.estimators import StrategyKind, uncertainty
 from dynal.netcore import NetConfig, OptimizerConfig
 from dynal.theorysim import ElasticityParams, convergence_gap, integrate_ode
 
@@ -105,9 +105,9 @@ def test_criterion_2_theorem2_suite():
         ok &= all(a < b for a, b in zip(margs, margs[1:]))
         for s, e, m in zip(grid, ents, margs):
             v = theorysim.s_vector(s, C)
-            from dynal.estimators import entropy, margin_with_label
+            from dynal.estimators import entropy, margin
 
-            worst = max(worst, abs(e - entropy(v)), abs(m - margin_with_label(v, 0)))
+            worst = max(worst, abs(e - entropy(v)), abs(m - margin(v, 0)))
     ok &= worst <= 1e-12
     elapsed = time.perf_counter() - t0
     report(2, ok, f"monotone over grid, closed-form vs estimator gap {worst:.1e} <= 1e-12",
@@ -223,12 +223,11 @@ def test_criterion_7_oracle_equivalences():
         n = int(rng.integers(2, 50))
         ids = rng.permutation(5000)[:n]
         vals = np.round(rng.random(n), 2)
-        direction = HIGHER_IS_UNCERTAIN if rng.random() < 0.5 else LOWER_IS_UNCERTAIN
+        name = "tidal_entropy" if rng.random() < 0.5 else "tidal_margin"
         k = int(rng.integers(1, n + 1))
-        scores = [AcquisitionScore(int(i), float(v), direction) for i, v in zip(ids, vals)]
-        sign = -1.0 if direction == HIGHER_IS_UNCERTAIN else 1.0
+        sign = -1.0 if name.endswith("entropy") else 1.0
         oracle = [sid for _, sid in sorted((sign * v, int(i)) for i, v in zip(ids, vals))][:k]
-        topk_ok &= select_top_k(scores, k) == oracle
+        topk_ok &= select_top_k(ids, uncertainty(name, vals), k).tolist() == oracle
 
     # k-center greedy against brute force, 100 instances with n <= 8
     def brute(labeled, unl, ids, k):
@@ -266,10 +265,10 @@ def test_criterion_7_oracle_equivalences():
         n = int(rng.integers(1, 60))
         C = int(rng.integers(2, 8))
         vecs = rng.dirichlet(np.ones(C), size=n)
-        rec = tdtrack.td_init(C)
+        store = tdtrack.TDStore(1, C)
         for v in vecs:
-            rec = tdtrack.td_update(rec, v)
-        td_ok &= bool(np.abs(tdtrack.td_value(rec) - vecs.mean(axis=0)).max() <= 1e-12)
+            store.update_batch([0], v[None, :])
+        td_ok &= bool(np.abs(store.values([0])[0] - vecs.mean(axis=0)).max() <= 1e-12)
 
     elapsed = time.perf_counter() - t0
     report(7, topk_ok and kc_ok and td_ok,

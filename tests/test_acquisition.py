@@ -1,12 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dynal import acquisition
 from dynal.acquisition import kcenter_greedy, random_select, sample_subset, select_top_k
-from dynal.estimators import HIGHER_IS_UNCERTAIN, LOWER_IS_UNCERTAIN, AcquisitionScore
+from dynal.estimators import uncertainty
 
 
-def scores_from(mapping, direction):
-    return [AcquisitionScore(sid, s, direction) for sid, s in mapping.items()]
+def top_k(mapping, name, k):
+    """select_top_k over {id: raw score} for strategy ``name``, as a list."""
+    ids = np.array(list(mapping), dtype=np.int64)
+    u = uncertainty(name, np.array(list(mapping.values()), dtype=float))
+    return select_top_k(ids, u, k).tolist()
 
 
 class TestSampleSubset:
@@ -44,44 +52,36 @@ class TestSampleSubset:
 
 class TestSelectTopK:
     def test_higher_direction(self):
-        scores = scores_from({0: 0.1, 1: 0.9, 2: 0.5}, HIGHER_IS_UNCERTAIN)
-        assert select_top_k(scores, 2) == [1, 2]
+        assert top_k({0: 0.1, 1: 0.9, 2: 0.5}, "snapshot_entropy", 2) == [1, 2]
 
     def test_lower_direction(self):
-        scores = scores_from({0: 0.1, 1: 0.9, 2: 0.5}, LOWER_IS_UNCERTAIN)
-        assert select_top_k(scores, 1) == [0]
+        assert top_k({0: 0.1, 1: 0.9, 2: 0.5}, "snapshot_margin", 1) == [0]
 
     def test_ties_break_by_id(self):
-        scores = scores_from({5: 0.5, 2: 0.5, 9: 0.5}, HIGHER_IS_UNCERTAIN)
-        assert select_top_k(scores, 2) == [2, 5]
+        assert top_k({5: 0.5, 2: 0.5, 9: 0.5}, "snapshot_entropy", 2) == [2, 5]
 
-    @pytest.mark.parametrize("direction", [HIGHER_IS_UNCERTAIN, LOWER_IS_UNCERTAIN])
-    def test_nan_score_names_first_sample(self, direction):
+    @pytest.mark.parametrize("name", ["snapshot_entropy", "snapshot_margin"],
+                             ids=["higher_is_uncertain", "lower_is_uncertain"])
+    def test_nan_score_names_first_sample(self, name):
         nan = float("nan")
-        scores = scores_from({4: 0.1, 7: nan, 2: 0.3, 1: nan}, direction)
         with pytest.raises(ValueError, match="sample id 7"):
-            select_top_k(scores, 2)
+            top_k({4: 0.1, 7: nan, 2: 0.3, 1: nan}, name, 2)
 
     def test_oversized_k_warns_and_returns_all(self):
-        scores = scores_from({0: 0.3, 1: 0.1}, HIGHER_IS_UNCERTAIN)
         with pytest.warns(UserWarning):
-            assert select_top_k(scores, 5) == [0, 1]
+            assert top_k({0: 0.3, 1: 0.1}, "snapshot_entropy", 5) == [0, 1]
 
-    def test_mixed_directions_rejected(self):
-        scores = [
-            AcquisitionScore(0, 0.5, HIGHER_IS_UNCERTAIN),
-            AcquisitionScore(1, 0.5, LOWER_IS_UNCERTAIN),
-        ]
-        with pytest.raises(ValueError):
-            select_top_k(scores, 1)
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="no scores"):
+            select_top_k(np.array([], dtype=np.int64), np.array([]), 1)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
-        scores = scores_from({i: float(v) for i, v in enumerate(rng.random(30))}, HIGHER_IS_UNCERTAIN)
-        base = select_top_k(scores, 7)
+        ids, u = np.arange(30), rng.random(30)
+        base = select_top_k(ids, u, 7).tolist()
         for _ in range(10):
-            shuffled = [scores[i] for i in rng.permutation(30)]
-            assert select_top_k(shuffled, 7) == base
+            perm = rng.permutation(30)
+            assert select_top_k(ids[perm], u[perm], 7).tolist() == base
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(11)
@@ -89,12 +89,24 @@ class TestSelectTopK:
             n = int(rng.integers(3, 40))
             ids = rng.permutation(1000)[:n]
             vals = np.round(rng.random(n), 2)  # coarse grid forces ties
-            direction = HIGHER_IS_UNCERTAIN if rng.random() < 0.5 else LOWER_IS_UNCERTAIN
-            scores = [AcquisitionScore(int(i), float(v), direction) for i, v in zip(ids, vals)]
+            name = "snapshot_entropy" if rng.random() < 0.5 else "snapshot_margin"
             k = int(rng.integers(1, n + 1))
-            sign = -1.0 if direction == HIGHER_IS_UNCERTAIN else 1.0
+            sign = -1.0 if name.endswith("entropy") else 1.0
             oracle = [sid for _, sid in sorted((sign * v, int(i)) for i, v in zip(ids, vals))][:k]
-            assert select_top_k(scores, k) == oracle
+            assert select_top_k(ids, uncertainty(name, vals), k).tolist() == oracle
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from([-1.0, -0.5, 0.0, 0.5])),
+                      min_size=1, max_size=40, unique_by=lambda r: r[0]),
+        data=st.data(),
+    )
+    def test_equals_sorted_oracle_with_ties(self, rows, data):
+        ids = np.array([i for i, _ in rows], dtype=np.int64)
+        u = np.array([v for _, v in rows])
+        k = data.draw(st.integers(1, len(rows)))
+        oracle = [i for _, i in sorted((-v, i) for i, v in rows)][:k]
+        assert select_top_k(ids, u, k).tolist() == oracle
 
 
 class TestKCenterGreedy:
@@ -165,6 +177,36 @@ class TestKCenterGreedy:
         got = kcenter_greedy(rng.normal(size=(4, 3)), unl, ids, 8)
         assert len(got) == len(set(got)) == 8
         assert set(got) <= set(ids.tolist())
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 40), n_lab=st.integers(1, 6), dim=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_chunked_distances_match_brute_force(self, n, n_lab, dim, seed, data):
+        rng = np.random.default_rng(seed)
+        labeled = rng.normal(size=(n_lab, dim))
+        unl = rng.normal(size=(n, dim))
+        ids = rng.permutation(10 * n)[:n]
+        k = data.draw(st.integers(1, n))
+        with pytest.MonkeyPatch.context() as mp:
+            # chunks of 3 unlabeled rows, so most pools span several chunks
+            mp.setattr(acquisition, "KCENTER_CHUNK_FLOATS", 3 * n_lab * dim)
+            got = kcenter_greedy(labeled, unl, ids, k)
+        assert got == self.brute_force(labeled, unl, ids, k)
+
+    def test_peak_memory_stays_bounded(self):
+        rng = np.random.default_rng(0)
+        labeled = rng.normal(size=(500, 16))
+        unl = rng.normal(size=(2000, 16))
+        ids = np.arange(2000)
+        tracemalloc.start()
+        try:
+            kcenter_greedy(labeled, unl, ids, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole (2000, 500, 16) difference tensor alone would be 128 MB
+        assert peak < 40 * 2**20
 
 
 class TestRandomSelect:

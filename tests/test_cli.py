@@ -4,7 +4,7 @@ import pytest
 
 from dynal import cli, theorysim
 from dynal.cli import RunManifest, dispatch, main, parse_config, serialize_config
-from dynal.datasets import load_csv
+from dynal.datasets import DatasetSpec, gen_gaussian_mixture, load_csv, save_csv
 
 SMALL_CFG = """
 dataset:
@@ -232,6 +232,55 @@ class TestDispatch:
             rows = list(csv.DictReader(f))
         assert len(rows) == 20  # subset size
         assert sum(int(r["selected"]) for r in rows) == 6
+
+
+class TestCsvDataset:
+    """Minor classes of a CSV dataset come from its labels, not from the
+    spec's default ``n_classes`` (10)."""
+
+    CFG = """
+dataset:
+  generator: csv_file
+  csv_path: {path}
+  test_fraction: 0.25
+  seed: 3
+  imbalance:
+    ratio: 4
+    profile: step
+net:
+  hidden_sizes: [8]
+  tap_layers: [0]
+al:
+  initial_labeled: 8
+  budget_per_cycle: 4
+  n_cycles: 1
+  subset_size: 12
+  epochs: 3
+  batch_size: 8
+pilot:
+  epochs: 3
+"""
+
+    @pytest.fixture
+    def csv_config(self, tmp_path):
+        data = tmp_path / "four_classes.csv"
+        save_csv(gen_gaussian_mixture(DatasetSpec(n_classes=4, dim=3, per_class=24, seed=2)), data)
+        p = tmp_path / "cfg.yaml"
+        p.write_text(self.CFG.format(path=data))
+        return p
+
+    def test_al_run_scores_minor_classes_of_the_csv(self, csv_config, tmp_path):
+        out = tmp_path / "al"
+        assert main(["al-run", "--config", str(csv_config), "--out", str(out)]) == 0
+        with open(out / "summary.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert rows and all(0.0 <= float(r["minor_class_accuracy"]) <= 1.0 for r in rows)
+
+    def test_pilot_separates_minor_classes_of_the_csv(self, csv_config, tmp_path):
+        out = tmp_path / "pilot"
+        assert main(["pilot", "--config", str(csv_config), "--out", str(out)]) == 0
+        with open(out / "pilot_auroc.csv") as f:
+            assert len(list(csv.DictReader(f))) == 6
 
 
 class TestMain:

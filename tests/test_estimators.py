@@ -2,22 +2,53 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynal import estimators, theorysim
 from dynal.estimators import (
     HEAD_STRATEGIES,
-    HIGHER_IS_UNCERTAIN,
-    LOWER_IS_UNCERTAIN,
-    SCORE_DIRECTION,
     StrategyKind,
     entropy,
-    margin_naive,
-    margin_with_label,
-    prob_at_predicted,
-    prob_max,
+    margin,
     strategy_scores,
-    tidal_margin,
+    uncertainty,
 )
+
+SCORE_KINDS = [k for k in StrategyKind if k not in (StrategyKind.RANDOM, StrategyKind.CORESET)]
+
+
+# Per-row reference scores: one probability vector at a time, in plain
+# numpy and Python, independent of the batched code under test.
+
+def ref_entropy(p):
+    return float(-(p * np.log(np.maximum(p, 1e-12))).sum())
+
+
+def ref_margin(p, y):
+    return float(p[y] - np.delete(p, y).max())
+
+
+def ref_score(kind, pc, pm):
+    """The score of one row under ``kind``, written per row."""
+    kind = StrategyKind(kind)
+    p = pm if kind in HEAD_STRATEGIES else pc
+    if kind in (StrategyKind.SNAPSHOT_ENTROPY, StrategyKind.TIDAL_ENTROPY):
+        return ref_entropy(p)
+    if kind in (StrategyKind.SNAPSHOT_MARGIN, StrategyKind.TIDAL_MARGIN):
+        return ref_margin(p, int(np.argmax(pc)))
+    if kind is StrategyKind.TIDAL_MARGIN_NAIVE:
+        top2 = np.sort(p)[-2:]
+        return float(top2[1] - top2[0])
+    if kind is StrategyKind.TIDAL_PROB:
+        return float(p[int(np.argmax(pc))])
+    return float(p.max())
+
+
+def score_one(kind, p_cls, p_mod=None):
+    """strategy_scores on a single row."""
+    p_mod = None if p_mod is None else np.asarray(p_mod)[None]
+    return float(strategy_scores(kind, np.asarray(p_cls)[None], p_mod)[0])
 
 
 class TestEntropy:
@@ -50,99 +81,104 @@ class TestEntropy:
 
 class TestMarginWithLabel:
     def test_simple_case(self):
-        assert margin_with_label(np.array([0.6, 0.3, 0.1]), 0) == pytest.approx(0.3)
+        assert margin(np.array([0.6, 0.3, 0.1]), 0) == pytest.approx(0.3)
 
     def test_uniform_is_zero(self):
         for y in range(4):
-            assert margin_with_label(np.full(4, 0.25), y) == pytest.approx(0.0)
+            assert margin(np.full(4, 0.25), y) == pytest.approx(0.0)
 
     def test_one_hot_is_one(self):
-        assert margin_with_label(np.array([0.0, 1.0, 0.0]), 1) == pytest.approx(1.0)
+        assert margin(np.array([0.0, 1.0, 0.0]), 1) == pytest.approx(1.0)
 
     def test_range_and_extremes(self):
         rng = np.random.default_rng(2)
         for _ in range(500):
             p = rng.dirichlet(np.ones(5))
             y = int(rng.integers(5))
-            m = margin_with_label(p, y)
+            m = margin(p, y)
             assert -1.0 <= m <= 1.0
 
     def test_invalid_label(self):
         with pytest.raises(ValueError):
-            margin_with_label(np.array([0.5, 0.5]), 2)
+            margin(np.array([0.5, 0.5]), 2)
 
 
 class TestTidalMargin:
     def test_derived_example(self):
-        got = tidal_margin(np.array([0.2, 0.5, 0.3]), np.array([0.1, 0.4, 0.5]))
+        got = score_one("tidal_margin", [0.2, 0.5, 0.3], [0.1, 0.4, 0.5])
         assert got == pytest.approx(-0.1, abs=1e-12)
 
     def test_one_hot_score(self):
-        assert tidal_margin(np.array([0.9, 0.1]), np.array([1.0, 0.0])) == pytest.approx(1.0)
+        assert score_one("tidal_margin", [0.9, 0.1], [1.0, 0.0]) == pytest.approx(1.0)
 
     def test_uniform_score_is_zero(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             p = rng.dirichlet(np.ones(4))
-            assert tidal_margin(p, np.full(4, 0.25)) == pytest.approx(0.0, abs=1e-12)
+            assert score_one("tidal_margin", p, np.full(4, 0.25)) == pytest.approx(0.0, abs=1e-12)
 
     def test_reduces_to_margin_at_argmax(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
             p = rng.dirichlet(np.ones(5))
-            assert tidal_margin(p, p) == pytest.approx(
-                margin_with_label(p, int(np.argmax(p))), abs=1e-12
+            assert score_one("tidal_margin", p, p) == pytest.approx(
+                margin(p, int(np.argmax(p))), abs=1e-12
             )
 
     def test_argmax_tie_breaks_low(self):
         p_cls = np.array([0.4, 0.4, 0.2])
         p_score = np.array([0.7, 0.1, 0.2])
         # tie at classes 0 and 1 resolves to class 0
-        assert tidal_margin(p_cls, p_score) == pytest.approx(0.7 - 0.2)
+        assert score_one("tidal_margin", p_cls, p_score) == pytest.approx(0.7 - 0.2)
 
 
 class TestMarginNaive:
     def test_simple(self):
-        assert margin_naive(np.array([0.5, 0.3, 0.2])) == pytest.approx(0.2, abs=1e-12)
+        p = np.array([0.5, 0.3, 0.2])
+        assert score_one("tidal_margin_naive", p[::-1], p) == pytest.approx(0.2, abs=1e-12)
 
     def test_uniform_is_zero(self):
-        assert margin_naive(np.full(5, 0.2)) == pytest.approx(0.0, abs=1e-12)
+        u = np.full(5, 0.2)
+        assert score_one("tidal_margin_naive", u, u) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(1000):
             p = rng.dirichlet(np.ones(6))
             srt = sorted(p, reverse=True)
-            assert margin_naive(p) == pytest.approx(srt[0] - srt[1], abs=1e-12)
+            assert score_one("tidal_margin_naive", p[::-1], p) == pytest.approx(
+                srt[0] - srt[1], abs=1e-12
+            )
 
 
 class TestProbVariants:
     def test_derived_example(self):
         p_cls = np.array([0.9, 0.1])
         p_mod = np.array([0.3, 0.7])
-        assert prob_at_predicted(p_cls, p_mod) == pytest.approx(0.3)
-        assert prob_max(p_mod) == pytest.approx(0.7)
+        assert score_one("tidal_prob", p_cls, p_mod) == pytest.approx(0.3)
+        assert score_one("tidal_prob_naive", p_cls, p_mod) == pytest.approx(0.7)
 
     def test_coinciding_argmax(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             p = rng.dirichlet(np.ones(4))
-            assert prob_at_predicted(p, p) == pytest.approx(p.max())
-            assert prob_max(p) == pytest.approx(p.max())
+            assert score_one("tidal_prob", p, p) == pytest.approx(p.max())
+            assert score_one("tidal_prob_naive", p[::-1], p) == pytest.approx(p.max())
 
     def test_uniform_module_output(self):
         rng = np.random.default_rng(7)
         u = np.full(5, 0.2)
         for _ in range(20):
             p = rng.dirichlet(np.ones(5))
-            assert prob_at_predicted(p, u) == pytest.approx(0.2)
-            assert prob_max(u) == pytest.approx(0.2)
+            assert score_one("tidal_prob", p, u) == pytest.approx(0.2)
+            assert score_one("tidal_prob_naive", p, u) == pytest.approx(0.2)
 
 
 class TestStrategyScoring:
     def test_directions_fixed_per_strategy(self):
-        assert SCORE_DIRECTION[StrategyKind.SNAPSHOT_ENTROPY] == HIGHER_IS_UNCERTAIN
-        assert SCORE_DIRECTION[StrategyKind.TIDAL_ENTROPY] == HIGHER_IS_UNCERTAIN
+        s = np.array([0.25, -0.5, 0.0])
+        for kind in (StrategyKind.SNAPSHOT_ENTROPY, StrategyKind.TIDAL_ENTROPY):
+            np.testing.assert_array_equal(uncertainty(kind, s), s)
         for kind in (
             StrategyKind.SNAPSHOT_MARGIN,
             StrategyKind.TIDAL_MARGIN,
@@ -150,7 +186,7 @@ class TestStrategyScoring:
             StrategyKind.TIDAL_PROB,
             StrategyKind.TIDAL_PROB_NAIVE,
         ):
-            assert SCORE_DIRECTION[kind] == LOWER_IS_UNCERTAIN
+            np.testing.assert_array_equal(uncertainty(kind, s), -s)
 
     def test_round_trip_strings(self):
         for kind in StrategyKind:
@@ -162,28 +198,44 @@ class TestStrategyScoring:
         rng = np.random.default_rng(8)
         p_cls = rng.dirichlet(np.ones(4), size=6)
         p_mod = rng.dirichlet(np.ones(4), size=6)
-        ids = np.arange(10, 16)
-        got = strategy_scores(StrategyKind.TIDAL_MARGIN, ids, p_cls, p_mod)
+        got = strategy_scores(StrategyKind.TIDAL_MARGIN, p_cls, p_mod)
+        assert got.shape == (6,)
         for i, sc in enumerate(got):
-            assert sc.sample_id == 10 + i
-            assert sc.score == pytest.approx(tidal_margin(p_cls[i], p_mod[i]))
+            assert sc == pytest.approx(ref_score("tidal_margin", p_cls[i], p_mod[i]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 30), C=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+           ties=st.booleans())
+    def test_every_strategy_matches_per_row_reference(self, n, C, seed, ties):
+        rng = np.random.default_rng(seed)
+        p_cls = rng.dirichlet(np.ones(C), size=n)
+        p_mod = rng.dirichlet(np.ones(C), size=n)
+        if ties:  # a coarse grid makes equal entries, so argmax and margin ties occur
+            p_cls = np.round(p_cls * 4) / 4
+            p_mod = np.round(p_mod * 4) / 4
+        for kind in SCORE_KINDS:
+            got = strategy_scores(kind, p_cls, p_mod)
+            want = [ref_score(kind, p_cls[i], p_mod[i]) for i in range(n)]
+            assert got.shape == (n,)
+            assert np.abs(got - want).max() <= 1e-12, kind.value
 
     def test_non_score_strategies_rejected(self):
-        with pytest.raises(ValueError):
-            strategy_scores(StrategyKind.RANDOM, np.arange(2), np.full((2, 2), 0.5))
+        for kind in (StrategyKind.RANDOM, StrategyKind.CORESET):
+            with pytest.raises(ValueError):
+                strategy_scores(kind, np.full((2, 2), 0.5))
 
     def test_missing_head_predictions_rejected(self):
         with pytest.raises(ValueError):
-            strategy_scores(StrategyKind.TIDAL_ENTROPY, np.arange(2), np.full((2, 2), 0.5))
+            strategy_scores(StrategyKind.TIDAL_ENTROPY, np.full((2, 2), 0.5))
 
     def test_exactly_head_strategies_need_head_predictions(self):
         p = np.full((2, 2), 0.5)
-        for kind in SCORE_DIRECTION:
+        for kind in SCORE_KINDS:
             if kind in HEAD_STRATEGIES:
                 with pytest.raises(ValueError, match="requires head predictions"):
-                    strategy_scores(kind, np.arange(2), p)
+                    strategy_scores(kind, p)
             else:
-                assert len(strategy_scores(kind, np.arange(2), p)) == 2
+                assert len(strategy_scores(kind, p)) == 2
 
 
 class TestSeparationOrdering:
@@ -194,7 +246,7 @@ class TestSeparationOrdering:
         grid = np.arange(0.55, 0.96, 0.05)
         vecs = [theorysim.s_vector(s, C) for s in grid]
         ents = [entropy(v) for v in vecs]
-        margs = [margin_with_label(v, 0) for v in vecs]
+        margs = [margin(v, 0) for v in vecs]
         assert all(a > b for a, b in zip(ents, ents[1:]))
         assert all(a < b for a, b in zip(margs, margs[1:]))
 
@@ -203,7 +255,7 @@ class TestSeparationOrdering:
         for s in np.arange(0.55, 0.96, 0.05):
             v = theorysim.s_vector(s, C)
             assert entropy(v) == pytest.approx(theorysim.theorem2_entropy(s, C), abs=1e-12)
-            assert margin_with_label(v, 0) == pytest.approx(
+            assert margin(v, 0) == pytest.approx(
                 theorysim.theorem2_margin(s, C), abs=1e-12
             )
 

@@ -160,7 +160,7 @@ class TestClosedForms:
         for s in np.linspace(0.05, 0.95, 19):
             v = s_vector(float(s), C)
             assert estimators.entropy(v) == pytest.approx(theorem2_entropy(float(s), C), abs=1e-12)
-            assert estimators.margin_with_label(v, 0) == pytest.approx(
+            assert estimators.margin(v, 0) == pytest.approx(
                 theorem2_margin(float(s), C), abs=1e-12
             )
 

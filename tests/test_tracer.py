@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 
 from dynal import alengine, cli, netcore, tdtrack
-from dynal.netcore import NetConfig
+from dynal.alengine import ALConfig
+from dynal.datasets import DatasetSpec, build_dataset
+from dynal.estimators import StrategyKind
+from dynal.netcore import NetConfig, OptimizerConfig
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
 
@@ -35,3 +38,26 @@ def test_install_records_spans_and_uninstall_restores():
         t.uninstall()
     assert (netcore.forward_batch, netcore.optimizer_step, alengine.train_joint,
             cli.parse_config, tdtrack.TDStore.update_batch) == originals
+
+
+def test_row_counts_of_a_scored_cycle():
+    # The tracer reads row counts from fixed argument positions; a signature
+    # change that moves them breaks these counts here, not only in --trace 1.
+    tracer = load_tracer()
+    train, test = build_dataset(DatasetSpec(n_classes=3, dim=4, per_class=40, seed=1))
+    cfg = ALConfig(
+        net=NetConfig(input_dim=4, hidden_sizes=[8], n_classes=3, tap_layers=[0], seed=0),
+        opt=OptimizerConfig(kind="sgd_momentum", initial_lr=0.05),
+        strategy=StrategyKind.TIDAL_MARGIN, initial_labeled=10, budget_per_cycle=5,
+        subset_size=25, epochs=3, batch_size=4, seed=0,
+    )
+    labeled = [int(i) for i in train.ids[:10]]
+    t = tracer.Tracer()
+    tracer.install_layers(t)
+    try:
+        alengine.run_cycle(labeled, train.ids[10:], train, test, cfg, cycle=1)
+    finally:
+        t.uninstall()
+    assert t.counts["estimators.strategy_scores.rows"] == 25
+    assert t.counts["acquisition.select_top_k.rows"] == 25
+    assert t.counts["tdtrack.update_batch.rows"] == 3 * 10
