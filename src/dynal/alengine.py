@@ -12,7 +12,6 @@ the head's predicted mean probabilities.
 
 from __future__ import annotations
 
-import csv
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -25,7 +24,7 @@ from .acquisition import kcenter_greedy, random_select, sample_subset, select_to
 from .datasets import Dataset
 from .estimators import HEAD_STRATEGIES, StrategyKind, entropy, margin, strategy_scores, uncertainty
 from .netcore import NetConfig, NetState, OptimizerConfig
-from .numutil import kl_rows
+from .numutil import kl_rows, write_csv
 from .tdtrack import TDStore
 
 # Stream labels for deriving independent RNGs from (seed, cycle).
@@ -39,10 +38,12 @@ RECORD_MODES = ("batch", "epoch_end")
 
 
 @dataclass
-class ALConfig:
-    net: NetConfig
-    opt: OptimizerConfig = field(default_factory=OptimizerConfig)
-    strategy: StrategyKind = StrategyKind.RANDOM
+class ALProtocol:
+    """The settings of one active-learning protocol: the ``al:`` config
+    section.  ``strategy`` is a strategy name; ALConfig turns it into a
+    StrategyKind."""
+
+    strategy: str = "random"
     initial_labeled: int = 20
     budget_per_cycle: int = 20
     n_cycles: int = 5
@@ -51,15 +52,23 @@ class ALConfig:
     batch_size: int = 32
     lam: float = 1.0
     detach: bool = False
-    head_reduce_dim: int = 16
     record_probs: str = "batch"
-    analysis: bool = False
     dump_scores: bool = False
+
+
+@dataclass(kw_only=True)
+class ALConfig(ALProtocol):
+    """A protocol bound to a network, an optimizer and a seed; checked
+    when built."""
+
+    net: NetConfig
+    opt: OptimizerConfig = field(default_factory=OptimizerConfig)
+    head_reduce_dim: int = 16
+    analysis: bool = False
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.strategy, str):
-            self.strategy = StrategyKind.from_string(self.strategy)
+        self.strategy = StrategyKind.from_string(self.strategy)
         if self.initial_labeled < 1 or self.budget_per_cycle < 1:
             raise ValueError("initial_labeled and budget_per_cycle must be >= 1")
         if self.subset_size < self.budget_per_cycle:
@@ -381,25 +390,16 @@ def run_pilot(
 
 
 def save_results_csv(path, rows) -> None:
-    """``strategy,seed,cycle,labeled_count,test_accuracy,minor_class_accuracy``."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["strategy", "seed", "cycle", "labeled_count", "test_accuracy", "minor_class_accuracy"])
-        for strategy, seed, rep in rows:
-            w.writerow([
-                strategy,
-                seed,
-                rep.cycle,
-                rep.labeled_count,
-                repr(float(rep.test_accuracy)),
-                repr(float(rep.minor_class_accuracy)),
-            ])
+    """``strategy,seed,cycle,labeled_count,test_accuracy,minor_class_accuracy``
+    from (strategy, seed, CycleReport) rows."""
+    write_csv(
+        path,
+        ["strategy", "seed", "cycle", "labeled_count", "test_accuracy", "minor_class_accuracy"],
+        [(strategy, seed, rep.cycle, rep.labeled_count, rep.test_accuracy, rep.minor_class_accuracy)
+         for strategy, seed, rep in rows],
+    )
 
 
 def save_kl_csv(path, rows) -> None:
     """``epoch,kl_module,kl_snapshot`` rows from kl_analysis."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "kl_module", "kl_snapshot"])
-        for epoch, kl_m, kl_s in rows:
-            w.writerow([epoch, repr(float(kl_m)), repr(float(kl_s))])
+    write_csv(path, ["epoch", "kl_module", "kl_snapshot"], rows)

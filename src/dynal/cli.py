@@ -16,10 +16,11 @@ manifest rewrites byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 import traceback
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -28,10 +29,11 @@ from pathlib import Path
 import yaml
 
 from . import alengine, theorysim
-from .alengine import ALConfig, save_kl_csv, save_results_csv
-from .datasets import Dataset, DatasetSpec, ImbalanceSpec, build_dataset, minor_class_set, save_csv
+from .alengine import ALConfig, ALProtocol, save_kl_csv, save_results_csv
+from .datasets import Dataset, DatasetSpec, build_dataset, minor_class_set, save_csv
 from .estimators import StrategyKind, save_scores_csv
 from .netcore import NetConfig, OptimizerConfig
+from .numutil import write_csv
 from .theorysim import ElasticityParams
 
 DEFAULT_SY_GRID = [round(0.55 + 0.05 * i, 2) for i in range(9)]
@@ -47,21 +49,6 @@ class NetSection:
 @dataclass
 class HeadSection:
     reduce_dim: int = 16
-
-
-@dataclass
-class ALSection:
-    strategy: str = "random"
-    initial_labeled: int = 20
-    budget_per_cycle: int = 20
-    n_cycles: int = 5
-    subset_size: int = 200
-    epochs: int = 60
-    batch_size: int = 32
-    lam: float = 1.0
-    detach: bool = False
-    record_probs: str = "batch"
-    dump_scores: bool = False
 
 
 @dataclass
@@ -83,19 +70,9 @@ class TheorySection:
     classes: list[int] = field(default_factory=lambda: [2, 3, 10, 100])
 
     def elasticity_params(self, seed: int) -> ElasticityParams:
-        return ElasticityParams(
-            n_1e=self.n_1e,
-            n_1h=self.n_1h,
-            n_2=self.n_2,
-            alpha_e=self.alpha_e,
-            alpha_h=self.alpha_h,
-            beta=self.beta,
-            step_size=self.step_size,
-            noise=self.noise,
-            x0=tuple(self.x0),
-            iterations=self.iterations,
-            seed=seed,
-        )
+        kwargs = {f.name: getattr(self, f.name) for f in dataclasses.fields(ElasticityParams)
+                  if f.name != "seed"}
+        return ElasticityParams(**{**kwargs, "x0": tuple(self.x0)}, seed=seed)
 
 
 @dataclass
@@ -111,38 +88,47 @@ class ExperimentConfig:
     net: NetSection = field(default_factory=NetSection)
     head: HeadSection = field(default_factory=HeadSection)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    al: ALSection = field(default_factory=ALSection)
+    al: ALProtocol = field(default_factory=ALProtocol)
     theory: TheorySection = field(default_factory=TheorySection)
     pilot: PilotSection = field(default_factory=PilotSection)
 
 
-_SECTION_CLASSES = {
-    "dataset": DatasetSpec,
-    "net": NetSection,
-    "head": HeadSection,
-    "optimizer": OptimizerConfig,
-    "al": ALSection,
-    "theory": TheorySection,
-    "pilot": PilotSection,
-}
-
-
-def _build_section(cls, mapping: dict, path: str):
-    """Instantiate a dataclass from a mapping, rejecting unknown keys."""
+def _build_section(cls, mapping, path: str):
+    """Instantiate a dataclass from a mapping, rejecting unknown keys and
+    values that do not match the field's type hint."""
     if not isinstance(mapping, dict):
         raise ValueError(f"config section '{path}' must be a mapping")
+    hints = typing.get_type_hints(cls)
     known = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in mapping.items():
+        key_path = f"{path}.{key}" if path else str(key)
         if key not in known:
-            raise ValueError(f"unknown config key '{path}.{key}'")
-        if key == "imbalance" and isinstance(value, dict):
-            value = _build_section(ImbalanceSpec, value, f"{path}.{key}")
-        kwargs[key] = value
+            raise ValueError(f"unknown config key '{key_path}'")
+        kwargs[key] = _check_value(hints[key], value, key_path)
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as e:
         raise ValueError(f"invalid config section '{path}': {e}") from None
+
+
+def _check_value(hint, value, path: str):
+    """``value`` checked against a field's type hint; a dataclass-typed
+    field is built as a nested section.  Ints pass where a float is
+    declared; bools pass only where a bool is."""
+    if dataclasses.is_dataclass(hint):
+        return _build_section(hint, value, path)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:  # every union here is ``X | None``
+        return None if value is None else _check_value(args[0], value, path)
+    if origin is list:
+        if not isinstance(value, list):
+            raise ValueError(f"config key '{path}' must be a list, got {value!r}")
+        return [_check_value(args[0], v, f"{path}[{i}]") for i, v in enumerate(value)]
+    allowed = (int, float) if hint is float else (hint,)
+    if type(value) not in allowed:
+        raise ValueError(f"config key '{path}' must be {hint.__name__}, got {value!r}")
+    return value
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -153,12 +139,7 @@ def parse_config(path) -> ExperimentConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: top level must be a mapping")
-    sections = {}
-    for key, value in raw.items():
-        if key not in _SECTION_CLASSES:
-            raise ValueError(f"unknown config key '{key}'")
-        sections[key] = _build_section(_SECTION_CLASSES[key], value, key)
-    return ExperimentConfig(**sections)
+    return _build_section(ExperimentConfig, raw, "")
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -168,23 +149,10 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def build_al_config(cfg: ExperimentConfig, train: Dataset, strategy: str, seed: int,
                     analysis: bool = False) -> ALConfig:
-    net = NetConfig(
-        input_dim=train.dim,
-        hidden_sizes=list(cfg.net.hidden_sizes),
-        n_classes=train.n_classes,
-        tap_layers=list(cfg.net.tap_layers),
-        activation=cfg.net.activation,
-        seed=0,
-    )
-    return ALConfig(**{
-        **dataclasses.asdict(cfg.al),
-        "net": net,
-        "opt": cfg.optimizer,
-        "strategy": StrategyKind.from_string(strategy),
-        "head_reduce_dim": cfg.head.reduce_dim,
-        "analysis": analysis,
-        "seed": seed,
-    })
+    net = NetConfig(**dataclasses.asdict(cfg.net), input_dim=train.dim, n_classes=train.n_classes)
+    return ALConfig(**{**dataclasses.asdict(cfg.al), "strategy": strategy}, net=net,
+                    opt=cfg.optimizer, head_reduce_dim=cfg.head.reduce_dim, analysis=analysis,
+                    seed=seed)
 
 
 def build_pilot_config(cfg: ExperimentConfig, train: Dataset, seed: int,
@@ -274,19 +242,14 @@ def _run_pilot(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> int:
     for seed in manifest.seeds:
         al_cfg = build_pilot_config(cfg, train, seed)
         pilot = alengine.run_pilot(train, al_cfg, minor)
-        rows = []
-        for name, vals in pilot.scores.items():
-            for sid, s, lbl in zip(pilot.sample_ids, vals, pilot.snapshot_labels):
-                rows.append((int(sid), name, float(s), int(lbl), False))
+        ids, labels = pilot.sample_ids.tolist(), pilot.snapshot_labels.tolist()
+        rows = [(sid, name, s, lbl, False) for name, vals in pilot.scores.items()
+                for sid, s, lbl in zip(ids, vals.tolist(), labels)]
         save_scores_csv(out / f"scores_pilot_seed{seed}.csv", rows)
         for name, a in pilot.auroc.items():
             auroc_rows.append((name, seed, a))
             print(f"pilot seed={seed} {name}: separation AUROC = {a:.4f}")
-    with open(out / "pilot_auroc.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["estimator", "seed", "auroc"])
-        for name, seed, a in auroc_rows:
-            w.writerow([name, seed, repr(float(a))])
+    write_csv(out / "pilot_auroc.csv", ["estimator", "seed", "auroc"], auroc_rows)
     return 0
 
 
@@ -321,19 +284,11 @@ def _run_theory_sde(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> 
 
 def _run_theory_closed_form(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> int:
     th = cfg.theory
-    with open(out / "closed_form.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["s_y", "n_classes", "entropy", "margin"])
-        for C in th.classes:
-            for s_y in th.sy_values:
-                w.writerow(
-                    [
-                        repr(float(s_y)),
-                        int(C),
-                        repr(theorysim.theorem2_entropy(s_y, C)),
-                        repr(theorysim.theorem2_margin(s_y, C)),
-                    ]
-                )
+    rows = [
+        (float(s_y), int(C), theorysim.theorem2_entropy(s_y, C), theorysim.theorem2_margin(s_y, C))
+        for C in th.classes for s_y in th.sy_values
+    ]
+    write_csv(out / "closed_form.csv", ["s_y", "n_classes", "entropy", "margin"], rows)
     print(f"theory-closed-form: wrote {len(th.classes) * len(th.sy_values)} grid rows")
     return 0
 

@@ -11,8 +11,11 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+
+from .numutil import write_csv
 
 GENERATORS = ("gaussian_mixture", "concentric_rings", "csv_file")
 IMBALANCE_PROFILES = ("step", "exponential")
@@ -40,11 +43,23 @@ class Dataset:
         idx = np.asarray(indices)
         return Dataset(self.ids[idx], self.X[idx], self.y[idx], self.n_classes, self.class_means)
 
+    @cached_property
+    def _id_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ids in sorted order, their row positions), built on first use."""
+        order = np.argsort(self.ids, kind="stable")
+        return self.ids[order], order
+
     def by_ids(self, wanted) -> "Dataset":
-        """Row subset by sample ids, in the order given."""
-        pos = {int(s): i for i, s in enumerate(self.ids)}
-        idx = np.array([pos[int(w)] for w in wanted], dtype=int)
-        return self.take(idx)
+        """Row subset by sample ids, in the order given; KeyError names the
+        first id not in the dataset."""
+        sorted_ids, order = self._id_index
+        w = np.asarray(wanted, dtype=np.int64)
+        at = np.searchsorted(sorted_ids, w)
+        found = at < len(sorted_ids)
+        found[found] = sorted_ids[at[found]] == w[found]
+        if not found.all():
+            raise KeyError(int(w[~found][0]))
+        return self.take(order[at])
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.y, minlength=self.n_classes)
@@ -147,6 +162,9 @@ def apply_imbalance(
         raise ValueError("imbalance ratio must be >= 1")
     if profile not in IMBALANCE_PROFILES:
         raise ValueError(f"imbalance profile must be one of {IMBALANCE_PROFILES}")
+    for c in minor_classes or ():
+        if not 0 <= c < ds.n_classes:
+            raise ValueError(f"minor class {c} out of range for {ds.n_classes} classes")
     if ratio == 1:
         return ds.take(np.arange(len(ds)))
     counts = ds.class_counts()
@@ -234,13 +252,12 @@ def minor_class_set(spec: DatasetSpec, n_classes: int) -> list[int]:
 
 def save_csv(ds: Dataset, path) -> None:
     """Write ``id,feature_0,...,feature_{d-1},label`` rows."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id"] + [f"feature_{j}" for j in range(ds.dim)] + ["label"])
-        for i in range(len(ds)):
-            w.writerow(
-                [int(ds.ids[i])] + [repr(float(v)) for v in ds.X[i]] + [int(ds.y[i])]
-            )
+    write_csv(
+        path,
+        ["id"] + [f"feature_{j}" for j in range(ds.dim)] + ["label"],
+        [[i, *x, c] for i, x, c in
+         zip(ds.ids.tolist(), ds.X.astype(np.float64).tolist(), ds.y.tolist())],
+    )
 
 
 def load_csv(path) -> Dataset:

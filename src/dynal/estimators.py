@@ -9,12 +9,11 @@ scores are "lower is more uncertain", entropy is the opposite;
 
 from __future__ import annotations
 
-import csv
 from enum import Enum
 
 import numpy as np
 
-from .numutil import PROB_FLOOR
+from .numutil import PROB_FLOOR, write_csv
 
 
 class StrategyKind(str, Enum):
@@ -112,10 +111,6 @@ def save_scores_csv(path, rows) -> None:
     """Score dump: ``sample_id,strategy,score,predicted_label,selected``.
 
     ``rows`` are (sample_id, strategy, score, predicted_label, selected)
-    tuples; selected is written as 0/1.
+    tuples of Python scalars; selected is a bool, written as 0/1.
     """
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["sample_id", "strategy", "score", "predicted_label", "selected"])
-        for sid, strat, score, label, selected in rows:
-            w.writerow([sid, strat, repr(float(score)), label, int(selected)])
+    write_csv(path, ["sample_id", "strategy", "score", "predicted_label", "selected"], rows)

@@ -1,6 +1,9 @@
-"""Shared numerical helpers: stable softmax family and the KL divergence."""
+"""Shared numerical helpers: stable softmax family, the KL divergence, and
+the one CSV artifact writer."""
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
@@ -36,3 +39,20 @@ def kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     p = np.maximum(np.asarray(p, dtype=np.float64), PROB_FLOOR)
     terms = np.where(q > 0, q * np.log(np.maximum(q, PROB_FLOOR) / p), 0.0)
     return terms.sum(axis=-1)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a CSV artifact: ``header``, then ``rows`` of Python scalars.
+
+    This is the one cell format of every artifact: a ``float`` is written
+    as its ``repr`` (exact round trip), a ``bool`` as 0/1, anything else
+    as ``str``.  Cells are matched by exact type, so build rows with
+    ``.tolist()``, not from numpy scalars.
+    """
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(
+            [repr(v) if type(v) is float else int(v) if type(v) is bool else str(v) for v in row]
+            for row in rows
+        )

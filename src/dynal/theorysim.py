@@ -12,10 +12,11 @@ share the remaining mass equally.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from .numutil import write_csv
 
 GROUP_EASY1, GROUP_HARD1, GROUP_CLASS2 = 0, 1, 2
 
@@ -157,12 +158,17 @@ def convergence_gap(trajectory) -> np.ndarray:
     return traj[:, GROUP_EASY1] - traj[:, GROUP_HARD1]
 
 
-def s_vector(s_y: float, n_classes: int) -> np.ndarray:
-    """[s_y, (1-s_y)/(C-1), ...]: true-class mass plus a uniform rest."""
+def _check_s_y(s_y: float, n_classes: int) -> None:
+    """The closed forms' domain: s_y in (0, 1) and at least two classes."""
     if not 0 < s_y < 1:
         raise ValueError("s_y must lie in (0, 1)")
     if n_classes < 2:
         raise ValueError("n_classes must be >= 2")
+
+
+def s_vector(s_y: float, n_classes: int) -> np.ndarray:
+    """[s_y, (1-s_y)/(C-1), ...]: true-class mass plus a uniform rest."""
+    _check_s_y(s_y, n_classes)
     v = np.full(n_classes, (1.0 - s_y) / (n_classes - 1))
     v[0] = s_y
     return v
@@ -170,20 +176,14 @@ def s_vector(s_y: float, n_classes: int) -> np.ndarray:
 
 def theorem2_entropy(s_y: float, n_classes: int) -> float:
     """Closed-form entropy of s_vector: H2(s_y) + (1-s_y) ln(C-1)."""
-    if not 0 < s_y < 1:
-        raise ValueError("s_y must lie in (0, 1)")
-    if n_classes < 2:
-        raise ValueError("n_classes must be >= 2")
+    _check_s_y(s_y, n_classes)
     h2 = -s_y * np.log(s_y) - (1.0 - s_y) * np.log(1.0 - s_y)
     return float(h2 + (1.0 - s_y) * np.log(n_classes - 1))
 
 
 def theorem2_margin(s_y: float, n_classes: int) -> float:
     """Closed-form margin of s_vector: C/(C-1) * s_y - 1/(C-1)."""
-    if not 0 < s_y < 1:
-        raise ValueError("s_y must lie in (0, 1)")
-    if n_classes < 2:
-        raise ValueError("n_classes must be >= 2")
+    _check_s_y(s_y, n_classes)
     C = n_classes
     return float(C / (C - 1) * s_y - 1.0 / (C - 1))
 
@@ -191,9 +191,6 @@ def theorem2_margin(s_y: float, n_classes: int) -> float:
 def save_trajectory_csv(path, trajectory: np.ndarray) -> None:
     """Write ``step,xbar_1e,xbar_1h,xbar_2,gap`` rows for one trajectory."""
     traj = np.asarray(trajectory, dtype=np.float64)
-    gap = convergence_gap(traj)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["step", "xbar_1e", "xbar_1h", "xbar_2", "gap"])
-        for k in range(traj.shape[0]):
-            w.writerow([k] + [repr(float(v)) for v in traj[k]] + [repr(float(gap[k]))])
+    rows = np.column_stack([traj, convergence_gap(traj)]).tolist()
+    write_csv(path, ["step", "xbar_1e", "xbar_1h", "xbar_2", "gap"],
+              [[k, *r] for k, r in enumerate(rows)])

@@ -1,10 +1,15 @@
 import csv
+from pathlib import Path
 
 import pytest
+import yaml
 
 from dynal import cli, theorysim
-from dynal.cli import RunManifest, dispatch, main, parse_config, serialize_config
+from dynal.cli import ExperimentConfig, RunManifest, dispatch, main, parse_config, serialize_config
 from dynal.datasets import DatasetSpec, gen_gaussian_mixture, load_csv, save_csv
+from dynal.theorysim import ElasticityParams
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 SMALL_CFG = """
 dataset:
@@ -108,6 +113,74 @@ class TestParseConfig:
         cfg = parse_config(p)
         with pytest.raises(ValueError, match="alpha_e > alpha_h > beta"):
             cfg.theory.elasticity_params(seed=0)
+
+    def test_elasticity_params_take_every_theory_field(self, tmp_path):
+        p = tmp_path / "th.yaml"
+        p.write_text("theory:\n  n_1e: 3\n  n_1h: 4\n  n_2: 5\n  alpha_e: 2.0\n  alpha_h: 1.0\n"
+                     "  beta: 0.5\n  step_size: 0.01\n  noise: 0.2\n  x0: [1, 2, 3]\n"
+                     "  iterations: 7\n")
+        params = parse_config(p).theory.elasticity_params(seed=9)
+        assert params == ElasticityParams(3, 4, 5, 2.0, 1.0, 0.5, 0.01, 0.2, (1, 2, 3), 7, 9)
+
+    @pytest.mark.parametrize("text, key", [
+        ("al:\n  epochs: '60'\n", "al.epochs"),
+        ("al:\n  epochs: 60.0\n", "al.epochs"),
+        ("al:\n  lam: true\n", "al.lam"),
+        ("al:\n  detach: 1\n", "al.detach"),
+        ("dataset:\n  imbalance: 5\n", "dataset.imbalance"),
+        ("dataset:\n  imbalance:\n    minor_classes: [2, 2.5]\n",
+         r"dataset\.imbalance\.minor_classes\[1\]"),
+        ("net:\n  hidden_sizes: [32, '8']\n", r"net\.hidden_sizes\[1\]"),
+        ("theory:\n  x0: 1.0\n", "theory.x0"),
+    ])
+    def test_value_of_wrong_type_names_its_key(self, tmp_path, text, key):
+        p = tmp_path / "bad.yaml"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=key):
+            parse_config(p)
+
+    def test_ints_pass_as_floats_and_null_as_none(self, tmp_path):
+        p = tmp_path / "ok.yaml"
+        p.write_text("al:\n  lam: 2\ntheory:\n  x0: [1, 2, 3]\ndataset:\n  csv_path: null\n")
+        cfg = parse_config(p)
+        assert cfg.al.lam == 2 and cfg.theory.x0 == [1, 2, 3] and cfg.dataset.csv_path is None
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.name)
+    def test_shipped_configs_parse(self, path, tmp_path):
+        cfg = parse_config(path)
+        p2 = tmp_path / "round.yaml"
+        p2.write_text(serialize_config(cfg))
+        assert parse_config(p2) == cfg
+
+    def test_section_key_sets(self, tmp_path):
+        """The keys each YAML section accepts; a default config round-trips."""
+        default = yaml.safe_load(serialize_config(ExperimentConfig()))
+        keys = {name: set(section) for name, section in default.items()}
+        keys["dataset.imbalance"] = set(default["dataset"]["imbalance"])
+        assert keys == {
+            "dataset": {"generator", "n_classes", "dim", "per_class", "radius", "noise",
+                        "imbalance", "test_fraction", "seed", "csv_path"},
+            "dataset.imbalance": {"ratio", "profile", "minor_classes"},
+            "net": {"hidden_sizes", "activation", "tap_layers"},
+            "head": {"reduce_dim"},
+            "optimizer": {"kind", "initial_lr", "momentum", "weight_decay", "beta1", "beta2",
+                          "epsilon", "decay_epoch", "decay_factor"},
+            "al": {"strategy", "initial_labeled", "budget_per_cycle", "n_cycles", "subset_size",
+                   "epochs", "batch_size", "lam", "detach", "record_probs", "dump_scores"},
+            "theory": {"n_1e", "n_1h", "n_2", "alpha_e", "alpha_h", "beta", "step_size", "noise",
+                       "x0", "iterations", "n_runs", "dt", "t_end", "sy_values", "classes"},
+            "pilot": {"epochs", "batch_size", "lam"},
+        }
+        p = tmp_path / "default.yaml"
+        p.write_text(serialize_config(ExperimentConfig()))
+        assert parse_config(p) == ExperimentConfig()
+
+    @pytest.mark.parametrize("key", ["seed", "net", "opt", "head_reduce_dim", "analysis"])
+    def test_run_settings_are_not_al_keys(self, tmp_path, key):
+        p = tmp_path / "bad.yaml"
+        p.write_text(f"al:\n  {key}: 1\n")
+        with pytest.raises(ValueError, match=f"unknown config key 'al.{key}'"):
+            parse_config(p)
 
     def test_round_trip(self, small_config, tmp_path):
         cfg = parse_config(small_config)
@@ -275,6 +348,18 @@ pilot:
         with open(out / "summary.csv") as f:
             rows = list(csv.DictReader(f))
         assert rows and all(0.0 <= float(r["minor_class_accuracy"]) <= 1.0 for r in rows)
+
+    @pytest.mark.parametrize("command", ["al-run", "pilot"])
+    @pytest.mark.parametrize("minor", [5, -1])
+    def test_minor_class_outside_the_csv_labels_exits_2(self, csv_config, tmp_path, capsys,
+                                                       command, minor):
+        text = csv_config.read_text().replace(
+            "    profile: step\n", f"    profile: step\n    minor_classes: [{minor}]\n")
+        csv_config.write_text(text)
+        out = tmp_path / "bad"
+        assert main([command, "--config", str(csv_config), "--out", str(out)]) == 2
+        assert f"minor class {minor} out of range for 4 classes" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_pilot_separates_minor_classes_of_the_csv(self, csv_config, tmp_path):
         out = tmp_path / "pilot"

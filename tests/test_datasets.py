@@ -48,6 +48,31 @@ class TestGaussianMixture:
         np.testing.assert_array_equal(ds.class_counts(), [30, 30, 30, 30])
 
 
+class TestByIds:
+    def test_given_order_kept(self):
+        ds = gen_gaussian_mixture(mixture_spec())
+        ds = ds.take(np.arange(len(ds))[::-1])  # ids no longer sorted
+        wanted = [7, 0, 119, 7, 42]
+        sub = ds.by_ids(wanted)
+        np.testing.assert_array_equal(sub.ids, wanted)
+        for k, sid in enumerate(wanted):
+            np.testing.assert_array_equal(sub.X[k], ds.X[ds.ids == sid][0])
+        assert len(ds.by_ids([])) == 0
+
+    def test_index_built_once(self):
+        ds = gen_gaussian_mixture(mixture_spec())
+        ds.by_ids([1, 2])
+        index = ds._id_index
+        ds.by_ids([3])
+        assert ds._id_index is index
+
+    @pytest.mark.parametrize("unknown", [120, -1, 10**9])
+    def test_unknown_id_is_key_error(self, unknown):
+        ds = gen_gaussian_mixture(mixture_spec())
+        with pytest.raises(KeyError, match=str(unknown)):
+            ds.by_ids([3, unknown, 5])
+
+
 class TestConcentricRings:
     def spec(self, **kw):
         base = dict(generator="concentric_rings", n_classes=2, dim=2, per_class=200,
@@ -99,6 +124,13 @@ class TestApplyImbalance:
         ds = self.balanced(per_class=5, C=3)
         with pytest.raises(ValueError):
             apply_imbalance(ds, ratio=10, profile="step", minor_classes=[2])
+
+    @pytest.mark.parametrize("minor", [[5], [-1], [1, 4]])
+    def test_minor_class_out_of_range_is_named(self, minor):
+        ds = self.balanced(per_class=20, C=4)
+        bad = [c for c in minor if not 0 <= c < 4][0]
+        with pytest.raises(ValueError, match=f"minor class {bad} out of range for 4 classes"):
+            apply_imbalance(ds, ratio=4, profile="step", minor_classes=minor)
 
     def test_never_edits_features_or_labels(self):
         ds = self.balanced(per_class=40, C=4)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dynal.numutil import PROB_FLOOR, kl_rows
+from dynal.numutil import PROB_FLOOR, kl_rows, write_csv
 
 
 @st.composite
@@ -43,3 +43,13 @@ def test_batch_mean_equals_mean_of_singles(pair):
     q, p = pair
     singles = [kl_rows(q[i : i + 1], p[i : i + 1]).mean() for i in range(len(q))]
     assert kl_rows(q, p).mean() == pytest.approx(np.mean(singles), abs=1e-12)
+
+
+def test_write_csv_cell_rule(tmp_path):
+    """Floats as their repr, bools as 0/1, ints and strings as they are."""
+    path = tmp_path / "cells.csv"
+    rows = [(1 / 3, True, 3, "x", 1e-300), [2.0, False, -7, "y,z", float("nan")]]
+    write_csv(path, ["f", "b", "i", "s", "g"], rows)
+    assert path.read_bytes() == (
+        b"f,b,i,s,g\r\n0.3333333333333333,1,3,x,1e-300\r\n2.0,0,-7,\"y,z\",nan\r\n"
+    )
