@@ -36,6 +36,7 @@ from .netcore import (
     NetState,
     OptimizerConfig,
     apply_update,
+    flatten,
     forward_batch,
     grad_joint,
     init_net,

@@ -12,7 +12,6 @@ the head's predicted mean probabilities.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -97,10 +96,7 @@ class TrainResult:
     net: NetState
     net_cfg: NetConfig
     head: tdhead.HeadState
-    head_cfg: tdhead.HeadConfig
     store: TDStore
-    loss_target: float
-    loss_module: float
     trace: TrainingTrace | None = None
 
 
@@ -109,10 +105,8 @@ class CycleReport:
     cycle: int
     labeled_count: int
     test_accuracy: float
-    per_class_accuracy: np.ndarray
     minor_class_accuracy: float
     selected_ids: list[int]
-    wall_time: float
     notes: str = ""
     kl_rows: list[tuple[int, float, float]] | None = None
     score_rows: list[tuple] | None = None
@@ -141,16 +135,14 @@ def train_joint(
     net_cfg = replace(cfg.net, seed=_stream_seed(cfg.seed, cycle, _STREAM_NET))
     if net_cfg.input_dim != labeled.dim or net_cfg.n_classes != labeled.n_classes:
         raise ValueError("net config does not match dataset dimensions")
-    net = netcore.init_net(net_cfg)
     head_cfg = tdhead.HeadConfig(
         tap_dims=[net_cfg.hidden_sizes[t] for t in net_cfg.tap_layers],
         n_classes=net_cfg.n_classes,
         reduce_dim=cfg.head_reduce_dim,
         seed=_stream_seed(cfg.seed, cycle, _STREAM_HEAD),
     )
-    head = tdhead.init_head(head_cfg)
-    params = net.params() + head.params()
-    opt_state = netcore.init_opt_state(params, cfg.opt.kind)
+    theta, net, head = netcore.flatten(netcore.init_net(net_cfg), tdhead.init_head(head_cfg))
+    opt_state = netcore.init_opt_state(theta)
     shuffle_rng = np.random.default_rng(_stream_seed(cfg.seed, cycle, _STREAM_SHUFFLE))
 
     n = len(labeled)
@@ -159,7 +151,6 @@ def train_joint(
     if test is not None:
         trace = TrainingTrace(test_store=TDStore(len(test), net_cfg.n_classes))
 
-    loss_target = loss_module = 0.0
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
@@ -172,11 +163,12 @@ def train_joint(
                 targets = store.values(idx)
             elif np.all(store.count[idx] >= 1):
                 targets = store.values(idx)
-            net_grads, head_grads, loss_target, loss_module = netcore.grad_joint(
+            net_grads, head_grads, _, _ = netcore.grad_joint(
                 net, net_cfg, head, Xb, yb, targets, cfg.lam,
                 detach=cfg.detach, sample_ids=labeled.ids[idx], trace=bt,
             )
-            netcore.apply_update(params, net_grads + head_grads, opt_state, cfg.opt, epoch)
+            grad = np.concatenate([g.ravel() for g in net_grads + head_grads])
+            netcore.apply_update(theta, grad, opt_state, cfg.opt, epoch)
         if cfg.record_probs == "epoch_end":
             bt = netcore.forward_batch(net, net_cfg, labeled.X)
             store.update_batch(np.arange(n), bt.probs)
@@ -186,7 +178,7 @@ def train_joint(
             trace.test_probs.append(tt.probs)
             trace.head_probs.append(pt)
             trace.test_store.update_batch(np.arange(len(test)), tt.probs)
-    return TrainResult(net, net_cfg, head, head_cfg, store, loss_target, loss_module, trace)
+    return TrainResult(net, net_cfg, head, store, trace)
 
 
 def evaluate(net: NetState, net_cfg: NetConfig, test: Dataset) -> tuple[float, np.ndarray]:
@@ -220,7 +212,6 @@ def run_cycle(
     """
     if not labeled_ids:
         raise ValueError("labeled set is empty")
-    t0 = time.perf_counter()
     labeled = train.by_ids(labeled_ids)
     result = train_joint(labeled, cfg, cycle, test=test if cfg.analysis else None)
     acc, per_class = evaluate(result.net, result.net_cfg, test)
@@ -268,10 +259,8 @@ def run_cycle(
         cycle=cycle,
         labeled_count=len(new_labeled),
         test_accuracy=acc,
-        per_class_accuracy=per_class,
         minor_class_accuracy=minor_acc,
         selected_ids=[int(s) for s in selected],
-        wall_time=time.perf_counter() - t0,
         notes=notes,
         kl_rows=kl,
         score_rows=score_rows,

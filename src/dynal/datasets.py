@@ -76,6 +76,8 @@ class ImbalanceSpec:
             raise ValueError("imbalance ratio must be >= 1")
         if self.profile not in IMBALANCE_PROFILES:
             raise ValueError(f"imbalance profile must be one of {IMBALANCE_PROFILES}")
+        if self.profile == "exponential" and self.minor_classes is not None:
+            raise ValueError("minor_classes applies to profile 'step', not 'exponential'")
 
 
 @dataclass
@@ -154,14 +156,11 @@ def apply_imbalance(
 
     step: classes in ``minor_classes`` (default: the upper half of the
     class range) are cut to floor(N_max / ratio); the rest keep all
-    samples.  exponential: class c is cut to N_max * ratio**(-c/(C-1)).
-    Removal is seeded-random without replacement; original row order is
-    preserved among survivors.
+    samples.  exponential: class c is cut to N_max * ratio**(-c/(C-1)),
+    and naming ``minor_classes`` is an error.  Removal is seeded-random
+    without replacement; original row order is preserved among survivors.
     """
-    if ratio < 1:
-        raise ValueError("imbalance ratio must be >= 1")
-    if profile not in IMBALANCE_PROFILES:
-        raise ValueError(f"imbalance profile must be one of {IMBALANCE_PROFILES}")
+    ImbalanceSpec(ratio, profile, minor_classes)  # raises where the spec would
     for c in minor_classes or ():
         if not 0 <= c < ds.n_classes:
             raise ValueError(f"minor class {c} out of range for {ds.n_classes} classes")
@@ -245,7 +244,7 @@ def minor_class_set(spec: DatasetSpec, n_classes: int) -> list[int]:
     imb = spec.imbalance
     if imb.ratio <= 1:
         return []
-    if imb.profile == "step" and imb.minor_classes is not None:
+    if imb.minor_classes is not None:
         return [int(c) for c in imb.minor_classes]
     return _default_minor_classes(imb.profile, n_classes)
 
@@ -263,7 +262,8 @@ def save_csv(ds: Dataset, path) -> None:
 def load_csv(path) -> Dataset:
     """Read a dataset written by save_csv; lossless round trip.
 
-    Malformed rows raise ValueError naming the 1-based line number.
+    Malformed rows and repeated sample ids raise ValueError naming the
+    1-based line number; labels must cover ``0..max`` with no gap.
     """
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -278,6 +278,7 @@ def load_csv(path) -> Dataset:
         if header[1:-1] != expected:
             raise ValueError(f"{path} line 1: feature columns must be {expected}")
         ids, feats, labels = [], [], []
+        first_line: dict[int, int] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -289,11 +290,17 @@ def load_csv(path) -> Dataset:
                 labels.append(int(row[-1]))
             except ValueError as e:
                 raise ValueError(f"{path} line {lineno}: {e}") from None
+            if first_line.setdefault(ids[-1], lineno) != lineno:
+                raise ValueError(f"{path} line {lineno}: repeated sample id {ids[-1]}"
+                                 f" (first on line {first_line[ids[-1]]})")
     if not ids:
         raise ValueError(f"{path}: no data rows")
     y = np.array(labels, dtype=np.int64)
     if y.min() < 0:
         raise ValueError(f"{path}: negative class label")
+    missing = np.setdiff1d(np.arange(y.max() + 1), y)
+    if missing.size:
+        raise ValueError(f"{path}: labels skip class {missing[0]} of 0..{y.max()}")
     return Dataset(
         np.array(ids, dtype=np.int64),
         np.array(feats, dtype=np.float64),

@@ -11,7 +11,12 @@ Conventions
 -----------
 * Weights are ``(fan_out, fan_in)`` matrices, biases ``(fan_out,)``.
 * Batches are ``(B, dim)`` arrays; single samples are 1-D.
-* Parameter lists are ordered ``[W0, b0, W1, b1, ..., W_out, b_out]``.
+* ``params()`` lists ``[W0, b0, W1, b1, ..., W_out, b_out]``; each state's
+  ``from_params`` is its inverse.
+* Training holds all parameters in one contiguous float64 vector ``theta``
+  (``flatten``): ``net.params() + head.params()`` raveled end to end, the
+  states' arrays being views into it.  Gradients and optimizer moments
+  share that layout, so an update is whole-vector arithmetic.
 * SGD momentum uses ``v = mu * v + g``, ``theta -= lr * v``.
 * Weight decay enters as gradient augmentation ``g += wd * theta``.
 """
@@ -92,20 +97,27 @@ class OptimizerConfig:
 
 @dataclass
 class OptState:
-    """Per-parameter moment buffers for one parameter group."""
+    """Moment vectors in the layout of ``theta``: ``m`` is the SGD velocity
+    or Adam's first moment, ``v`` Adam's second moment."""
 
-    kind: str
-    velocities: list[np.ndarray] | None = None  # sgd_momentum
-    m: list[np.ndarray] | None = None           # adam first moments
-    v: list[np.ndarray] | None = None           # adam second moments
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
 
-def init_opt_state(params: list[np.ndarray], kind: str) -> OptState:
-    zeros = lambda: [np.zeros_like(p) for p in params]
-    if kind == "sgd_momentum":
-        return OptState(kind=kind, velocities=zeros())
-    return OptState(kind=kind, m=zeros(), v=zeros())
+def init_opt_state(theta: np.ndarray) -> OptState:
+    return OptState(np.zeros_like(theta), np.zeros_like(theta))
+
+
+def flatten(*states):
+    """Copy the parameters of ``states`` into one contiguous float64 vector
+    in ``params()`` order, state after state.  Returns the vector followed
+    by one state per input whose arrays are views into it."""
+    arrays = [p for s in states for p in s.params()]
+    theta = np.concatenate([a.ravel() for a in arrays])
+    ends = np.cumsum([a.size for a in arrays])
+    views = iter([theta[e - a.size : e].reshape(a.shape) for a, e in zip(arrays, ends)])
+    return (theta, *[type(s).from_params([next(views) for _ in s.params()]) for s in states])
 
 
 @dataclass
@@ -121,6 +133,10 @@ class NetState:
             out.append(w)
             out.append(b)
         return out
+
+    @classmethod
+    def from_params(cls, params: list[np.ndarray]) -> "NetState":
+        return cls(list(params[0::2]), list(params[1::2]))
 
 
 @dataclass
@@ -215,7 +231,6 @@ def joint_loss(
     X: np.ndarray,
     y: np.ndarray,
     td_targets: np.ndarray | None,
-    lam: float,
 ) -> tuple[float, float]:
     """(batch-mean cross entropy, batch-mean KL) without gradients: the
     finite-difference oracle for grad_joint, on the same loss terms."""
@@ -306,36 +321,27 @@ def lr_at(opt: OptimizerConfig, epoch: int) -> float:
 
 
 def apply_update(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
+    theta: np.ndarray,
+    grad: np.ndarray,
     opt_state: OptState,
     opt: OptimizerConfig,
     epoch: int,
 ) -> None:
-    """In-place SGD-momentum or Adam update of one parameter group."""
-    if len(params) != len(grads):
-        raise ValueError("params and grads length mismatch")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+    """In-place SGD-momentum or Adam update of the parameter vector."""
+    if grad.shape != theta.shape:
+        raise ValueError(f"gradient shape {grad.shape} != parameter shape {theta.shape}")
     lr = lr_at(opt, epoch)
-    if opt_state.kind == "sgd_momentum":
-        for i, (p, g) in enumerate(zip(params, grads)):
-            g = g + opt.weight_decay * p
-            opt_state.velocities[i] = opt.momentum * opt_state.velocities[i] + g
-            p -= lr * opt_state.velocities[i]
+    g = grad + opt.weight_decay * theta
+    if opt.kind == "sgd_momentum":
+        opt_state.m = opt.momentum * opt_state.m + g
+        theta -= lr * opt_state.m
     else:
         opt_state.step += 1
-        t = opt_state.step
-        bc1 = 1.0 - opt.beta1 ** t
-        bc2 = 1.0 - opt.beta2 ** t
-        for i, (p, g) in enumerate(zip(params, grads)):
-            g = g + opt.weight_decay * p
-            opt_state.m[i] = opt.beta1 * opt_state.m[i] + (1.0 - opt.beta1) * g
-            opt_state.v[i] = opt.beta2 * opt_state.v[i] + (1.0 - opt.beta2) * g * g
-            m_hat = opt_state.m[i] / bc1
-            v_hat = opt_state.v[i] / bc2
-            p -= lr * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+        opt_state.m = opt.beta1 * opt_state.m + (1.0 - opt.beta1) * g
+        opt_state.v = opt.beta2 * opt_state.v + (1.0 - opt.beta2) * g * g
+        m_hat = opt_state.m / (1.0 - opt.beta1 ** opt_state.step)
+        v_hat = opt_state.v / (1.0 - opt.beta2 ** opt_state.step)
+        theta -= lr * m_hat / (np.sqrt(v_hat) + opt.epsilon)
 
 
 # Kept as a second name because benchmark/tracer.py wraps netcore.optimizer_step.

@@ -50,6 +50,10 @@ class HeadState:
         out.append(self.out_bias)
         return out
 
+    @classmethod
+    def from_params(cls, params: list[np.ndarray]) -> "HeadState":
+        return cls(list(params[0:-2:2]), list(params[1:-2:2]), params[-2], params[-1])
+
 
 @dataclass
 class HeadCache:

@@ -143,15 +143,7 @@ def integrate_ode(params: ElasticityParams, dt: float, t_end: float) -> tuple[np
 
 
 def convergence_gap(trajectory) -> np.ndarray:
-    """Per-step easy-minus-hard group-mean difference.
-
-    Accepts a (T, 3) trajectory or a pair of equal-length 1-D series.
-    """
-    if isinstance(trajectory, tuple):
-        easy, hard = (np.asarray(a, dtype=np.float64) for a in trajectory)
-        if easy.shape != hard.shape:
-            raise ValueError(f"length mismatch {easy.shape} vs {hard.shape}")
-        return easy - hard
+    """Per-step easy-minus-hard group-mean difference of a (T, 3) trajectory."""
     traj = np.asarray(trajectory, dtype=np.float64)
     if traj.ndim != 2 or traj.shape[1] != 3:
         raise ValueError("trajectory must be (T, 3) group means")

@@ -82,7 +82,7 @@ def test_criterion_1_gradient_correctness(fd_grads, rel_err):
             ng, hg, _, _ = netcore.grad_joint(net, cfg, head, X, y, q, lam=lam)
 
             def total():
-                lt, lm = netcore.joint_loss(net, cfg, head, X, y, q, lam)
+                lt, lm = netcore.joint_loss(net, cfg, head, X, y, q)
                 return lt + lam * lm
 
             worst = max(worst, rel_err(ng, fd_grads(total, net.params())))

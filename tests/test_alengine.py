@@ -221,13 +221,17 @@ class TestTrainingModes:
     def test_one_update_of_net_and_head_per_batch(self, monkeypatch):
         train, _ = small_data()
         cfg = small_cfg(epochs=2, n_cycles=1)
-        sizes = []
+        thetas = []
         update = netcore.apply_update
         monkeypatch.setattr(netcore, "apply_update",
-                            lambda params, *a: sizes.append(len(params)) or update(params, *a))
+                            lambda theta, *a: thetas.append(theta) or update(theta, *a))
         result = alengine.train_joint(train.take(np.arange(40)), cfg, cycle=0)
-        assert len(sizes) == 2 * 3  # epochs x ceil(40 / batch_size 16)
-        assert set(sizes) == {len(result.net.params()) + len(result.head.params())}
+        assert len(thetas) == 2 * 3  # epochs x ceil(40 / batch_size 16)
+        # every update moves the one vector that holds all net and head parameters
+        assert all(t is thetas[0] for t in thetas)
+        params = result.net.params() + result.head.params()
+        assert thetas[0].size == sum(p.size for p in params)
+        assert all(np.shares_memory(p, thetas[0]) for p in params)
 
     def test_batch_recording_counts_epochs(self):
         train, test = small_data()

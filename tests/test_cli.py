@@ -1,12 +1,21 @@
 import csv
+import dataclasses
+import types
+import typing
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 from dynal import cli, theorysim
 from dynal.cli import ExperimentConfig, RunManifest, dispatch, main, parse_config, serialize_config
-from dynal.datasets import DatasetSpec, gen_gaussian_mixture, load_csv, save_csv
+from dynal.alengine import RECORD_MODES
+from dynal.datasets import (GENERATORS, IMBALANCE_PROFILES, DatasetSpec, gen_gaussian_mixture,
+                            load_csv, save_csv)
+from dynal.estimators import StrategyKind
+from dynal.netcore import ACTIVATIONS, OPTIMIZER_KINDS
 from dynal.theorysim import ElasticityParams
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -189,6 +198,61 @@ class TestParseConfig:
         assert parse_config(p2) == cfg
 
 
+# Fields whose values the section classes check, drawn from their valid sets.
+FIELD_VALUES = {
+    "generator": st.sampled_from(GENERATORS),
+    "profile": st.sampled_from(IMBALANCE_PROFILES),
+    "kind": st.sampled_from(OPTIMIZER_KINDS),
+    "activation": st.sampled_from(ACTIVATIONS),
+    "record_probs": st.sampled_from(RECORD_MODES),
+    "strategy": st.sampled_from([k.value for k in StrategyKind]),
+    "n_classes": st.integers(2, 10**6),
+    "per_class": st.integers(1, 10**6),
+    "test_fraction": st.floats(0, 1, exclude_min=True, exclude_max=True),
+    "momentum": st.floats(0, 1, exclude_max=True),
+    "decay_factor": st.floats(0, 1, exclude_min=True),
+    "ratio": st.floats(1, 1e300),
+    "initial_lr": st.floats(1e-300, 1e300),
+    "weight_decay": st.floats(0, 1e300),
+}
+
+
+def values_of(hint, name):
+    """Values of a config field: its valid set if checked, else any of its type."""
+    if dataclasses.is_dataclass(hint):
+        return sections(hint)
+    if name in FIELD_VALUES:
+        return FIELD_VALUES[name]
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return st.none() | values_of(args[0], name)
+    if origin is list:
+        return st.lists(values_of(args[0], name), max_size=4)
+    return {bool: st.booleans(), int: st.integers(), str: st.text(),
+            float: st.floats(allow_nan=False)}[hint]
+
+
+@st.composite
+def sections(draw, cls):
+    """A config section with a random subset of its fields drawn, the rest default."""
+    hints = typing.get_type_hints(cls)
+    kwargs = {f.name: draw(values_of(hints[f.name], f.name))
+              for f in dataclasses.fields(cls) if draw(st.booleans())}
+    try:
+        return cls(**kwargs)
+    except ValueError:  # e.g. minor_classes drawn under the exponential profile
+        reject()
+
+
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=sections(ExperimentConfig))
+def test_parse_of_serialize_is_identity(tmp_path, cfg):
+    p = tmp_path / "round.yaml"
+    p.write_text(serialize_config(cfg), encoding="utf-8")
+    assert parse_config(p) == cfg
+
+
 class TestDispatch:
     def test_al_run_writes_expected_files(self, small_config, tmp_path):
         out = tmp_path / "out"
@@ -360,6 +424,17 @@ pilot:
         assert main([command, "--config", str(csv_config), "--out", str(out)]) == 2
         assert f"minor class {minor} out of range for 4 classes" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["al-run", "pilot"])
+    def test_minor_classes_under_exponential_profile_exit_2(self, csv_config, tmp_path, capsys,
+                                                            command):
+        text = csv_config.read_text().replace(
+            "    profile: step\n", "    profile: exponential\n    minor_classes: [3]\n")
+        csv_config.write_text(text)
+        out = tmp_path / "bad"
+        assert main([command, "--config", str(csv_config), "--out", str(out)]) == 2
+        assert "minor_classes applies to profile 'step', not 'exponential'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pilot_separates_minor_classes_of_the_csv(self, csv_config, tmp_path):
         out = tmp_path / "pilot"

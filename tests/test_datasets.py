@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dynal.datasets import (
     Dataset,
@@ -132,6 +135,13 @@ class TestApplyImbalance:
         with pytest.raises(ValueError, match=f"minor class {bad} out of range for 4 classes"):
             apply_imbalance(ds, ratio=4, profile="step", minor_classes=minor)
 
+    def test_minor_classes_under_exponential_profile_rejected(self):
+        ds = self.balanced(per_class=20, C=4)
+        with pytest.raises(ValueError, match="not 'exponential'"):
+            apply_imbalance(ds, ratio=4, profile="exponential", minor_classes=[3])
+        with pytest.raises(ValueError, match="not 'exponential'"):
+            ImbalanceSpec(ratio=4, profile="exponential", minor_classes=[3])
+
     def test_never_edits_features_or_labels(self):
         ds = self.balanced(per_class=40, C=4)
         out = apply_imbalance(ds, ratio=4, profile="step", minor_classes=[2, 3], seed=9)
@@ -219,6 +229,42 @@ class TestCsvRoundTrip:
         save_csv(ds, path)
         back = load_csv(path)
         np.testing.assert_array_equal(back.ids, [5, 99, 7])
+
+
+    def test_repeated_id_names_id_and_line(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("id,feature_0,label\n4,1.0,0\n\n7,2.0,1\n4,3.0,1\n")
+        with pytest.raises(ValueError, match=r"line 5: repeated sample id 4 \(first on line 2\)"):
+            load_csv(path)
+
+    def test_label_gap_names_missing_class(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("id,feature_0,label\n0,1.0,0\n1,2.0,3\n2,3.0,1\n")
+        with pytest.raises(ValueError, match=r"labels skip class 2 of 0\.\.3"):
+            load_csv(path)
+
+
+@st.composite
+def csv_datasets(draw):
+    """Datasets load_csv accepts: distinct ids, labels covering 0..max."""
+    n, dim = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    ids = draw(st.lists(st.integers(-2**62, 2**62), min_size=n, max_size=n, unique=True))
+    X = draw(arrays(np.float64, (n, dim), elements=st.floats(allow_nan=False)))
+    raw = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    y = np.unique(raw, return_inverse=True)[1].astype(np.int64)
+    return Dataset(np.array(ids, dtype=np.int64), X, y, int(y.max()) + 1)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_datasets())
+def test_save_then_load_returns_the_same_data(tmp_path, ds):
+    path = tmp_path / "round.csv"
+    save_csv(ds, path)
+    back = load_csv(path)
+    for a, b in ((back.ids, ds.ids), (back.X, ds.X), (back.y, ds.y)):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    assert back.n_classes == ds.n_classes
 
 
 class TestBuildDataset:

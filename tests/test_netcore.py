@@ -78,7 +78,7 @@ def cross_entropy(probs, y):
     state.weights[-1][:] = 0.0
     with np.errstate(divide="ignore"):
         state.biases[-1][:] = np.log(probs)
-    return netcore.joint_loss(state, cfg, None, np.zeros((1, 1)), np.array([y]), None, 0.0)[0]
+    return netcore.joint_loss(state, cfg, None, np.zeros((1, 1)), np.array([y]), None)[0]
 
 
 class TestCrossEntropy:
@@ -129,7 +129,7 @@ class TestGradJoint:
         ng, hg, _, _ = netcore.grad_joint(net, cfg, head, X, y, q, lam=lam)
 
         def total():
-            lt, lm = netcore.joint_loss(net, cfg, head, X, y, q, lam)
+            lt, lm = netcore.joint_loss(net, cfg, head, X, y, q)
             return lt + lam * lm
 
         fd_net = fd_grads(total, net.params())
@@ -142,7 +142,7 @@ class TestGradJoint:
         cfg, net, head, X, y, q = self.make_instance(5)
         q = q if with_targets else None
         _, _, lt, lm = netcore.grad_joint(net, cfg, head, X, y, q, lam=1.0)
-        assert (lt, lm) == netcore.joint_loss(net, cfg, head, X, y, q, 1.0)
+        assert (lt, lm) == netcore.joint_loss(net, cfg, head, X, y, q)
 
     def test_targets_equal_predictions_zero_module_loss(self):
         cfg, net, head, X, y, _ = self.make_instance(8)
@@ -174,37 +174,62 @@ class TestGradJoint:
                                    sample_ids=np.array([7, 8, 9, 10]))
 
 
+def flat(arrays):
+    """Arrays laid end to end in the layout of ``netcore.flatten``."""
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+class TestFlatten:
+    def test_states_are_views_into_one_vector(self):
+        cfg = tiny_cfg()
+        net = netcore.init_net(cfg)
+        head = tdhead.init_head(tdhead.HeadConfig(tap_dims=[3], n_classes=2, reduce_dim=4, seed=1))
+        expected = flat(net.params() + head.params())
+        theta, fnet, fhead = netcore.flatten(net, head)
+        assert theta.dtype == np.float64 and theta.flags.c_contiguous
+        np.testing.assert_array_equal(theta, expected)
+        for p, q in zip(net.params() + head.params(), fnet.params() + fhead.params()):
+            assert p.shape == q.shape and np.shares_memory(q, theta)
+        theta += 1.0
+        np.testing.assert_array_equal(flat(fnet.params() + fhead.params()), expected + 1.0)
+
+    def test_from_params_inverts_params(self):
+        net = netcore.init_net(NetConfig(input_dim=2, hidden_sizes=[3, 4], n_classes=2))
+        head = tdhead.init_head(tdhead.HeadConfig(tap_dims=[3, 4], n_classes=2))
+        for state in (net, head):
+            rebuilt = type(state).from_params(state.params())
+            assert all(a is b for a, b in zip(rebuilt.params(), state.params()))
+
+
 class TestOptimizer:
     def test_zero_grads_decay_velocity(self):
         cfg = tiny_cfg()
-        state = netcore.init_net(cfg)
+        theta, state = netcore.flatten(netcore.init_net(cfg))
         opt = OptimizerConfig(kind="sgd_momentum", initial_lr=0.1, momentum=0.9, weight_decay=0.0)
-        before = [p.copy() for p in state.params()]
-        zeros = [np.zeros_like(p) for p in state.params()]
-        st = netcore.init_opt_state(state.params(), opt.kind)
-        netcore.apply_update(state.params(), zeros, st, opt, epoch=0)
-        for p, b in zip(state.params(), before):
-            np.testing.assert_array_equal(p, b)
+        before = theta.copy()
+        zeros = np.zeros_like(theta)
+        st = netcore.init_opt_state(theta)
+        netcore.apply_update(theta, zeros, st, opt, epoch=0)
+        np.testing.assert_array_equal(theta, before)
         # preload a velocity and confirm the decay factor
-        st.velocities[0][:] = 1.0
-        netcore.apply_update(state.params(), zeros, st, opt, epoch=0)
-        np.testing.assert_allclose(st.velocities[0], 0.9, atol=1e-15)
+        st.m[:] = 1.0
+        netcore.apply_update(theta, zeros, st, opt, epoch=0)
+        np.testing.assert_allclose(st.m, 0.9, atol=1e-15)
 
     def test_plain_sgd_step(self):
         cfg = tiny_cfg()
-        state = netcore.init_net(cfg)
+        theta, state = netcore.flatten(netcore.init_net(cfg))
         opt = OptimizerConfig(kind="sgd_momentum", initial_lr=0.1, momentum=0.0, weight_decay=0.0)
         before = [p.copy() for p in state.params()]
-        grads = [np.full_like(p, 2.0) for p in state.params()]
-        netcore.apply_update(state.params(), grads, netcore.init_opt_state(state.params(), opt.kind),
-                             opt, epoch=0)
+        grad = np.full_like(theta, 2.0)
+        netcore.apply_update(theta, grad, netcore.init_opt_state(theta), opt, epoch=0)
         for p, b in zip(state.params(), before):
             np.testing.assert_allclose(p, b - 0.2, atol=1e-15)
 
     def test_adam_matches_hand_recurrence(self):
         # independent evaluation of the update for a single scalar parameter
         cfg = NetConfig(input_dim=1, hidden_sizes=[1], n_classes=2, seed=0)
-        state = netcore.init_net(cfg)
+        theta, state = netcore.flatten(netcore.init_net(cfg))
         theta0 = float(state.weights[0][0, 0])
         g = 0.5
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
@@ -212,8 +237,7 @@ class TestOptimizer:
                               epsilon=eps, weight_decay=0.0, decay_epoch=100)
         grads = [np.zeros_like(p) for p in state.params()]
         grads[0][0, 0] = g
-        netcore.apply_update(state.params(), grads, netcore.init_opt_state(state.params(), opt.kind),
-                             opt, epoch=0)
+        netcore.apply_update(theta, flat(grads), netcore.init_opt_state(theta), opt, epoch=0)
 
         m = (1 - b1) * g
         v = (1 - b2) * g * g
@@ -224,27 +248,56 @@ class TestOptimizer:
 
     def test_weight_decay_augments_gradient(self):
         cfg = tiny_cfg()
-        state = netcore.init_net(cfg)
+        theta, state = netcore.flatten(netcore.init_net(cfg))
         opt = OptimizerConfig(kind="sgd_momentum", initial_lr=0.1, momentum=0.0, weight_decay=0.5)
         before = [p.copy() for p in state.params()]
-        zeros = [np.zeros_like(p) for p in state.params()]
-        netcore.apply_update(state.params(), zeros, netcore.init_opt_state(state.params(), opt.kind),
-                             opt, epoch=0)
+        netcore.apply_update(theta, np.zeros_like(theta), netcore.init_opt_state(theta), opt,
+                             epoch=0)
         for p, b in zip(state.params(), before):
             np.testing.assert_allclose(p, b - 0.1 * 0.5 * b, atol=1e-15)
 
-
     def test_shape_mismatch_moves_no_parameter(self):
-        state = netcore.init_net(tiny_cfg())
+        theta, _ = netcore.flatten(netcore.init_net(tiny_cfg()))
         opt = OptimizerConfig(kind="sgd_momentum")
-        before = [p.copy() for p in state.params()]
-        grads = [np.ones_like(p) for p in state.params()]
-        grads[-1] = np.ones(5)
+        before = theta.copy()
+        st = netcore.init_opt_state(theta)
         with pytest.raises(ValueError, match="gradient shape"):
-            netcore.apply_update(state.params(), grads,
-                                 netcore.init_opt_state(state.params(), opt.kind), opt, epoch=0)
-        for p, b in zip(state.params(), before):
-            np.testing.assert_array_equal(p, b)
+            netcore.apply_update(theta, np.ones(theta.size - 1), st, opt, epoch=0)
+        np.testing.assert_array_equal(theta, before)
+        assert not st.m.any() and st.step == 0
+
+    @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+    def test_flat_update_is_the_per_parameter_recurrence_bit_for_bit(self, kind):
+        # The per-array recurrence written out here, entry for entry in the
+        # same operation order, over 60 steps that cross decay_epoch.
+        cfg = NetConfig(input_dim=3, hidden_sizes=[5, 4], n_classes=3, seed=7)
+        head = tdhead.init_head(tdhead.HeadConfig(tap_dims=[5], n_classes=3, reduce_dim=2, seed=8))
+        opt = OptimizerConfig(kind=kind, initial_lr=0.05, weight_decay=5e-3, decay_epoch=3,
+                              decay_factor=0.1)
+        ref = [p.copy() for p in netcore.init_net(cfg).params() + head.params()]
+        theta, net, fhead = netcore.flatten(netcore.init_net(cfg), head)
+        st = netcore.init_opt_state(theta)
+        m = [np.zeros_like(p) for p in ref]
+        v = [np.zeros_like(p) for p in ref]
+        rng = np.random.default_rng(3)
+        for t in range(1, 61):
+            epoch = (t - 1) // 10
+            lr = opt.initial_lr if epoch < opt.decay_epoch else opt.initial_lr * opt.decay_factor
+            grads = [rng.normal(size=p.shape) for p in ref]
+            for i, (p, g) in enumerate(zip(ref, grads)):
+                g = g + opt.weight_decay * p
+                if kind == "sgd_momentum":
+                    m[i] = opt.momentum * m[i] + g
+                    p -= lr * m[i]
+                else:
+                    m[i] = opt.beta1 * m[i] + (1.0 - opt.beta1) * g
+                    v[i] = opt.beta2 * v[i] + (1.0 - opt.beta2) * g * g
+                    m_hat = m[i] / (1.0 - opt.beta1 ** t)
+                    v_hat = v[i] / (1.0 - opt.beta2 ** t)
+                    p -= lr * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+            netcore.apply_update(theta, flat(grads), st, opt, epoch)
+            for a, b in zip(net.params() + fhead.params(), ref):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestLrSchedule:
@@ -266,17 +319,17 @@ class TestTrainingBehavior:
     def test_deterministic_loss_trajectory(self):
         def run():
             cfg = NetConfig(input_dim=2, hidden_sizes=[8], n_classes=2, seed=3)
-            state = netcore.init_net(cfg)
+            theta, state = netcore.flatten(netcore.init_net(cfg))
             opt = OptimizerConfig(kind="sgd_momentum", initial_lr=0.1, momentum=0.9,
                                   weight_decay=5e-4, decay_epoch=40)
             rng = np.random.default_rng(0)
             X = rng.normal(size=(40, 2)) + np.where(rng.random(40)[:, None] < 0.5, 2.0, -2.0)
             y = (X[:, 0] > 0).astype(int)
             losses = []
-            st = netcore.init_opt_state(state.params(), opt.kind)
+            st = netcore.init_opt_state(theta)
             for epoch in range(10):
                 g, _, lt, _ = netcore.grad_joint(state, cfg, None, X, y, None, lam=0.0)
-                netcore.apply_update(state.params(), g, st, opt, epoch)
+                netcore.apply_update(theta, flat(g), st, opt, epoch)
                 losses.append(lt)
             return losses
 
@@ -288,15 +341,15 @@ class TestTrainingBehavior:
         X = np.concatenate([rng.normal(size=(n, 2)) + [3, 3], rng.normal(size=(n, 2)) - [3, 3]])
         y = np.concatenate([np.zeros(n, dtype=int), np.ones(n, dtype=int)])
         cfg = NetConfig(input_dim=2, hidden_sizes=[8], n_classes=2, seed=1)
-        state = netcore.init_net(cfg)
+        theta, state = netcore.flatten(netcore.init_net(cfg))
         opt = OptimizerConfig(kind="sgd_momentum", initial_lr=0.1, momentum=0.9,
                               weight_decay=0.0, decay_epoch=1000)
         first = None
-        st = netcore.init_opt_state(state.params(), opt.kind)
+        st = netcore.init_opt_state(theta)
         for epoch in range(50):
             g, _, lt, _ = netcore.grad_joint(state, cfg, None, X, y, None, lam=0.0)
             if first is None:
                 first = lt
-            netcore.apply_update(state.params(), g, st, opt, epoch)
+            netcore.apply_update(theta, flat(g), st, opt, epoch)
         _, _, last, _ = netcore.grad_joint(state, cfg, None, X, y, None, lam=0.0)
         assert last < 0.1 * first

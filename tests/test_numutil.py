@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dynal.numutil import PROB_FLOOR, kl_rows, write_csv
+from dynal.numutil import PROB_FLOOR, kl_rows, log_softmax, stable_softmax, write_csv
 
 
 @st.composite
@@ -43,6 +43,31 @@ def test_batch_mean_equals_mean_of_singles(pair):
     q, p = pair
     singles = [kl_rows(q[i : i + 1], p[i : i + 1]).mean() for i in range(len(q))]
     assert kl_rows(q, p).mean() == pytest.approx(np.mean(singles), abs=1e-12)
+
+
+def logit_rows(bound):
+    shape = st.tuples(st.integers(1, 5), st.integers(1, 6))
+    return shape.flatmap(lambda s: arrays(np.float64, s, elements=st.floats(-bound, bound)))
+
+
+@settings(deadline=None)
+@given(logit_rows(1e3), st.floats(-1e3, 1e3))
+def test_softmax_family_is_shift_invariant(z, c):
+    # z + c rounds each entry by at most half an ulp of 2e3 (about 1e-13).
+    np.testing.assert_allclose(stable_softmax(z + c, axis=1), stable_softmax(z, axis=1),
+                               rtol=0, atol=1e-11)
+    np.testing.assert_allclose(log_softmax(z + c, axis=1), log_softmax(z, axis=1),
+                               rtol=0, atol=1e-11)
+
+
+@settings(deadline=None)
+@given(logit_rows(1e300))
+def test_softmax_family_finite_at_extreme_logits(z):
+    p, lp = stable_softmax(z, axis=1), log_softmax(z, axis=1)
+    assert np.all(np.isfinite(p)) and np.all((p >= 0) & (p <= 1))
+    np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.all(np.isfinite(lp)) and np.all(lp <= 0)
+    np.testing.assert_allclose(np.exp(lp), p, rtol=0, atol=1e-12)
 
 
 def test_write_csv_cell_rule(tmp_path):

@@ -140,11 +140,13 @@ class TestTrainingProperties:
         taps = [rng.normal(size=(10, 6))]
         targets = rng.dirichlet(np.ones(4), size=10)
         opt = OptimizerConfig(kind="adam", initial_lr=0.05, weight_decay=0.0, decay_epoch=10**6)
-        opt_state = netcore.init_opt_state(head.params(), "adam")
+        theta, head = netcore.flatten(head)
+        opt_state = netcore.init_opt_state(theta)
         loss = None
         for step in range(500):
             loss, grads = module_loss(head, taps, targets)
-            netcore.apply_update(head.params(), grads, opt_state, opt, epoch=0)
+            netcore.apply_update(theta, np.concatenate([g.ravel() for g in grads]), opt_state,
+                                 opt, epoch=0)
         assert loss < 1e-3
 
     def test_detach_keeps_backbone_bit_identical(self):
@@ -158,11 +160,11 @@ class TestTrainingProperties:
         opt = OptimizerConfig(kind="sgd_momentum", initial_lr=0.1, momentum=0.9, weight_decay=5e-4)
 
         def run(lam):
-            net = netcore.init_net(cfg)
+            theta, net = netcore.flatten(netcore.init_net(cfg))
             head = init_head(HeadConfig(tap_dims=[5], n_classes=3, reduce_dim=4, seed=3))
             g, _, _, _ = netcore.grad_joint(net, cfg, head, X, y, q, lam=lam, detach=True)
-            st = netcore.init_opt_state(net.params(), opt.kind)
-            netcore.apply_update(net.params(), g, st, opt, epoch=0)
+            netcore.apply_update(theta, np.concatenate([a.ravel() for a in g]),
+                                 netcore.init_opt_state(theta), opt, epoch=0)
             return net
 
         net_a = run(1.0)

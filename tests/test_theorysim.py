@@ -135,10 +135,8 @@ class TestDiscreteOdeConsistency:
     def test_convergence_gap_shapes(self):
         with pytest.raises(ValueError):
             convergence_gap(np.zeros((4, 2)))
-        with pytest.raises(ValueError):
-            convergence_gap((np.zeros(3), np.zeros(4)))
-        out = convergence_gap((np.arange(3.0), np.zeros(3)))
-        np.testing.assert_array_equal(out, [0.0, 1.0, 2.0])
+        out = convergence_gap(np.array([[1.0, 1.0, 5.0], [3.0, 1.0, 5.0]]))
+        np.testing.assert_array_equal(out, [0.0, 2.0])
 
 
 class TestClosedForms:
