@@ -6,7 +6,7 @@ snapshot or dynamics-aware entropy/margin estimators, and numerically
 checks the local-elasticity theory behind the approach.
 """
 
-from .acquisition import kcenter_greedy, random_select, sample_subset, select_top_k
+from .acquisition import kcenter_greedy, sample_subset, select_top_k
 from .alengine import (
     ALConfig,
     CycleReport,

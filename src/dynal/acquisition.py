@@ -21,11 +21,6 @@ def sample_subset(pool_ids: np.ndarray, size: int, rng: np.random.Generator) -> 
     return rng.choice(pool_ids, size=take, replace=False)
 
 
-def random_select(pool_ids: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
-    """k uniform picks without replacement (the random baseline)."""
-    return [int(i) for i in sample_subset(pool_ids, k, rng)]
-
-
 def select_top_k(sample_ids, uncertainty, k: int) -> np.ndarray:
     """The k ids of largest uncertainty, ties broken by ascending sample id.
 

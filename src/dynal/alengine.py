@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from . import netcore, tdhead
-from .acquisition import kcenter_greedy, random_select, sample_subset, select_top_k
+from .acquisition import kcenter_greedy, sample_subset, select_top_k
 from .datasets import Dataset
 from .estimators import HEAD_STRATEGIES, StrategyKind, entropy, margin, strategy_scores, uncertainty
 from .netcore import NetConfig, NetState, OptimizerConfig
@@ -107,7 +107,6 @@ class CycleReport:
     test_accuracy: float
     minor_class_accuracy: float
     selected_ids: list[int]
-    notes: str = ""
     kl_rows: list[tuple[int, float, float]] | None = None
     score_rows: list[tuple] | None = None
 
@@ -163,11 +162,10 @@ def train_joint(
                 targets = store.values(idx)
             elif np.all(store.count[idx] >= 1):
                 targets = store.values(idx)
-            net_grads, head_grads, _, _ = netcore.grad_joint(
+            grad, _, _ = netcore.grad_joint(
                 net, net_cfg, head, Xb, yb, targets, cfg.lam,
                 detach=cfg.detach, sample_ids=labeled.ids[idx], trace=bt,
             )
-            grad = np.concatenate([g.ravel() for g in net_grads + head_grads])
             netcore.apply_update(theta, grad, opt_state, cfg.opt, epoch)
         if cfg.record_probs == "epoch_end":
             bt = netcore.forward_batch(net, net_cfg, labeled.X)
@@ -223,7 +221,7 @@ def run_cycle(
 
     score_rows = None
     if cfg.strategy is StrategyKind.RANDOM:
-        selected = random_select(subset_ids, cfg.budget_per_cycle, subset_rng)
+        selected = sample_subset(subset_ids, cfg.budget_per_cycle, subset_rng)
     elif cfg.strategy is StrategyKind.CORESET:
         lab_feats = netcore.forward_batch(result.net, result.net_cfg, labeled.X).activations[-1]
         sub_feats = netcore.forward_batch(result.net, result.net_cfg, subset_X).activations[-1]
@@ -247,10 +245,6 @@ def run_cycle(
     keep = ~np.isin(pool_ids, selected)
     new_pool = pool_ids[keep]
 
-    notes = ""
-    if cfg.lam == 0 and cfg.strategy in HEAD_STRATEGIES:
-        notes = "untrained-head-ablation"
-
     minor_acc = float("nan")
     if minor_classes:
         minor_acc = float(np.mean(per_class[list(minor_classes)]))
@@ -261,7 +255,6 @@ def run_cycle(
         test_accuracy=acc,
         minor_class_accuracy=minor_acc,
         selected_ids=[int(s) for s in selected],
-        notes=notes,
         kl_rows=kl,
         score_rows=score_rows,
     )
@@ -352,7 +345,6 @@ def run_pilot(
     train: Dataset,
     cfg: ALConfig,
     minor_classes: list[int],
-    test: Dataset | None = None,
 ) -> PilotResult:
     """Imbalanced separation study: train once on the full (long-tailed)
     training set, then compare snapshot scores against dynamics scores
@@ -361,7 +353,7 @@ def run_pilot(
     Margins use the true labels (training data is analysis data here);
     entropy needs none.  AUROC reads the scores through ``uncertainty``.
     """
-    result = train_joint(train, cfg, cycle=0, test=test)
+    result = train_joint(train, cfg, cycle=0)
     bt = netcore.forward_batch(result.net, result.net_cfg, train.X)
     snap = bt.probs
     td = result.store.values(np.arange(len(train)))

@@ -155,9 +155,8 @@ def build_al_config(cfg: ExperimentConfig, train: Dataset, strategy: str, seed: 
                     seed=seed)
 
 
-def build_pilot_config(cfg: ExperimentConfig, train: Dataset, seed: int,
-                       analysis: bool = False) -> ALConfig:
-    al_cfg = build_al_config(cfg, train, "random", seed, analysis=analysis)
+def build_pilot_config(cfg: ExperimentConfig, train: Dataset, seed: int) -> ALConfig:
+    al_cfg = build_al_config(cfg, train, "random", seed)
     return dataclasses.replace(
         al_cfg, epochs=cfg.pilot.epochs, batch_size=cfg.pilot.batch_size, lam=cfg.pilot.lam
     )
@@ -256,7 +255,7 @@ def _run_pilot(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> int:
 def _run_kl(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> int:
     train, test = build_dataset(cfg.dataset)
     for seed in manifest.seeds:
-        al_cfg = build_pilot_config(cfg, train, seed, analysis=True)
+        al_cfg = build_pilot_config(cfg, train, seed)
         result = alengine.train_joint(train, al_cfg, cycle=0, test=test)
         rows = alengine.kl_analysis(result)
         save_kl_csv(out / f"kl_seed{seed}.csv", rows)

@@ -15,8 +15,10 @@ Conventions
   ``from_params`` is its inverse.
 * Training holds all parameters in one contiguous float64 vector ``theta``
   (``flatten``): ``net.params() + head.params()`` raveled end to end, the
-  states' arrays being views into it.  Gradients and optimizer moments
-  share that layout, so an update is whole-vector arithmetic.
+  states' arrays being views into it.  Only this module knows that layout:
+  ``grad_joint`` returns one gradient vector in it and the optimizer moments
+  share it.  ``apply_update``, the one place parameters change, rejects a
+  step that leaves ``theta`` non-finite.
 * SGD momentum uses ``v = mu * v + g``, ``theta -= lr * v``.
 * Weight decay enters as gradient augmentation ``g += wd * theta``.
 """
@@ -177,8 +179,6 @@ def forward_batch(state: NetState, cfg: NetConfig, X: np.ndarray) -> BatchTrace:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != cfg.input_dim:
         raise ValueError(f"expected feature dim {cfg.input_dim}, got {X.shape[1]}")
-    if not all(np.all(np.isfinite(w)) for w in state.weights):
-        raise ValueError("non-finite network parameters")
     n_hidden = len(cfg.hidden_sizes)
     pre, act = [], []
     a = X
@@ -249,14 +249,15 @@ def grad_joint(
     detach: bool = False,
     sample_ids: np.ndarray | None = None,
     trace: BatchTrace | None = None,
-) -> tuple[list[np.ndarray], list[np.ndarray], float, float]:
-    """Exact gradients of ``L_target + lam * L_module`` over one batch.
+) -> tuple[np.ndarray, float, float]:
+    """Exact gradient of ``L_target + lam * L_module`` over one batch.
 
-    Returns ``(net_grads, head_grads, loss_target, loss_module)`` where the
-    gradient lists parallel ``state.params()`` and ``head.params()``.  With
-    ``detach=True`` the head-loss gradient is cut before it reaches the
-    classifier parameters (the head itself still learns).  ``trace`` may
-    carry an already-computed forward pass of this exact batch.
+    Returns ``(grad, loss_target, loss_module)``: ``grad`` is one float64
+    vector in the layout ``flatten(state, head)`` gives the parameters, net
+    part then head part (zeros without targets, absent when ``head`` is
+    None).  With ``detach=True`` the head-loss gradient is cut before it
+    reaches the classifier parameters (the head itself still learns).
+    ``trace`` may carry an already-computed forward pass of this batch.
 
     Raises FloatingPointError naming the offending sample id if any
     per-sample loss is non-finite.
@@ -307,8 +308,8 @@ def grad_joint(
         if l > 0:
             dA = dZ @ state.weights[l]
 
-    net_grads = NetState(dW, db).params()  # the order state.params() uses
-    return net_grads, head_grads, float(per_ce.mean()), float(per_kl.mean())
+    grad = np.concatenate([g.ravel() for g in NetState(dW, db).params() + head_grads])
+    return grad, float(per_ce.mean()), float(per_kl.mean())
 
 
 def lr_at(opt: OptimizerConfig, epoch: int) -> float:
@@ -327,7 +328,8 @@ def apply_update(
     opt: OptimizerConfig,
     epoch: int,
 ) -> None:
-    """In-place SGD-momentum or Adam update of the parameter vector."""
+    """In-place SGD-momentum or Adam update of the parameter vector; raises
+    ValueError if the step leaves any parameter non-finite."""
     if grad.shape != theta.shape:
         raise ValueError(f"gradient shape {grad.shape} != parameter shape {theta.shape}")
     lr = lr_at(opt, epoch)
@@ -342,6 +344,8 @@ def apply_update(
         m_hat = opt_state.m / (1.0 - opt.beta1 ** opt_state.step)
         v_hat = opt_state.v / (1.0 - opt.beta2 ** opt_state.step)
         theta -= lr * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+    if not np.isfinite(theta).all():
+        raise ValueError("non-finite network parameters")
 
 
 # Kept as a second name because benchmark/tracer.py wraps netcore.optimizer_step.

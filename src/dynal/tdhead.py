@@ -61,9 +61,7 @@ class HeadCache:
 
     taps: list[np.ndarray]
     reduced_pre: list[np.ndarray]
-    reduced: list[np.ndarray]
     concat: np.ndarray
-    logits: np.ndarray
 
 
 def init_head(cfg: HeadConfig) -> HeadState:
@@ -82,17 +80,15 @@ def head_forward_batch(head: HeadState, taps: list[np.ndarray]) -> tuple[np.ndar
     if len(taps) != len(head.reduce_weights):
         raise ValueError(f"expected {len(head.reduce_weights)} taps, got {len(taps)}")
     taps = [np.atleast_2d(np.asarray(t, dtype=np.float64)) for t in taps]
-    pre, red = [], []
+    pre = []
     for t, w, b in zip(taps, head.reduce_weights, head.reduce_biases):
         if t.shape[1] != w.shape[1]:
             raise ValueError(f"tap dim {t.shape[1]} != expected {w.shape[1]}")
-        s = t @ w.T + b
-        pre.append(s)
-        red.append(relu(s))
-    concat = np.concatenate(red, axis=1)
+        pre.append(t @ w.T + b)
+    concat = relu(np.concatenate(pre, axis=1))
     logits = concat @ head.out_weight.T + head.out_bias
     probs = stable_softmax(logits, axis=1)
-    return probs, HeadCache(taps, pre, red, concat, logits)
+    return probs, HeadCache(taps, pre, concat)
 
 
 def head_backward(

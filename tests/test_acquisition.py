@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynal import acquisition
-from dynal.acquisition import kcenter_greedy, random_select, sample_subset, select_top_k
+from dynal.acquisition import kcenter_greedy, sample_subset, select_top_k
 from dynal.estimators import uncertainty
 
 
@@ -210,20 +210,22 @@ class TestKCenterGreedy:
 
 
 class TestRandomSelect:
+    """The random baseline: ``run_cycle`` picks its budget with ``sample_subset``."""
+
     def test_full_pool(self):
         rng = np.random.default_rng(0)
-        got = random_select(np.arange(6), 6, rng)
-        assert sorted(got) == list(range(6))
+        got = sample_subset(np.arange(6), 6, rng)
+        assert sorted(got.tolist()) == list(range(6))
 
     def test_seeded_determinism(self):
-        a = random_select(np.arange(50), 5, np.random.default_rng(9))
-        b = random_select(np.arange(50), 5, np.random.default_rng(9))
-        assert a == b
+        a = sample_subset(np.arange(50), 5, np.random.default_rng(9))
+        b = sample_subset(np.arange(50), 5, np.random.default_rng(9))
+        assert a.tolist() == b.tolist()
 
     def test_uniformity(self):
         rng = np.random.default_rng(13)
         counts = np.zeros(4)
         for _ in range(10_000):
-            counts[random_select(np.arange(4), 1, rng)[0]] += 1
+            counts[sample_subset(np.arange(4), 1, rng)[0]] += 1
         sigma = np.sqrt(10_000 * 0.25 * 0.75)
         assert np.all(np.abs(counts - 2500) <= 3 * sigma)

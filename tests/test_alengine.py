@@ -110,11 +110,12 @@ class TestRunCycle:
         assert len(reports) == 1
         assert reports[0].labeled_count == 12 + 8
 
-    def test_lambda_zero_with_head_strategy_flags_ablation(self):
+    def test_lambda_zero_with_head_strategy_completes(self):
+        # the untrained-head ablation: the head scores without ever learning
         train, test = small_data()
         cfg = small_cfg(strategy=StrategyKind.TIDAL_ENTROPY, lam=0.0, n_cycles=1)
         reports = alengine.run_experiment(train, test, cfg)
-        assert reports[0].notes == "untrained-head-ablation"
+        assert reports[0].labeled_count == 12 + 8
 
     def test_budget_equals_subset_selects_everything(self):
         train, test = small_data()
@@ -232,6 +233,19 @@ class TestTrainingModes:
         params = result.net.params() + result.head.params()
         assert thetas[0].size == sum(p.size for p in params)
         assert all(np.shares_memory(p, thetas[0]) for p in params)
+
+    def test_diverging_optimizer_raises_at_the_update(self, monkeypatch):
+        train, _ = small_data()
+        # weight decay 1e10 at learning rate 1e300: the first step overflows the weights
+        opt = OptimizerConfig(kind="sgd_momentum", initial_lr=1e300, weight_decay=1e10)
+        calls = []
+        update = netcore.apply_update
+        monkeypatch.setattr(netcore, "apply_update",
+                            lambda *a: calls.append(1) or update(*a))
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="non-finite network parameters"):
+            alengine.train_joint(train, small_cfg(opt=opt, n_cycles=1), cycle=0)
+        assert len(calls) == 1
 
     def test_batch_recording_counts_epochs(self):
         train, test = small_data()

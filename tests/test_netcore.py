@@ -100,6 +100,16 @@ class TestCrossEntropy:
             cross_entropy(np.array([0.5, 0.5]), 2)
 
 
+def flat(arrays):
+    """Arrays laid end to end in the layout of ``netcore.flatten``."""
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def n_params(state):
+    """Length of ``state``'s part of a flat parameter or gradient vector."""
+    return sum(p.size for p in state.params())
+
+
 class TestGradJoint:
     def make_instance(self, seed, activation="tanh"):
         cfg = NetConfig(input_dim=2, hidden_sizes=[3], n_classes=2, tap_layers=[0],
@@ -115,51 +125,49 @@ class TestGradJoint:
 
     def test_lambda_zero_equals_pure_cross_entropy(self):
         cfg, net, head, X, y, q = self.make_instance(40)
-        g0, hg0, lt0, _ = netcore.grad_joint(net, cfg, head, X, y, q, lam=0.0)
-        gce, _, ltc, _ = netcore.grad_joint(net, cfg, head, X, y, None, lam=0.0)
+        g0, lt0, _ = netcore.grad_joint(net, cfg, head, X, y, q, lam=0.0)
+        gce, ltc, _ = netcore.grad_joint(net, cfg, head, X, y, None, lam=0.0)
+        n_net = n_params(net)
         assert lt0 == ltc
-        for a, b in zip(g0, gce):
-            np.testing.assert_array_equal(a, b)
-        assert all(np.all(h == 0) for h in hg0)
+        assert g0.shape == gce.shape == (n_net + n_params(head),)
+        np.testing.assert_array_equal(g0[:n_net], gce[:n_net])
+        assert np.all(g0[n_net:] == 0) and np.all(gce[n_net:] == 0)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_finite_difference_agreement(self, fd_grads, rel_err, lam, activation):
         cfg, net, head, X, y, q = self.make_instance(17, activation=activation)
-        ng, hg, _, _ = netcore.grad_joint(net, cfg, head, X, y, q, lam=lam)
+        grad, _, _ = netcore.grad_joint(net, cfg, head, X, y, q, lam=lam)
 
         def total():
             lt, lm = netcore.joint_loss(net, cfg, head, X, y, q)
             return lt + lam * lm
 
-        fd_net = fd_grads(total, net.params())
-        fd_head = fd_grads(total, head.params())
-        assert rel_err(ng, fd_net) < 1e-4
-        assert rel_err(hg, fd_head) < 1e-4
+        fd = flat(fd_grads(total, net.params() + head.params()))
+        assert rel_err([grad], [fd]) < 1e-4
 
     @pytest.mark.parametrize("with_targets", [True, False])
     def test_losses_equal_the_oracle(self, with_targets):
         cfg, net, head, X, y, q = self.make_instance(5)
         q = q if with_targets else None
-        _, _, lt, lm = netcore.grad_joint(net, cfg, head, X, y, q, lam=1.0)
+        _, lt, lm = netcore.grad_joint(net, cfg, head, X, y, q, lam=1.0)
         assert (lt, lm) == netcore.joint_loss(net, cfg, head, X, y, q)
 
     def test_targets_equal_predictions_zero_module_loss(self):
         cfg, net, head, X, y, _ = self.make_instance(8)
         trace = netcore.forward_batch(net, cfg, X)
         preds, _ = tdhead.head_forward_batch(head, trace.taps)
-        ng, hg, _, lm = netcore.grad_joint(net, cfg, head, X, y, preds, lam=1.0)
+        grad, _, lm = netcore.grad_joint(net, cfg, head, X, y, preds, lam=1.0)
         assert lm == pytest.approx(0.0, abs=1e-12)
         # KL gradient (pred - target) vanishes at the optimum
-        for h in hg:
-            np.testing.assert_allclose(h, 0.0, atol=1e-12)
+        np.testing.assert_allclose(grad[n_params(net):], 0.0, atol=1e-12)
 
     def test_detach_cuts_backbone_flow(self):
         cfg, net, head, X, y, q = self.make_instance(23)
-        g_detached, _, _, _ = netcore.grad_joint(net, cfg, head, X, y, q, lam=1.0, detach=True)
-        g_pure, _, _, _ = netcore.grad_joint(net, cfg, head, X, y, q, lam=0.0)
-        for a, b in zip(g_detached, g_pure):
-            np.testing.assert_array_equal(a, b)
+        g_detached, _, _ = netcore.grad_joint(net, cfg, head, X, y, q, lam=1.0, detach=True)
+        g_pure, _, _ = netcore.grad_joint(net, cfg, head, X, y, q, lam=0.0)
+        n_net = n_params(net)
+        np.testing.assert_array_equal(g_detached[:n_net], g_pure[:n_net])
 
     def test_non_finite_loss_names_sample(self):
         cfg, net, head, X, y, q = self.make_instance(31, activation="relu")
@@ -172,11 +180,6 @@ class TestGradJoint:
             with pytest.raises(FloatingPointError, match="sample id 9"):
                 netcore.grad_joint(net, cfg, head, X, y, q, lam=1.0,
                                    sample_ids=np.array([7, 8, 9, 10]))
-
-
-def flat(arrays):
-    """Arrays laid end to end in the layout of ``netcore.flatten``."""
-    return np.concatenate([a.ravel() for a in arrays])
 
 
 class TestFlatten:
@@ -267,6 +270,19 @@ class TestOptimizer:
         assert not st.m.any() and st.step == 0
 
     @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+    def test_step_to_a_non_finite_head_bias_raises(self, kind):
+        head = tdhead.init_head(tdhead.HeadConfig(tap_dims=[3], n_classes=2, reduce_dim=4, seed=1))
+        theta, _, fhead = netcore.flatten(netcore.init_net(tiny_cfg()), head)
+        grad = np.zeros_like(theta)
+        grad[-1] = np.inf  # theta ends with the head's output bias
+        opt = OptimizerConfig(kind=kind)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite network parameters"):
+            netcore.apply_update(theta, grad, netcore.init_opt_state(theta), opt, epoch=0)
+        assert not np.isfinite(fhead.out_bias[-1])
+        assert np.isfinite(theta[:-1]).all()
+
+    @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
     def test_flat_update_is_the_per_parameter_recurrence_bit_for_bit(self, kind):
         # The per-array recurrence written out here, entry for entry in the
         # same operation order, over 60 steps that cross decay_epoch.
@@ -328,8 +344,8 @@ class TestTrainingBehavior:
             losses = []
             st = netcore.init_opt_state(theta)
             for epoch in range(10):
-                g, _, lt, _ = netcore.grad_joint(state, cfg, None, X, y, None, lam=0.0)
-                netcore.apply_update(theta, flat(g), st, opt, epoch)
+                g, lt, _ = netcore.grad_joint(state, cfg, None, X, y, None, lam=0.0)
+                netcore.apply_update(theta, g, st, opt, epoch)
                 losses.append(lt)
             return losses
 
@@ -347,9 +363,9 @@ class TestTrainingBehavior:
         first = None
         st = netcore.init_opt_state(theta)
         for epoch in range(50):
-            g, _, lt, _ = netcore.grad_joint(state, cfg, None, X, y, None, lam=0.0)
+            g, lt, _ = netcore.grad_joint(state, cfg, None, X, y, None, lam=0.0)
             if first is None:
                 first = lt
-            netcore.apply_update(theta, flat(g), st, opt, epoch)
-        _, _, last, _ = netcore.grad_joint(state, cfg, None, X, y, None, lam=0.0)
+            netcore.apply_update(theta, g, st, opt, epoch)
+        _, last, _ = netcore.grad_joint(state, cfg, None, X, y, None, lam=0.0)
         assert last < 0.1 * first

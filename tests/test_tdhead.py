@@ -160,11 +160,10 @@ class TestTrainingProperties:
         opt = OptimizerConfig(kind="sgd_momentum", initial_lr=0.1, momentum=0.9, weight_decay=5e-4)
 
         def run(lam):
-            theta, net = netcore.flatten(netcore.init_net(cfg))
             head = init_head(HeadConfig(tap_dims=[5], n_classes=3, reduce_dim=4, seed=3))
-            g, _, _, _ = netcore.grad_joint(net, cfg, head, X, y, q, lam=lam, detach=True)
-            netcore.apply_update(theta, np.concatenate([a.ravel() for a in g]),
-                                 netcore.init_opt_state(theta), opt, epoch=0)
+            theta, net, head = netcore.flatten(netcore.init_net(cfg), head)
+            g, _, _ = netcore.grad_joint(net, cfg, head, X, y, q, lam=lam, detach=True)
+            netcore.apply_update(theta, g, netcore.init_opt_state(theta), opt, epoch=0)
             return net
 
         net_a = run(1.0)
