@@ -33,8 +33,6 @@ _STREAM_HEAD = 2
 _STREAM_SHUFFLE = 3
 _STREAM_SUBSET = 4
 
-RECORD_MODES = ("batch", "epoch_end")
-
 
 @dataclass
 class ALProtocol:
@@ -50,8 +48,6 @@ class ALProtocol:
     epochs: int = 60
     batch_size: int = 32
     lam: float = 1.0
-    detach: bool = False
-    record_probs: str = "batch"
     dump_scores: bool = False
 
 
@@ -76,8 +72,6 @@ class ALConfig(ALProtocol):
             raise ValueError("n_cycles, epochs and batch_size must be >= 1")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
-        if self.record_probs not in RECORD_MODES:
-            raise ValueError(f"record_probs must be one of {RECORD_MODES}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -126,10 +120,9 @@ def train_joint(
     Per epoch, each labeled sample's probability vector from the
     training-time forward pass (taken before that batch's update) is
     folded into its running mean, and the current mean is the head's KL
-    target for the same batch.  ``record_probs='epoch_end'`` instead
-    refreshes the means with a full evaluation pass after each epoch;
-    the head loss then starts at the second epoch.  Store rows are
-    positions in ``labeled`` (and in ``test`` for the trace).
+    target for the same batch; the head-loss gradient reaches the
+    classifier through the tapped layers.  Store rows are positions in
+    ``labeled`` (and in ``test`` for the trace).
     """
     net_cfg = replace(cfg.net, seed=_stream_seed(cfg.seed, cycle, _STREAM_NET))
     if net_cfg.input_dim != labeled.dim or net_cfg.n_classes != labeled.n_classes:
@@ -156,20 +149,12 @@ def train_joint(
             idx = perm[lo : lo + cfg.batch_size]
             Xb, yb = labeled.X[idx], labeled.y[idx]
             bt = netcore.forward_batch(net, net_cfg, Xb)
-            targets = None
-            if cfg.record_probs == "batch":
-                store.update_batch(idx, bt.probs)
-                targets = store.values(idx)
-            elif np.all(store.count[idx] >= 1):
-                targets = store.values(idx)
+            store.update_batch(idx, bt.probs)
             grad, _, _ = netcore.grad_joint(
-                net, net_cfg, head, Xb, yb, targets, cfg.lam,
-                detach=cfg.detach, sample_ids=labeled.ids[idx], trace=bt,
+                net, net_cfg, head, Xb, yb, store.values(idx), cfg.lam,
+                sample_ids=labeled.ids[idx], trace=bt,
             )
             netcore.apply_update(theta, grad, opt_state, cfg.opt, epoch)
-        if cfg.record_probs == "epoch_end":
-            bt = netcore.forward_batch(net, net_cfg, labeled.X)
-            store.update_batch(np.arange(n), bt.probs)
         if trace is not None:
             tt = netcore.forward_batch(net, net_cfg, test.X)
             pt, _ = tdhead.head_forward_batch(head, tt.taps)

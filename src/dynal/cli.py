@@ -341,7 +341,8 @@ def main(argv=None) -> int:
     parser.add_argument("--strategies", default=None, help="comma-separated strategy list")
     parser.add_argument("--jobs", type=int, default=1, help="concurrent runs")
     parser.add_argument(
-        "--analysis", action="store_true", help="retain per-epoch snapshots for KL analysis"
+        "--analysis", action="store_true",
+        help="al-run: write per-cycle KL CSVs from per-epoch test-set snapshots"
     )
     args = parser.parse_args(argv)
 

@@ -18,7 +18,8 @@ Conventions
   states' arrays being views into it.  Only this module knows that layout:
   ``grad_joint`` returns one gradient vector in it and the optimizer moments
   share it.  ``apply_update``, the one place parameters change, rejects a
-  step that leaves ``theta`` non-finite.
+  step that leaves ``theta`` non-finite with the FloatingPointError that
+  ``grad_joint`` raises for a non-finite loss.
 * SGD momentum uses ``v = mu * v + g``, ``theta -= lr * v``.
 * Weight decay enters as gradient augmentation ``g += wd * theta``.
 """
@@ -87,12 +88,16 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
             raise ValueError(f"optimizer kind must be one of {OPTIMIZER_KINDS}")
-        if self.initial_lr <= 0:
-            raise ValueError("initial_lr must be positive")
+        if not 0 < self.initial_lr < np.inf:
+            raise ValueError("initial_lr must be positive and finite")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError("weight_decay must be nonnegative and finite")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError("beta1 and beta2 must be in [0, 1)")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not 0 < self.decay_factor <= 1:
             raise ValueError("decay_factor must be in (0, 1]")
 
@@ -145,7 +150,6 @@ class NetState:
 class BatchTrace:
     """Everything computed by one forward pass of a batch (arrays are (B, dim))."""
 
-    pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
     logits: np.ndarray
     probs: np.ndarray
@@ -169,9 +173,10 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
     return relu(z) if kind == "relu" else np.tanh(z)
 
 
-def _act_deriv(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    # relu'(0) taken as 0
-    return (z > 0).astype(np.float64) if kind == "relu" else 1.0 - a * a
+def _act_deriv(a: np.ndarray, kind: str) -> np.ndarray:
+    # From the activation alone: relu(z) > 0 exactly where z > 0 (relu'(0)
+    # taken as 0), and tanh' = 1 - tanh^2.
+    return (a > 0).astype(np.float64) if kind == "relu" else 1.0 - a * a
 
 
 def forward_batch(state: NetState, cfg: NetConfig, X: np.ndarray) -> BatchTrace:
@@ -179,18 +184,15 @@ def forward_batch(state: NetState, cfg: NetConfig, X: np.ndarray) -> BatchTrace:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != cfg.input_dim:
         raise ValueError(f"expected feature dim {cfg.input_dim}, got {X.shape[1]}")
-    n_hidden = len(cfg.hidden_sizes)
-    pre, act = [], []
+    act = []
     a = X
-    for l in range(n_hidden):
-        z = a @ state.weights[l].T + state.biases[l]
-        a = _act(z, cfg.activation)
-        pre.append(z)
+    for l in range(len(cfg.hidden_sizes)):
+        a = _act(a @ state.weights[l].T + state.biases[l], cfg.activation)
         act.append(a)
     logits = a @ state.weights[-1].T + state.biases[-1]
     probs = stable_softmax(logits, axis=1)
     taps = [act[l] for l in cfg.tap_layers]
-    return BatchTrace(pre, act, logits, probs, taps)
+    return BatchTrace(act, logits, probs, taps)
 
 
 def _joint_terms(
@@ -246,7 +248,6 @@ def grad_joint(
     y: np.ndarray,
     td_targets: np.ndarray | None,
     lam: float,
-    detach: bool = False,
     sample_ids: np.ndarray | None = None,
     trace: BatchTrace | None = None,
 ) -> tuple[np.ndarray, float, float]:
@@ -255,9 +256,9 @@ def grad_joint(
     Returns ``(grad, loss_target, loss_module)``: ``grad`` is one float64
     vector in the layout ``flatten(state, head)`` gives the parameters, net
     part then head part (zeros without targets, absent when ``head`` is
-    None).  With ``detach=True`` the head-loss gradient is cut before it
-    reaches the classifier parameters (the head itself still learns).
-    ``trace`` may carry an already-computed forward pass of this batch.
+    None).  The head-loss gradient flows into the classifier through the
+    tapped layers.  ``trace`` may carry an already-computed forward pass of
+    this batch.
 
     Raises FloatingPointError naming the offending sample id if any
     per-sample loss is non-finite.
@@ -285,9 +286,8 @@ def grad_joint(
         # d(lam * mean KL)/d(head logits) = lam * (softmax - target) / B
         dU = lam * (pt - q) / B
         head_grads, tap_grads = tdhead.head_backward(head, cache, dU)
-        if not detach:
-            for layer, g in zip(cfg.tap_layers, tap_grads):
-                tap_at_layer[layer] = tap_at_layer.get(layer, 0.0) + g
+        for layer, g in zip(cfg.tap_layers, tap_grads):
+            tap_at_layer[layer] = tap_at_layer.get(layer, 0.0) + g
     elif head is not None:
         head_grads = [np.zeros_like(p) for p in head.params()]
 
@@ -301,7 +301,7 @@ def grad_joint(
     for l in range(n_hidden - 1, -1, -1):
         if l in tap_at_layer:
             dA = dA + tap_at_layer[l]
-        dZ = dA * _act_deriv(trace.pre_activations[l], trace.activations[l], cfg.activation)
+        dZ = dA * _act_deriv(trace.activations[l], cfg.activation)
         a_in = X if l == 0 else trace.activations[l - 1]
         dW[l] = dZ.T @ a_in
         db[l] = dZ.sum(axis=0)
@@ -329,7 +329,8 @@ def apply_update(
     epoch: int,
 ) -> None:
     """In-place SGD-momentum or Adam update of the parameter vector; raises
-    ValueError if the step leaves any parameter non-finite."""
+    ValueError on a shape mismatch and FloatingPointError if the step leaves
+    any parameter non-finite."""
     if grad.shape != theta.shape:
         raise ValueError(f"gradient shape {grad.shape} != parameter shape {theta.shape}")
     lr = lr_at(opt, epoch)
@@ -345,7 +346,7 @@ def apply_update(
         v_hat = opt_state.v / (1.0 - opt.beta2 ** opt_state.step)
         theta -= lr * m_hat / (np.sqrt(v_hat) + opt.epsilon)
     if not np.isfinite(theta).all():
-        raise ValueError("non-finite network parameters")
+        raise FloatingPointError("non-finite network parameters")
 
 
 # Kept as a second name because benchmark/tracer.py wraps netcore.optimizer_step.

@@ -60,7 +60,6 @@ class HeadCache:
     """Intermediates of a batched head forward pass, kept for backprop."""
 
     taps: list[np.ndarray]
-    reduced_pre: list[np.ndarray]
     concat: np.ndarray
 
 
@@ -88,7 +87,7 @@ def head_forward_batch(head: HeadState, taps: list[np.ndarray]) -> tuple[np.ndar
     concat = relu(np.concatenate(pre, axis=1))
     logits = concat @ head.out_weight.T + head.out_bias
     probs = stable_softmax(logits, axis=1)
-    return probs, HeadCache(taps, pre, concat)
+    return probs, HeadCache(taps, concat)
 
 
 def head_backward(
@@ -105,9 +104,10 @@ def head_backward(
     r = head.reduce_weights[0].shape[0]
     head_grads: list[np.ndarray] = []
     tap_grads: list[np.ndarray] = []
-    for j, (t, pre, w) in enumerate(zip(cache.taps, cache.reduced_pre, head.reduce_weights)):
-        dR = dconcat[:, j * r : (j + 1) * r]
-        dS = dR * (pre > 0)
+    for j, (t, w) in enumerate(zip(cache.taps, head.reduce_weights)):
+        cols = slice(j * r, (j + 1) * r)
+        # relu(s) > 0 exactly where s > 0
+        dS = dconcat[:, cols] * (cache.concat[:, cols] > 0)
         head_grads.append(dS.T @ t)
         head_grads.append(dS.sum(axis=0))
         tap_grads.append(dS @ w)

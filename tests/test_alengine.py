@@ -213,12 +213,6 @@ class TestExperimentInvariants:
 
 
 class TestTrainingModes:
-    def test_epoch_end_recording_runs(self):
-        train, test = small_data()
-        cfg = small_cfg(record_probs="epoch_end", epochs=4, n_cycles=1)
-        result = alengine.train_joint(train.by_ids(train.ids[:20]), cfg, cycle=0)
-        np.testing.assert_array_equal(result.store.count, np.full(20, 4))
-
     def test_one_update_of_net_and_head_per_batch(self, monkeypatch):
         train, _ = small_data()
         cfg = small_cfg(epochs=2, n_cycles=1)
@@ -243,7 +237,7 @@ class TestTrainingModes:
         monkeypatch.setattr(netcore, "apply_update",
                             lambda *a: calls.append(1) or update(*a))
         with np.errstate(over="ignore"), \
-                pytest.raises(ValueError, match="non-finite network parameters"):
+                pytest.raises(FloatingPointError, match="non-finite network parameters"):
             alengine.train_joint(train, small_cfg(opt=opt, n_cycles=1), cycle=0)
         assert len(calls) == 1
 

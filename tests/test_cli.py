@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from dynal import cli, theorysim
 from dynal.cli import ExperimentConfig, RunManifest, dispatch, main, parse_config, serialize_config
-from dynal.alengine import RECORD_MODES
 from dynal.datasets import (GENERATORS, IMBALANCE_PROFILES, DatasetSpec, gen_gaussian_mixture,
                             load_csv, save_csv)
 from dynal.estimators import StrategyKind
@@ -135,7 +134,7 @@ class TestParseConfig:
         ("al:\n  epochs: '60'\n", "al.epochs"),
         ("al:\n  epochs: 60.0\n", "al.epochs"),
         ("al:\n  lam: true\n", "al.lam"),
-        ("al:\n  detach: 1\n", "al.detach"),
+        ("al:\n  dump_scores: 1\n", "al.dump_scores"),
         ("dataset:\n  imbalance: 5\n", "dataset.imbalance"),
         ("dataset:\n  imbalance:\n    minor_classes: [2, 2.5]\n",
          r"dataset\.imbalance\.minor_classes\[1\]"),
@@ -175,7 +174,7 @@ class TestParseConfig:
             "optimizer": {"kind", "initial_lr", "momentum", "weight_decay", "beta1", "beta2",
                           "epsilon", "decay_epoch", "decay_factor"},
             "al": {"strategy", "initial_labeled", "budget_per_cycle", "n_cycles", "subset_size",
-                   "epochs", "batch_size", "lam", "detach", "record_probs", "dump_scores"},
+                   "epochs", "batch_size", "lam", "dump_scores"},
             "theory": {"n_1e", "n_1h", "n_2", "alpha_e", "alpha_h", "beta", "step_size", "noise",
                        "x0", "iterations", "n_runs", "dt", "t_end", "sy_values", "classes"},
             "pilot": {"epochs", "batch_size", "lam"},
@@ -191,6 +190,26 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=f"unknown config key 'al.{key}'"):
             parse_config(p)
 
+    @pytest.mark.parametrize("key, value", [("detach", "true"), ("record_probs", "epoch_end")])
+    def test_removed_training_variants_exit_2(self, tmp_path, capsys, key, value):
+        p = tmp_path / "bad.yaml"
+        p.write_text(f"al:\n  {key}: {value}\n")
+        assert main(["pilot", "--config", str(p), "--out", str(tmp_path / "x")]) == 2
+        assert f"unknown config key 'al.{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("initial_lr", ".inf"), ("weight_decay", ".nan"), ("beta1", "1.0"), ("beta2", "1"),
+        ("epsilon", "0.0"), ("epsilon", ".inf"),
+    ])
+    def test_bad_optimizer_value_exits_2_naming_the_section(self, tmp_path, capsys, key, value):
+        p = tmp_path / "bad.yaml"
+        p.write_text(f"optimizer:\n  {key}: {value}\n")
+        out = tmp_path / "x"
+        assert main(["al-run", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config section 'optimizer'" in err and key in err
+        assert not out.exists()
+
     def test_round_trip(self, small_config, tmp_path):
         cfg = parse_config(small_config)
         p2 = tmp_path / "round.yaml"
@@ -204,7 +223,6 @@ FIELD_VALUES = {
     "profile": st.sampled_from(IMBALANCE_PROFILES),
     "kind": st.sampled_from(OPTIMIZER_KINDS),
     "activation": st.sampled_from(ACTIVATIONS),
-    "record_probs": st.sampled_from(RECORD_MODES),
     "strategy": st.sampled_from([k.value for k in StrategyKind]),
     "n_classes": st.integers(2, 10**6),
     "per_class": st.integers(1, 10**6),
@@ -214,6 +232,9 @@ FIELD_VALUES = {
     "ratio": st.floats(1, 1e300),
     "initial_lr": st.floats(1e-300, 1e300),
     "weight_decay": st.floats(0, 1e300),
+    "beta1": st.floats(0, 1, exclude_max=True),
+    "beta2": st.floats(0, 1, exclude_max=True),
+    "epsilon": st.floats(1e-300, 1e300),
 }
 
 
@@ -316,6 +337,43 @@ class TestDispatch:
             rows = list(csv.DictReader(f))
         assert len(rows) == 8  # pilot epochs
         assert all(float(r["kl_module"]) >= 0 for r in rows)
+
+    def test_al_run_analysis_writes_kl_csv_per_cycle(self, small_config, tmp_path):
+        plain, traced = tmp_path / "plain", tmp_path / "traced"
+        args = ["al-run", "--config", str(small_config), "--seeds", "0,1",
+                "--strategies", "random,tidal_entropy"]
+        assert main(args + ["--out", str(plain)]) == 0
+        assert main(args + ["--out", str(traced), "--analysis"]) == 0
+        assert not list(plain.glob("kl_*"))
+        expected = {f"kl_{s}_seed{k}_cycle{c}.csv" for s in ("random", "tidal_entropy")
+                    for k in (0, 1) for c in (1, 2)}
+        assert {f.name for f in traced.glob("kl_*")} == expected
+        for name in expected:
+            with open(traced / name) as f:
+                rows = list(csv.reader(f))
+            assert rows[0] == ["epoch", "kl_module", "kl_snapshot"]
+            assert [int(r[0]) for r in rows[1:]] == list(range(1, 11))  # al.epochs
+        # the trace is read-only: every other artifact is unchanged
+        for f in plain.iterdir():
+            assert f.read_bytes() == (traced / f.name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["pilot", "kl-analysis"])
+    def test_al_section_does_not_reach_pilot_runs(self, tmp_path, command):
+        """The pilot trains with its own epochs, batch size and lam; no
+        key of the ``al:`` section changes its artifacts."""
+        base = tmp_path / "base.yaml"
+        base.write_text(PILOT_CFG)
+        varied = tmp_path / "varied.yaml"
+        varied.write_text(PILOT_CFG + "al:\n  strategy: tidal_entropy\n  initial_labeled: 5\n"
+                          "  budget_per_cycle: 3\n  n_cycles: 1\n  subset_size: 7\n"
+                          "  epochs: 2\n  batch_size: 7\n  lam: 0.25\n  dump_scores: true\n")
+        outs = [tmp_path / "base", tmp_path / "varied"]
+        for cfg, out in zip([base, varied], outs):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        files = sorted(f.name for f in outs[0].iterdir())
+        assert files == sorted(f.name for f in outs[1].iterdir())
+        for name in files:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_theory_sde_trajectories(self, small_config, tmp_path):
         out = tmp_path / "out"

@@ -148,25 +148,3 @@ class TestTrainingProperties:
             netcore.apply_update(theta, np.concatenate([g.ravel() for g in grads]), opt_state,
                                  opt, epoch=0)
         assert loss < 1e-3
-
-    def test_detach_keeps_backbone_bit_identical(self):
-        from dynal.netcore import NetConfig
-
-        cfg = NetConfig(input_dim=3, hidden_sizes=[5], n_classes=3, tap_layers=[0], seed=2)
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(8, 3))
-        y = rng.integers(0, 3, size=8)
-        q = rng.dirichlet(np.ones(3), size=8)
-        opt = OptimizerConfig(kind="sgd_momentum", initial_lr=0.1, momentum=0.9, weight_decay=5e-4)
-
-        def run(lam):
-            head = init_head(HeadConfig(tap_dims=[5], n_classes=3, reduce_dim=4, seed=3))
-            theta, net, head = netcore.flatten(netcore.init_net(cfg), head)
-            g, _, _ = netcore.grad_joint(net, cfg, head, X, y, q, lam=lam, detach=True)
-            netcore.apply_update(theta, g, netcore.init_opt_state(theta), opt, epoch=0)
-            return net
-
-        net_a = run(1.0)
-        net_b = run(0.0)
-        for pa, pb in zip(net_a.params(), net_b.params()):
-            np.testing.assert_array_equal(pa, pb)
