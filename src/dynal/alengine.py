@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import netcore, tdhead
 from .acquisition import kcenter_greedy, sample_subset, select_top_k
@@ -70,8 +69,8 @@ class ALConfig(ALProtocol):
             raise ValueError("subset_size must be >= budget_per_cycle")
         if self.n_cycles < 1 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("n_cycles, epochs and batch_size must be >= 1")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lam must be nonnegative and finite")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -297,18 +296,23 @@ def kl_analysis(result: TrainResult) -> list[tuple[int, float, float]]:
 
 def separation_auroc(scores: np.ndarray, is_minor: np.ndarray) -> float:
     """Probability a random minor sample outscores a random major one,
-    ties counted half.  Scores must already be oriented so that higher
-    means more uncertain."""
+    ties counted half: the Mann-Whitney U over n_minor * n_major.  Scores
+    must already be oriented so that higher means more uncertain; a NaN
+    score is a ValueError."""
     scores = np.asarray(scores, dtype=np.float64)
     is_minor = np.asarray(is_minor, dtype=bool)
     if scores.shape != is_minor.shape:
         raise ValueError("scores and flags length mismatch")
+    if np.isnan(scores).any():
+        raise ValueError("scores contain NaN")
     n_pos = int(is_minor.sum())
     n_neg = int((~is_minor).sum())
     if n_pos == 0 or n_neg == 0:
         raise RuntimeError("separation needs both minor and major samples")
-    ranks = rankdata(scores)
-    return float((ranks[is_minor].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+    neg = np.sort(scores[~is_minor])
+    pos = scores[is_minor]
+    u = (np.searchsorted(neg, pos, "left") + np.searchsorted(neg, pos, "right")).sum() / 2
+    return float(u / (n_pos * n_neg))
 
 
 @dataclass

@@ -147,19 +147,21 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=True)
 
 
+def _run_settings(cfg: ExperimentConfig, train: Dataset, seed: int) -> dict:
+    """The ALConfig fields outside the protocol: network, optimizer, head, seed."""
+    net = NetConfig(**dataclasses.asdict(cfg.net), input_dim=train.dim, n_classes=train.n_classes)
+    return dict(net=net, opt=cfg.optimizer, head_reduce_dim=cfg.head.reduce_dim, seed=seed)
+
+
 def build_al_config(cfg: ExperimentConfig, train: Dataset, strategy: str, seed: int,
                     analysis: bool = False) -> ALConfig:
-    net = NetConfig(**dataclasses.asdict(cfg.net), input_dim=train.dim, n_classes=train.n_classes)
-    return ALConfig(**{**dataclasses.asdict(cfg.al), "strategy": strategy}, net=net,
-                    opt=cfg.optimizer, head_reduce_dim=cfg.head.reduce_dim, analysis=analysis,
-                    seed=seed)
+    return ALConfig(**{**dataclasses.asdict(cfg.al), "strategy": strategy}, analysis=analysis,
+                    **_run_settings(cfg, train, seed))
 
 
 def build_pilot_config(cfg: ExperimentConfig, train: Dataset, seed: int) -> ALConfig:
-    al_cfg = build_al_config(cfg, train, "random", seed)
-    return dataclasses.replace(
-        al_cfg, epochs=cfg.pilot.epochs, batch_size=cfg.pilot.batch_size, lam=cfg.pilot.lam
-    )
+    """The pilot's training run from the ``pilot:`` section; ``al:`` is not read."""
+    return ALConfig(**dataclasses.asdict(cfg.pilot), **_run_settings(cfg, train, seed))
 
 
 @dataclass

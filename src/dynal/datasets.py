@@ -98,6 +98,8 @@ class DatasetSpec:
             raise ValueError(f"generator must be one of {GENERATORS}")
         if not 0 < self.test_fraction < 1:
             raise ValueError("test_fraction must be in (0, 1)")
+        if not (np.isfinite(self.radius) and np.isfinite(self.noise)):
+            raise ValueError("radius and noise must be finite")
         if self.generator != "csv_file":
             if self.n_classes < 2:
                 raise ValueError("n_classes must be >= 2")

@@ -263,8 +263,8 @@ def grad_joint(
     Raises FloatingPointError naming the offending sample id if any
     per-sample loss is non-finite.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be nonnegative and finite")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=int)
     B = X.shape[0]

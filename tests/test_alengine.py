@@ -101,6 +101,26 @@ class TestSeparationAuroc:
         with pytest.raises(RuntimeError):
             separation_auroc(np.array([0.5, 0.6]), np.array([True, True]))
 
+    @pytest.mark.parametrize("at", [0, 2], ids=["minor", "major"])
+    def test_nan_score_rejected(self, at):
+        scores = np.array([0.9, 0.8, 0.2, 0.1])
+        scores[at] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            separation_auroc(scores, np.array([1, 1, 0, 0], bool))
+
+    def test_infinite_scores_rank_at_the_ends(self):
+        scores = np.array([np.inf, 0.5, -np.inf, np.inf, 0.5])
+        flags = np.array([True, True, True, False, False])
+        # minor vs major pairs: inf ties inf, beats 0.5; 0.5 loses to inf, ties 0.5; -inf loses both
+        assert separation_auroc(scores, flags) == (0.5 + 1 + 0 + 0.5 + 0 + 0) / 6
+
+
+class TestALConfig:
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_bad_lam_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
+            small_cfg(lam=lam)
+
 
 class TestRunCycle:
     def test_labeled_count_invariant(self):

@@ -1,5 +1,9 @@
+import ast
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
 import types
 import typing
 from pathlib import Path
@@ -9,6 +13,7 @@ import yaml
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
+import dynal
 from dynal import cli, theorysim
 from dynal.cli import ExperimentConfig, RunManifest, dispatch, main, parse_config, serialize_config
 from dynal.datasets import (GENERATORS, IMBALANCE_PROFILES, DatasetSpec, gen_gaussian_mixture,
@@ -210,6 +215,19 @@ class TestParseConfig:
         assert "invalid config section 'optimizer'" in err and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("al-run", "al", "lam", float("nan")),
+        ("pilot", "pilot", "lam", float("inf")),
+        ("al-run", "dataset", "noise", float("nan")),
+    ])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, command, section, key, value):
+        raw = yaml.safe_load({"al-run": SMALL_CFG, "pilot": PILOT_CFG}[command])
+        raw[section][key] = value  # dumped as .nan / .inf
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml.safe_dump(raw))
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "x")]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+
     def test_round_trip(self, small_config, tmp_path):
         cfg = parse_config(small_config)
         p2 = tmp_path / "round.yaml"
@@ -235,6 +253,8 @@ FIELD_VALUES = {
     "beta1": st.floats(0, 1, exclude_max=True),
     "beta2": st.floats(0, 1, exclude_max=True),
     "epsilon": st.floats(1e-300, 1e300),
+    "radius": st.floats(allow_nan=False, allow_infinity=False),
+    "noise": st.floats(allow_nan=False, allow_infinity=False),
 }
 
 
@@ -360,20 +380,25 @@ class TestDispatch:
     @pytest.mark.parametrize("command", ["pilot", "kl-analysis"])
     def test_al_section_does_not_reach_pilot_runs(self, tmp_path, command):
         """The pilot trains with its own epochs, batch size and lam; no
-        key of the ``al:`` section changes its artifacts."""
-        base = tmp_path / "base.yaml"
-        base.write_text(PILOT_CFG)
-        varied = tmp_path / "varied.yaml"
-        varied.write_text(PILOT_CFG + "al:\n  strategy: tidal_entropy\n  initial_labeled: 5\n"
-                          "  budget_per_cycle: 3\n  n_cycles: 1\n  subset_size: 7\n"
-                          "  epochs: 2\n  batch_size: 7\n  lam: 0.25\n  dump_scores: true\n")
-        outs = [tmp_path / "base", tmp_path / "varied"]
-        for cfg, out in zip([base, varied], outs):
+        key of the ``al:`` section changes its artifacts, and an ``al:``
+        section that ALConfig would reject is not checked."""
+        al_sections = {
+            "varied": "al:\n  strategy: tidal_entropy\n  initial_labeled: 5\n"
+                      "  budget_per_cycle: 3\n  n_cycles: 1\n  subset_size: 7\n"
+                      "  epochs: 2\n  batch_size: 7\n  lam: 0.25\n  dump_scores: true\n",
+            "invalid": "al:\n  subset_size: 5\n  budget_per_cycle: 10\n",
+        }
+        outs = []
+        for label, al in {"base": "", **al_sections}.items():
+            cfg, out = tmp_path / f"{label}.yaml", tmp_path / label
+            cfg.write_text(PILOT_CFG + al)
             assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            outs.append(out)
         files = sorted(f.name for f in outs[0].iterdir())
-        assert files == sorted(f.name for f in outs[1].iterdir())
-        for name in files:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        for other in outs[1:]:
+            assert files == sorted(f.name for f in other.iterdir())
+            for name in files:
+                assert (outs[0] / name).read_bytes() == (other / name).read_bytes()
 
     def test_theory_sde_trajectories(self, small_config, tmp_path):
         out = tmp_path / "out"
@@ -533,3 +558,21 @@ class TestMain:
             "al-run", "--config", str(tmp_path / "absent.yaml"), "--out", str(tmp_path / "x"),
         ])
         assert code == 2
+
+    def test_imports_need_only_numpy_and_pyyaml(self):
+        """Importing the package and its CLI loads no public top-level module
+        outside the standard library that importing numpy and PyYAML does
+        not, besides dynal itself.  Underscored names are aliases and
+        private helpers (multiprocessing's ``__mp_main__``, for one)."""
+        src = str(Path(dynal.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+
+        def top_level_modules(imports):
+            code = f"import sys, {imports}; print(sorted({{m.split('.')[0] for m in sys.modules}}))"
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True).stdout
+            return {m for m in ast.literal_eval(out) if not m.startswith("_")}
+
+        extra = (top_level_modules("dynal, dynal.cli") - top_level_modules("numpy, yaml")
+                 - set(sys.stdlib_module_names))
+        assert extra == {"dynal"}

@@ -285,6 +285,12 @@ class TestBuildDataset:
         np.testing.assert_array_equal(a_train.X, b_train.X)
         np.testing.assert_array_equal(a_test.ids, b_test.ids)
 
+    @pytest.mark.parametrize("field", ["noise", "radius"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_geometry_rejected(self, field, value):
+        with pytest.raises(ValueError, match="radius and noise must be finite"):
+            mixture_spec(**{field: value})
+
     def test_imbalance_dict_coerced(self):
         spec = mixture_spec(imbalance={"ratio": 2.0, "profile": "step"})
         assert isinstance(spec.imbalance, ImbalanceSpec)

@@ -123,6 +123,12 @@ class TestGradJoint:
         q = rng.dirichlet([1.0, 1.0], size=4)
         return cfg, net, head, X, y, q
 
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_bad_lam_rejected(self, lam):
+        cfg, net, head, X, y, q = self.make_instance(40)
+        with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
+            netcore.grad_joint(net, cfg, head, X, y, q, lam=lam)
+
     def test_lambda_zero_equals_pure_cross_entropy(self):
         cfg, net, head, X, y, q = self.make_instance(40)
         g0, lt0, _ = netcore.grad_joint(net, cfg, head, X, y, q, lam=0.0)
