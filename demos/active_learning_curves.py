@@ -5,6 +5,8 @@ Five cycles of pool-based active learning on an 8-class mixture: start
 with 20 random labels, add 20 per cycle, each strategy scoring a random
 200-sample slice of the pool.  All strategies share per-cycle seeds, so
 cycle-1 models are identical and differences come from selection alone.
+``run_experiments`` runs the strategies of each seed together and trains
+each such shared model once.
 
 Strategies compared: random, snapshot entropy, k-center greedy on the
 last hidden layer, and dynamics-aware entropy/margin read from the
@@ -13,7 +15,7 @@ head's predicted mean trajectory.
 
 import numpy as np
 
-from dynal.alengine import ALConfig, run_experiment
+from dynal.alengine import ALConfig, run_experiments
 from dynal.datasets import DatasetSpec, build_dataset, nearest_mean_predict
 from dynal.estimators import StrategyKind
 from dynal.netcore import NetConfig, OptimizerConfig
@@ -35,11 +37,10 @@ STRATEGIES = [
 ]
 SEEDS = range(4)
 
-curves = {}
-for strategy in STRATEGIES:
-    accs = []
-    for seed in SEEDS:
-        cfg = ALConfig(
+accs = {strategy: [] for strategy in STRATEGIES}
+for seed in SEEDS:
+    cfgs = [
+        ALConfig(
             net=NetConfig(input_dim=12, hidden_sizes=[32, 32], n_classes=8,
                           tap_layers=[0, 1], seed=0),
             opt=OptimizerConfig(kind="sgd_momentum", initial_lr=0.03, momentum=0.9,
@@ -47,11 +48,16 @@ for strategy in STRATEGIES:
             strategy=strategy, initial_labeled=20, budget_per_cycle=20, n_cycles=5,
             subset_size=200, epochs=60, batch_size=32, lam=1.0, seed=seed,
         )
-        reports = run_experiment(train, test, cfg)
-        accs.append([r.test_accuracy for r in reports])
-    curves[strategy.value] = np.array(accs).mean(axis=0)
-    print(f"{strategy.value:18s} " +
-          " ".join(f"{a:.3f}" for a in curves[strategy.value]))
+        for strategy in STRATEGIES
+    ]
+    for strategy, reports in zip(STRATEGIES, run_experiments(train, test, cfgs)):
+        if isinstance(reports, Exception):
+            raise reports
+        accs[strategy].append([r.test_accuracy for r in reports])
+
+for strategy in STRATEGIES:
+    curve = np.array(accs[strategy]).mean(axis=0)
+    print(f"{strategy.value:18s} " + " ".join(f"{a:.3f}" for a in curve))
 
 print("\ncolumns are cycles 1..5 (models trained on 20, 40, 60, 80, 100 labels);")
 print(f"every strategy should stay below the oracle bound of {oracle:.3f}.")

@@ -14,6 +14,7 @@ from .alengine import (
     kl_analysis,
     run_cycle,
     run_experiment,
+    run_experiments,
     run_pilot,
     separation_auroc,
     train_joint,

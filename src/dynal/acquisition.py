@@ -42,6 +42,11 @@ def select_top_k(sample_ids, uncertainty, k: int) -> np.ndarray:
         raise ValueError(f"NaN score for sample id {ids[nan[0]]}")
     if k > ids.size:
         warnings.warn(f"requested k={k} > {ids.size} scored samples; returning all")
+    if k < ids.size:
+        # Only ids at or above the k-th largest value, ties at it included, need sorting.
+        kth = u[np.argpartition(-u, k - 1)[k - 1]]
+        keep = np.flatnonzero(u >= kth)
+        ids, u = ids[keep], u[keep]
     return ids[np.lexsort((ids, -u))[:k]]
 
 

@@ -8,12 +8,21 @@ sample's probability trajectory, scores a random subset of the pool
 with the configured strategy, and moves the top picks into the labeled
 set.  Scoring never sees pool labels; dynamics-aware strategies read
 the head's predicted mean probabilities.
+
+``run_experiments`` runs the strategies of one seed cycle by cycle.  Two
+runs whose labeled ids agree, in order, at the start of a cycle train
+the same model, so that cycle's training, evaluation and the pool
+subset's forward passes are computed once for all of them (always so in
+cycle 1); only scoring, selection and the report are per strategy.
 """
 
 from __future__ import annotations
 
+import copy
+import traceback
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -178,6 +187,39 @@ def evaluate(net: NetState, net_cfg: NetConfig, test: Dataset) -> tuple[float, n
     return acc, per_class
 
 
+class _SharedCycle:
+    """The work of one cycle that follows from (config minus strategy,
+    cycle, labeled ids in order): the labeled set, the trained model, its
+    test accuracy and the pool subset.  Forward passes that only some
+    strategies read are computed on first use."""
+
+    def __init__(self, labeled_ids, pool_ids, train: Dataset, test: Dataset, cfg: ALConfig,
+                 cycle: int):
+        self.train = train
+        self.labeled = train.by_ids(labeled_ids)
+        self.result = train_joint(self.labeled, cfg, cycle, test=test if cfg.analysis else None)
+        self.accuracy, self.per_class = evaluate(self.result.net, self.result.net_cfg, test)
+        self.kl = kl_analysis(self.result) if cfg.analysis else None
+        # After the subset draw, random selection continues a copy of this stream.
+        self.rng = np.random.default_rng(_stream_seed(cfg.seed, cycle, _STREAM_SUBSET))
+        self.subset_ids = sample_subset(pool_ids, cfg.subset_size, self.rng)
+
+    @cached_property
+    def subset_trace(self) -> netcore.BatchTrace:
+        # Scoring sees features only; pool labels stay untouched until selection.
+        subset_X = self.train.by_ids(self.subset_ids).X
+        return netcore.forward_batch(self.result.net, self.result.net_cfg, subset_X)
+
+    @cached_property
+    def subset_head_probs(self) -> np.ndarray:
+        return tdhead.head_forward_batch(self.result.head, self.subset_trace.taps)[0]
+
+    @cached_property
+    def labeled_features(self) -> np.ndarray:
+        return netcore.forward_batch(self.result.net, self.result.net_cfg,
+                                     self.labeled.X).activations[-1]
+
+
 def run_cycle(
     labeled_ids: list[int],
     pool_ids: np.ndarray,
@@ -186,43 +228,45 @@ def run_cycle(
     cfg: ALConfig,
     cycle: int,
     minor_classes: list[int] | None = None,
+    *,
+    memo: dict | None = None,
 ) -> tuple[TrainResult, CycleReport, list[int], np.ndarray]:
     """One protocol cycle: train from scratch, evaluate, score, select.
 
     Returns the train result, the cycle report, and the updated labeled
-    and pool id collections.
+    and pool id collections.  ``memo`` holds the shared work of calls
+    made for one cycle with configs that differ only in strategy, keyed
+    on (cycle, labeled ids in order): the same ids in another order
+    train another model.  The pool must follow from the labeled ids, as
+    it does in ``run_experiments``.  A call that raises before the
+    training is done stores nothing.
     """
     if not labeled_ids:
         raise ValueError("labeled set is empty")
-    labeled = train.by_ids(labeled_ids)
-    result = train_joint(labeled, cfg, cycle, test=test if cfg.analysis else None)
-    acc, per_class = evaluate(result.net, result.net_cfg, test)
-
-    subset_rng = np.random.default_rng(_stream_seed(cfg.seed, cycle, _STREAM_SUBSET))
-    subset_ids = sample_subset(pool_ids, cfg.subset_size, subset_rng)
-    # Scoring sees features only; pool labels stay untouched until selection.
-    subset_X = train.by_ids(subset_ids).X
+    memo = {} if memo is None else memo
+    key = (cycle, tuple(labeled_ids))
+    shared = memo.get(key)
+    if shared is None:
+        shared = memo[key] = _SharedCycle(labeled_ids, pool_ids, train, test, cfg, cycle)
+    subset_ids = shared.subset_ids
 
     score_rows = None
     if cfg.strategy is StrategyKind.RANDOM:
-        selected = sample_subset(subset_ids, cfg.budget_per_cycle, subset_rng)
+        selected = sample_subset(subset_ids, cfg.budget_per_cycle, copy.deepcopy(shared.rng))
     elif cfg.strategy is StrategyKind.CORESET:
-        lab_feats = netcore.forward_batch(result.net, result.net_cfg, labeled.X).activations[-1]
-        sub_feats = netcore.forward_batch(result.net, result.net_cfg, subset_X).activations[-1]
-        selected = kcenter_greedy(lab_feats, sub_feats, subset_ids, cfg.budget_per_cycle)
+        selected = kcenter_greedy(shared.labeled_features, shared.subset_trace.activations[-1],
+                                  subset_ids, cfg.budget_per_cycle)
     else:
-        bt = netcore.forward_batch(result.net, result.net_cfg, subset_X)
-        p_mod = None
-        if cfg.strategy in HEAD_STRATEGIES:
-            p_mod, _ = tdhead.head_forward_batch(result.head, bt.taps)
-        scores = strategy_scores(cfg.strategy, bt.probs, p_mod)
+        probs = shared.subset_trace.probs
+        p_mod = shared.subset_head_probs if cfg.strategy in HEAD_STRATEGIES else None
+        scores = strategy_scores(cfg.strategy, probs, p_mod)
         selected = select_top_k(subset_ids, uncertainty(cfg.strategy, scores), cfg.budget_per_cycle)
         if cfg.dump_scores:
             chosen = np.isin(subset_ids, selected)
             score_rows = [
                 (sid, cfg.strategy.value, s, lbl, c)
                 for sid, s, lbl, c in zip(subset_ids.tolist(), scores.tolist(),
-                                          bt.probs.argmax(axis=1).tolist(), chosen.tolist())
+                                          probs.argmax(axis=1).tolist(), chosen.tolist())
             ]
 
     new_labeled = list(labeled_ids) + [int(s) for s in selected]
@@ -231,18 +275,70 @@ def run_cycle(
 
     minor_acc = float("nan")
     if minor_classes:
-        minor_acc = float(np.mean(per_class[list(minor_classes)]))
-    kl = kl_analysis(result) if cfg.analysis else None
+        minor_acc = float(np.mean(shared.per_class[list(minor_classes)]))
     report = CycleReport(
         cycle=cycle,
         labeled_count=len(new_labeled),
-        test_accuracy=acc,
+        test_accuracy=shared.accuracy,
         minor_class_accuracy=minor_acc,
         selected_ids=[int(s) for s in selected],
-        kl_rows=kl,
+        kl_rows=shared.kl,
         score_rows=score_rows,
     )
-    return result, report, new_labeled, new_pool
+    return shared.result, report, new_labeled, new_pool
+
+
+def run_experiments(
+    train: Dataset,
+    test: Dataset,
+    cfgs: list[ALConfig],
+    minor_classes: list[int] | None = None,
+) -> list[list[CycleReport] | Exception]:
+    """The full protocol for configs that differ only in strategy:
+    seeded initial labeling, then n_cycles cycles, run cycle by cycle
+    so that runs at the same labeled ids share each cycle's training.
+
+    Returns, per config, its reports, or the exception its run raised;
+    a failed run leaves the others to finish.  A run ends early (with
+    the reports so far) once its pool empties.  Output is a pure
+    function of the configs and datasets.
+    """
+    if not cfgs:
+        raise ValueError("no configs given")
+    cfg = cfgs[0]
+    if any(replace(c, strategy=cfg.strategy) != cfg for c in cfgs[1:]):
+        raise ValueError("configs run together may differ only in strategy")
+    if cfg.initial_labeled < train.n_classes:
+        warnings.warn(
+            f"initial_labeled={cfg.initial_labeled} < {train.n_classes} classes;"
+            " some classes may start unrepresented"
+        )
+    init_rng = np.random.default_rng(_stream_seed(cfg.seed, _STREAM_INIT_POOL))
+    all_ids = train.ids.copy()
+    start = [int(s) for s in sample_subset(all_ids, cfg.initial_labeled, init_rng)]
+    runs = [(start, all_ids[~np.isin(all_ids, start)])] * len(cfgs)
+    outcomes: list = [[] for _ in cfgs]
+
+    for cycle in range(1, cfg.n_cycles + 1):
+        memo: dict = {}
+        try:
+            for i, c in enumerate(cfgs):
+                labeled, pool = runs[i]
+                if isinstance(outcomes[i], Exception) or pool.size == 0:
+                    continue
+                try:
+                    _, report, labeled, pool = run_cycle(
+                        labeled, pool, train, test, c, cycle, minor_classes, memo=memo
+                    )
+                except Exception as e:
+                    traceback.clear_frames(e.__traceback__)  # keep the error, not its arrays
+                    outcomes[i] = e
+                    continue
+                runs[i] = (labeled, pool)
+                outcomes[i].append(report)
+        finally:
+            memo.clear()  # a cycle's models and forward passes end with it
+    return outcomes
 
 
 def run_experiment(
@@ -251,30 +347,11 @@ def run_experiment(
     cfg: ALConfig,
     minor_classes: list[int] | None = None,
 ) -> list[CycleReport]:
-    """Full protocol: seeded initial labeling, then n_cycles cycles.
-
-    Terminates early (with the reports so far) once the pool empties.
-    Output is a pure function of the config and datasets.
-    """
-    if cfg.initial_labeled < train.n_classes:
-        warnings.warn(
-            f"initial_labeled={cfg.initial_labeled} < {train.n_classes} classes;"
-            " some classes may start unrepresented"
-        )
-    init_rng = np.random.default_rng(_stream_seed(cfg.seed, _STREAM_INIT_POOL))
-    all_ids = train.ids.copy()
-    labeled = [int(s) for s in sample_subset(all_ids, cfg.initial_labeled, init_rng)]
-    pool = all_ids[~np.isin(all_ids, labeled)]
-
-    reports: list[CycleReport] = []
-    for cycle in range(1, cfg.n_cycles + 1):
-        if pool.size == 0:
-            break
-        _, report, labeled, pool = run_cycle(
-            labeled, pool, train, test, cfg, cycle, minor_classes
-        )
-        reports.append(report)
-    return reports
+    """``run_experiments`` for one config; raises what its run raised."""
+    (outcome,) = run_experiments(train, test, [cfg], minor_classes)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def kl_analysis(result: TrainResult) -> list[tuple[int, float, float]]:

@@ -181,47 +181,67 @@ class RunManifest:
             raise ValueError("--jobs must be >= 1")
 
 
-def _al_worker(args):
-    """One (strategy, seed) active-learning run; returns summary rows."""
-    train, test, al_cfg, minor, out_dir = args
-    strategy = al_cfg.strategy.value
-    reports = alengine.run_experiment(train, test, al_cfg, minor_classes=minor)
-    rows = [(strategy, al_cfg.seed, rep) for rep in reports]
-    save_results_csv(Path(out_dir) / f"results_{strategy}_seed{al_cfg.seed}.csv", rows)
+def _save_run(al_cfg: ALConfig, reports, out: Path) -> list:
+    """Write one (strategy, seed) run's artifacts; returns its summary rows."""
+    strategy, seed = al_cfg.strategy.value, al_cfg.seed
+    rows = [(strategy, seed, rep) for rep in reports]
+    save_results_csv(out / f"results_{strategy}_seed{seed}.csv", rows)
     for rep in reports:
         if rep.score_rows is not None:
-            save_scores_csv(
-                Path(out_dir) / f"scores_{strategy}_seed{al_cfg.seed}_cycle{rep.cycle}.csv",
-                rep.score_rows,
-            )
+            save_scores_csv(out / f"scores_{strategy}_seed{seed}_cycle{rep.cycle}.csv",
+                            rep.score_rows)
         if rep.kl_rows is not None:
-            save_kl_csv(
-                Path(out_dir) / f"kl_{strategy}_seed{al_cfg.seed}_cycle{rep.cycle}.csv",
-                rep.kl_rows,
-            )
+            save_kl_csv(out / f"kl_{strategy}_seed{seed}_cycle{rep.cycle}.csv", rep.kl_rows)
     return rows
+
+
+def _al_worker(args):
+    """The active-learning runs of one seed, one per strategy, sharing each
+    cycle's training.  Returns per strategy (summary rows, None), or
+    (None, traceback text) for a run that raised and wrote nothing."""
+    train, test, al_cfgs, minor, out_dir = args
+    outcomes = alengine.run_experiments(train, test, al_cfgs, minor_classes=minor)
+    runs = []
+    for al_cfg, outcome in zip(al_cfgs, outcomes):
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            runs.append((_save_run(al_cfg, outcome, Path(out_dir)), None))
+        except Exception:
+            runs.append((None, traceback.format_exc()))
+    return runs
 
 
 def _run_al(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> int:
     train, test = build_dataset(cfg.dataset)
     minor = minor_class_set(cfg.dataset, train.n_classes)
     jobs = []
-    for strategy in manifest.strategies:
-        for seed in manifest.seeds:
-            al_cfg = build_al_config(cfg, train, strategy, seed, analysis=manifest.analysis)
-            jobs.append((train, test, al_cfg, minor, str(out)))
+    for seed in manifest.seeds:  # one job runs every strategy of a seed
+        al_cfgs = [build_al_config(cfg, train, s, seed, analysis=manifest.analysis)
+                   for s in manifest.strategies]
+        jobs.append((train, test, al_cfgs, minor, str(out)))
 
-    failures = []
-    all_rows: list = []
-    # One job runs in this process; more run in a pool of that many processes.
-    with ProcessPoolExecutor(manifest.jobs) if manifest.jobs > 1 else nullcontext() as pool:
+    by_seed = []  # per seed, per strategy: (rows, traceback)
+    # One worker runs in this process; more run in a pool of that many processes.
+    workers = min(manifest.jobs, len(jobs))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         futures = [pool.submit(_al_worker, job) if pool else None for job in jobs]
         for job, fut in zip(jobs, futures):
             try:
-                all_rows.extend(_al_worker(job) if fut is None else fut.result())
+                by_seed.append(_al_worker(job) if fut is None else fut.result())
             except Exception:
-                failures.append(f"{job[2].strategy.value}-seed{job[2].seed}")
-                traceback.print_exc()
+                by_seed.append([(None, traceback.format_exc())] * len(manifest.strategies))
+
+    failures = []
+    all_rows: list = []
+    for i, strategy in enumerate(manifest.strategies):
+        for seed, seed_runs in zip(manifest.seeds, by_seed):
+            rows, error = seed_runs[i]
+            if error is None:
+                all_rows.extend(rows)
+            else:
+                failures.append(f"{strategy}-seed{seed}")
+                print(error, end="", file=sys.stderr)
     save_results_csv(out / "summary.csv", all_rows)
     if failures:
         print(f"FAILED runs: {', '.join(failures)}", file=sys.stderr)
@@ -341,7 +361,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="output directory for CSV artifacts")
     parser.add_argument("--seeds", default="0", help="comma-separated seed list")
     parser.add_argument("--strategies", default=None, help="comma-separated strategy list")
-    parser.add_argument("--jobs", type=int, default=1, help="concurrent runs")
+    parser.add_argument("--jobs", type=int, default=1, help="al-run: seeds run in parallel")
     parser.add_argument(
         "--analysis", action="store_true",
         help="al-run: write per-cycle KL CSVs from per-epoch test-set snapshots"

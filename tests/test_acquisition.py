@@ -108,6 +108,24 @@ class TestSelectTopK:
         oracle = [i for _, i in sorted((-v, i) for i, v in rows)][:k]
         assert select_top_k(ids, u, k).tolist() == oracle
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ids=st.lists(st.integers(0, 10**6), min_size=2, max_size=300, unique=True),
+        data=st.data(),
+    )
+    def test_many_ties_at_the_kth_value(self, ids, data):
+        # most values sit on one level, so the k-th value is shared by many ids
+        # that the partition must all keep before the id tie break
+        n = len(ids)
+        tie = data.draw(st.sampled_from([0.0, -0.0, 0.25, -np.inf]))
+        others = st.sampled_from([-1.0, -0.0, 0.0, 0.5, np.inf])
+        vals = [data.draw(st.one_of(st.just(tie), others) if i % 4 == 0 else st.just(tie))
+                for i in range(n)]
+        k = data.draw(st.integers(1, n))
+        oracle = [i for _, i in sorted((-v, i) for i, v in zip(ids, vals))][:k]
+        got = select_top_k(np.array(ids, dtype=np.int64), np.array(vals), k).tolist()
+        assert got == oracle
+
 
 class TestKCenterGreedy:
     def brute_force(self, labeled, unlabeled, ids, k):

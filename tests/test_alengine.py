@@ -232,6 +232,119 @@ class TestExperimentInvariants:
         assert reports[-1].labeled_count == len(train)
 
 
+class TestSharedCycles:
+    """``run_experiments`` trains each (cycle, labeled ids in order) once
+    for all strategies of a seed; only scoring and selection are per run."""
+
+    SCORED = (StrategyKind.SNAPSHOT_MARGIN, StrategyKind.CORESET, StrategyKind.TIDAL_ENTROPY)
+
+    @staticmethod
+    def count_calls(monkeypatch, name, fail=False):
+        calls = []
+        orig = getattr(alengine, name)
+
+        def wrapped(*a, **k):
+            calls.append(a)
+            if fail:
+                raise RuntimeError(f"{name} failed")
+            return orig(*a, **k)
+
+        monkeypatch.setattr(alengine, name, wrapped)
+        return calls
+
+    def test_three_strategies_train_one_model_per_cycle(self, monkeypatch):
+        train, test = small_data()
+        calls = self.count_calls(monkeypatch, "train_joint")
+        cfgs = [small_cfg(strategy=s, n_cycles=1, epochs=3) for s in self.SCORED]
+        outcomes = alengine.run_experiments(train, test, cfgs)
+        assert len(calls) == 1
+        assert all(len(reports) == 1 for reports in outcomes)
+
+    def test_permuted_labeled_ids_do_not_share_an_entry(self, monkeypatch):
+        train, test = small_data()
+        cfg = small_cfg(strategy=StrategyKind.SNAPSHOT_ENTROPY, epochs=3)
+        labeled = [int(i) for i in train.ids[:12]]
+        pool = train.ids[12:]
+        calls = self.count_calls(monkeypatch, "train_joint")
+        memo = {}
+        first = alengine.run_cycle(labeled, pool, train, test, cfg, 1, memo=memo)
+        permuted = alengine.run_cycle(labeled[::-1], pool, train, test, cfg, 1, memo=memo)
+        again = alengine.run_cycle(labeled, pool, train, test, cfg, 1, memo=memo)
+        assert len(calls) == 2 and len(memo) == 2
+        assert permuted[0] is not first[0]
+        assert again[0] is first[0]
+        assert again[1].selected_ids == first[1].selected_ids
+
+    def test_memo_is_empty_once_its_cycle_ends(self, monkeypatch):
+        train, test = small_data()
+        seen = []
+        run_cycle = alengine.run_cycle
+
+        def spy(*a, memo, **k):
+            # the previous cycle's memo is empty when the next cycle starts
+            assert all(not m for c, m in seen if c != a[5])
+            seen.append((a[5], memo))
+            return run_cycle(*a, memo=memo, **k)
+
+        monkeypatch.setattr(alengine, "run_cycle", spy)
+        cfgs = [small_cfg(strategy=s, n_cycles=3, epochs=3) for s in self.SCORED]
+        alengine.run_experiments(train, test, cfgs)
+        assert [c for c, _ in seen] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+        assert len({id(m) for _, m in seen}) == 3
+        assert all(not m for _, m in seen)
+
+    def test_grouped_reports_equal_separate_runs(self):
+        train, test = small_data()
+        cfgs = [small_cfg(strategy=s, n_cycles=2, epochs=4, dump_scores=True, analysis=True)
+                for s in StrategyKind]
+        grouped = alengine.run_experiments(train, test, cfgs, minor_classes=[1, 2])
+        for cfg, reports in zip(cfgs, grouped):
+            alone = alengine.run_experiment(train, test, cfg, minor_classes=[1, 2])
+            assert reports == alone
+            assert all(r.kl_rows for r in reports)
+            if cfg.strategy not in (StrategyKind.RANDOM, StrategyKind.CORESET):
+                assert all(r.score_rows for r in reports)
+
+    def test_failed_strategy_leaves_the_others_to_finish(self, monkeypatch):
+        train, test = small_data()
+        cfgs = [small_cfg(strategy=s, n_cycles=2, epochs=3) for s in self.SCORED]
+        expected = alengine.run_experiments(train, test, cfgs, minor_classes=[1])
+        scores = alengine.strategy_scores
+
+        def fail_tidal(kind, *a):
+            if kind is StrategyKind.TIDAL_ENTROPY:
+                raise RuntimeError("scoring failed")
+            return scores(kind, *a)
+
+        monkeypatch.setattr(alengine, "strategy_scores", fail_tidal)
+        outcomes = alengine.run_experiments(train, test, cfgs, minor_classes=[1])
+        assert isinstance(outcomes[2], RuntimeError)
+        assert outcomes[:2] == expected[:2]
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            alengine.run_experiment(train, test, cfgs[2])
+
+    def test_failed_training_stores_nothing(self, monkeypatch):
+        train, test = small_data()
+        calls = self.count_calls(monkeypatch, "train_joint", fail=True)
+        cfgs = [small_cfg(strategy=s, n_cycles=2, epochs=3) for s in self.SCORED[:2]]
+        memo = {}
+        with pytest.raises(RuntimeError):
+            alengine.run_cycle([int(i) for i in train.ids[:12]], train.ids[12:], train, test,
+                               cfgs[0], 1, memo=memo)
+        assert memo == {}
+        # each strategy then trains, and fails, on its own
+        outcomes = alengine.run_experiments(train, test, cfgs)
+        assert all(isinstance(o, RuntimeError) for o in outcomes)
+        assert len(calls) == 1 + 2
+
+    def test_configs_may_differ_only_in_strategy(self):
+        train, test = small_data()
+        with pytest.raises(ValueError, match="differ only in strategy"):
+            alengine.run_experiments(train, test, [small_cfg(seed=0), small_cfg(seed=1)])
+        with pytest.raises(ValueError, match="no configs"):
+            alengine.run_experiments(train, test, [])
+
+
 class TestTrainingModes:
     def test_one_update_of_net_and_head_per_batch(self, monkeypatch):
         train, _ = small_data()

@@ -1,6 +1,7 @@
 import ast
 import csv
 import dataclasses
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 import dynal
-from dynal import cli, theorysim
+from dynal import alengine, cli, theorysim
 from dynal.cli import ExperimentConfig, RunManifest, dispatch, main, parse_config, serialize_config
 from dynal.datasets import (GENERATORS, IMBALANCE_PROFILES, DatasetSpec, gen_gaussian_mixture,
                             load_csv, save_csv)
@@ -323,14 +324,51 @@ class TestDispatch:
             f2 = out2 / f1.name
             assert f1.read_bytes() == f2.read_bytes()
 
-    def test_jobs_parallel_matches_sequential(self, small_config, tmp_path):
+    def test_jobs_parallel_matches_sequential(self, tmp_path):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(SMALL_CFG.replace("al:\n", "al:\n  dump_scores: true\n"))
+        strategies = ["random", "snapshot_entropy", "coreset", "tidal_entropy", "tidal_margin",
+                      "tidal_prob_naive"]
         seq, par = tmp_path / "seq", tmp_path / "par"
-        dispatch(RunManifest("al-run", str(small_config), str(seq),
-                             seeds=[0, 1], strategies=["random"], jobs=1))
-        dispatch(RunManifest("al-run", str(small_config), str(par),
-                             seeds=[0, 1], strategies=["random"], jobs=2))
-        for f1 in sorted(seq.iterdir()):
-            assert f1.read_bytes() == (par / f1.name).read_bytes()
+        for out, jobs in ((seq, 1), (par, 2)):
+            assert dispatch(RunManifest("al-run", str(config), str(out), seeds=[0, 1, 2],
+                                        strategies=strategies, jobs=jobs, analysis=True)) == 0
+        files = sorted(f.name for f in seq.iterdir())
+        assert files == sorted(f.name for f in par.iterdir())
+        assert len(files) == 1 + 6 * 3 + 4 * 3 * 2 + 6 * 3 * 2  # summary, results, scores, kl
+        for name in files:
+            assert (seq / name).read_bytes() == (par / name).read_bytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_strategy_leaves_its_seed_group(self, small_config, tmp_path, capsys,
+                                                    monkeypatch, jobs):
+        """A run that raises writes nothing and is named on stderr with its
+        traceback; the other strategies of its seed finish and are written."""
+        if jobs > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patch reaches pool workers only when they are forked")
+        args = ["al-run", "--config", str(small_config), "--seeds", "0,1"]
+        clean = tmp_path / "clean"
+        assert main(args + ["--out", str(clean), "--strategies", "random,snapshot_entropy"]) == 0
+        capsys.readouterr()
+        scores = alengine.strategy_scores
+
+        def fail_tidal(kind, *a):
+            if kind is StrategyKind.TIDAL_MARGIN:
+                raise RuntimeError("tidal scoring failed")
+            return scores(kind, *a)
+
+        monkeypatch.setattr(alengine, "strategy_scores", fail_tidal)
+        out = tmp_path / "out"
+        code = main(args + ["--out", str(out), "--jobs", str(jobs),
+                            "--strategies", "random,tidal_margin,snapshot_entropy"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "FAILED runs: tidal_margin-seed0, tidal_margin-seed1" in err
+        assert err.count("RuntimeError: tidal scoring failed") == 2
+        assert not list(out.glob("results_tidal_margin_*"))
+        for name in ("results_random_seed0.csv", "results_random_seed1.csv",
+                     "results_snapshot_entropy_seed0.csv", "results_snapshot_entropy_seed1.csv"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes()
 
     def test_pilot_writes_scores_and_auroc(self, pilot_config, tmp_path, capsys):
         out = tmp_path / "out"
