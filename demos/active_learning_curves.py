@@ -42,7 +42,7 @@ for seed in SEEDS:
     cfgs = [
         ALConfig(
             net=NetConfig(input_dim=12, hidden_sizes=[32, 32], n_classes=8,
-                          tap_layers=[0, 1], seed=0),
+                          tap_layers=[0, 1]),
             opt=OptimizerConfig(kind="sgd_momentum", initial_lr=0.03, momentum=0.9,
                                 weight_decay=5e-4, decay_epoch=48, decay_factor=0.1),
             strategy=strategy, initial_labeled=20, budget_per_cycle=20, n_cycles=5,

@@ -26,7 +26,7 @@ spec = DatasetSpec(
 train, test = build_dataset(spec)
 
 cfg = ALConfig(
-    net=NetConfig(input_dim=16, hidden_sizes=[32, 32], n_classes=10, tap_layers=[0, 1], seed=0),
+    net=NetConfig(input_dim=16, hidden_sizes=[32, 32], n_classes=10, tap_layers=[0, 1]),
     opt=OptimizerConfig(kind="adam", initial_lr=1e-2, weight_decay=0.0,
                         decay_epoch=10**6, decay_factor=1.0),
     strategy=StrategyKind.RANDOM, initial_labeled=20, budget_per_cycle=20,

@@ -80,6 +80,8 @@ class ALConfig(ALProtocol):
             raise ValueError("n_cycles, epochs and batch_size must be >= 1")
         if not 0 <= self.lam < np.inf:
             raise ValueError("lam must be nonnegative and finite")
+        if self.head_reduce_dim < 1:
+            raise ValueError("head_reduce_dim must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -132,16 +134,14 @@ def train_joint(
     classifier through the tapped layers.  Store rows are positions in
     ``labeled`` (and in ``test`` for the trace).
     """
-    net_cfg = replace(cfg.net, seed=_stream_seed(cfg.seed, cycle, _STREAM_NET))
+    net_cfg = cfg.net
     if net_cfg.input_dim != labeled.dim or net_cfg.n_classes != labeled.n_classes:
         raise ValueError("net config does not match dataset dimensions")
-    head_cfg = tdhead.HeadConfig(
-        tap_dims=[net_cfg.hidden_sizes[t] for t in net_cfg.tap_layers],
-        n_classes=net_cfg.n_classes,
-        reduce_dim=cfg.head_reduce_dim,
-        seed=_stream_seed(cfg.seed, cycle, _STREAM_HEAD),
+    theta, net, head = netcore.flatten(
+        netcore.init_net(net_cfg, _stream_seed(cfg.seed, cycle, _STREAM_NET)),
+        tdhead.init_head([net_cfg.hidden_sizes[t] for t in net_cfg.tap_layers], net_cfg.n_classes,
+                         cfg.head_reduce_dim, _stream_seed(cfg.seed, cycle, _STREAM_HEAD)),
     )
-    theta, net, head = netcore.flatten(netcore.init_net(net_cfg), tdhead.init_head(head_cfg))
     opt_state = netcore.init_opt_state(theta)
     shuffle_rng = np.random.default_rng(_stream_seed(cfg.seed, cycle, _STREAM_SHUFFLE))
 
@@ -399,7 +399,6 @@ class PilotResult:
     classifier's argmax labels."""
 
     sample_ids: np.ndarray
-    labels: np.ndarray
     snapshot_labels: np.ndarray
     is_minor: np.ndarray
     scores: dict[str, np.ndarray]
@@ -431,9 +430,7 @@ def run_pilot(
     scores.update({f"{name}_margin": margin(p, labels) for name, p in vectors.items()})
     is_minor = np.isin(labels, list(minor_classes))
     auroc = {k: separation_auroc(uncertainty(k, v), is_minor) for k, v in scores.items()}
-    return PilotResult(
-        train.ids.copy(), labels.copy(), snap.argmax(axis=1), is_minor, scores, auroc, result
-    )
+    return PilotResult(train.ids.copy(), snap.argmax(axis=1), is_minor, scores, auroc, result)
 
 
 def save_results_csv(path, rows) -> None:

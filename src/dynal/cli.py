@@ -291,12 +291,12 @@ def _run_kl(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> int:
 
 def _run_theory_sde(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> int:
     th = cfg.theory
+    # The ODE first, so that its bad inputs stop the run before any file is written.
+    _, ode = theorysim.integrate_ode(th.elasticity_params(manifest.seeds[0]), th.dt, th.t_end)
     for seed in manifest.seeds:
         params = th.elasticity_params(seed)
         traj = theorysim.simulate_discrete(params)
         theorysim.save_trajectory_csv(out / f"trajectory_sde_seed{seed}.csv", traj)
-    params = th.elasticity_params(manifest.seeds[0])
-    _, ode = theorysim.integrate_ode(params, th.dt, th.t_end)
     theorysim.save_trajectory_csv(out / "trajectory_ode.csv", ode)
     gap = theorysim.convergence_gap(ode)
     print(f"theory-sde: ODE gap at t_end={th.t_end}: {gap[-1]:.6f}")

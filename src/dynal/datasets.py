@@ -45,9 +45,14 @@ class Dataset:
 
     @cached_property
     def _id_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ids in sorted order, their row positions), built on first use."""
+        """(ids in sorted order, their row positions), built on first use;
+        ValueError names the first repeated id."""
         order = np.argsort(self.ids, kind="stable")
-        return self.ids[order], order
+        sorted_ids = self.ids[order]
+        repeated = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
+        if repeated.size:
+            raise ValueError(f"repeated sample id {repeated[0]}")
+        return sorted_ids, order
 
     def by_ids(self, wanted) -> "Dataset":
         """Row subset by sample ids, in the order given; KeyError names the
@@ -72,8 +77,8 @@ class ImbalanceSpec:
     minor_classes: list[int] | None = None
 
     def __post_init__(self):
-        if self.ratio < 1:
-            raise ValueError("imbalance ratio must be >= 1")
+        if not 1 <= self.ratio < np.inf:
+            raise ValueError("imbalance ratio must be >= 1 and finite")
         if self.profile not in IMBALANCE_PROFILES:
             raise ValueError(f"imbalance profile must be one of {IMBALANCE_PROFILES}")
         if self.profile == "exponential" and self.minor_classes is not None:

@@ -50,7 +50,6 @@ class NetConfig:
     n_classes: int
     tap_layers: list[int] = field(default_factory=lambda: [0])
     activation: str = "relu"
-    seed: int = 0
 
     def __post_init__(self):
         if self.input_dim < 1:
@@ -59,6 +58,8 @@ class NetConfig:
             raise ValueError("hidden_sizes must be a non-empty list of positive ints")
         if self.n_classes < 2:
             raise ValueError("n_classes must be >= 2")
+        if not self.tap_layers:
+            raise ValueError("tap_layers must be non-empty")
         n_hidden = len(self.hidden_sizes)
         for t in self.tap_layers:
             if not 0 <= t < n_hidden:
@@ -156,9 +157,9 @@ class BatchTrace:
     taps: list[np.ndarray]
 
 
-def init_net(cfg: NetConfig) -> NetState:
-    """Seeded He (relu) or Xavier (tanh) initialization, zero biases."""
-    rng = np.random.default_rng(cfg.seed)
+def init_net(cfg: NetConfig, seed: int) -> NetState:
+    """He (relu) or Xavier (tanh) initialization drawn from ``seed``, zero biases."""
+    rng = np.random.default_rng(seed)
     gain = 2.0 if cfg.activation == "relu" else 1.0
     weights, biases = [], []
     dims = cfg.layer_dims
@@ -201,14 +202,13 @@ def _joint_terms(
     head,
     X: np.ndarray,
     y: np.ndarray,
-    td_targets: np.ndarray | None,
+    td_targets: np.ndarray,
     trace: BatchTrace | None = None,
-) -> tuple[BatchTrace, np.ndarray, np.ndarray, tuple | None]:
+) -> tuple[BatchTrace, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tdhead.HeadCache]:
     """Per-sample terms of the joint loss, shared by joint_loss and grad_joint.
 
-    Returns ``(trace, cross entropy, KL(target || head), head pass)``; the
-    head pass is ``(targets, head probs, head cache)``, or None without
-    targets, when the KL is zero.
+    Returns ``(trace, cross entropy, KL(target || head), targets, head
+    probs, head cache)``.
     """
     if trace is None:
         trace = forward_batch(state, cfg, X)
@@ -217,13 +217,11 @@ def _joint_terms(
     if np.any((y < 0) | (y >= cfg.n_classes)):
         raise ValueError(f"class index out of range for {cfg.n_classes} classes")
     per_ce = -log_softmax(trace.logits, axis=1)[np.arange(B), y]
-    if td_targets is None:
-        return trace, per_ce, np.zeros(B), None
     q = np.asarray(td_targets, dtype=np.float64)
     if q.shape != (B, cfg.n_classes):
         raise ValueError(f"td_targets shape {q.shape} != {(B, cfg.n_classes)}")
     pt, cache = tdhead.head_forward_batch(head, trace.taps)
-    return trace, per_ce, kl_rows(q, pt), (q, pt, cache)
+    return trace, per_ce, kl_rows(q, pt), q, pt, cache
 
 
 def joint_loss(
@@ -232,11 +230,11 @@ def joint_loss(
     head,
     X: np.ndarray,
     y: np.ndarray,
-    td_targets: np.ndarray | None,
+    td_targets: np.ndarray,
 ) -> tuple[float, float]:
     """(batch-mean cross entropy, batch-mean KL) without gradients: the
     finite-difference oracle for grad_joint, on the same loss terms."""
-    _, per_ce, per_kl, _ = _joint_terms(state, cfg, head, X, y, td_targets)
+    _, per_ce, per_kl, *_ = _joint_terms(state, cfg, head, X, y, td_targets)
     return float(per_ce.mean()), float(per_kl.mean())
 
 
@@ -246,7 +244,7 @@ def grad_joint(
     head,
     X: np.ndarray,
     y: np.ndarray,
-    td_targets: np.ndarray | None,
+    td_targets: np.ndarray,
     lam: float,
     sample_ids: np.ndarray | None = None,
     trace: BatchTrace | None = None,
@@ -255,10 +253,9 @@ def grad_joint(
 
     Returns ``(grad, loss_target, loss_module)``: ``grad`` is one float64
     vector in the layout ``flatten(state, head)`` gives the parameters, net
-    part then head part (zeros without targets, absent when ``head`` is
-    None).  The head-loss gradient flows into the classifier through the
-    tapped layers.  ``trace`` may carry an already-computed forward pass of
-    this batch.
+    part then head part.  The head-loss gradient flows into the classifier
+    through the tapped layers.  ``trace`` may carry an already-computed
+    forward pass of this batch.
 
     Raises FloatingPointError naming the offending sample id if any
     per-sample loss is non-finite.
@@ -268,7 +265,7 @@ def grad_joint(
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=int)
     B = X.shape[0]
-    trace, per_ce, per_kl, head_pass = _joint_terms(state, cfg, head, X, y, td_targets, trace)
+    trace, per_ce, per_kl, q, pt, cache = _joint_terms(state, cfg, head, X, y, td_targets, trace)
     per_total = per_ce + lam * per_kl
     if not np.all(np.isfinite(per_total)):
         ids = np.arange(B) if sample_ids is None else np.asarray(sample_ids)
@@ -279,17 +276,12 @@ def grad_joint(
     onehot[np.arange(B), y] = 1.0
     dlogits = (trace.probs - onehot) / B
 
-    head_grads: list[np.ndarray] = []
+    # d(lam * mean KL)/d(head logits) = lam * (softmax - target) / B
+    dU = lam * (pt - q) / B
+    head_grads, tap_grads = tdhead.head_backward(head, cache, dU)
     tap_at_layer: dict[int, np.ndarray] = {}
-    if head_pass is not None:
-        q, pt, cache = head_pass
-        # d(lam * mean KL)/d(head logits) = lam * (softmax - target) / B
-        dU = lam * (pt - q) / B
-        head_grads, tap_grads = tdhead.head_backward(head, cache, dU)
-        for layer, g in zip(cfg.tap_layers, tap_grads):
-            tap_at_layer[layer] = tap_at_layer.get(layer, 0.0) + g
-    elif head is not None:
-        head_grads = [np.zeros_like(p) for p in head.params()]
+    for layer, g in zip(cfg.tap_layers, tap_grads):
+        tap_at_layer[layer] = tap_at_layer.get(layer, 0.0) + g
 
     n_hidden = len(cfg.hidden_sizes)
     dW = [None] * (n_hidden + 1)

@@ -17,22 +17,6 @@ from .numutil import relu, stable_softmax
 
 
 @dataclass
-class HeadConfig:
-    tap_dims: list[int]
-    n_classes: int
-    reduce_dim: int = 16
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.tap_dims or any(d < 1 for d in self.tap_dims):
-            raise ValueError("tap_dims must be a non-empty list of positive ints")
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
-        if self.reduce_dim < 1:
-            raise ValueError("reduce_dim must be positive")
-
-
-@dataclass
 class HeadState:
     """Per-tap reduction weights plus the final output layer."""
 
@@ -63,15 +47,16 @@ class HeadCache:
     concat: np.ndarray
 
 
-def init_head(cfg: HeadConfig) -> HeadState:
-    rng = np.random.default_rng(cfg.seed)
+def init_head(tap_dims: list[int], n_classes: int, reduce_dim: int, seed: int) -> HeadState:
+    """He-initialized tap reductions, a Xavier output layer, zero biases."""
+    rng = np.random.default_rng(seed)
     rw, rb = [], []
-    for d in cfg.tap_dims:
-        rw.append(rng.normal(0.0, np.sqrt(2.0 / d), size=(cfg.reduce_dim, d)))
-        rb.append(np.zeros(cfg.reduce_dim))
-    total = cfg.reduce_dim * len(cfg.tap_dims)
-    out_w = rng.normal(0.0, np.sqrt(1.0 / total), size=(cfg.n_classes, total))
-    return HeadState(rw, rb, out_w, np.zeros(cfg.n_classes))
+    for d in tap_dims:
+        rw.append(rng.normal(0.0, np.sqrt(2.0 / d), size=(reduce_dim, d)))
+        rb.append(np.zeros(reduce_dim))
+    total = reduce_dim * len(tap_dims)
+    out_w = rng.normal(0.0, np.sqrt(1.0 / total), size=(n_classes, total))
+    return HeadState(rw, rb, out_w, np.zeros(n_classes))
 
 
 def head_forward_batch(head: HeadState, taps: list[np.ndarray]) -> tuple[np.ndarray, HeadCache]:

@@ -40,10 +40,12 @@ class ElasticityParams:
             raise ValueError("group sizes must be positive")
         if not (self.alpha_e > self.alpha_h > self.beta > 0):
             raise ValueError("elasticities must satisfy alpha_e > alpha_h > beta > 0")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.noise < 0:
-            raise ValueError("noise must be nonnegative")
+        if not 0 < self.step_size < np.inf:
+            raise ValueError("step_size must be positive and finite")
+        if not 0 <= self.noise < np.inf:
+            raise ValueError("noise must be nonnegative and finite")
+        if len(self.x0) != 3 or not np.isfinite(self.x0).all():
+            raise ValueError("x0 must be three finite group means")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
 
@@ -127,10 +129,10 @@ def integrate_ode(params: ElasticityParams, dt: float, t_end: float) -> tuple[np
     Returns (times, trajectory) with trajectory[k] the group means at
     times[k]; deterministic.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
+    if not 0 < t_end < np.inf:
+        raise ValueError("t_end must be positive and finite")
     A = ode_matrix(params)
     steps = int(round(t_end / dt))
     traj = np.empty((steps + 1, 3))

@@ -18,7 +18,7 @@ def small_data(seed=3, n_classes=4, per_class=60):
 
 def small_cfg(strategy=StrategyKind.RANDOM, seed=0, **kw):
     base = dict(
-        net=NetConfig(input_dim=6, hidden_sizes=[16, 16], n_classes=4, tap_layers=[0, 1], seed=0),
+        net=NetConfig(input_dim=6, hidden_sizes=[16, 16], n_classes=4, tap_layers=[0, 1]),
         opt=OptimizerConfig(kind="sgd_momentum", initial_lr=0.05, momentum=0.9,
                             weight_decay=5e-4, decay_epoch=12, decay_factor=0.1),
         strategy=strategy,
@@ -37,8 +37,8 @@ def small_cfg(strategy=StrategyKind.RANDOM, seed=0, **kw):
 
 class TestEvaluate:
     def test_uniform_net_on_balanced_two_class(self):
-        cfg = NetConfig(input_dim=2, hidden_sizes=[3], n_classes=2, seed=0)
-        net = netcore.init_net(cfg)
+        cfg = NetConfig(input_dim=2, hidden_sizes=[3], n_classes=2)
+        net = netcore.init_net(cfg, 0)
         for p in net.params():
             p[:] = 0.0
         test = datasets.Dataset(
@@ -121,6 +121,20 @@ class TestALConfig:
         with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
             small_cfg(lam=lam)
 
+    def test_equal_configs_train_equal_models(self):
+        # The model follows from the config's value and the cycle: two
+        # separately built equal configs train it bit for bit alike.
+        train, _ = small_data()
+        labeled = train.by_ids(train.ids[:24])
+        a = alengine.train_joint(labeled, small_cfg(seed=3, epochs=3), cycle=2)
+        b = alengine.train_joint(labeled, small_cfg(seed=3, epochs=3), cycle=2)
+        c = alengine.train_joint(labeled, small_cfg(seed=4, epochs=3), cycle=2)
+        assert a.net_cfg == small_cfg().net
+        for p, q in zip(a.net.params() + a.head.params(), b.net.params() + b.head.params()):
+            np.testing.assert_array_equal(p, q)
+        np.testing.assert_array_equal(a.store.values(np.arange(24)), b.store.values(np.arange(24)))
+        assert not np.array_equal(a.net.weights[0], c.net.weights[0])
+
 
 class TestRunCycle:
     def test_labeled_count_invariant(self):
@@ -200,7 +214,7 @@ class TestExperimentInvariants:
             for seed in range(10):
                 cfg = small_cfg(
                     net=NetConfig(input_dim=8, hidden_sizes=[16, 16], n_classes=4,
-                                  tap_layers=[0, 1], seed=0),
+                                  tap_layers=[0, 1]),
                     opt=OptimizerConfig(kind="sgd_momentum", initial_lr=0.05, momentum=0.9,
                                         weight_decay=5e-4, decay_epoch=24, decay_factor=0.1),
                     strategy=strategy, initial_labeled=20, budget_per_cycle=20, n_cycles=3,
@@ -222,7 +236,7 @@ class TestExperimentInvariants:
         train, test = build_dataset(spec)
         # 30 train samples: 10 initial + 8/cycle exhausts during cycle 3
         cfg = small_cfg(
-            net=NetConfig(input_dim=6, hidden_sizes=[8], n_classes=2, tap_layers=[0], seed=0),
+            net=NetConfig(input_dim=6, hidden_sizes=[8], n_classes=2, tap_layers=[0]),
             strategy=StrategyKind.SNAPSHOT_ENTROPY,
             initial_labeled=10, budget_per_cycle=8, subset_size=8, n_cycles=10, epochs=2,
         )
@@ -416,7 +430,7 @@ class TestPilot:
                            test_fraction=0.25, seed=11)
         train, test = build_dataset(spec)
         cfg = small_cfg(
-            net=NetConfig(input_dim=8, hidden_sizes=[16, 16], n_classes=4, tap_layers=[0, 1], seed=0),
+            net=NetConfig(input_dim=8, hidden_sizes=[16, 16], n_classes=4, tap_layers=[0, 1]),
             opt=OptimizerConfig(kind="adam", initial_lr=5e-3, weight_decay=0.0,
                                 decay_epoch=10**6, decay_factor=1.0),
             epochs=10,

@@ -220,14 +220,28 @@ class TestParseConfig:
         ("al-run", "al", "lam", float("nan")),
         ("pilot", "pilot", "lam", float("inf")),
         ("al-run", "dataset", "noise", float("nan")),
+        ("pilot", "dataset.imbalance", "ratio", float("nan")),
+        ("theory-sde", "theory", "step_size", float("inf")),
+        ("theory-sde", "theory", "noise", float("nan")),
+        ("theory-sde", "theory", "x0", [float("nan"), 1.0, 1.0]),
+        ("theory-sde", "theory", "dt", float("nan")),
+        ("theory-sde", "theory", "t_end", float("inf")),
+        # Out of range though finite: an empty tap list and a zero-width head.
+        ("al-run", "net", "tap_layers", []),
+        ("al-run", "head", "reduce_dim", 0),
     ])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, command, section, key, value):
-        raw = yaml.safe_load({"al-run": SMALL_CFG, "pilot": PILOT_CFG}[command])
-        raw[section][key] = value  # dumped as .nan / .inf
+        raw = yaml.safe_load(PILOT_CFG if command == "pilot" else SMALL_CFG)
+        node = raw
+        for part in section.split("."):
+            node = node.setdefault(part, {})
+        node[key] = value  # dumped as .nan / .inf
         p = tmp_path / "bad.yaml"
         p.write_text(yaml.safe_dump(raw))
-        assert main([command, "--config", str(p), "--out", str(tmp_path / "x")]) == 2
+        out = tmp_path / "x"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
         assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_round_trip(self, small_config, tmp_path):
         cfg = parse_config(small_config)

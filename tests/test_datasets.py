@@ -237,6 +237,12 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=r"line 5: repeated sample id 4 \(first on line 2\)"):
             load_csv(path)
 
+    def test_repeated_id_in_a_built_dataset_is_named(self):
+        ds = Dataset(ids=np.array([9, 5, 7, 5, 9]), X=np.zeros((5, 1)),
+                     y=np.array([0, 1, 0, 1, 0]), n_classes=2)
+        with pytest.raises(ValueError, match="repeated sample id 5"):
+            ds.by_ids([5, 7])
+
     def test_label_gap_names_missing_class(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("id,feature_0,label\n0,1.0,0\n1,2.0,3\n2,3.0,1\n")

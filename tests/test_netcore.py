@@ -7,15 +7,28 @@ from dynal import netcore, tdhead
 from dynal.netcore import NetConfig, OptimizerConfig
 
 
-def tiny_cfg(activation="tanh", seed=5):
+def tiny_cfg(activation="tanh"):
     return NetConfig(input_dim=2, hidden_sizes=[3], n_classes=2, tap_layers=[0],
-                     activation=activation, seed=seed)
+                     activation=activation)
+
+
+class TestInit:
+    def test_deterministic_in_the_seed(self):
+        cfg = NetConfig(input_dim=3, hidden_sizes=[4, 5], n_classes=3, tap_layers=[0, 1])
+        a, b, c = (netcore.init_net(cfg, s) for s in (3, 3, 4))
+        for p, q in zip(a.params(), b.params()):
+            np.testing.assert_array_equal(p, q)
+        assert not np.array_equal(a.weights[0], c.weights[0])
+        h1, h2, h3 = (tdhead.init_head([4, 5], 3, 2, s) for s in (3, 3, 4))
+        for p, q in zip(h1.params(), h2.params()):
+            np.testing.assert_array_equal(p, q)
+        assert not np.array_equal(h1.out_weight, h3.out_weight)
 
 
 class TestForward:
     def test_zero_net_gives_uniform(self):
-        cfg = NetConfig(input_dim=3, hidden_sizes=[4], n_classes=5, seed=0)
-        state = netcore.init_net(cfg)
+        cfg = NetConfig(input_dim=3, hidden_sizes=[4], n_classes=5)
+        state = netcore.init_net(cfg, 0)
         for w in state.weights:
             w[:] = 0.0
         trace = netcore.forward_batch(state, cfg, np.array([1.0, -2.0, 0.5]))
@@ -23,7 +36,7 @@ class TestForward:
 
     def test_deterministic(self):
         cfg = tiny_cfg()
-        state = netcore.init_net(cfg)
+        state = netcore.init_net(cfg, 5)
         x = np.array([0.3, -0.7])
         t1 = netcore.forward_batch(state, cfg, x)
         t2 = netcore.forward_batch(state, cfg, x)
@@ -33,8 +46,8 @@ class TestForward:
     def test_matches_independent_reimplementation(self):
         # Per-unit loop evaluation, sharing no code with the library path.
         cfg = NetConfig(input_dim=4, hidden_sizes=[5, 3], n_classes=3,
-                        tap_layers=[0, 1], activation="relu", seed=12)
-        state = netcore.init_net(cfg)
+                        tap_layers=[0, 1], activation="relu")
+        state = netcore.init_net(cfg, 12)
         rng = np.random.default_rng(77)
         x = rng.normal(size=4)
         a = list(x)
@@ -56,13 +69,13 @@ class TestForward:
 
     def test_dimension_mismatch_rejected(self):
         cfg = tiny_cfg()
-        state = netcore.init_net(cfg)
+        state = netcore.init_net(cfg, 5)
         with pytest.raises(ValueError):
             netcore.forward_batch(state, cfg, np.zeros(3))
 
     def test_softmax_always_on_simplex(self):
-        cfg = NetConfig(input_dim=6, hidden_sizes=[8], n_classes=7, seed=3)
-        state = netcore.init_net(cfg)
+        cfg = NetConfig(input_dim=6, hidden_sizes=[8], n_classes=7)
+        state = netcore.init_net(cfg, 3)
         rng = np.random.default_rng(1)
         X = rng.normal(scale=5.0, size=(50, 6))
         probs = netcore.forward_batch(state, cfg, X).probs
@@ -73,12 +86,15 @@ class TestForward:
 def cross_entropy(probs, y):
     """The cross entropy joint_loss reports for one sample whose classifier
     outputs ``probs``: zero output weights, log-probability output biases."""
-    cfg = NetConfig(input_dim=1, hidden_sizes=[1], n_classes=len(probs), seed=0)
-    state = netcore.init_net(cfg)
+    C = len(probs)
+    cfg = NetConfig(input_dim=1, hidden_sizes=[1], n_classes=C)
+    state = netcore.init_net(cfg, 0)
     state.weights[-1][:] = 0.0
     with np.errstate(divide="ignore"):
         state.biases[-1][:] = np.log(probs)
-    return netcore.joint_loss(state, cfg, None, np.zeros((1, 1)), np.array([y]), None)[0]
+    head = tdhead.init_head([1], C, 1, 0)
+    return netcore.joint_loss(state, cfg, head, np.zeros((1, 1)), np.array([y]),
+                              np.full((1, C), 1 / C))[0]
 
 
 class TestCrossEntropy:
@@ -113,10 +129,9 @@ def n_params(state):
 class TestGradJoint:
     def make_instance(self, seed, activation="tanh"):
         cfg = NetConfig(input_dim=2, hidden_sizes=[3], n_classes=2, tap_layers=[0],
-                        activation=activation, seed=seed)
-        net = netcore.init_net(cfg)
-        hcfg = tdhead.HeadConfig(tap_dims=[3], n_classes=2, reduce_dim=4, seed=seed + 1)
-        head = tdhead.init_head(hcfg)
+                        activation=activation)
+        net = netcore.init_net(cfg, seed)
+        head = tdhead.init_head([3], 2, 4, seed + 1)
         rng = np.random.default_rng(seed + 2)
         X = rng.normal(size=(4, 2))
         y = rng.integers(0, 2, size=4)
@@ -130,14 +145,16 @@ class TestGradJoint:
             netcore.grad_joint(net, cfg, head, X, y, q, lam=lam)
 
     def test_lambda_zero_equals_pure_cross_entropy(self):
+        # At lam = 0 the targets reach no gradient: two target sets give the
+        # same net gradient bit for bit, and the head's part is zero.
         cfg, net, head, X, y, q = self.make_instance(40)
         g0, lt0, _ = netcore.grad_joint(net, cfg, head, X, y, q, lam=0.0)
-        gce, ltc, _ = netcore.grad_joint(net, cfg, head, X, y, None, lam=0.0)
+        g1, lt1, _ = netcore.grad_joint(net, cfg, head, X, y, q[:, ::-1], lam=0.0)
         n_net = n_params(net)
-        assert lt0 == ltc
-        assert g0.shape == gce.shape == (n_net + n_params(head),)
-        np.testing.assert_array_equal(g0[:n_net], gce[:n_net])
-        assert np.all(g0[n_net:] == 0) and np.all(gce[n_net:] == 0)
+        assert lt0 == lt1
+        assert g0.shape == g1.shape == (n_net + n_params(head),)
+        np.testing.assert_array_equal(g0[:n_net], g1[:n_net])
+        assert np.all(g0[n_net:] == 0) and np.all(g1[n_net:] == 0)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -152,10 +169,8 @@ class TestGradJoint:
         fd = flat(fd_grads(total, net.params() + head.params()))
         assert rel_err([grad], [fd]) < 1e-4
 
-    @pytest.mark.parametrize("with_targets", [True, False])
-    def test_losses_equal_the_oracle(self, with_targets):
+    def test_losses_equal_the_oracle(self):
         cfg, net, head, X, y, q = self.make_instance(5)
-        q = q if with_targets else None
         _, lt, lm = netcore.grad_joint(net, cfg, head, X, y, q, lam=1.0)
         assert (lt, lm) == netcore.joint_loss(net, cfg, head, X, y, q)
 
@@ -184,8 +199,8 @@ class TestGradJoint:
 class TestFlatten:
     def test_states_are_views_into_one_vector(self):
         cfg = tiny_cfg()
-        net = netcore.init_net(cfg)
-        head = tdhead.init_head(tdhead.HeadConfig(tap_dims=[3], n_classes=2, reduce_dim=4, seed=1))
+        net = netcore.init_net(cfg, 5)
+        head = tdhead.init_head([3], 2, 4, 1)
         expected = flat(net.params() + head.params())
         theta, fnet, fhead = netcore.flatten(net, head)
         assert theta.dtype == np.float64 and theta.flags.c_contiguous
@@ -196,8 +211,8 @@ class TestFlatten:
         np.testing.assert_array_equal(flat(fnet.params() + fhead.params()), expected + 1.0)
 
     def test_from_params_inverts_params(self):
-        net = netcore.init_net(NetConfig(input_dim=2, hidden_sizes=[3, 4], n_classes=2))
-        head = tdhead.init_head(tdhead.HeadConfig(tap_dims=[3, 4], n_classes=2))
+        net = netcore.init_net(NetConfig(input_dim=2, hidden_sizes=[3, 4], n_classes=2), 0)
+        head = tdhead.init_head([3, 4], 2, 16, 0)
         for state in (net, head):
             rebuilt = type(state).from_params(state.params())
             assert all(a is b for a, b in zip(rebuilt.params(), state.params()))
@@ -223,7 +238,7 @@ class TestOptimizerConfig:
 class TestOptimizer:
     def test_zero_grads_decay_velocity(self):
         cfg = tiny_cfg()
-        theta, state = netcore.flatten(netcore.init_net(cfg))
+        theta, state = netcore.flatten(netcore.init_net(cfg, 5))
         opt = OptimizerConfig(kind="sgd_momentum", initial_lr=0.1, momentum=0.9, weight_decay=0.0)
         before = theta.copy()
         zeros = np.zeros_like(theta)
@@ -237,7 +252,7 @@ class TestOptimizer:
 
     def test_plain_sgd_step(self):
         cfg = tiny_cfg()
-        theta, state = netcore.flatten(netcore.init_net(cfg))
+        theta, state = netcore.flatten(netcore.init_net(cfg, 5))
         opt = OptimizerConfig(kind="sgd_momentum", initial_lr=0.1, momentum=0.0, weight_decay=0.0)
         before = [p.copy() for p in state.params()]
         grad = np.full_like(theta, 2.0)
@@ -247,8 +262,8 @@ class TestOptimizer:
 
     def test_adam_matches_hand_recurrence(self):
         # independent evaluation of the update for a single scalar parameter
-        cfg = NetConfig(input_dim=1, hidden_sizes=[1], n_classes=2, seed=0)
-        theta, state = netcore.flatten(netcore.init_net(cfg))
+        cfg = NetConfig(input_dim=1, hidden_sizes=[1], n_classes=2)
+        theta, state = netcore.flatten(netcore.init_net(cfg, 0))
         theta0 = float(state.weights[0][0, 0])
         g = 0.5
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
@@ -267,7 +282,7 @@ class TestOptimizer:
 
     def test_weight_decay_augments_gradient(self):
         cfg = tiny_cfg()
-        theta, state = netcore.flatten(netcore.init_net(cfg))
+        theta, state = netcore.flatten(netcore.init_net(cfg, 5))
         opt = OptimizerConfig(kind="sgd_momentum", initial_lr=0.1, momentum=0.0, weight_decay=0.5)
         before = [p.copy() for p in state.params()]
         netcore.apply_update(theta, np.zeros_like(theta), netcore.init_opt_state(theta), opt,
@@ -276,7 +291,7 @@ class TestOptimizer:
             np.testing.assert_allclose(p, b - 0.1 * 0.5 * b, atol=1e-15)
 
     def test_shape_mismatch_moves_no_parameter(self):
-        theta, _ = netcore.flatten(netcore.init_net(tiny_cfg()))
+        theta, _ = netcore.flatten(netcore.init_net(tiny_cfg(), 5))
         opt = OptimizerConfig(kind="sgd_momentum")
         before = theta.copy()
         st = netcore.init_opt_state(theta)
@@ -287,8 +302,8 @@ class TestOptimizer:
 
     @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
     def test_step_to_a_non_finite_head_bias_raises(self, kind):
-        head = tdhead.init_head(tdhead.HeadConfig(tap_dims=[3], n_classes=2, reduce_dim=4, seed=1))
-        theta, _, fhead = netcore.flatten(netcore.init_net(tiny_cfg()), head)
+        head = tdhead.init_head([3], 2, 4, 1)
+        theta, _, fhead = netcore.flatten(netcore.init_net(tiny_cfg(), 5), head)
         grad = np.zeros_like(theta)
         grad[-1] = np.inf  # theta ends with the head's output bias
         opt = OptimizerConfig(kind=kind)
@@ -302,12 +317,12 @@ class TestOptimizer:
     def test_flat_update_is_the_per_parameter_recurrence_bit_for_bit(self, kind):
         # The per-array recurrence written out here, entry for entry in the
         # same operation order, over 60 steps that cross decay_epoch.
-        cfg = NetConfig(input_dim=3, hidden_sizes=[5, 4], n_classes=3, seed=7)
-        head = tdhead.init_head(tdhead.HeadConfig(tap_dims=[5], n_classes=3, reduce_dim=2, seed=8))
+        cfg = NetConfig(input_dim=3, hidden_sizes=[5, 4], n_classes=3)
+        head = tdhead.init_head([5], 3, 2, 8)
         opt = OptimizerConfig(kind=kind, initial_lr=0.05, weight_decay=5e-3, decay_epoch=3,
                               decay_factor=0.1)
-        ref = [p.copy() for p in netcore.init_net(cfg).params() + head.params()]
-        theta, net, fhead = netcore.flatten(netcore.init_net(cfg), head)
+        ref = [p.copy() for p in netcore.init_net(cfg, 7).params() + head.params()]
+        theta, net, fhead = netcore.flatten(netcore.init_net(cfg, 7), head)
         st = netcore.init_opt_state(theta)
         m = [np.zeros_like(p) for p in ref]
         v = [np.zeros_like(p) for p in ref]
@@ -347,20 +362,28 @@ class TestLrSchedule:
         assert all(netcore.lr_at(opt, e) == 0.05 for e in range(30))
 
 
+def classifier_with_head(seed):
+    """A 2-8-2 classifier and a head in one parameter vector; at lam = 0
+    the head and its targets reach no classifier gradient."""
+    cfg = NetConfig(input_dim=2, hidden_sizes=[8], n_classes=2)
+    theta, state, head = netcore.flatten(netcore.init_net(cfg, seed), tdhead.init_head([8], 2, 4, 0))
+    return cfg, theta, state, head
+
+
 class TestTrainingBehavior:
     def test_deterministic_loss_trajectory(self):
         def run():
-            cfg = NetConfig(input_dim=2, hidden_sizes=[8], n_classes=2, seed=3)
-            theta, state = netcore.flatten(netcore.init_net(cfg))
+            cfg, theta, state, head = classifier_with_head(3)
             opt = OptimizerConfig(kind="sgd_momentum", initial_lr=0.1, momentum=0.9,
                                   weight_decay=5e-4, decay_epoch=40)
             rng = np.random.default_rng(0)
             X = rng.normal(size=(40, 2)) + np.where(rng.random(40)[:, None] < 0.5, 2.0, -2.0)
             y = (X[:, 0] > 0).astype(int)
+            q = np.full((len(y), 2), 0.5)
             losses = []
             st = netcore.init_opt_state(theta)
             for epoch in range(10):
-                g, lt, _ = netcore.grad_joint(state, cfg, None, X, y, None, lam=0.0)
+                g, lt, _ = netcore.grad_joint(state, cfg, head, X, y, q, lam=0.0)
                 netcore.apply_update(theta, g, st, opt, epoch)
                 losses.append(lt)
             return losses
@@ -372,16 +395,16 @@ class TestTrainingBehavior:
         n = 60
         X = np.concatenate([rng.normal(size=(n, 2)) + [3, 3], rng.normal(size=(n, 2)) - [3, 3]])
         y = np.concatenate([np.zeros(n, dtype=int), np.ones(n, dtype=int)])
-        cfg = NetConfig(input_dim=2, hidden_sizes=[8], n_classes=2, seed=1)
-        theta, state = netcore.flatten(netcore.init_net(cfg))
+        cfg, theta, state, head = classifier_with_head(1)
+        q = np.full((len(y), 2), 0.5)
         opt = OptimizerConfig(kind="sgd_momentum", initial_lr=0.1, momentum=0.9,
                               weight_decay=0.0, decay_epoch=1000)
         first = None
         st = netcore.init_opt_state(theta)
         for epoch in range(50):
-            g, lt, _ = netcore.grad_joint(state, cfg, None, X, y, None, lam=0.0)
+            g, lt, _ = netcore.grad_joint(state, cfg, head, X, y, q, lam=0.0)
             if first is None:
                 first = lt
             netcore.apply_update(theta, g, st, opt, epoch)
-        _, last, _ = netcore.grad_joint(state, cfg, None, X, y, None, lam=0.0)
+        _, last, _ = netcore.grad_joint(state, cfg, head, X, y, q, lam=0.0)
         assert last < 0.1 * first

@@ -6,11 +6,11 @@ import pytest
 from dynal import netcore, tdhead
 from dynal.netcore import OptimizerConfig
 from dynal.numutil import kl_rows
-from dynal.tdhead import HeadConfig, head_backward, head_forward_batch, init_head
+from dynal.tdhead import head_backward, head_forward_batch, init_head
 
 
 def make_head(seed=0, tap_dims=(3, 4), C=3, reduce_dim=5):
-    return init_head(HeadConfig(tap_dims=list(tap_dims), n_classes=C, reduce_dim=reduce_dim, seed=seed))
+    return init_head(list(tap_dims), C, reduce_dim, seed)
 
 
 def head_forward(head, taps):
