@@ -9,8 +9,8 @@ theory-sde         stochastic elasticity simulation + averaged ODE trajectories
 theory-closed-form closed-form entropy/margin over an s_y grid
 gen-data           generate and save the configured dataset
 
-All artifacts are plain CSV with headers; re-running an identical
-manifest rewrites byte-identical files.
+All artifacts are plain CSV with headers; re-running a command with the
+same config and flags rewrites byte-identical files.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import yaml
 
 from . import alengine, theorysim
 from .alengine import ALConfig, ALProtocol, save_kl_csv, save_results_csv
-from .datasets import Dataset, DatasetSpec, build_dataset, minor_class_set, save_csv
+from .datasets import Dataset, DatasetSpec, build_dataset, save_csv
 from .estimators import StrategyKind, save_scores_csv
 from .netcore import NetConfig, OptimizerConfig
 from .numutil import write_csv
@@ -164,23 +164,6 @@ def build_pilot_config(cfg: ExperimentConfig, train: Dataset, seed: int) -> ALCo
     return ALConfig(**dataclasses.asdict(cfg.pilot), **_run_settings(cfg, train, seed))
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config_path: str
-    out_dir: str
-    seeds: list[int]
-    strategies: list[str]
-    jobs: int = 1
-    analysis: bool = False
-
-    def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
-        if self.jobs < 1:
-            raise ValueError("--jobs must be >= 1")
-
-
 def _save_run(al_cfg: ALConfig, reports, out: Path) -> list:
     """Write one (strategy, seed) run's artifacts; returns its summary rows."""
     strategy, seed = al_cfg.strategy.value, al_cfg.seed
@@ -195,11 +178,11 @@ def _save_run(al_cfg: ALConfig, reports, out: Path) -> list:
     return rows
 
 
-def _al_worker(args):
+def _al_worker(job):
     """The active-learning runs of one seed, one per strategy, sharing each
     cycle's training.  Returns per strategy (summary rows, None), or
     (None, traceback text) for a run that raised and wrote nothing."""
-    train, test, al_cfgs, minor, out_dir = args
+    train, test, al_cfgs, minor, out_dir = job
     outcomes = alengine.run_experiments(train, test, al_cfgs, minor_classes=minor)
     runs = []
     for al_cfg, outcome in zip(al_cfgs, outcomes):
@@ -212,30 +195,30 @@ def _al_worker(args):
     return runs
 
 
-def _run_al(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> int:
+def _run_al(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     train, test = build_dataset(cfg.dataset)
-    minor = minor_class_set(cfg.dataset, train.n_classes)
+    minor = cfg.dataset.imbalance.minor_classes_for(train.n_classes)
     jobs = []
-    for seed in manifest.seeds:  # one job runs every strategy of a seed
-        al_cfgs = [build_al_config(cfg, train, s, seed, analysis=manifest.analysis)
-                   for s in manifest.strategies]
+    for seed in args.seeds:  # one job runs every strategy of a seed
+        al_cfgs = [build_al_config(cfg, train, s, seed, analysis=args.analysis)
+                   for s in args.strategies]
         jobs.append((train, test, al_cfgs, minor, str(out)))
 
     by_seed = []  # per seed, per strategy: (rows, traceback)
     # One worker runs in this process; more run in a pool of that many processes.
-    workers = min(manifest.jobs, len(jobs))
+    workers = min(args.jobs, len(jobs))
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         futures = [pool.submit(_al_worker, job) if pool else None for job in jobs]
         for job, fut in zip(jobs, futures):
             try:
                 by_seed.append(_al_worker(job) if fut is None else fut.result())
             except Exception:
-                by_seed.append([(None, traceback.format_exc())] * len(manifest.strategies))
+                by_seed.append([(None, traceback.format_exc())] * len(args.strategies))
 
     failures = []
     all_rows: list = []
-    for i, strategy in enumerate(manifest.strategies):
-        for seed, seed_runs in zip(manifest.seeds, by_seed):
+    for i, strategy in enumerate(args.strategies):
+        for seed, seed_runs in zip(args.seeds, by_seed):
             rows, error = seed_runs[i]
             if error is None:
                 all_rows.extend(rows)
@@ -254,13 +237,13 @@ def _run_al(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _run_pilot(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> int:
+def _run_pilot(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     train, test = build_dataset(cfg.dataset)
-    minor = minor_class_set(cfg.dataset, train.n_classes)
+    minor = cfg.dataset.imbalance.minor_classes_for(train.n_classes)
     if not minor:
         raise ValueError("pilot needs an imbalanced dataset (imbalance.ratio > 1)")
     auroc_rows = []
-    for seed in manifest.seeds:
+    for seed in args.seeds:
         al_cfg = build_pilot_config(cfg, train, seed)
         pilot = alengine.run_pilot(train, al_cfg, minor)
         ids, labels = pilot.sample_ids.tolist(), pilot.snapshot_labels.tolist()
@@ -274,9 +257,9 @@ def _run_pilot(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _run_kl(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> int:
+def _run_kl(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     train, test = build_dataset(cfg.dataset)
-    for seed in manifest.seeds:
+    for seed in args.seeds:
         al_cfg = build_pilot_config(cfg, train, seed)
         result = alengine.train_joint(train, al_cfg, cycle=0, test=test)
         rows = alengine.kl_analysis(result)
@@ -289,11 +272,11 @@ def _run_kl(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _run_theory_sde(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> int:
+def _run_theory_sde(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     th = cfg.theory
     # The ODE first, so that its bad inputs stop the run before any file is written.
-    _, ode = theorysim.integrate_ode(th.elasticity_params(manifest.seeds[0]), th.dt, th.t_end)
-    for seed in manifest.seeds:
+    _, ode = theorysim.integrate_ode(th.elasticity_params(args.seeds[0]), th.dt, th.t_end)
+    for seed in args.seeds:
         params = th.elasticity_params(seed)
         traj = theorysim.simulate_discrete(params)
         theorysim.save_trajectory_csv(out / f"trajectory_sde_seed{seed}.csv", traj)
@@ -303,7 +286,7 @@ def _run_theory_sde(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> 
     return 0
 
 
-def _run_theory_closed_form(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> int:
+def _run_theory_closed_form(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     th = cfg.theory
     rows = [
         (float(s_y), int(C), theorysim.theorem2_entropy(s_y, C), theorysim.theorem2_margin(s_y, C))
@@ -314,7 +297,7 @@ def _run_theory_closed_form(manifest: RunManifest, cfg: ExperimentConfig, out: P
     return 0
 
 
-def _run_gen_data(manifest: RunManifest, cfg: ExperimentConfig, out: Path) -> int:
+def _run_gen_data(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     train, test = build_dataset(cfg.dataset)
     save_csv(train, out / "data_train.csv")
     save_csv(test, out / "data_test.csv")
@@ -332,27 +315,22 @@ _COMMANDS = {
 }
 
 
-def dispatch(manifest: RunManifest, cfg: ExperimentConfig | None = None) -> int:
-    """Execute a manifest; returns a process exit code.  ``cfg`` is the
-    manifest's config when the caller has already parsed it."""
-    if manifest.command not in _COMMANDS:
-        raise ValueError(f"unknown command {manifest.command!r}")
-    if cfg is None:
-        cfg = parse_config(manifest.config_path)
-    out = Path(manifest.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return _COMMANDS[manifest.command](manifest, cfg, out)
-
-
-def _parse_int_list(s: str) -> list[int]:
-    return [int(tok) for tok in s.split(",") if tok.strip() != ""]
-
-
-def _parse_str_list(s: str) -> list[str]:
-    return [tok.strip() for tok in s.split(",") if tok.strip() != ""]
+def _distinct_values(kind: str, text: str, parse) -> list:
+    """The comma-separated values of ``text``, blanks dropped; ValueError
+    for an empty list or a repeated value."""
+    values = [parse(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"at least one {kind} is required")
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ValueError(f"repeated {kind} {v}")
+    return values
 
 
 def main(argv=None) -> int:
+    """The command line's one entry: parses argv and the config once,
+    checks the seeds, strategies and ``--jobs``, then runs the command into
+    ``--out``; returns the exit code (2 for bad input, before any file)."""
     parser = argparse.ArgumentParser(
         prog="dynal", description="Training-dynamics active-learning workbench"
     )
@@ -370,21 +348,19 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
-        strategies = (
-            _parse_str_list(args.strategies) if args.strategies else [cfg.al.strategy]
-        )
-        for s in strategies:
+        args.seeds = _distinct_values("seed", args.seeds, int)
+        for seed in args.seeds:
+            if seed < 0:
+                raise ValueError(f"seed {seed} must be non-negative")
+        args.strategies = (_distinct_values("strategy", args.strategies, str.strip)
+                           if args.strategies else [cfg.al.strategy])
+        for s in args.strategies:
             StrategyKind.from_string(s)
-        manifest = RunManifest(
-            command=args.command,
-            config_path=args.config,
-            out_dir=args.out,
-            seeds=_parse_int_list(args.seeds),
-            strategies=strategies,
-            jobs=args.jobs,
-            analysis=args.analysis,
-        )
-        return dispatch(manifest, cfg)
+        if args.jobs < 1:
+            raise ValueError("--jobs must be >= 1")
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return _COMMANDS[args.command](args, cfg, out)
     except Exception as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

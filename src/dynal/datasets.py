@@ -84,6 +84,19 @@ class ImbalanceSpec:
         if self.profile == "exponential" and self.minor_classes is not None:
             raise ValueError("minor_classes applies to profile 'step', not 'exponential'")
 
+    def minor_classes_for(self, n_classes: int) -> list[int]:
+        """Classes this spec cuts in a dataset of ``n_classes`` classes (a
+        CSV's label range, not ``DatasetSpec.n_classes``): none at ratio 1,
+        else the named ones, else the upper half of the class range for
+        step and every class but 0 for exponential."""
+        if self.ratio <= 1:
+            return []
+        if self.minor_classes is not None:
+            return [int(c) for c in self.minor_classes]
+        if self.profile == "step":
+            return list(range(n_classes // 2, n_classes))
+        return list(range(1, n_classes))
+
 
 @dataclass
 class DatasetSpec:
@@ -167,7 +180,7 @@ def apply_imbalance(
     and naming ``minor_classes`` is an error.  Removal is seeded-random
     without replacement; original row order is preserved among survivors.
     """
-    ImbalanceSpec(ratio, profile, minor_classes)  # raises where the spec would
+    spec = ImbalanceSpec(ratio, profile, minor_classes)  # raises where the spec would
     for c in minor_classes or ():
         if not 0 <= c < ds.n_classes:
             raise ValueError(f"minor class {c} out of range for {ds.n_classes} classes")
@@ -177,9 +190,7 @@ def apply_imbalance(
     n_max = int(counts.max())
     C = ds.n_classes
     if profile == "step":
-        if minor_classes is None:
-            minor_classes = _default_minor_classes(profile, C)
-        minor = set(int(c) for c in minor_classes)
+        minor = set(spec.minor_classes_for(C))
         targets = [int(n_max // ratio) if c in minor else int(counts[c]) for c in range(C)]
     else:
         targets = [int(n_max * ratio ** (-c / (C - 1)) + 1e-9) for c in range(C)]
@@ -234,26 +245,6 @@ def build_dataset(spec: DatasetSpec) -> tuple[Dataset, Dataset]:
             seed=spec.seed,
         )
     return train, test
-
-
-def _default_minor_classes(profile: str, n_classes: int) -> list[int]:
-    """Classes an imbalance profile cuts when none are named: the upper
-    half of the class range for step, every class but 0 for exponential."""
-    if profile == "step":
-        return list(range(n_classes // 2, n_classes))
-    return list(range(1, n_classes))
-
-
-def minor_class_set(spec: DatasetSpec, n_classes: int) -> list[int]:
-    """Classes treated as minority under the spec's imbalance settings, for
-    a built dataset of ``n_classes`` classes (a CSV's label range, not the
-    spec's ``n_classes``)."""
-    imb = spec.imbalance
-    if imb.ratio <= 1:
-        return []
-    if imb.minor_classes is not None:
-        return [int(c) for c in imb.minor_classes]
-    return _default_minor_classes(imb.profile, n_classes)
 
 
 def save_csv(ds: Dataset, path) -> None:

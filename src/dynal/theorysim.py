@@ -48,6 +48,8 @@ class ElasticityParams:
             raise ValueError("x0 must be three finite group means")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     @property
     def n_total(self) -> int:

@@ -295,9 +295,8 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
     for name in ("run1", "run2"):
         out = tmp_path / name
         for command in ("al-run", "theory-sde", "theory-closed-form", "gen-data"):
-            manifest = cli.RunManifest(command, str(cfg_path), str(out), seeds=[0, 1],
-                                       strategies=["random", "tidal_entropy"])
-            assert cli.dispatch(manifest) == 0
+            assert cli.main([command, "--config", str(cfg_path), "--out", str(out),
+                             "--seeds", "0,1", "--strategies", "random,tidal_entropy"]) == 0
         outs.append(out)
     files1 = sorted(p.name for p in outs[0].iterdir())
     files2 = sorted(p.name for p in outs[1].iterdir())

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import dynal
 from dynal import alengine, cli, theorysim
-from dynal.cli import ExperimentConfig, RunManifest, dispatch, main, parse_config, serialize_config
+from dynal.cli import ExperimentConfig, main, parse_config, serialize_config
 from dynal.datasets import (GENERATORS, IMBALANCE_PROFILES, DatasetSpec, gen_gaussian_mixture,
                             load_csv, save_csv)
 from dynal.estimators import StrategyKind
@@ -310,11 +310,12 @@ def test_parse_of_serialize_is_identity(tmp_path, cfg):
 
 
 class TestDispatch:
+    """Each command run through ``main``, its artifacts checked."""
+
     def test_al_run_writes_expected_files(self, small_config, tmp_path):
         out = tmp_path / "out"
-        manifest = RunManifest("al-run", str(small_config), str(out),
-                               seeds=[0, 1], strategies=["random", "snapshot_entropy"])
-        assert dispatch(manifest) == 0
+        assert main(["al-run", "--config", str(small_config), "--out", str(out),
+                     "--seeds", "0,1", "--strategies", "random,snapshot_entropy"]) == 0
         files = sorted(f.name for f in out.iterdir())
         assert files == [
             "results_random_seed0.csv",
@@ -331,9 +332,8 @@ class TestDispatch:
     def test_rerun_is_byte_identical(self, small_config, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         for out in (out1, out2):
-            manifest = RunManifest("al-run", str(small_config), str(out),
-                                   seeds=[0], strategies=["tidal_margin"])
-            assert dispatch(manifest) == 0
+            assert main(["al-run", "--config", str(small_config), "--out", str(out),
+                         "--seeds", "0", "--strategies", "tidal_margin"]) == 0
         for f1 in sorted(out1.iterdir()):
             f2 = out2 / f1.name
             assert f1.read_bytes() == f2.read_bytes()
@@ -345,8 +345,9 @@ class TestDispatch:
                       "tidal_prob_naive"]
         seq, par = tmp_path / "seq", tmp_path / "par"
         for out, jobs in ((seq, 1), (par, 2)):
-            assert dispatch(RunManifest("al-run", str(config), str(out), seeds=[0, 1, 2],
-                                        strategies=strategies, jobs=jobs, analysis=True)) == 0
+            assert main(["al-run", "--config", str(config), "--out", str(out), "--seeds", "0,1,2",
+                         "--strategies", ",".join(strategies), "--jobs", str(jobs),
+                         "--analysis"]) == 0
         files = sorted(f.name for f in seq.iterdir())
         assert files == sorted(f.name for f in par.iterdir())
         assert len(files) == 1 + 6 * 3 + 4 * 3 * 2 + 6 * 3 * 2  # summary, results, scores, kl
@@ -386,9 +387,8 @@ class TestDispatch:
 
     def test_pilot_writes_scores_and_auroc(self, pilot_config, tmp_path, capsys):
         out = tmp_path / "out"
-        manifest = RunManifest("pilot", str(pilot_config), str(out),
-                               seeds=[0], strategies=["random"])
-        assert dispatch(manifest) == 0
+        assert main(["pilot", "--config", str(pilot_config), "--out", str(out),
+                     "--seeds", "0", "--strategies", "random"]) == 0
         assert (out / "scores_pilot_seed0.csv").exists()
         assert (out / "pilot_auroc.csv").exists()
         printed = capsys.readouterr().out
@@ -402,9 +402,8 @@ class TestDispatch:
 
     def test_kl_analysis_csv(self, pilot_config, tmp_path):
         out = tmp_path / "out"
-        manifest = RunManifest("kl-analysis", str(pilot_config), str(out),
-                               seeds=[0], strategies=["random"], analysis=True)
-        assert dispatch(manifest) == 0
+        assert main(["kl-analysis", "--config", str(pilot_config), "--out", str(out),
+                     "--seeds", "0", "--strategies", "random", "--analysis"]) == 0
         with open(out / "kl_seed0.csv") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 8  # pilot epochs
@@ -454,9 +453,8 @@ class TestDispatch:
 
     def test_theory_sde_trajectories(self, small_config, tmp_path):
         out = tmp_path / "out"
-        manifest = RunManifest("theory-sde", str(small_config), str(out),
-                               seeds=[0], strategies=["random"])
-        assert dispatch(manifest) == 0
+        assert main(["theory-sde", "--config", str(small_config), "--out", str(out),
+                     "--seeds", "0", "--strategies", "random"]) == 0
         with open(out / "trajectory_sde_seed0.csv") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 201  # iterations + 1
@@ -466,9 +464,8 @@ class TestDispatch:
 
     def test_theory_closed_form_matches_library(self, small_config, tmp_path):
         out = tmp_path / "out"
-        manifest = RunManifest("theory-closed-form", str(small_config), str(out),
-                               seeds=[0], strategies=["random"])
-        assert dispatch(manifest) == 0
+        assert main(["theory-closed-form", "--config", str(small_config), "--out", str(out),
+                     "--seeds", "0", "--strategies", "random"]) == 0
         with open(out / "closed_form.csv") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 9 * 4
@@ -481,9 +478,8 @@ class TestDispatch:
 
     def test_gen_data_round_trips(self, small_config, tmp_path):
         out = tmp_path / "out"
-        manifest = RunManifest("gen-data", str(small_config), str(out),
-                               seeds=[0], strategies=["random"])
-        assert dispatch(manifest) == 0
+        assert main(["gen-data", "--config", str(small_config), "--out", str(out),
+                     "--seeds", "0", "--strategies", "random"]) == 0
         train = load_csv(out / "data_train.csv")
         test = load_csv(out / "data_test.csv")
         assert len(train) == 90
@@ -495,9 +491,8 @@ class TestDispatch:
         p = tmp_path / "cfg.yaml"
         p.write_text(cfg_text.replace("al:", "al:\n  dump_scores: true"))
         out = tmp_path / "out"
-        manifest = RunManifest("al-run", str(p), str(out),
-                               seeds=[0], strategies=["tidal_entropy"])
-        assert dispatch(manifest) == 0
+        assert main(["al-run", "--config", str(p), "--out", str(out),
+                     "--seeds", "0", "--strategies", "tidal_entropy"]) == 0
         score_files = sorted(out.glob("scores_*.csv"))
         assert len(score_files) == 2  # one per cycle
         with open(score_files[0]) as f:
@@ -604,6 +599,30 @@ class TestMain:
                      "--out", str(tmp_path / "x")])
         assert code == 0
         assert paths == [str(small_config)]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--jobs", "0"], "--jobs must be >= 1"),
+        (["--jobs", "-1"], "--jobs must be >= 1"),
+        (["--seeds", ""], "at least one seed is required"),
+        (["--seeds", "0,0"], "repeated seed 0"),
+        (["--seeds", "1,2,1"], "repeated seed 1"),
+        (["--strategies", "random,random"], "repeated strategy random"),
+        (["--strategies", ","], "at least one strategy is required"),
+    ])
+    def test_bad_run_flags_exit_2_before_any_output(self, small_config, tmp_path, capsys,
+                                                    flags, message):
+        out = tmp_path / "x"
+        assert main(["al-run", "--config", str(small_config), "--out", str(out), *flags]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_negative_seed_exits_2_naming_it(self, small_config, tmp_path, capsys, command):
+        out = tmp_path / "x"
+        assert main([command, "--config", str(small_config), "--out", str(out),
+                     "--seeds", "0,-1"]) == 2
+        assert "error: seed -1 must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_is_reported(self, tmp_path, capsys):
         code = main([

@@ -142,6 +142,23 @@ class TestApplyImbalance:
         with pytest.raises(ValueError, match="not 'exponential'"):
             ImbalanceSpec(ratio=4, profile="exponential", minor_classes=[3])
 
+    def test_named_minor_class_range_checked_at_ratio_one(self):
+        ds = self.balanced(per_class=20, C=4)
+        with pytest.raises(ValueError, match="minor class 5 out of range for 4 classes"):
+            apply_imbalance(ds, ratio=1, minor_classes=[5])
+
+    def test_minor_classes_for(self):
+        assert ImbalanceSpec().minor_classes_for(4) == []
+        assert ImbalanceSpec(ratio=1, minor_classes=[3]).minor_classes_for(4) == []
+        assert ImbalanceSpec(ratio=4, minor_classes=[0, 2]).minor_classes_for(4) == [0, 2]
+        assert ImbalanceSpec(ratio=4).minor_classes_for(5) == [2, 3, 4]
+        assert ImbalanceSpec(ratio=4, profile="exponential").minor_classes_for(4) == [1, 2, 3]
+
+    def test_step_default_cuts_the_minor_classes_for_its_dataset(self):
+        ds = self.balanced(per_class=40, C=5)
+        out = apply_imbalance(ds, ratio=4, profile="step")
+        np.testing.assert_array_equal(out.class_counts(), [40, 40, 10, 10, 10])
+
     def test_never_edits_features_or_labels(self):
         ds = self.balanced(per_class=40, C=4)
         out = apply_imbalance(ds, ratio=4, profile="step", minor_classes=[2, 3], seed=9)

@@ -32,6 +32,10 @@ class TestParams:
         with pytest.raises(ValueError):
             params(beta=0.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            params(seed=-1)
+
     def test_matrix_layout(self):
         G = elasticity_matrix(params())
         np.testing.assert_array_equal(G, [[1.0, 0.5, 0.1], [0.5, 0.5, 0.1], [0.1, 0.1, 1.0]])
