@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 
-# Entries of one chunk of k-center's labeled-distance tensor (8 MB of float64).
+# Float64 entries k-center's first stage holds at about one time (8 MB).
 KCENTER_CHUNK_FLOATS = 2**20
 
 
@@ -62,6 +62,22 @@ def kcenter_greedy(
     distance to its nearest covered point (labeled plus already
     selected); distance ties go to the lowest sample id.  With no
     labeled points the lowest-id unlabeled point seeds the cover.
+    Non-finite features and a labeled width unequal to the unlabeled
+    one raise ValueError.
+
+    The distance to the nearest labeled point is exactly
+    ``sqrt(min_j ((a - b_j) ** 2).sum())``, bit for bit.  Gram values
+    ``g = |a|^2 - 2 a.b + |b|^2`` (one BLAS call per chunk) only choose
+    which labeled points to evaluate that way: every ``b_j`` with
+    ``g_j <= min g + 2E`` is kept, where
+    ``E = (4d + 20) u (|a|^2 + max_j |b_j|^2) + 8 d eta`` bounds
+    ``|g_j - ((a - b_j) ** 2).sum()|`` for every column (see
+    ``_gram_error_bound``; u = 2**-53, eta = 2**-1074, d the width), so
+    the column of the exact minimum is always kept.  Kept pairs are
+    recomputed with the same contiguous last-axis reduction, so each
+    gives the bits the full (n, m, d) form gives.  A row whose squared
+    norms come within a factor 4 of overflow, every row with a
+    non-finite Gram value among them, keeps every column.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -69,6 +85,9 @@ def kcenter_greedy(
     unlabeled_ids = np.asarray(unlabeled_ids)
     if unlabeled_feats.shape[0] != unlabeled_ids.shape[0]:
         raise ValueError("unlabeled features and ids length mismatch")
+    bad = np.flatnonzero(~np.isfinite(unlabeled_feats).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite feature for sample id {unlabeled_ids[bad[0]]}")
     n = unlabeled_feats.shape[0]
     k = min(k, n)
 
@@ -88,13 +107,13 @@ def kcenter_greedy(
         min_dist = np.sqrt((diff * diff).sum(axis=1))
     else:
         labeled_feats = np.atleast_2d(labeled_feats)
-        # Row chunks of the (n, m, d) difference tensor, so memory stays
-        # bounded by KCENTER_CHUNK_FLOATS whatever the pool size.
-        min_dist = np.empty(n)
-        step = max(1, KCENTER_CHUNK_FLOATS // labeled_feats.size)
-        for lo in range(0, n, step):
-            d2 = ((feats[lo : lo + step, None, :] - labeled_feats[None, :, :]) ** 2).sum(axis=2)
-            min_dist[lo : lo + step] = np.sqrt(d2.min(axis=1))
+        if labeled_feats.shape[1] != feats.shape[1]:
+            raise ValueError(f"labeled features have width {labeled_feats.shape[1]}, "
+                             f"unlabeled features width {feats.shape[1]}")
+        bad = np.flatnonzero(~np.isfinite(labeled_feats).all(axis=1))
+        if bad.size:
+            raise ValueError(f"non-finite feature in labeled row {bad[0]}")
+        min_dist = np.sqrt(_nearest_sq_dist(feats, labeled_feats))
 
     while len(selected) < k:
         masked = np.where(chosen, -np.inf, min_dist)
@@ -104,3 +123,84 @@ def kcenter_greedy(
         diff = feats - feats[pick]
         min_dist = np.minimum(min_dist, np.sqrt((diff * diff).sum(axis=1)))
     return selected
+
+
+def _gram_error_bound(sq_norms: np.ndarray, max_labeled_sq_norm: float, width: int) -> np.ndarray:
+    """Per row a, an E with ``|g - r| <= E`` for every labeled row b, where
+    ``g = (|a|^2 - 2 a.b) + |b|^2`` as ``_candidate_pairs`` evaluates it
+    and ``r = ((a - b) ** 2).sum()``, both in float64.
+
+    Notation (Higham 2002, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3): u = 2**-53, gamma_k = k u / (1 - k u),
+    eta = 2**-1074, d = width; for one pair the exact values are
+    A = |a|^2, B = |b|^2, P = a.b, D = |a - b|^2 = A + B - 2P and
+    S = A + B.  A product that underflows is off by at most eta / 2
+    more; sums and differences of subnormals are exact.
+
+    - The computed norms and dot product, in any summation order and with
+      or without FMA (eq. 3.5), are off by at most gamma_d A + d eta,
+      gamma_d B + d eta and gamma_d sum|a_i b_i| + d eta
+      <= gamma_d S / 2 + d eta.  Hence |a|^2 - 2 a.b + |b|^2 before its
+      own rounding is within 2 gamma_d S + 4 d eta of D.
+    - Times 2 is exact.  The two additions act on magnitudes at most
+      2 (1 + gamma_d) S + 3 d eta and 3 (1 + gamma_d) S + 4 d eta, so they
+      add at most 6 u (1 + gamma_d) S + d eta:
+      |g - D| <= (2 gamma_d + 6 u (1 + gamma_d)) S + 5 d eta.
+    - r rounds each difference, each square and d - 1 sums:
+      |r - D| <= gamma_{d+2} D + d eta <= 2 gamma_{d+2} S + d eta, as D <= 2S.
+    - Together |g - r| <= (4 gamma_{d+2} + 6 u (1 + gamma_d)) S + 6 d eta
+      <= (4d + 15) u S + 6 d eta for d <= 10**7.
+
+    With E at least this for every column of a row, the column j* of the
+    least r has g_j* <= r_j* + E <= r_j0 + E <= g_j0 + 2E, j0 being the
+    column of the least g; so ``g <= min g + 2E`` keeps j*, ties included.
+    The caller rounds ``min g + 2E``, which can lose u |min g + 2E|
+    <= u (2S + 3E), as |min g| <= 2S + E: one more u S in E, and a factor
+    1 + 2u.  S is bounded through the computed norms:
+    (1 - gamma_d) S <= |a|^2 + max|b|^2 + 2 d eta.  The E returned,
+    (4d + 20) u (|a|^2 + max|b|^2) + 8 d eta, covers (4d + 16) u S
+    + 6 d eta with room for these factors and for its own three roundings.
+    """
+    return (4 * width + 20) * 2.0**-53 * (sq_norms + max_labeled_sq_norm) + 8 * width * 2.0**-1074
+
+
+def _candidate_pairs(x: np.ndarray, labeled: np.ndarray):
+    """Yield blocks (rows of x, rows of labeled) of pairs that hold, for every
+    row of x, the labeled row nearest to it under ``((a - b) ** 2).sum()``.
+
+    A row chunk of the Gram matrix holds half of KCENTER_CHUNK_FLOATS
+    entries and each array of a block's features a quarter, so memory stays
+    near KCENTER_CHUNK_FLOATS floats whatever the pool size.
+    """
+    m, d = labeled.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_sq = (x * x).sum(axis=1)
+        lab_sq = (labeled * labeled).sum(axis=1)
+        lab_max = lab_sq.max()
+        slack = 2 * _gram_error_bound(x_sq, lab_max, d)
+        # Below this no sum in _gram_error_bound's analysis can overflow.
+        near_overflow = ~np.isfinite(4 * (x_sq + lab_max))
+    step = max(1, KCENTER_CHUNK_FLOATS // (2 * m))
+    block = max(1, KCENTER_CHUNK_FLOATS // (4 * d))
+    for lo in range(0, x.shape[0], step):
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = x[lo : lo + step] @ labeled.T
+            g *= -2.0
+            g += x_sq[lo : lo + step, None]
+            g += lab_sq
+            keep = g <= (g.min(axis=1) + slack[lo : lo + step])[:, None]
+        del g  # before the pair blocks, so one chunk is alive at a time
+        keep[near_overflow[lo : lo + step]] = True
+        kept = np.flatnonzero(keep)
+        for b in range(0, kept.size, block):
+            rows, cols = np.divmod(kept[b : b + block], m)
+            yield rows + lo, cols
+
+
+def _nearest_sq_dist(x: np.ndarray, labeled: np.ndarray) -> np.ndarray:
+    """``min_j ((x[i] - labeled[j]) ** 2).sum()`` for each row i, equal bit
+    for bit to the full (n, m, d) form, evaluated at candidate pairs only."""
+    best = np.full(x.shape[0], np.inf)
+    for rows, cols in _candidate_pairs(x, labeled):
+        np.minimum.at(best, rows, ((x[rows] - labeled[cols]) ** 2).sum(axis=-1))
+    return best

@@ -346,6 +346,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
+    created: list[Path] = []
     try:
         cfg = parse_config(args.config)
         args.seeds = _distinct_values("seed", args.seeds, int)
@@ -359,10 +360,18 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ValueError("--jobs must be >= 1")
         out = Path(args.out)
+        created = [p for p in (out, *out.parents) if not p.exists()]
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args, cfg, out)
     except Exception as e:
         print(f"error: {e}", file=sys.stderr)
+        # A command's own check can fail before it writes: remove the
+        # directories made above while they are still empty.
+        for p in created:
+            try:
+                p.rmdir()
+            except OSError:
+                break
         return 2
 
 

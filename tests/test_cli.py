@@ -553,7 +553,7 @@ pilot:
         out = tmp_path / "bad"
         assert main([command, "--config", str(csv_config), "--out", str(out)]) == 2
         assert f"minor class {minor} out of range for 4 classes" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["al-run", "pilot"])
     def test_minor_classes_under_exponential_profile_exit_2(self, csv_config, tmp_path, capsys,
@@ -623,6 +623,23 @@ class TestMain:
                      "--seeds", "0,-1"]) == 2
         assert "error: seed -1 must be non-negative" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_pilot_on_a_balanced_dataset_removes_the_out_it_created(self, small_config, tmp_path,
+                                                                     capsys):
+        out = tmp_path / "new" / "pilot"
+        assert main(["pilot", "--config", str(small_config), "--out", str(out)]) == 2
+        assert "pilot needs an imbalanced dataset" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("keep", ["empty", "with a file"])
+    def test_command_check_leaves_an_existing_out_alone(self, small_config, tmp_path, keep):
+        out = tmp_path / "pilot"
+        out.mkdir()
+        if keep == "with a file":
+            (out / "notes.txt").write_text("mine")
+        assert main(["pilot", "--config", str(small_config), "--out", str(out)]) == 2
+        assert out.is_dir()
+        assert [p.name for p in out.iterdir()] == ([] if keep == "empty" else ["notes.txt"])
 
     def test_missing_config_is_reported(self, tmp_path, capsys):
         code = main([
