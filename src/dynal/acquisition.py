@@ -100,12 +100,8 @@ def kcenter_greedy(
     selected: list[int] = []
     chosen = np.zeros(n, dtype=bool)
     labeled_feats = np.asarray(labeled_feats, dtype=np.float64)
-    if labeled_feats.size == 0:
-        selected.append(int(ids[0]))
-        chosen[0] = True
-        diff = feats - feats[0]
-        min_dist = np.sqrt((diff * diff).sum(axis=1))
-    else:
+    min_dist = np.full(n, np.inf)
+    if labeled_feats.size:
         labeled_feats = np.atleast_2d(labeled_feats)
         if labeled_feats.shape[1] != feats.shape[1]:
             raise ValueError(f"labeled features have width {labeled_feats.shape[1]}, "

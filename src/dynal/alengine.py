@@ -300,14 +300,18 @@ def run_experiments(
 
     Returns, per config, its reports, or the exception its run raised;
     a failed run leaves the others to finish.  A run ends early (with
-    the reports so far) once its pool empties.  Output is a pure
-    function of the configs and datasets.
+    the reports so far) once its pool empties.  An initial labeling of
+    the whole training set raises ValueError before any training.
+    Output is a pure function of the configs and datasets.
     """
     if not cfgs:
         raise ValueError("no configs given")
     cfg = cfgs[0]
     if any(replace(c, strategy=cfg.strategy) != cfg for c in cfgs[1:]):
         raise ValueError("configs run together may differ only in strategy")
+    if cfg.initial_labeled >= len(train):
+        raise ValueError(f"initial_labeled={cfg.initial_labeled} must be below the"
+                         f" training-set size {len(train)}")
     if cfg.initial_labeled < train.n_classes:
         warnings.warn(
             f"initial_labeled={cfg.initial_labeled} < {train.n_classes} classes;"

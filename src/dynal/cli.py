@@ -197,6 +197,10 @@ def _al_worker(job):
 
 def _run_al(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     train, test = build_dataset(cfg.dataset)
+    # run_experiments checks this too, but an error from a worker counts as a failed run (exit 1).
+    if cfg.al.initial_labeled >= len(train):
+        raise ValueError(f"al.initial_labeled={cfg.al.initial_labeled} must be below the"
+                         f" training-set size {len(train)}")
     minor = cfg.dataset.imbalance.minor_classes_for(train.n_classes)
     jobs = []
     for seed in args.seeds:  # one job runs every strategy of a seed

@@ -9,6 +9,7 @@ long-tailed.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -123,8 +124,8 @@ class DatasetSpec:
                 raise ValueError("n_classes must be >= 2")
             if self.per_class < 1:
                 raise ValueError("per_class must be >= 1")
-        if isinstance(self.imbalance, dict):
-            self.imbalance = ImbalanceSpec(**self.imbalance)
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 def gen_gaussian_mixture(spec: DatasetSpec) -> Dataset:
@@ -260,8 +261,9 @@ def save_csv(ds: Dataset, path) -> None:
 def load_csv(path) -> Dataset:
     """Read a dataset written by save_csv; lossless round trip.
 
-    Malformed rows and repeated sample ids raise ValueError naming the
-    1-based line number; labels must cover ``0..max`` with no gap.
+    Malformed rows, non-finite features and repeated sample ids raise
+    ValueError naming the 1-based line number; labels must cover
+    ``0..max`` with no gap.
     """
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -288,6 +290,8 @@ def load_csv(path) -> Dataset:
                 labels.append(int(row[-1]))
             except ValueError as e:
                 raise ValueError(f"{path} line {lineno}: {e}") from None
+            if not all(map(math.isfinite, feats[-1])):
+                raise ValueError(f"{path} line {lineno}: non-finite feature")
             if first_line.setdefault(ids[-1], lineno) != lineno:
                 raise ValueError(f"{path} line {lineno}: repeated sample id {ids[-1]}"
                                  f" (first on line {first_line[ids[-1]]})")

@@ -196,48 +196,6 @@ def forward_batch(state: NetState, cfg: NetConfig, X: np.ndarray) -> BatchTrace:
     return BatchTrace(act, logits, probs, taps)
 
 
-def _joint_terms(
-    state: NetState,
-    cfg: NetConfig,
-    head,
-    X: np.ndarray,
-    y: np.ndarray,
-    td_targets: np.ndarray,
-    trace: BatchTrace | None = None,
-) -> tuple[BatchTrace, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tdhead.HeadCache]:
-    """Per-sample terms of the joint loss, shared by joint_loss and grad_joint.
-
-    Returns ``(trace, cross entropy, KL(target || head), targets, head
-    probs, head cache)``.
-    """
-    if trace is None:
-        trace = forward_batch(state, cfg, X)
-    B = trace.logits.shape[0]
-    y = np.asarray(y, dtype=int)
-    if np.any((y < 0) | (y >= cfg.n_classes)):
-        raise ValueError(f"class index out of range for {cfg.n_classes} classes")
-    per_ce = -log_softmax(trace.logits, axis=1)[np.arange(B), y]
-    q = np.asarray(td_targets, dtype=np.float64)
-    if q.shape != (B, cfg.n_classes):
-        raise ValueError(f"td_targets shape {q.shape} != {(B, cfg.n_classes)}")
-    pt, cache = tdhead.head_forward_batch(head, trace.taps)
-    return trace, per_ce, kl_rows(q, pt), q, pt, cache
-
-
-def joint_loss(
-    state: NetState,
-    cfg: NetConfig,
-    head,
-    X: np.ndarray,
-    y: np.ndarray,
-    td_targets: np.ndarray,
-) -> tuple[float, float]:
-    """(batch-mean cross entropy, batch-mean KL) without gradients: the
-    finite-difference oracle for grad_joint, on the same loss terms."""
-    _, per_ce, per_kl, *_ = _joint_terms(state, cfg, head, X, y, td_targets)
-    return float(per_ce.mean()), float(per_kl.mean())
-
-
 def grad_joint(
     state: NetState,
     cfg: NetConfig,
@@ -253,7 +211,9 @@ def grad_joint(
 
     Returns ``(grad, loss_target, loss_module)``: ``grad`` is one float64
     vector in the layout ``flatten(state, head)`` gives the parameters, net
-    part then head part.  The head-loss gradient flows into the classifier
+    part then head part; the losses are the batch-mean cross entropy and
+    KL(target || head) that ``grad`` differentiates, evaluated by the
+    forward code alone.  The head-loss gradient flows into the classifier
     through the tapped layers.  ``trace`` may carry an already-computed
     forward pass of this batch.
 
@@ -264,8 +224,17 @@ def grad_joint(
         raise ValueError("lam must be nonnegative and finite")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=int)
+    if trace is None:
+        trace = forward_batch(state, cfg, X)
     B = X.shape[0]
-    trace, per_ce, per_kl, q, pt, cache = _joint_terms(state, cfg, head, X, y, td_targets, trace)
+    if np.any((y < 0) | (y >= cfg.n_classes)):
+        raise ValueError(f"class index out of range for {cfg.n_classes} classes")
+    per_ce = -log_softmax(trace.logits, axis=1)[np.arange(B), y]
+    q = np.asarray(td_targets, dtype=np.float64)
+    if q.shape != (B, cfg.n_classes):
+        raise ValueError(f"td_targets shape {q.shape} != {(B, cfg.n_classes)}")
+    pt, cache = tdhead.head_forward_batch(head, trace.taps)
+    per_kl = kl_rows(q, pt)
     per_total = per_ce + lam * per_kl
     if not np.all(np.isfinite(per_total)):
         ids = np.arange(B) if sample_ids is None else np.asarray(sample_ids)

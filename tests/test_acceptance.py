@@ -81,7 +81,7 @@ def test_criterion_1_gradient_correctness(fd_grads, rel_err):
             grad, _, _ = netcore.grad_joint(net, cfg, head, X, y, q, lam=lam)
 
             def total():
-                lt, lm = netcore.joint_loss(net, cfg, head, X, y, q)
+                _, lt, lm = netcore.grad_joint(net, cfg, head, X, y, q, lam=lam)
                 return lt + lam * lm
 
             fd = fd_grads(total, net.params() + head.params())

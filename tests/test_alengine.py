@@ -246,6 +246,15 @@ class TestExperimentInvariants:
         assert reports[-1].labeled_count == len(train)
 
 
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_initial_labeling_of_the_whole_train_set_rejected(self, monkeypatch, extra):
+        train, test = small_data()
+        monkeypatch.setattr(alengine, "train_joint", lambda *a, **k: pytest.fail("trained"))
+        cfg = small_cfg(initial_labeled=len(train) + extra)
+        with pytest.raises(ValueError, match=f"must be below the training-set size {len(train)}"):
+            alengine.run_experiments(train, test, [cfg])
+
+
 class TestSharedCycles:
     """``run_experiments`` trains each (cycle, labeled ids in order) once
     for all strategies of a seed; only scoring and selection are per run."""

@@ -555,6 +555,18 @@ pilot:
         assert f"minor class {minor} out of range for 4 classes" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_csv_feature_exits_2_naming_its_line(self, csv_config, tmp_path, capsys):
+        data = tmp_path / "four_classes.csv"
+        lines = data.read_text().splitlines(keepends=True)
+        row = lines[5].split(",")
+        lines[5] = ",".join([row[0], "nan", *row[2:]])
+        data.write_text("".join(lines))
+        out = tmp_path / "bad"
+        assert main(["al-run", "--config", str(csv_config), "--out", str(out),
+                     "--strategies", "random,snapshot_entropy"]) == 2
+        assert "line 6: non-finite feature" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["al-run", "pilot"])
     def test_minor_classes_under_exponential_profile_exit_2(self, csv_config, tmp_path, capsys,
                                                             command):
@@ -622,6 +634,24 @@ class TestMain:
         assert main([command, "--config", str(small_config), "--out", str(out),
                      "--seeds", "0,-1"]) == 2
         assert "error: seed -1 must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_dataset_seed_exits_2_naming_the_section(self, small_config, tmp_path,
+                                                              capsys):
+        small_config.write_text(SMALL_CFG.replace("  seed: 4\n", "  seed: -1\n"))
+        out = tmp_path / "x"
+        assert main(["gen-data", "--config", str(small_config), "--out", str(out)]) == 2
+        assert ("invalid config section 'dataset': seed must be nonnegative"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_initial_labeling_of_the_whole_train_set_exits_2(self, small_config, tmp_path,
+                                                             capsys):
+        small_config.write_text(SMALL_CFG.replace("initial_labeled: 9", "initial_labeled: 500"))
+        out = tmp_path / "x"
+        assert main(["al-run", "--config", str(small_config), "--out", str(out)]) == 2
+        assert ("al.initial_labeled=500 must be below the training-set size 90"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_pilot_on_a_balanced_dataset_removes_the_out_it_created(self, small_config, tmp_path,

@@ -260,6 +260,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="repeated sample id 5"):
             ds.by_ids([5, 7])
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_line(self, tmp_path, cell):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"id,feature_0,feature_1,label\n0,1.0,2.0,0\n\n1,0.5,{cell},1\n")
+        with pytest.raises(ValueError, match="line 4: non-finite feature"):
+            load_csv(path)
+
     def test_label_gap_names_missing_class(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("id,feature_0,label\n0,1.0,0\n1,2.0,3\n2,3.0,1\n")
@@ -272,7 +279,8 @@ def csv_datasets(draw):
     """Datasets load_csv accepts: distinct ids, labels covering 0..max."""
     n, dim = draw(st.integers(1, 12)), draw(st.integers(1, 4))
     ids = draw(st.lists(st.integers(-2**62, 2**62), min_size=n, max_size=n, unique=True))
-    X = draw(arrays(np.float64, (n, dim), elements=st.floats(allow_nan=False)))
+    X = draw(arrays(np.float64, (n, dim),
+                    elements=st.floats(allow_nan=False, allow_infinity=False)))
     raw = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
     y = np.unique(raw, return_inverse=True)[1].astype(np.int64)
     return Dataset(np.array(ids, dtype=np.int64), X, y, int(y.max()) + 1)
@@ -314,7 +322,11 @@ class TestBuildDataset:
         with pytest.raises(ValueError, match="radius and noise must be finite"):
             mixture_spec(**{field: value})
 
-    def test_imbalance_dict_coerced(self):
-        spec = mixture_spec(imbalance={"ratio": 2.0, "profile": "step"})
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            mixture_spec(seed=-1)
+
+    def test_imbalance_spec_kept(self):
+        spec = mixture_spec(imbalance=ImbalanceSpec(ratio=2.0, profile="step"))
         assert isinstance(spec.imbalance, ImbalanceSpec)
         assert spec.imbalance.ratio == 2.0

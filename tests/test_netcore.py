@@ -5,6 +5,7 @@ import pytest
 
 from dynal import netcore, tdhead
 from dynal.netcore import NetConfig, OptimizerConfig
+from dynal.numutil import kl_rows, log_softmax
 
 
 def tiny_cfg(activation="tanh"):
@@ -84,7 +85,7 @@ class TestForward:
 
 
 def cross_entropy(probs, y):
-    """The cross entropy joint_loss reports for one sample whose classifier
+    """The cross entropy grad_joint reports for one sample whose classifier
     outputs ``probs``: zero output weights, log-probability output biases."""
     C = len(probs)
     cfg = NetConfig(input_dim=1, hidden_sizes=[1], n_classes=C)
@@ -93,8 +94,8 @@ def cross_entropy(probs, y):
     with np.errstate(divide="ignore"):
         state.biases[-1][:] = np.log(probs)
     head = tdhead.init_head([1], C, 1, 0)
-    return netcore.joint_loss(state, cfg, head, np.zeros((1, 1)), np.array([y]),
-                              np.full((1, C), 1 / C))[0]
+    return netcore.grad_joint(state, cfg, head, np.zeros((1, 1)), np.array([y]),
+                              np.full((1, C), 1 / C), lam=0.0)[1]
 
 
 class TestCrossEntropy:
@@ -163,16 +164,20 @@ class TestGradJoint:
         grad, _, _ = netcore.grad_joint(net, cfg, head, X, y, q, lam=lam)
 
         def total():
-            lt, lm = netcore.joint_loss(net, cfg, head, X, y, q)
+            _, lt, lm = netcore.grad_joint(net, cfg, head, X, y, q, lam=lam)
             return lt + lam * lm
 
         fd = flat(fd_grads(total, net.params() + head.params()))
         assert rel_err([grad], [fd]) < 1e-4
 
     def test_losses_equal_the_oracle(self):
+        # The reported losses are the forward code's, composed here.
         cfg, net, head, X, y, q = self.make_instance(5)
         _, lt, lm = netcore.grad_joint(net, cfg, head, X, y, q, lam=1.0)
-        assert (lt, lm) == netcore.joint_loss(net, cfg, head, X, y, q)
+        trace = netcore.forward_batch(net, cfg, X)
+        pt, _ = tdhead.head_forward_batch(head, trace.taps)
+        ce = -log_softmax(trace.logits, axis=1)[np.arange(len(y)), y]
+        assert (lt, lm) == (float(ce.mean()), float(kl_rows(q, pt).mean()))
 
     def test_targets_equal_predictions_zero_module_loss(self):
         cfg, net, head, X, y, _ = self.make_instance(8)
