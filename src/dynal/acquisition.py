@@ -195,7 +195,14 @@ def _candidate_pairs(x: np.ndarray, labeled: np.ndarray):
 
 def _nearest_sq_dist(x: np.ndarray, labeled: np.ndarray) -> np.ndarray:
     """``min_j ((x[i] - labeled[j]) ** 2).sum()`` for each row i, equal bit
-    for bit to the full (n, m, d) form, evaluated at candidate pairs only."""
+    for bit to the full (n, m, d) form, evaluated at candidate pairs only.
+
+    Labeled rows equal in every bit are evaluated once: they give the same
+    value, and ties (all-zero rows of dead relu units, say) would otherwise
+    keep every pair of a row."""
+    labeled = np.ascontiguousarray(labeled)
+    row_bytes = labeled.view(np.dtype((np.void, labeled.itemsize * labeled.shape[1])))
+    labeled = labeled[np.sort(np.unique(row_bytes.ravel(), return_index=True)[1])]
     best = np.full(x.shape[0], np.inf)
     for rows, cols in _candidate_pairs(x, labeled):
         np.minimum.at(best, rows, ((x[rows] - labeled[cols]) ** 2).sum(axis=-1))

@@ -132,20 +132,29 @@ def train_joint(
     folded into its running mean, and the current mean is the head's KL
     target for the same batch; the head-loss gradient reaches the
     classifier through the tapped layers.  Store rows are positions in
-    ``labeled`` (and in ``test`` for the trace).
+    ``labeled`` (and in ``test`` for the trace).  Inputs are checked here,
+    once: each step is one ``netcore._joint_step`` into one gradient
+    vector, then ``netcore.apply_update``.
     """
     net_cfg = cfg.net
     if net_cfg.input_dim != labeled.dim or net_cfg.n_classes != labeled.n_classes:
         raise ValueError("net config does not match dataset dimensions")
+    if not 0 <= cfg.lam < np.inf:
+        raise ValueError("lam must be nonnegative and finite")
+    X = np.atleast_2d(np.asarray(labeled.X, dtype=np.float64))
+    y = np.asarray(labeled.y, dtype=int)
+    netcore.check_labels(y, net_cfg.n_classes)
     theta, net, head = netcore.flatten(
         netcore.init_net(net_cfg, _stream_seed(cfg.seed, cycle, _STREAM_NET)),
         tdhead.init_head([net_cfg.hidden_sizes[t] for t in net_cfg.tap_layers], net_cfg.n_classes,
                          cfg.head_reduce_dim, _stream_seed(cfg.seed, cycle, _STREAM_HEAD)),
     )
+    grad, grad_net, grad_head = netcore._gradient(net, head)
     opt_state = netcore.init_opt_state(theta)
     shuffle_rng = np.random.default_rng(_stream_seed(cfg.seed, cycle, _STREAM_SHUFFLE))
 
     n = len(labeled)
+    # The store's (n, C) means are the KL targets, so their shape holds by construction.
     store = TDStore(n, net_cfg.n_classes)
     trace = None
     if test is not None:
@@ -155,13 +164,9 @@ def train_joint(
         perm = shuffle_rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
-            Xb, yb = labeled.X[idx], labeled.y[idx]
-            bt = netcore.forward_batch(net, net_cfg, Xb)
-            store.update_batch(idx, bt.probs)
-            grad, _, _ = netcore.grad_joint(
-                net, net_cfg, head, Xb, yb, store.values(idx), cfg.lam,
-                sample_ids=labeled.ids[idx], trace=bt,
-            )
+            netcore._joint_step(net, net_cfg, head, X[idx], y[idx],
+                                lambda probs: store.update_batch(idx, probs), cfg.lam,
+                                labeled.ids[idx], grad_net, grad_head)
             netcore.apply_update(theta, grad, opt_state, cfg.opt, epoch)
         if trace is not None:
             tt = netcore.forward_batch(net, net_cfg, test.X)

@@ -16,22 +16,30 @@ Conventions
 * Training holds all parameters in one contiguous float64 vector ``theta``
   (``flatten``): ``net.params() + head.params()`` raveled end to end, the
   states' arrays being views into it.  Only this module knows that layout:
-  ``grad_joint`` returns one gradient vector in it and the optimizer moments
-  share it.  ``apply_update``, the one place parameters change, rejects a
-  step that leaves ``theta`` non-finite with the FloatingPointError that
-  ``grad_joint`` raises for a non-finite loss.
+  gradients and the optimizer moments share it.  ``apply_update``, the one
+  place parameters change, rejects a step that leaves ``theta`` non-finite
+  with the FloatingPointError that a non-finite loss raises.
+* One kernel, ``_joint_step``, takes a batch through one forward pass of
+  net and head and one backprop of the joint loss, writing the gradient
+  into views of a vector its caller allocated (``_gradient``).  It checks
+  nothing that a training run cannot change between steps: ``train_joint``
+  checks its inputs once, and ``grad_joint``, the kernel's public face,
+  checks them per call and backprops into a fresh vector.  The KL targets
+  come from a callback on the batch's class probabilities, in training
+  ``TDStore.update_batch``, which returns the means it stored.
 * SGD momentum uses ``v = mu * v + g``, ``theta -= lr * v``.
 * Weight decay enters as gradient augmentation ``g += wd * theta``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tdhead
-from .numutil import kl_rows, log_softmax, relu, stable_softmax
+from .numutil import kl_rows, relu, softmax_and_log_softmax, stable_softmax
 
 ACTIVATIONS = ("relu", "tanh")
 OPTIMIZER_KINDS = ("sgd_momentum", "adam")
@@ -121,11 +129,24 @@ def flatten(*states):
     """Copy the parameters of ``states`` into one contiguous float64 vector
     in ``params()`` order, state after state.  Returns the vector followed
     by one state per input whose arrays are views into it."""
+    theta = np.concatenate([p.ravel() for s in states for p in s.params()])
+    return (theta, *_views(theta, states))
+
+
+def _gradient(*states):
+    """An unset float64 vector in the layout ``flatten(*states)`` gives the
+    parameters, followed by one state per input whose arrays are views
+    into it: where ``_joint_step`` writes the gradient."""
+    grad = np.empty(sum(p.size for s in states for p in s.params()))
+    return (grad, *_views(grad, states))
+
+
+def _views(vec: np.ndarray, states) -> list:
+    """States shaped like ``states`` whose arrays are consecutive views into ``vec``."""
     arrays = [p for s in states for p in s.params()]
-    theta = np.concatenate([a.ravel() for a in arrays])
     ends = np.cumsum([a.size for a in arrays])
-    views = iter([theta[e - a.size : e].reshape(a.shape) for a, e in zip(arrays, ends)])
-    return (theta, *[type(s).from_params([next(views) for _ in s.params()]) for s in states])
+    views = iter([vec[e - a.size : e].reshape(a.shape) for a, e in zip(arrays, ends)])
+    return [type(s).from_params([next(views) for _ in s.params()]) for s in states]
 
 
 @dataclass
@@ -176,8 +197,17 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
 
 def _act_deriv(a: np.ndarray, kind: str) -> np.ndarray:
     # From the activation alone: relu(z) > 0 exactly where z > 0 (relu'(0)
-    # taken as 0), and tanh' = 1 - tanh^2.
-    return (a > 0).astype(np.float64) if kind == "relu" else 1.0 - a * a
+    # taken as 0; a boolean factor multiplies as 0.0 or 1.0), and
+    # tanh' = 1 - tanh^2.
+    return a > 0 if kind == "relu" else 1.0 - a * a
+
+
+@functools.cache
+def _eye(n: int) -> np.ndarray:
+    """A read-only (n, n) identity, whose rows are the one-hot labels."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def forward_batch(state: NetState, cfg: NetConfig, X: np.ndarray) -> BatchTrace:
@@ -185,15 +215,19 @@ def forward_batch(state: NetState, cfg: NetConfig, X: np.ndarray) -> BatchTrace:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != cfg.input_dim:
         raise ValueError(f"expected feature dim {cfg.input_dim}, got {X.shape[1]}")
+    act, logits = _forward(state, cfg, X)
+    probs = stable_softmax(logits, axis=1)
+    return BatchTrace(act, logits, probs, [act[l] for l in cfg.tap_layers])
+
+
+def _forward(state: NetState, cfg: NetConfig, X: np.ndarray):
+    """(hidden activations, logits) of a checked (B, input_dim) float64 batch."""
     act = []
     a = X
     for l in range(len(cfg.hidden_sizes)):
         a = _act(a @ state.weights[l].T + state.biases[l], cfg.activation)
         act.append(a)
-    logits = a @ state.weights[-1].T + state.biases[-1]
-    probs = stable_softmax(logits, axis=1)
-    taps = [act[l] for l in cfg.tap_layers]
-    return BatchTrace(act, logits, probs, taps)
+    return act, a @ state.weights[-1].T + state.biases[-1]
 
 
 def grad_joint(
@@ -205,7 +239,6 @@ def grad_joint(
     td_targets: np.ndarray,
     lam: float,
     sample_ids: np.ndarray | None = None,
-    trace: BatchTrace | None = None,
 ) -> tuple[np.ndarray, float, float]:
     """Exact gradient of ``L_target + lam * L_module`` over one batch.
 
@@ -214,8 +247,8 @@ def grad_joint(
     part then head part; the losses are the batch-mean cross entropy and
     KL(target || head) that ``grad`` differentiates, evaluated by the
     forward code alone.  The head-loss gradient flows into the classifier
-    through the tapped layers.  ``trace`` may carry an already-computed
-    forward pass of this batch.
+    through the tapped layers.  This is ``_joint_step``, the training
+    kernel, on checked inputs and a fresh gradient vector.
 
     Raises FloatingPointError naming the offending sample id if any
     per-sample loss is non-finite.
@@ -223,54 +256,74 @@ def grad_joint(
     if not 0 <= lam < np.inf:
         raise ValueError("lam must be nonnegative and finite")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[1] != cfg.input_dim:
+        raise ValueError(f"expected feature dim {cfg.input_dim}, got {X.shape[1]}")
     y = np.asarray(y, dtype=int)
-    if trace is None:
-        trace = forward_batch(state, cfg, X)
+    check_labels(y, cfg.n_classes)
     B = X.shape[0]
-    if np.any((y < 0) | (y >= cfg.n_classes)):
-        raise ValueError(f"class index out of range for {cfg.n_classes} classes")
-    per_ce = -log_softmax(trace.logits, axis=1)[np.arange(B), y]
     q = np.asarray(td_targets, dtype=np.float64)
     if q.shape != (B, cfg.n_classes):
         raise ValueError(f"td_targets shape {q.shape} != {(B, cfg.n_classes)}")
-    pt, cache = tdhead.head_forward_batch(head, trace.taps)
+    tdhead.check_taps(head, [cfg.hidden_sizes[t] for t in cfg.tap_layers])
+    ids = np.arange(B) if sample_ids is None else np.asarray(sample_ids)
+    grad, grad_net, grad_head = _gradient(state, head)
+    per_ce, per_kl = _joint_step(state, cfg, head, X, y, lambda probs: q, lam, ids,
+                                 grad_net, grad_head)
+    return grad, float(per_ce.mean()), float(per_kl.mean())
+
+
+def check_labels(y: np.ndarray, n_classes: int) -> None:
+    """ValueError unless every label is a class index below ``n_classes``."""
+    if np.any((y < 0) | (y >= n_classes)):
+        raise ValueError(f"class index out of range for {n_classes} classes")
+
+
+def _joint_step(state, cfg, head, X, y, targets_of, lam, sample_ids, grad_net, grad_head):
+    """One batch of joint training on checked inputs: one forward pass of
+    net and head, then one backprop of ``L_target + lam * L_module`` whose
+    gradient is written into ``grad_net`` and ``grad_head`` (from
+    ``_gradient(state, head)``), every entry of them each call.
+
+    ``X`` is a (B, input_dim) float64 array, ``y`` int labels in range,
+    ``targets_of`` maps the (B, C) class probabilities to the (B, C) KL
+    targets and is called once, after the forward pass.  Returns the
+    per-sample cross entropies and KL divergences; raises
+    FloatingPointError naming the entry of ``sample_ids`` of the first
+    sample whose loss is non-finite.
+    """
+    act, logits = _forward(state, cfg, X)
+    probs, log_probs = softmax_and_log_softmax(logits, axis=1)
+    taps = [act[l] for l in cfg.tap_layers]
+    q = targets_of(probs)
+    B = X.shape[0]
+    per_ce = -log_probs[np.arange(B), y]
+    concat, pt = tdhead._forward(head, taps)
     per_kl = kl_rows(q, pt)
     per_total = per_ce + lam * per_kl
-    if not np.all(np.isfinite(per_total)):
-        ids = np.arange(B) if sample_ids is None else np.asarray(sample_ids)
-        bad = ids[np.flatnonzero(~np.isfinite(per_total))[0]]
+    if not np.isfinite(per_total).all():
+        bad = sample_ids[np.flatnonzero(~np.isfinite(per_total))[0]]
         raise FloatingPointError(f"non-finite loss for sample id {bad}")
 
-    onehot = np.zeros_like(trace.probs)
-    onehot[np.arange(B), y] = 1.0
-    dlogits = (trace.probs - onehot) / B
-
+    dlogits = (probs - _eye(cfg.n_classes)[y]) / B
     # d(lam * mean KL)/d(head logits) = lam * (softmax - target) / B
     dU = lam * (pt - q) / B
-    head_grads, tap_grads = tdhead.head_backward(head, cache, dU)
+    tap_grads = tdhead._backward(head, taps, concat, dU, grad_head)
     tap_at_layer: dict[int, np.ndarray] = {}
     for layer, g in zip(cfg.tap_layers, tap_grads):
         tap_at_layer[layer] = tap_at_layer.get(layer, 0.0) + g
 
-    n_hidden = len(cfg.hidden_sizes)
-    dW = [None] * (n_hidden + 1)
-    db = [None] * (n_hidden + 1)
-    a_prev = trace.activations[n_hidden - 1]
-    dW[-1] = dlogits.T @ a_prev
-    db[-1] = dlogits.sum(axis=0)
+    np.matmul(dlogits.T, act[-1], out=grad_net.weights[-1])
+    dlogits.sum(axis=0, out=grad_net.biases[-1])
     dA = dlogits @ state.weights[-1]
-    for l in range(n_hidden - 1, -1, -1):
+    for l in range(len(act) - 1, -1, -1):
         if l in tap_at_layer:
             dA = dA + tap_at_layer[l]
-        dZ = dA * _act_deriv(trace.activations[l], cfg.activation)
-        a_in = X if l == 0 else trace.activations[l - 1]
-        dW[l] = dZ.T @ a_in
-        db[l] = dZ.sum(axis=0)
+        dZ = dA * _act_deriv(act[l], cfg.activation)
+        np.matmul(dZ.T, X if l == 0 else act[l - 1], out=grad_net.weights[l])
+        dZ.sum(axis=0, out=grad_net.biases[l])
         if l > 0:
             dA = dZ @ state.weights[l]
-
-    grad = np.concatenate([g.ravel() for g in NetState(dW, db).params() + head_grads])
-    return grad, float(per_ce.mean()), float(per_kl.mean())
+    return per_ce, per_kl
 
 
 def lr_at(opt: OptimizerConfig, epoch: int) -> float:

@@ -12,20 +12,25 @@ import numpy as np
 PROB_FLOOR = 1e-12
 
 
+def _shifted_exp_sum(z: np.ndarray, axis: int):
+    """``z`` minus its max, the exp of that, and the exp's sum, along ``axis``."""
+    z = np.asarray(z, dtype=np.float64)
+    shifted = z - z.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return shifted, e, e.sum(axis=axis, keepdims=True)
+
+
 def stable_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     """Softmax with the max subtracted first so exp never overflows."""
-    z = np.asarray(z, dtype=np.float64)
-    shifted = z - np.max(z, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    _, e, total = _shifted_exp_sum(z, axis)
+    return e / total
 
 
-def log_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    """log(softmax(z)) computed via the log-sum-exp identity (no flooring)."""
-    z = np.asarray(z, dtype=np.float64)
-    shifted = z - np.max(z, axis=axis, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-    return shifted - lse
+def softmax_and_log_softmax(z: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """``stable_softmax(z)`` and log(softmax(z)) by the log-sum-exp identity
+    (no flooring), from one shift, exp and sum."""
+    shifted, e, total = _shifted_exp_sum(z, axis)
+    return e / total, shifted - np.log(total)
 
 
 def relu(z: np.ndarray) -> np.ndarray:

@@ -5,6 +5,9 @@ dimension, the reduced vectors are concatenated, and a single affine
 layer followed by softmax produces a C-dimensional prediction of the
 per-sample running-mean probability vector.  The head is trained by
 minimizing KL(target || prediction), as part of netcore's joint loss.
+``_forward`` and ``_backward`` are the unchecked passes of netcore's
+training kernel; ``head_forward_batch``, which checks its inputs, and
+``head_backward`` wrap them.
 """
 
 from __future__ import annotations
@@ -61,18 +64,27 @@ def init_head(tap_dims: list[int], n_classes: int, reduce_dim: int, seed: int) -
 
 def head_forward_batch(head: HeadState, taps: list[np.ndarray]) -> tuple[np.ndarray, HeadCache]:
     """Batched head pass: returns (probs (B, C), cache)."""
-    if len(taps) != len(head.reduce_weights):
-        raise ValueError(f"expected {len(head.reduce_weights)} taps, got {len(taps)}")
     taps = [np.atleast_2d(np.asarray(t, dtype=np.float64)) for t in taps]
-    pre = []
-    for t, w, b in zip(taps, head.reduce_weights, head.reduce_biases):
-        if t.shape[1] != w.shape[1]:
-            raise ValueError(f"tap dim {t.shape[1]} != expected {w.shape[1]}")
-        pre.append(t @ w.T + b)
+    check_taps(head, [t.shape[1] for t in taps])
+    concat, probs = _forward(head, taps)
+    return probs, HeadCache(taps, concat)
+
+
+def check_taps(head: HeadState, tap_dims: list[int]) -> None:
+    """ValueError unless ``head`` reads taps of widths ``tap_dims``, in order."""
+    if len(tap_dims) != len(head.reduce_weights):
+        raise ValueError(f"expected {len(head.reduce_weights)} taps, got {len(tap_dims)}")
+    for d, w in zip(tap_dims, head.reduce_weights):
+        if d != w.shape[1]:
+            raise ValueError(f"tap dim {d} != expected {w.shape[1]}")
+
+
+def _forward(head: HeadState, taps: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(relu concat of the tap reductions, probs) of checked (B, dim) float64 taps."""
+    pre = [t @ w.T + b for t, w, b in zip(taps, head.reduce_weights, head.reduce_biases)]
     concat = relu(np.concatenate(pre, axis=1))
     logits = concat @ head.out_weight.T + head.out_bias
-    probs = stable_softmax(logits, axis=1)
-    return probs, HeadCache(taps, concat)
+    return concat, stable_softmax(logits, axis=1)
 
 
 def head_backward(
@@ -83,19 +95,24 @@ def head_backward(
     Returns (head_grads parallel to params(), tap_grads per tap) so the
     caller can continue the chain into the classifier.
     """
-    dWo = dlogits.T @ cache.concat
-    dbo = dlogits.sum(axis=0)
+    grads = HeadState.from_params([np.empty_like(p) for p in head.params()])
+    tap_grads = _backward(head, cache.taps, cache.concat, dlogits, grads)
+    return grads.params(), tap_grads
+
+
+def _backward(head: HeadState, taps, concat, dlogits, out: HeadState) -> list[np.ndarray]:
+    """Backprop dlogits through the head, writing its parameter gradients
+    into ``out``'s arrays; returns the gradient reaching each tap."""
+    np.matmul(dlogits.T, concat, out=out.out_weight)
+    dlogits.sum(axis=0, out=out.out_bias)
     dconcat = dlogits @ head.out_weight
     r = head.reduce_weights[0].shape[0]
-    head_grads: list[np.ndarray] = []
-    tap_grads: list[np.ndarray] = []
-    for j, (t, w) in enumerate(zip(cache.taps, head.reduce_weights)):
+    tap_grads = []
+    for j, (t, w) in enumerate(zip(taps, head.reduce_weights)):
         cols = slice(j * r, (j + 1) * r)
         # relu(s) > 0 exactly where s > 0
-        dS = dconcat[:, cols] * (cache.concat[:, cols] > 0)
-        head_grads.append(dS.T @ t)
-        head_grads.append(dS.sum(axis=0))
+        dS = dconcat[:, cols] * (concat[:, cols] > 0)
+        np.matmul(dS.T, t, out=out.reduce_weights[j])
+        dS.sum(axis=0, out=out.reduce_biases[j])
         tap_grads.append(dS @ w)
-    head_grads.append(dWo)
-    head_grads.append(dbo)
-    return head_grads, tap_grads
+    return tap_grads

@@ -20,22 +20,26 @@ class TDStore:
         self.mean = np.zeros((n_rows, n_classes))
         self.count = np.zeros(n_rows, dtype=np.int64)
 
-    def update_batch(self, rows, probs: np.ndarray) -> None:
+    def update_batch(self, rows, probs: np.ndarray) -> np.ndarray:
         """Fold one probability vector into each row's running mean.
 
         The rows of one call must be distinct; afterwards each mean equals
         the arithmetic mean of all vectors that row was fed so far.
+        Returns the rows' updated means, (n, C), equal to ``values(rows)``.
         """
         rows = np.asarray(rows, dtype=np.intp)
         probs = np.asarray(probs, dtype=np.float64)
         if probs.shape != (rows.size, self.mean.shape[1]):
             raise ValueError(f"probs shape {probs.shape} != {(rows.size, self.mean.shape[1])}")
-        if np.unique(rows).size != rows.size:
+        ordered = np.sort(rows, axis=None)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("duplicate rows in one update")
         t = self.count[rows] + 1
         m = self.mean[rows]
-        self.mean[rows] = m + (probs - m) / t[:, None]
+        m = m + (probs - m) / t[:, None]
+        self.mean[rows] = m
         self.count[rows] = t
+        return m
 
     def values(self, rows) -> np.ndarray:
         """(n, C) running means of the given rows; a state error for a row

@@ -322,6 +322,11 @@ def feature_sets(kind, rng, n, m, d, scale):
         unl, lab = rng.normal(size=(n, d)), rng.normal(size=(m, d))
         unl[rng.random(n) < 0.5] = 0.0
         lab[rng.random(m) < 0.5] = 0.0
+    elif kind == "repeated":  # a few distinct labeled rows, repeated, some with -0.0 entries
+        unl = np.maximum(rng.normal(size=(n, d)), 0)
+        lab = np.maximum(rng.normal(size=(rng.integers(1, 3), d)), 0)
+        lab = lab[rng.integers(0, len(lab), size=m)]
+        lab[(lab == 0) & (rng.random((m, d)) < 0.5)] = -0.0
     else:  # "near": labeled rows within 1e-6 .. 1e-15 relative of unlabeled ones
         unl = rng.normal(size=(n, d))
         base = unl[rng.integers(0, n, size=m)]
@@ -329,7 +334,7 @@ def feature_sets(kind, rng, n, m, d, scale):
     return unl * scale, lab * scale
 
 
-KINDS = ["relu", "grid", "duplicates", "zeros", "near"]
+KINDS = ["relu", "grid", "duplicates", "zeros", "repeated", "near"]
 
 
 class TestKCenterGramFilter:
@@ -385,6 +390,33 @@ class TestKCenterGramFilter:
         assert np.array_equal(acquisition._nearest_sq_dist(zeros, lab), np.zeros(4))
         assert np.array_equal(acquisition._nearest_sq_dist(np.ones((2, 6)), np.zeros((3, 6))),
                               np.full(2, 6.0))
+
+    @pytest.mark.parametrize("value", [0.0, 0.75])
+    def test_equal_labeled_rows_keep_one_candidate_per_row(self, value):
+        # All-equal labeled rows (all zero, as dead relu units give) tie in
+        # every column; one of them is evaluated.
+        rng = np.random.default_rng(4)
+        unl = np.maximum(rng.normal(size=(400, 32)), 0)
+        lab = np.full((500, 32), value)
+        pairs = []
+        candidates = acquisition._candidate_pairs
+
+        def counting(x, labeled):
+            for rows, cols in candidates(x, labeled):
+                pairs.append(rows.size)
+                yield rows, cols
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(acquisition, "_candidate_pairs", counting)
+            got = acquisition._nearest_sq_dist(unl, lab)
+        assert sum(pairs) == len(unl)
+        assert np.array_equal(got, chunked_min_sq_dist(unl, lab))
+
+    def test_rows_equal_but_for_the_sign_of_zero_give_the_chunked_minimum(self):
+        lab = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+        unl = np.array([[-0.0, 0.0], [2.0, 1.0]])
+        assert np.array_equal(acquisition._nearest_sq_dist(unl, lab), chunked_min_sq_dist(unl, lab))
+        assert np.array_equal(acquisition._nearest_sq_dist(unl, lab), [1.0, 4.0])
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 10), m=st.integers(1, 6), d=st.integers(1, 64),

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dynal import alengine, datasets, netcore
+from dynal import alengine, datasets, netcore, tdhead
 from dynal.alengine import ALConfig, evaluate, kl_analysis, separation_auroc
 from dynal.datasets import DatasetSpec, ImbalanceSpec, build_dataset
 from dynal.estimators import StrategyKind
 from dynal.netcore import NetConfig, OptimizerConfig
 from dynal.numutil import kl_rows
+from dynal.tdtrack import TDStore
 
 
 def small_data(seed=3, n_classes=4, per_class=60):
@@ -402,6 +405,194 @@ class TestTrainingModes:
         cfg = small_cfg(epochs=5, n_cycles=1)
         result = alengine.train_joint(train.by_ids(train.ids[:20]), cfg, cycle=0)
         np.testing.assert_array_equal(result.store.count, np.full(20, 5))
+
+
+def oracle_softmax(z):
+    shifted = z - np.max(z, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=1, keepdims=True)
+
+
+def oracle_forward(net, cfg, X):
+    """Hidden activations, logits and probabilities, layer by layer."""
+    act, a = [], X
+    for l in range(len(cfg.hidden_sizes)):
+        z = a @ net.weights[l].T + net.biases[l]
+        a = np.maximum(z, 0.0) if cfg.activation == "relu" else np.tanh(z)
+        act.append(a)
+    logits = a @ net.weights[-1].T + net.biases[-1]
+    return act, logits, oracle_softmax(logits)
+
+
+def oracle_head_forward(head, taps):
+    pre = [t @ w.T + b for t, w, b in zip(taps, head.reduce_weights, head.reduce_biases)]
+    concat = np.maximum(np.concatenate(pre, axis=1), 0.0)
+    return concat, oracle_softmax(concat @ head.out_weight.T + head.out_bias)
+
+
+def oracle_grad_joint(net, cfg, head, X, y, q, lam, act, probs):
+    """The joint gradient as one batch's separate forward, head and
+    backward passes computed it, from an already-computed forward pass,
+    gradients concatenated in the layout of ``netcore.flatten(net, head)``."""
+    B = X.shape[0]
+    taps = [act[l] for l in cfg.tap_layers]
+    concat, pt = oracle_head_forward(head, taps)
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(B), y] = 1.0
+    dlogits = (probs - onehot) / B
+    dU = lam * (pt - q) / B
+
+    dWo = dU.T @ concat
+    dbo = dU.sum(axis=0)
+    dconcat = dU @ head.out_weight
+    r = head.reduce_weights[0].shape[0]
+    head_grads, tap_grads = [], []
+    for j, (t, w) in enumerate(zip(taps, head.reduce_weights)):
+        cols = slice(j * r, (j + 1) * r)
+        dS = dconcat[:, cols] * (concat[:, cols] > 0)
+        head_grads += [dS.T @ t, dS.sum(axis=0)]
+        tap_grads.append(dS @ w)
+    head_grads += [dWo, dbo]
+    tap_at_layer = {}
+    for layer, g in zip(cfg.tap_layers, tap_grads):
+        tap_at_layer[layer] = tap_at_layer.get(layer, 0.0) + g
+
+    n_hidden = len(cfg.hidden_sizes)
+    dW, db = [None] * (n_hidden + 1), [None] * (n_hidden + 1)
+    dW[-1] = dlogits.T @ act[-1]
+    db[-1] = dlogits.sum(axis=0)
+    dA = dlogits @ net.weights[-1]
+    for l in range(n_hidden - 1, -1, -1):
+        if l in tap_at_layer:
+            dA = dA + tap_at_layer[l]
+        a = act[l]
+        dZ = dA * ((a > 0).astype(np.float64) if cfg.activation == "relu" else 1.0 - a * a)
+        dW[l] = dZ.T @ (X if l == 0 else act[l - 1])
+        db[l] = dZ.sum(axis=0)
+        if l > 0:
+            dA = dZ @ net.weights[l]
+    net_grads = [g for pair in zip(dW, db) for g in pair]
+    return np.concatenate([g.ravel() for g in net_grads + head_grads])
+
+
+def oracle_train_joint(labeled, cfg, cycle, test=None):
+    """train_joint as a per-batch loop of separate passes: forward, store
+    update, a re-read of the updated means as KL targets, gradient,
+    update.  Returns (theta, store, test probs, head probs, test store)."""
+    net_cfg = cfg.net
+    theta, net, head = netcore.flatten(
+        netcore.init_net(net_cfg, alengine._stream_seed(cfg.seed, cycle, alengine._STREAM_NET)),
+        tdhead.init_head([net_cfg.hidden_sizes[t] for t in net_cfg.tap_layers], net_cfg.n_classes,
+                         cfg.head_reduce_dim,
+                         alengine._stream_seed(cfg.seed, cycle, alengine._STREAM_HEAD)),
+    )
+    opt_state = netcore.init_opt_state(theta)
+    rng = np.random.default_rng(alengine._stream_seed(cfg.seed, cycle, alengine._STREAM_SHUFFLE))
+    n = len(labeled)
+    store = TDStore(n, net_cfg.n_classes)
+    test_store = TDStore(len(test), net_cfg.n_classes) if test is not None else None
+    test_probs, head_probs = [], []
+    for epoch in range(cfg.epochs):
+        perm = rng.permutation(n)
+        for lo in range(0, n, cfg.batch_size):
+            idx = perm[lo : lo + cfg.batch_size]
+            Xb, yb = labeled.X[idx], labeled.y[idx]
+            act, _, probs = oracle_forward(net, net_cfg, Xb)
+            store.update_batch(idx, probs)
+            grad = oracle_grad_joint(net, net_cfg, head, Xb, yb, store.values(idx), cfg.lam, act,
+                                     probs)
+            netcore.apply_update(theta, grad, opt_state, cfg.opt, epoch)
+        if test is not None:
+            act, _, probs = oracle_forward(net, net_cfg, test.X)
+            test_probs.append(probs)
+            head_probs.append(oracle_head_forward(head, [act[l] for l in net_cfg.tap_layers])[1])
+            test_store.update_batch(np.arange(len(test)), probs)
+    return theta, store, test_probs, head_probs, test_store
+
+
+class TestTrainJointOracle:
+    """train_joint's fused steps against the per-batch loop of separate
+    passes, byte for byte: parameters, TD means and counts, and in
+    analysis mode every per-epoch test snapshot."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["sgd_momentum", "adam"]),
+           activation=st.sampled_from(["relu", "tanh"]),
+           taps=st.sampled_from([[0, 1], [1], [1, 1]]),
+           batch_size=st.sampled_from([1, 7, 32]),
+           lam=st.sampled_from([0.0, 1.0]),
+           analysis=st.booleans(),
+           seed=st.integers(0, 3))
+    @example(kind="adam", activation="tanh", taps=[1, 1], batch_size=1, lam=1.0, analysis=True,
+             seed=0)
+    @example(kind="sgd_momentum", activation="relu", taps=[0, 1], batch_size=7, lam=0.0,
+             analysis=True, seed=1)
+    @example(kind="adam", activation="relu", taps=[1], batch_size=32, lam=1.0, analysis=False,
+             seed=2)
+    @example(kind="sgd_momentum", activation="tanh", taps=[0, 1], batch_size=32, lam=0.0,
+             analysis=False, seed=3)
+    def test_equals_the_per_batch_loop(self, kind, activation, taps, batch_size, lam, analysis,
+                                       seed):
+        train, test = small_data()
+        labeled = train.take(np.arange(45))  # neither 7 nor 32 divides 45
+        # three epochs with the learning rate stepping down at the third
+        opt = OptimizerConfig(kind=kind, initial_lr=0.05 if kind == "sgd_momentum" else 0.01,
+                              weight_decay=5e-3, decay_epoch=2, decay_factor=0.1)
+        net = NetConfig(input_dim=6, hidden_sizes=[16, 16], n_classes=4, tap_layers=taps,
+                        activation=activation)
+        cfg = small_cfg(net=net, opt=opt, epochs=3, batch_size=batch_size, lam=lam, seed=seed)
+        result = alengine.train_joint(labeled, cfg, cycle=1, test=test if analysis else None)
+        theta, store, test_probs, head_probs, test_store = oracle_train_joint(
+            labeled, cfg, cycle=1, test=test if analysis else None)
+
+        got = np.concatenate([p.ravel() for p in result.net.params() + result.head.params()])
+        assert got.tobytes() == theta.tobytes()
+        assert result.store.mean.tobytes() == store.mean.tobytes()
+        assert result.store.count.tobytes() == store.count.tobytes()
+        if analysis:
+            trace = result.trace
+            assert [p.tobytes() for p in trace.test_probs] == [p.tobytes() for p in test_probs]
+            assert [p.tobytes() for p in trace.head_probs] == [p.tobytes() for p in head_probs]
+            assert trace.test_store.mean.tobytes() == test_store.mean.tobytes()
+            assert trace.test_store.count.tobytes() == test_store.count.tobytes()
+        else:
+            assert result.trace is None
+
+
+class TestTrainJointChecks:
+    """Inputs that cannot change within a run are checked at train_joint's entry."""
+
+    def test_diverging_run_names_a_sample_id(self):
+        train, _ = small_data()
+        # Row 5's huge features blow the weights up; a later batch's loss
+        # overflows.  Ids are not row positions.
+        X = train.X[:40].copy()
+        X[5] = 1e200
+        labeled = datasets.Dataset(1000 + 3 * np.arange(40), X, train.y[:40], train.n_classes)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match=r"non-finite loss for sample id") as err:
+            alengine.train_joint(labeled, small_cfg(n_cycles=1), cycle=0)
+        named = int(str(err.value).rsplit(" ", 1)[1])
+        assert named in labeled.ids.tolist()
+
+    @pytest.mark.parametrize("label", [-1, 4])
+    def test_label_out_of_range_raises_before_any_update(self, monkeypatch, label):
+        train, _ = small_data()
+        y = train.y[:40].copy()
+        y[33] = label
+        labeled = datasets.Dataset(train.ids[:40], train.X[:40], y, train.n_classes)
+        calls = []
+        monkeypatch.setattr(netcore, "apply_update", lambda *a: calls.append(1))
+        with pytest.raises(ValueError, match="class index out of range for 4 classes"):
+            alengine.train_joint(labeled, small_cfg(n_cycles=1), cycle=0)
+        assert calls == []
+
+    def test_lam_changed_after_the_config_was_built_is_rejected(self):
+        train, _ = small_data()
+        cfg = small_cfg(n_cycles=1)
+        cfg.lam = -1.0
+        with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
+            alengine.train_joint(train, cfg, cycle=0)
 
 
 class TestKlAnalysis:

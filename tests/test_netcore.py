@@ -5,7 +5,7 @@ import pytest
 
 from dynal import netcore, tdhead
 from dynal.netcore import NetConfig, OptimizerConfig
-from dynal.numutil import kl_rows, log_softmax
+from dynal.numutil import kl_rows, softmax_and_log_softmax
 
 
 def tiny_cfg(activation="tanh"):
@@ -176,7 +176,7 @@ class TestGradJoint:
         _, lt, lm = netcore.grad_joint(net, cfg, head, X, y, q, lam=1.0)
         trace = netcore.forward_batch(net, cfg, X)
         pt, _ = tdhead.head_forward_batch(head, trace.taps)
-        ce = -log_softmax(trace.logits, axis=1)[np.arange(len(y)), y]
+        ce = -softmax_and_log_softmax(trace.logits, axis=1)[1][np.arange(len(y)), y]
         assert (lt, lm) == (float(ce.mean()), float(kl_rows(q, pt).mean()))
 
     def test_targets_equal_predictions_zero_module_loss(self):
@@ -199,6 +199,51 @@ class TestGradJoint:
             with pytest.raises(FloatingPointError, match="sample id 9"):
                 netcore.grad_joint(net, cfg, head, X, y, q, lam=1.0,
                                    sample_ids=np.array([7, 8, 9, 10]))
+
+
+    def test_kernel_writes_every_gradient_entry(self):
+        # Training reuses one gradient vector: each step overwrites all of it.
+        cfg = NetConfig(input_dim=2, hidden_sizes=[3, 4], n_classes=3, tap_layers=[1, 0, 1])
+        net = netcore.init_net(cfg, 2)
+        head = tdhead.init_head([4, 3, 4], 3, 2, 3)
+        rng = np.random.default_rng(4)
+        X, y, q = rng.normal(size=(5, 2)), rng.integers(0, 3, size=5), rng.dirichlet([1.0] * 3, 5)
+        want, lt, lm = netcore.grad_joint(net, cfg, head, X, y, q, lam=0.5)
+        grad, grad_net, grad_head = netcore._gradient(net, head)
+        for _ in range(2):
+            grad[:] = np.nan
+            per_ce, per_kl = netcore._joint_step(net, cfg, head, X, y, lambda p: q, 0.5,
+                                                 np.arange(5), grad_net, grad_head)
+            assert grad.tobytes() == want.tobytes()
+            assert (float(per_ce.mean()), float(per_kl.mean())) == (lt, lm)
+
+    def test_targets_come_from_the_forward_pass_probabilities(self):
+        cfg, net, head, X, y, _ = self.make_instance(12)
+        seen = []
+        grad, grad_net, grad_head = netcore._gradient(net, head)
+        netcore._joint_step(net, cfg, head, X, y, lambda p: seen.append(p) or p, 1.0,
+                            np.arange(4), grad_net, grad_head)
+        assert len(seen) == 1
+        assert seen[0].tobytes() == netcore.forward_batch(net, cfg, X).probs.tobytes()
+
+    def test_head_that_does_not_fit_the_taps_rejected(self):
+        cfg, net, head, X, y, q = self.make_instance(3)
+        with pytest.raises(ValueError, match="expected 2 taps, got 1"):
+            netcore.grad_joint(net, cfg, tdhead.init_head([3, 3], 2, 4, 0), X, y, q, lam=1.0)
+        with pytest.raises(ValueError, match="tap dim 3 != expected 5"):
+            netcore.grad_joint(net, cfg, tdhead.init_head([5], 2, 4, 0), X, y, q, lam=1.0)
+
+    def test_input_checks_keep_their_order(self):
+        cfg, net, head, X, y, q = self.make_instance(3)
+        bad_y = np.array([0, 1, 2, 0])
+        with pytest.raises(ValueError, match="lam"):
+            netcore.grad_joint(net, cfg, head, np.zeros((4, 3)), bad_y, q[:2], lam=-1.0)
+        with pytest.raises(ValueError, match="expected feature dim 2, got 3"):
+            netcore.grad_joint(net, cfg, head, np.zeros((4, 3)), bad_y, q[:2], lam=1.0)
+        with pytest.raises(ValueError, match="class index out of range for 2 classes"):
+            netcore.grad_joint(net, cfg, head, X, bad_y, q[:2], lam=1.0)
+        with pytest.raises(ValueError, match=r"td_targets shape \(2, 2\) != \(4, 2\)"):
+            netcore.grad_joint(net, cfg, head, X, y, q[:2], lam=1.0)
 
 
 class TestFlatten:

@@ -146,3 +146,18 @@ class TestStore:
         with pytest.raises(ValueError, match="duplicate"):
             store.update_batch([1, 1], np.full((2, 2), 0.5))
         assert store.count.sum() == 0
+
+    @pytest.mark.parametrize("rows", [[2, 0, 2], [3, 1, 0, 1], [0, 0]])
+    def test_duplicates_anywhere_in_the_rows_rejected(self, rows):
+        store = TDStore(4, 2)
+        with pytest.raises(ValueError, match="duplicate rows in one update"):
+            store.update_batch(rows, np.full((len(rows), 2), 0.5))
+        assert store.count.sum() == 0 and not store.mean.any()
+
+    def test_update_returns_the_means_it_stored(self):
+        store = TDStore(4, 3)
+        rng = np.random.default_rng(6)
+        for rows in ([2, 0], [0, 3, 2], [1]):
+            got = store.update_batch(rows, rng.dirichlet(np.ones(3), size=len(rows)))
+            assert got.tobytes() == store.values(rows).tobytes()
+            assert not np.shares_memory(got, store.mean)
