@@ -296,24 +296,24 @@ def run_cycle(
 def run_experiments(
     train: Dataset,
     test: Dataset,
-    cfgs: list[ALConfig],
+    cfg: ALConfig,
+    strategies: list[str | StrategyKind],
     minor_classes: list[int] | None = None,
 ) -> list[list[CycleReport] | Exception]:
-    """The full protocol for configs that differ only in strategy:
-    seeded initial labeling, then n_cycles cycles, run cycle by cycle
-    so that runs at the same labeled ids share each cycle's training.
+    """The full protocol of ``cfg`` under each of ``strategies`` (run i
+    reads ``replace(cfg, strategy=strategies[i])``): seeded initial
+    labeling, then n_cycles cycles, run cycle by cycle so that runs at
+    the same labeled ids share each cycle's training.
 
-    Returns, per config, its reports, or the exception its run raised;
+    Returns, per strategy, its reports, or the exception its run raised;
     a failed run leaves the others to finish.  A run ends early (with
     the reports so far) once its pool empties.  An initial labeling of
     the whole training set raises ValueError before any training.
-    Output is a pure function of the configs and datasets.
+    Output is a pure function of the config, strategies and datasets.
     """
-    if not cfgs:
-        raise ValueError("no configs given")
-    cfg = cfgs[0]
-    if any(replace(c, strategy=cfg.strategy) != cfg for c in cfgs[1:]):
-        raise ValueError("configs run together may differ only in strategy")
+    if not strategies:
+        raise ValueError("no strategies given")
+    cfgs = [replace(cfg, strategy=s) for s in strategies]
     if cfg.initial_labeled >= len(train):
         raise ValueError(f"initial_labeled={cfg.initial_labeled} must be below the"
                          f" training-set size {len(train)}")
@@ -356,8 +356,8 @@ def run_experiment(
     cfg: ALConfig,
     minor_classes: list[int] | None = None,
 ) -> list[CycleReport]:
-    """``run_experiments`` for one config; raises what its run raised."""
-    (outcome,) = run_experiments(train, test, [cfg], minor_classes)
+    """``run_experiments`` for ``cfg``'s own strategy; raises what its run raised."""
+    (outcome,) = run_experiments(train, test, cfg, [cfg.strategy], minor_classes)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -153,9 +153,10 @@ def _run_settings(cfg: ExperimentConfig, train: Dataset, seed: int) -> dict:
     return dict(net=net, opt=cfg.optimizer, head_reduce_dim=cfg.head.reduce_dim, seed=seed)
 
 
-def build_al_config(cfg: ExperimentConfig, train: Dataset, strategy: str, seed: int,
+def build_al_config(cfg: ExperimentConfig, train: Dataset, seed: int,
                     analysis: bool = False) -> ALConfig:
-    return ALConfig(**{**dataclasses.asdict(cfg.al), "strategy": strategy}, analysis=analysis,
+    """The ``al:`` section's run at ``seed``; ``run_experiments`` varies its strategy."""
+    return ALConfig(**dataclasses.asdict(cfg.al), analysis=analysis,
                     **_run_settings(cfg, train, seed))
 
 
@@ -164,9 +165,8 @@ def build_pilot_config(cfg: ExperimentConfig, train: Dataset, seed: int) -> ALCo
     return ALConfig(**dataclasses.asdict(cfg.pilot), **_run_settings(cfg, train, seed))
 
 
-def _save_run(al_cfg: ALConfig, reports, out: Path) -> list:
+def _save_run(strategy: str, seed: int, reports, out: Path) -> list:
     """Write one (strategy, seed) run's artifacts; returns its summary rows."""
-    strategy, seed = al_cfg.strategy.value, al_cfg.seed
     rows = [(strategy, seed, rep) for rep in reports]
     save_results_csv(out / f"results_{strategy}_seed{seed}.csv", rows)
     for rep in reports:
@@ -182,14 +182,14 @@ def _al_worker(job):
     """The active-learning runs of one seed, one per strategy, sharing each
     cycle's training.  Returns per strategy (summary rows, None), or
     (None, traceback text) for a run that raised and wrote nothing."""
-    train, test, al_cfgs, minor, out_dir = job
-    outcomes = alengine.run_experiments(train, test, al_cfgs, minor_classes=minor)
+    train, test, al_cfg, strategies, minor, out_dir = job
+    outcomes = alengine.run_experiments(train, test, al_cfg, strategies, minor)
     runs = []
-    for al_cfg, outcome in zip(al_cfgs, outcomes):
+    for strategy, outcome in zip(strategies, outcomes):
         try:
             if isinstance(outcome, Exception):
                 raise outcome
-            runs.append((_save_run(al_cfg, outcome, Path(out_dir)), None))
+            runs.append((_save_run(strategy, al_cfg.seed, outcome, Path(out_dir)), None))
         except Exception:
             runs.append((None, traceback.format_exc()))
     return runs
@@ -202,11 +202,9 @@ def _run_al(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
         raise ValueError(f"al.initial_labeled={cfg.al.initial_labeled} must be below the"
                          f" training-set size {len(train)}")
     minor = cfg.dataset.imbalance.minor_classes_for(train.n_classes)
-    jobs = []
-    for seed in args.seeds:  # one job runs every strategy of a seed
-        al_cfgs = [build_al_config(cfg, train, s, seed, analysis=args.analysis)
-                   for s in args.strategies]
-        jobs.append((train, test, al_cfgs, minor, str(out)))
+    # One job runs every strategy of a seed.
+    jobs = [(train, test, build_al_config(cfg, train, seed, analysis=args.analysis),
+             args.strategies, minor, str(out)) for seed in args.seeds]
 
     by_seed = []  # per seed, per strategy: (rows, traceback)
     # One worker runs in this process; more run in a pool of that many processes.

@@ -84,6 +84,9 @@ class ImbalanceSpec:
             raise ValueError(f"imbalance profile must be one of {IMBALANCE_PROFILES}")
         if self.profile == "exponential" and self.minor_classes is not None:
             raise ValueError("minor_classes applies to profile 'step', not 'exponential'")
+        for i, c in enumerate(self.minor_classes or ()):
+            if c in self.minor_classes[:i]:
+                raise ValueError(f"repeated minor class {c}")
 
     def minor_classes_for(self, n_classes: int) -> list[int]:
         """Classes this spec cuts in a dataset of ``n_classes`` classes (a
@@ -166,31 +169,26 @@ def nearest_mean_predict(X: np.ndarray, means: np.ndarray) -> np.ndarray:
     return d2.argmin(axis=1)
 
 
-def apply_imbalance(
-    ds: Dataset,
-    ratio: float,
-    profile: str = "step",
-    minor_classes: list[int] | None = None,
-    seed: int = 0,
-) -> Dataset:
-    """Down-sample classes to a long-tailed profile.
+def apply_imbalance(ds: Dataset, spec: ImbalanceSpec, seed: int = 0) -> Dataset:
+    """Down-sample classes to the long-tailed profile of ``spec``.
 
-    step: classes in ``minor_classes`` (default: the upper half of the
-    class range) are cut to floor(N_max / ratio); the rest keep all
+    step: classes in ``spec.minor_classes`` (default: the upper half of
+    the class range) are cut to floor(N_max / ratio); the rest keep all
     samples.  exponential: class c is cut to N_max * ratio**(-c/(C-1)),
-    and naming ``minor_classes`` is an error.  Removal is seeded-random
-    without replacement; original row order is preserved among survivors.
+    and naming ``minor_classes`` is an error of the spec.  A named minor
+    class outside ``ds``'s class range is a ValueError, at any ratio.
+    Removal is seeded-random without replacement; original row order is
+    preserved among survivors.
     """
-    spec = ImbalanceSpec(ratio, profile, minor_classes)  # raises where the spec would
-    for c in minor_classes or ():
+    for c in spec.minor_classes or ():
         if not 0 <= c < ds.n_classes:
             raise ValueError(f"minor class {c} out of range for {ds.n_classes} classes")
-    if ratio == 1:
+    if spec.ratio == 1:
         return ds.take(np.arange(len(ds)))
     counts = ds.class_counts()
     n_max = int(counts.max())
-    C = ds.n_classes
-    if profile == "step":
+    C, ratio = ds.n_classes, spec.ratio
+    if spec.profile == "step":
         minor = set(spec.minor_classes_for(C))
         targets = [int(n_max // ratio) if c in minor else int(counts[c]) for c in range(C)]
     else:
@@ -238,13 +236,7 @@ def build_dataset(spec: DatasetSpec) -> tuple[Dataset, Dataset]:
         full = load_csv(spec.csv_path)
     train, test = split(full, spec.test_fraction, spec.seed)
     if spec.imbalance.ratio > 1:
-        train = apply_imbalance(
-            train,
-            spec.imbalance.ratio,
-            spec.imbalance.profile,
-            spec.imbalance.minor_classes,
-            seed=spec.seed,
-        )
+        train = apply_imbalance(train, spec.imbalance, seed=spec.seed)
     return train, test
 
 

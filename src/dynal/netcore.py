@@ -170,10 +170,9 @@ class NetState:
 
 @dataclass
 class BatchTrace:
-    """Everything computed by one forward pass of a batch (arrays are (B, dim))."""
+    """Activations, probabilities and taps of one forward pass of a batch (arrays are (B, dim))."""
 
     activations: list[np.ndarray]
-    logits: np.ndarray
     probs: np.ndarray
     taps: list[np.ndarray]
 
@@ -216,8 +215,7 @@ def forward_batch(state: NetState, cfg: NetConfig, X: np.ndarray) -> BatchTrace:
     if X.shape[1] != cfg.input_dim:
         raise ValueError(f"expected feature dim {cfg.input_dim}, got {X.shape[1]}")
     act, logits = _forward(state, cfg, X)
-    probs = stable_softmax(logits, axis=1)
-    return BatchTrace(act, logits, probs, [act[l] for l in cfg.tap_layers])
+    return BatchTrace(act, stable_softmax(logits, axis=1), [act[l] for l in cfg.tap_layers])
 
 
 def _forward(state: NetState, cfg: NetConfig, X: np.ndarray):

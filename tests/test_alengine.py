@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -255,7 +257,7 @@ class TestExperimentInvariants:
         monkeypatch.setattr(alengine, "train_joint", lambda *a, **k: pytest.fail("trained"))
         cfg = small_cfg(initial_labeled=len(train) + extra)
         with pytest.raises(ValueError, match=f"must be below the training-set size {len(train)}"):
-            alengine.run_experiments(train, test, [cfg])
+            alengine.run_experiments(train, test, cfg, [cfg.strategy])
 
 
 class TestSharedCycles:
@@ -281,8 +283,8 @@ class TestSharedCycles:
     def test_three_strategies_train_one_model_per_cycle(self, monkeypatch):
         train, test = small_data()
         calls = self.count_calls(monkeypatch, "train_joint")
-        cfgs = [small_cfg(strategy=s, n_cycles=1, epochs=3) for s in self.SCORED]
-        outcomes = alengine.run_experiments(train, test, cfgs)
+        outcomes = alengine.run_experiments(train, test, small_cfg(n_cycles=1, epochs=3),
+                                            self.SCORED)
         assert len(calls) == 1
         assert all(len(reports) == 1 for reports in outcomes)
 
@@ -313,28 +315,28 @@ class TestSharedCycles:
             return run_cycle(*a, memo=memo, **k)
 
         monkeypatch.setattr(alengine, "run_cycle", spy)
-        cfgs = [small_cfg(strategy=s, n_cycles=3, epochs=3) for s in self.SCORED]
-        alengine.run_experiments(train, test, cfgs)
+        alengine.run_experiments(train, test, small_cfg(n_cycles=3, epochs=3), self.SCORED)
         assert [c for c, _ in seen] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
         assert len({id(m) for _, m in seen}) == 3
         assert all(not m for _, m in seen)
 
     def test_grouped_reports_equal_separate_runs(self):
         train, test = small_data()
-        cfgs = [small_cfg(strategy=s, n_cycles=2, epochs=4, dump_scores=True, analysis=True)
-                for s in StrategyKind]
-        grouped = alengine.run_experiments(train, test, cfgs, minor_classes=[1, 2])
-        for cfg, reports in zip(cfgs, grouped):
-            alone = alengine.run_experiment(train, test, cfg, minor_classes=[1, 2])
+        cfg = small_cfg(n_cycles=2, epochs=4, dump_scores=True, analysis=True)
+        grouped = alengine.run_experiments(train, test, cfg, list(StrategyKind),
+                                           minor_classes=[1, 2])
+        for strategy, reports in zip(StrategyKind, grouped):
+            alone = alengine.run_experiment(train, test, replace(cfg, strategy=strategy),
+                                            minor_classes=[1, 2])
             assert reports == alone
             assert all(r.kl_rows for r in reports)
-            if cfg.strategy not in (StrategyKind.RANDOM, StrategyKind.CORESET):
+            if strategy not in (StrategyKind.RANDOM, StrategyKind.CORESET):
                 assert all(r.score_rows for r in reports)
 
     def test_failed_strategy_leaves_the_others_to_finish(self, monkeypatch):
         train, test = small_data()
-        cfgs = [small_cfg(strategy=s, n_cycles=2, epochs=3) for s in self.SCORED]
-        expected = alengine.run_experiments(train, test, cfgs, minor_classes=[1])
+        cfg = small_cfg(n_cycles=2, epochs=3)
+        expected = alengine.run_experiments(train, test, cfg, self.SCORED, minor_classes=[1])
         scores = alengine.strategy_scores
 
         def fail_tidal(kind, *a):
@@ -343,32 +345,30 @@ class TestSharedCycles:
             return scores(kind, *a)
 
         monkeypatch.setattr(alengine, "strategy_scores", fail_tidal)
-        outcomes = alengine.run_experiments(train, test, cfgs, minor_classes=[1])
+        outcomes = alengine.run_experiments(train, test, cfg, self.SCORED, minor_classes=[1])
         assert isinstance(outcomes[2], RuntimeError)
         assert outcomes[:2] == expected[:2]
         with pytest.raises(RuntimeError, match="scoring failed"):
-            alengine.run_experiment(train, test, cfgs[2])
+            alengine.run_experiment(train, test, replace(cfg, strategy=self.SCORED[2]))
 
     def test_failed_training_stores_nothing(self, monkeypatch):
         train, test = small_data()
         calls = self.count_calls(monkeypatch, "train_joint", fail=True)
-        cfgs = [small_cfg(strategy=s, n_cycles=2, epochs=3) for s in self.SCORED[:2]]
+        cfg = small_cfg(strategy=self.SCORED[0], n_cycles=2, epochs=3)
         memo = {}
         with pytest.raises(RuntimeError):
             alengine.run_cycle([int(i) for i in train.ids[:12]], train.ids[12:], train, test,
-                               cfgs[0], 1, memo=memo)
+                               cfg, 1, memo=memo)
         assert memo == {}
         # each strategy then trains, and fails, on its own
-        outcomes = alengine.run_experiments(train, test, cfgs)
+        outcomes = alengine.run_experiments(train, test, cfg, self.SCORED[:2])
         assert all(isinstance(o, RuntimeError) for o in outcomes)
         assert len(calls) == 1 + 2
 
-    def test_configs_may_differ_only_in_strategy(self):
+    def test_no_strategies_rejected(self):
         train, test = small_data()
-        with pytest.raises(ValueError, match="differ only in strategy"):
-            alengine.run_experiments(train, test, [small_cfg(seed=0), small_cfg(seed=1)])
-        with pytest.raises(ValueError, match="no configs"):
-            alengine.run_experiments(train, test, [])
+        with pytest.raises(ValueError, match="no strategies given"):
+            alengine.run_experiments(train, test, small_cfg(), [])
 
 
 class TestTrainingModes:

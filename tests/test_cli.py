@@ -645,6 +645,16 @@ class TestMain:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["al-run", "pilot"])
+    def test_repeated_minor_class_exits_2_naming_it(self, pilot_config, tmp_path, capsys,
+                                                    command):
+        pilot_config.write_text(PILOT_CFG.replace("minor_classes: [2, 3]",
+                                                  "minor_classes: [2, 2, 3]"))
+        out = tmp_path / "x"
+        assert main([command, "--config", str(pilot_config), "--out", str(out)]) == 2
+        assert "repeated minor class 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_initial_labeling_of_the_whole_train_set_exits_2(self, small_config, tmp_path,
                                                              capsys):
         small_config.write_text(SMALL_CFG.replace("initial_labeled: 9", "initial_labeled: 500"))

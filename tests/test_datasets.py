@@ -110,42 +110,47 @@ class TestApplyImbalance:
 
     def test_step_profile_counts(self):
         ds = self.balanced()
-        out = apply_imbalance(ds, ratio=10, profile="step", minor_classes=[5, 6, 7, 8, 9])
+        out = apply_imbalance(ds, ImbalanceSpec(ratio=10, profile="step",
+                                              minor_classes=[5, 6, 7, 8, 9]))
         np.testing.assert_array_equal(out.class_counts(), [1000] * 5 + [100] * 5)
 
     def test_ratio_one_is_identity(self):
         ds = self.balanced(per_class=50, C=3)
-        out = apply_imbalance(ds, ratio=1)
+        out = apply_imbalance(ds, ImbalanceSpec(ratio=1))
         np.testing.assert_array_equal(np.sort(out.ids), np.sort(ds.ids))
 
     def test_exponential_profile_counts(self):
         ds = self.balanced(per_class=100, C=3)
-        out = apply_imbalance(ds, ratio=100, profile="exponential")
+        out = apply_imbalance(ds, ImbalanceSpec(ratio=100, profile="exponential"))
         np.testing.assert_array_equal(out.class_counts(), [100, 10, 1])
 
     def test_emptying_a_class_is_an_error(self):
         ds = self.balanced(per_class=5, C=3)
         with pytest.raises(ValueError):
-            apply_imbalance(ds, ratio=10, profile="step", minor_classes=[2])
+            apply_imbalance(ds, ImbalanceSpec(ratio=10, profile="step", minor_classes=[2]))
 
     @pytest.mark.parametrize("minor", [[5], [-1], [1, 4]])
     def test_minor_class_out_of_range_is_named(self, minor):
         ds = self.balanced(per_class=20, C=4)
         bad = [c for c in minor if not 0 <= c < 4][0]
         with pytest.raises(ValueError, match=f"minor class {bad} out of range for 4 classes"):
-            apply_imbalance(ds, ratio=4, profile="step", minor_classes=minor)
+            apply_imbalance(ds, ImbalanceSpec(ratio=4, profile="step", minor_classes=minor))
 
     def test_minor_classes_under_exponential_profile_rejected(self):
-        ds = self.balanced(per_class=20, C=4)
-        with pytest.raises(ValueError, match="not 'exponential'"):
-            apply_imbalance(ds, ratio=4, profile="exponential", minor_classes=[3])
         with pytest.raises(ValueError, match="not 'exponential'"):
             ImbalanceSpec(ratio=4, profile="exponential", minor_classes=[3])
+
+    @pytest.mark.parametrize("ratio", [1, 3])
+    @pytest.mark.parametrize("minor, repeated", [([2, 2, 3], 2), ([3, 2, 3], 3)])
+    def test_repeated_minor_class_is_named(self, ratio, minor, repeated):
+        # A repeat would count its class twice in the minor-class accuracy.
+        with pytest.raises(ValueError, match=f"repeated minor class {repeated}"):
+            ImbalanceSpec(ratio=ratio, minor_classes=minor)
 
     def test_named_minor_class_range_checked_at_ratio_one(self):
         ds = self.balanced(per_class=20, C=4)
         with pytest.raises(ValueError, match="minor class 5 out of range for 4 classes"):
-            apply_imbalance(ds, ratio=1, minor_classes=[5])
+            apply_imbalance(ds, ImbalanceSpec(ratio=1, minor_classes=[5]))
 
     def test_minor_classes_for(self):
         assert ImbalanceSpec().minor_classes_for(4) == []
@@ -156,12 +161,13 @@ class TestApplyImbalance:
 
     def test_step_default_cuts_the_minor_classes_for_its_dataset(self):
         ds = self.balanced(per_class=40, C=5)
-        out = apply_imbalance(ds, ratio=4, profile="step")
+        out = apply_imbalance(ds, ImbalanceSpec(ratio=4, profile="step"))
         np.testing.assert_array_equal(out.class_counts(), [40, 40, 10, 10, 10])
 
     def test_never_edits_features_or_labels(self):
         ds = self.balanced(per_class=40, C=4)
-        out = apply_imbalance(ds, ratio=4, profile="step", minor_classes=[2, 3], seed=9)
+        out = apply_imbalance(ds, ImbalanceSpec(ratio=4, profile="step", minor_classes=[2, 3]),
+                              seed=9)
         lookup = {int(i): k for k, i in enumerate(ds.ids)}
         for k, sid in enumerate(out.ids):
             src = lookup[int(sid)]
@@ -171,7 +177,8 @@ class TestApplyImbalance:
     def test_achieved_ratio_within_rounding(self):
         ds = self.balanced(per_class=333, C=6)
         for ratio in (2, 7, 10):
-            out = apply_imbalance(ds, ratio=ratio, profile="step", minor_classes=[4, 5])
+            out = apply_imbalance(ds, ImbalanceSpec(ratio=ratio, profile="step",
+                                                  minor_classes=[4, 5]))
             counts = out.class_counts()
             achieved = counts.max() / counts.min()
             assert abs(achieved - ratio) / ratio <= 1.0 / counts.min()

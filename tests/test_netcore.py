@@ -42,7 +42,9 @@ class TestForward:
         t1 = netcore.forward_batch(state, cfg, x)
         t2 = netcore.forward_batch(state, cfg, x)
         assert np.array_equal(t1.probs, t2.probs)
-        assert np.array_equal(t1.logits, t2.logits)
+        X = np.atleast_2d(x)
+        assert np.array_equal(netcore._forward(state, cfg, X)[1],
+                              netcore._forward(state, cfg, X)[1])
 
     def test_matches_independent_reimplementation(self):
         # Per-unit loop evaluation, sharing no code with the library path.
@@ -65,7 +67,8 @@ class TestForward:
         probs = [e / sum(exps) for e in exps]
 
         trace = netcore.forward_batch(state, cfg, x)
-        np.testing.assert_allclose(trace.logits[0], logits, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(netcore._forward(state, cfg, np.atleast_2d(x))[1][0], logits,
+                                   rtol=0, atol=1e-12)
         np.testing.assert_allclose(trace.probs[0], probs, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
@@ -176,7 +179,8 @@ class TestGradJoint:
         _, lt, lm = netcore.grad_joint(net, cfg, head, X, y, q, lam=1.0)
         trace = netcore.forward_batch(net, cfg, X)
         pt, _ = tdhead.head_forward_batch(head, trace.taps)
-        ce = -softmax_and_log_softmax(trace.logits, axis=1)[1][np.arange(len(y)), y]
+        logits = netcore._forward(net, cfg, X)[1]
+        ce = -softmax_and_log_softmax(logits, axis=1)[1][np.arange(len(y)), y]
         assert (lt, lm) == (float(ce.mean()), float(kl_rows(q, pt).mean()))
 
     def test_targets_equal_predictions_zero_module_loss(self):

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import numpy as np
 
-from dynal import alengine, cli, netcore, tdtrack
+from dynal import alengine, cli, netcore, tdtrack, theorysim
 from dynal.alengine import ALConfig
 from dynal.datasets import DatasetSpec, build_dataset
 from dynal.estimators import StrategyKind
 from dynal.netcore import NetConfig, OptimizerConfig
+from dynal.theorysim import ElasticityParams
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
 
@@ -61,3 +62,20 @@ def test_row_counts_of_a_scored_cycle():
     assert t.counts["estimators.strategy_scores.rows"] == 25
     assert t.counts["acquisition.select_top_k.rows"] == 25
     assert t.counts["tdtrack.update_batch.rows"] == 3 * 10
+
+
+def test_step_counts_of_the_theory_calls():
+    # The theory workload's step counts come from the params, dt and t_end
+    # positions of these two signatures.
+    tracer = load_tracer()
+    params = ElasticityParams(n_1e=2, n_1h=2, n_2=2, iterations=30, seed=0)
+    dt, t_end = 0.01, 0.5
+    t = tracer.Tracer()
+    tracer.install_layers(t)
+    try:
+        theorysim.integrate_ode(params, dt, t_end)
+        theorysim.simulate_discrete_ensemble(params, 3)
+    finally:
+        t.uninstall()
+    assert t.counts["theorysim.integrate_ode.steps"] == round(t_end / dt)
+    assert t.counts["theorysim.simulate_discrete_ensemble.steps"] == params.iterations
