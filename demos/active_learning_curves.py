@@ -32,7 +32,7 @@ SEEDS = range(4)
 
 accs = {strategy: [] for strategy in STRATEGIES}
 for seed in SEEDS:
-    outcomes = run_experiments(train, test, build_al_config(cfg, train, seed), STRATEGIES)
+    outcomes = run_experiments(train, test, build_al_config(cfg, seed), STRATEGIES)
     for strategy, reports in zip(STRATEGIES, outcomes):
         if isinstance(reports, Exception):
             raise reports

@@ -22,7 +22,7 @@ from dynal.datasets import build_dataset
 cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "pilot_longtail.yaml")
 train, test = build_dataset(cfg.dataset)
 
-result = train_joint(train, build_pilot_config(cfg, train, seed=0), cycle=0, test=test)
+result = train_joint(train, build_pilot_config(cfg, seed=0), cycle=0, test=test)
 rows = kl_analysis(result)
 
 print("epoch | KL(final mean || head prediction) | KL(final mean || snapshot)")

@@ -30,7 +30,7 @@ print(f"training set: {len(train)} samples, per-class counts {train.class_counts
 
 aurocs = {}
 for seed in range(3):
-    pilot = run_pilot(train, build_pilot_config(cfg, train, seed), minor)
+    pilot = run_pilot(train, build_pilot_config(cfg, seed), minor)
     for name, val in pilot.auroc.items():
         aurocs.setdefault(name, []).append(val)
     print(f"seed {seed} done")

@@ -98,7 +98,6 @@ def kcenter_greedy(
     ids = unlabeled_ids[order]
 
     selected: list[int] = []
-    chosen = np.zeros(n, dtype=bool)
     labeled_feats = np.asarray(labeled_feats, dtype=np.float64)
     min_dist = np.full(n, np.inf)
     if labeled_feats.size:
@@ -112,10 +111,9 @@ def kcenter_greedy(
         min_dist = np.sqrt(_nearest_sq_dist(feats, labeled_feats))
 
     while len(selected) < k:
-        masked = np.where(chosen, -np.inf, min_dist)
-        pick = int(np.argmax(masked))
+        pick = int(np.argmax(min_dist))
         selected.append(int(ids[pick]))
-        chosen[pick] = True
+        min_dist[pick] = -np.inf  # a pick is never picked again: np.minimum keeps -inf
         diff = feats - feats[pick]
         min_dist = np.minimum(min_dist, np.sqrt((diff * diff).sum(axis=1)))
     return selected

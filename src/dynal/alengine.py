@@ -125,7 +125,8 @@ def train_joint(
     cycle: int,
     test: Dataset | None = None,
 ) -> TrainResult:
-    """Train classifier and head from scratch on the labeled set.
+    """Train classifier and head from scratch on the labeled set, the net
+    mapping its ``dim`` features to its ``n_classes`` classes.
 
     Per epoch, each labeled sample's probability vector from the
     training-time forward pass (taken before that batch's update) is
@@ -136,17 +137,16 @@ def train_joint(
     once: each step is one ``netcore._joint_step`` into one gradient
     vector, then ``netcore.apply_update``.
     """
-    net_cfg = cfg.net
-    if net_cfg.input_dim != labeled.dim or net_cfg.n_classes != labeled.n_classes:
-        raise ValueError("net config does not match dataset dimensions")
+    net_cfg, n_classes = cfg.net, labeled.n_classes
     if not 0 <= cfg.lam < np.inf:
         raise ValueError("lam must be nonnegative and finite")
     X = np.atleast_2d(np.asarray(labeled.X, dtype=np.float64))
     y = np.asarray(labeled.y, dtype=int)
-    netcore.check_labels(y, net_cfg.n_classes)
+    netcore.check_labels(y, n_classes)
     theta, net, head = netcore.flatten(
-        netcore.init_net(net_cfg, _stream_seed(cfg.seed, cycle, _STREAM_NET)),
-        tdhead.init_head([net_cfg.hidden_sizes[t] for t in net_cfg.tap_layers], net_cfg.n_classes,
+        netcore.init_net(net_cfg, labeled.dim, n_classes,
+                         _stream_seed(cfg.seed, cycle, _STREAM_NET)),
+        tdhead.init_head([net_cfg.hidden_sizes[t] for t in net_cfg.tap_layers], n_classes,
                          cfg.head_reduce_dim, _stream_seed(cfg.seed, cycle, _STREAM_HEAD)),
     )
     grad, grad_net, grad_head = netcore._gradient(net, head)
@@ -155,10 +155,10 @@ def train_joint(
 
     n = len(labeled)
     # The store's (n, C) means are the KL targets, so their shape holds by construction.
-    store = TDStore(n, net_cfg.n_classes)
+    store = TDStore(n, n_classes)
     trace = None
     if test is not None:
-        trace = TrainingTrace(test_store=TDStore(len(test), net_cfg.n_classes))
+        trace = TrainingTrace(test_store=TDStore(len(test), n_classes))
 
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(n)

@@ -30,20 +30,13 @@ import yaml
 
 from . import alengine, theorysim
 from .alengine import ALConfig, ALProtocol, save_kl_csv, save_results_csv
-from .datasets import Dataset, DatasetSpec, build_dataset, save_csv
+from .datasets import DatasetSpec, build_dataset, save_csv
 from .estimators import StrategyKind, save_scores_csv
 from .netcore import NetConfig, OptimizerConfig
 from .numutil import write_csv
 from .theorysim import ElasticityParams
 
 DEFAULT_SY_GRID = [round(0.55 + 0.05 * i, 2) for i in range(9)]
-
-
-@dataclass
-class NetSection:
-    hidden_sizes: list[int] = field(default_factory=lambda: [32, 32])
-    activation: str = "relu"
-    tap_layers: list[int] = field(default_factory=lambda: [0, 1])
 
 
 @dataclass
@@ -85,7 +78,7 @@ class PilotSection:
 @dataclass
 class ExperimentConfig:
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
-    net: NetSection = field(default_factory=NetSection)
+    net: NetConfig = field(default_factory=NetConfig)
     head: HeadSection = field(default_factory=HeadSection)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     al: ALProtocol = field(default_factory=ALProtocol)
@@ -147,22 +140,19 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=True)
 
 
-def _run_settings(cfg: ExperimentConfig, train: Dataset, seed: int) -> dict:
+def _run_settings(cfg: ExperimentConfig, seed: int) -> dict:
     """The ALConfig fields outside the protocol: network, optimizer, head, seed."""
-    net = NetConfig(**dataclasses.asdict(cfg.net), input_dim=train.dim, n_classes=train.n_classes)
-    return dict(net=net, opt=cfg.optimizer, head_reduce_dim=cfg.head.reduce_dim, seed=seed)
+    return dict(net=cfg.net, opt=cfg.optimizer, head_reduce_dim=cfg.head.reduce_dim, seed=seed)
 
 
-def build_al_config(cfg: ExperimentConfig, train: Dataset, seed: int,
-                    analysis: bool = False) -> ALConfig:
+def build_al_config(cfg: ExperimentConfig, seed: int, analysis: bool = False) -> ALConfig:
     """The ``al:`` section's run at ``seed``; ``run_experiments`` varies its strategy."""
-    return ALConfig(**dataclasses.asdict(cfg.al), analysis=analysis,
-                    **_run_settings(cfg, train, seed))
+    return ALConfig(**dataclasses.asdict(cfg.al), analysis=analysis, **_run_settings(cfg, seed))
 
 
-def build_pilot_config(cfg: ExperimentConfig, train: Dataset, seed: int) -> ALConfig:
+def build_pilot_config(cfg: ExperimentConfig, seed: int) -> ALConfig:
     """The pilot's training run from the ``pilot:`` section; ``al:`` is not read."""
-    return ALConfig(**dataclasses.asdict(cfg.pilot), **_run_settings(cfg, train, seed))
+    return ALConfig(**dataclasses.asdict(cfg.pilot), **_run_settings(cfg, seed))
 
 
 def _save_run(strategy: str, seed: int, reports, out: Path) -> list:
@@ -203,7 +193,7 @@ def _run_al(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
                          f" training-set size {len(train)}")
     minor = cfg.dataset.imbalance.minor_classes_for(train.n_classes)
     # One job runs every strategy of a seed.
-    jobs = [(train, test, build_al_config(cfg, train, seed, analysis=args.analysis),
+    jobs = [(train, test, build_al_config(cfg, seed, analysis=args.analysis),
              args.strategies, minor, str(out)) for seed in args.seeds]
 
     by_seed = []  # per seed, per strategy: (rows, traceback)
@@ -246,7 +236,7 @@ def _run_pilot(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> in
         raise ValueError("pilot needs an imbalanced dataset (imbalance.ratio > 1)")
     auroc_rows = []
     for seed in args.seeds:
-        al_cfg = build_pilot_config(cfg, train, seed)
+        al_cfg = build_pilot_config(cfg, seed)
         pilot = alengine.run_pilot(train, al_cfg, minor)
         ids, labels = pilot.sample_ids.tolist(), pilot.snapshot_labels.tolist()
         rows = [(sid, name, s, lbl, False) for name, vals in pilot.scores.items()
@@ -262,7 +252,7 @@ def _run_pilot(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> in
 def _run_kl(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     train, test = build_dataset(cfg.dataset)
     for seed in args.seeds:
-        al_cfg = build_pilot_config(cfg, train, seed)
+        al_cfg = build_pilot_config(cfg, seed)
         result = alengine.train_joint(train, al_cfg, cycle=0, test=test)
         rows = alengine.kl_analysis(result)
         save_kl_csv(out / f"kl_seed{seed}.csv", rows)
@@ -356,7 +346,7 @@ def main(argv=None) -> int:
             if seed < 0:
                 raise ValueError(f"seed {seed} must be non-negative")
         args.strategies = (_distinct_values("strategy", args.strategies, str.strip)
-                           if args.strategies else [cfg.al.strategy])
+                           if args.strategies is not None else [cfg.al.strategy])
         for s in args.strategies:
             StrategyKind.from_string(s)
         if args.jobs < 1:

@@ -255,7 +255,7 @@ def load_csv(path) -> Dataset:
 
     Malformed rows, non-finite features and repeated sample ids raise
     ValueError naming the 1-based line number; labels must cover
-    ``0..max`` with no gap.
+    ``0..max`` with no gap and at least two classes.
     """
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -295,6 +295,8 @@ def load_csv(path) -> Dataset:
     missing = np.setdiff1d(np.arange(y.max() + 1), y)
     if missing.size:
         raise ValueError(f"{path}: labels skip class {missing[0]} of 0..{y.max()}")
+    if y.max() < 1:
+        raise ValueError(f"{path}: labels cover one class; at least two are needed")
     return Dataset(
         np.array(ids, dtype=np.int64),
         np.array(feats, dtype=np.float64),

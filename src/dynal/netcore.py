@@ -9,7 +9,9 @@ learning-rate decay schedule.
 
 Conventions
 -----------
-* Weights are ``(fan_out, fan_in)`` matrices, biases ``(fan_out,)``.
+* Weights are ``(fan_out, fan_in)`` matrices, biases ``(fan_out,)``.  A
+  net's input width and class count are read off them: ``init_net`` takes
+  both from the data, and ``NetConfig`` holds neither.
 * Batches are ``(B, dim)`` arrays; single samples are 1-D.
 * ``params()`` lists ``[W0, b0, W1, b1, ..., W_out, b_out]``; each state's
   ``from_params`` is its inverse.
@@ -47,25 +49,20 @@ OPTIMIZER_KINDS = ("sgd_momentum", "adam")
 
 @dataclass
 class NetConfig:
-    """Architecture of the classifier.
+    """Architecture of the classifier: the ``net:`` config section.  The
+    input width and class count come from the data (``init_net``).
 
     ``tap_layers`` lists the hidden-layer indices whose activations are
     forwarded to the dynamics-prediction head.
     """
 
-    input_dim: int
-    hidden_sizes: list[int]
-    n_classes: int
-    tap_layers: list[int] = field(default_factory=lambda: [0])
+    hidden_sizes: list[int] = field(default_factory=lambda: [32, 32])
     activation: str = "relu"
+    tap_layers: list[int] = field(default_factory=lambda: [0, 1])
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be positive")
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise ValueError("hidden_sizes must be a non-empty list of positive ints")
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
         if not self.tap_layers:
             raise ValueError("tap_layers must be non-empty")
         n_hidden = len(self.hidden_sizes)
@@ -74,12 +71,6 @@ class NetConfig:
                 raise ValueError(f"tap layer {t} out of range for {n_hidden} hidden layers")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
-
-    @property
-    def layer_dims(self) -> list[tuple[int, int]]:
-        """(fan_out, fan_in) per layer, output layer last."""
-        sizes = [self.input_dim] + list(self.hidden_sizes) + [self.n_classes]
-        return [(sizes[i + 1], sizes[i]) for i in range(len(sizes) - 1)]
 
 
 @dataclass
@@ -177,14 +168,19 @@ class BatchTrace:
     taps: list[np.ndarray]
 
 
-def init_net(cfg: NetConfig, seed: int) -> NetState:
-    """He (relu) or Xavier (tanh) initialization drawn from ``seed``, zero biases."""
+def init_net(cfg: NetConfig, input_dim: int, n_classes: int, seed: int) -> NetState:
+    """A net from ``input_dim`` features to ``n_classes`` logits: He (relu)
+    or Xavier (tanh) initialization drawn from ``seed``, zero biases."""
+    if input_dim < 1:
+        raise ValueError("input_dim must be positive")
+    if n_classes < 2:
+        raise ValueError("n_classes must be >= 2")
     rng = np.random.default_rng(seed)
     gain = 2.0 if cfg.activation == "relu" else 1.0
+    sizes = [input_dim, *cfg.hidden_sizes, n_classes]
     weights, biases = [], []
-    dims = cfg.layer_dims
-    for i, (fan_out, fan_in) in enumerate(dims):
-        scale = np.sqrt((gain if i < len(dims) - 1 else 1.0) / fan_in)
+    for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+        scale = np.sqrt((gain if i < len(sizes) - 2 else 1.0) / fan_in)
         weights.append(rng.normal(0.0, scale, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
     return NetState(weights=weights, biases=biases)
@@ -212,8 +208,8 @@ def _eye(n: int) -> np.ndarray:
 def forward_batch(state: NetState, cfg: NetConfig, X: np.ndarray) -> BatchTrace:
     """Forward pass over a (B, input_dim) batch; deterministic."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != cfg.input_dim:
-        raise ValueError(f"expected feature dim {cfg.input_dim}, got {X.shape[1]}")
+    if X.shape[1] != state.weights[0].shape[1]:
+        raise ValueError(f"expected feature dim {state.weights[0].shape[1]}, got {X.shape[1]}")
     act, logits = _forward(state, cfg, X)
     return BatchTrace(act, stable_softmax(logits, axis=1), [act[l] for l in cfg.tap_layers])
 
@@ -254,14 +250,15 @@ def grad_joint(
     if not 0 <= lam < np.inf:
         raise ValueError("lam must be nonnegative and finite")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != cfg.input_dim:
-        raise ValueError(f"expected feature dim {cfg.input_dim}, got {X.shape[1]}")
+    if X.shape[1] != state.weights[0].shape[1]:
+        raise ValueError(f"expected feature dim {state.weights[0].shape[1]}, got {X.shape[1]}")
     y = np.asarray(y, dtype=int)
-    check_labels(y, cfg.n_classes)
+    n_classes = state.biases[-1].size
+    check_labels(y, n_classes)
     B = X.shape[0]
     q = np.asarray(td_targets, dtype=np.float64)
-    if q.shape != (B, cfg.n_classes):
-        raise ValueError(f"td_targets shape {q.shape} != {(B, cfg.n_classes)}")
+    if q.shape != (B, n_classes):
+        raise ValueError(f"td_targets shape {q.shape} != {(B, n_classes)}")
     tdhead.check_taps(head, [cfg.hidden_sizes[t] for t in cfg.tap_layers])
     ids = np.arange(B) if sample_ids is None else np.asarray(sample_ids)
     grad, grad_net, grad_head = _gradient(state, head)
@@ -302,7 +299,7 @@ def _joint_step(state, cfg, head, X, y, targets_of, lam, sample_ids, grad_net, g
         bad = sample_ids[np.flatnonzero(~np.isfinite(per_total))[0]]
         raise FloatingPointError(f"non-finite loss for sample id {bad}")
 
-    dlogits = (probs - _eye(cfg.n_classes)[y]) / B
+    dlogits = (probs - _eye(probs.shape[1])[y]) / B
     # d(lam * mean KL)/d(head logits) = lam * (softmax - target) / B
     dU = lam * (pt - q) / B
     tap_grads = tdhead._backward(head, taps, concat, dU, grad_head)

@@ -35,8 +35,7 @@ SANITY_DATASET = DatasetSpec(
 
 def pilot_cfg(seed):
     return ALConfig(
-        net=NetConfig(input_dim=16, hidden_sizes=[32, 32], n_classes=10,
-                      tap_layers=[0, 1], activation="relu"),
+        net=NetConfig(hidden_sizes=[32, 32], tap_layers=[0, 1], activation="relu"),
         opt=OptimizerConfig(kind="adam", initial_lr=1e-2, weight_decay=0.0,
                             decay_epoch=10**6, decay_factor=1.0),
         strategy=StrategyKind.RANDOM, initial_labeled=20, budget_per_cycle=20,
@@ -46,8 +45,7 @@ def pilot_cfg(seed):
 
 def sanity_cfg(strategy, seed):
     return ALConfig(
-        net=NetConfig(input_dim=12, hidden_sizes=[32, 32], n_classes=8,
-                      tap_layers=[0, 1], activation="relu"),
+        net=NetConfig(hidden_sizes=[32, 32], tap_layers=[0, 1], activation="relu"),
         opt=OptimizerConfig(kind="sgd_momentum", initial_lr=0.03, momentum=0.9,
                             weight_decay=5e-4, decay_epoch=48, decay_factor=0.1),
         strategy=strategy, initial_labeled=20, budget_per_cycle=20, n_cycles=5,
@@ -70,9 +68,8 @@ def test_criterion_1_gradient_correctness(fd_grads, rel_err):
     for seed in range(5):
         rng = np.random.default_rng(seed + 100)
         activation = "tanh" if seed % 2 == 0 else "relu"
-        cfg = NetConfig(input_dim=2, hidden_sizes=[3], n_classes=2, tap_layers=[0],
-                        activation=activation)
-        net = netcore.init_net(cfg, seed)
+        cfg = NetConfig(hidden_sizes=[3], tap_layers=[0], activation=activation)
+        net = netcore.init_net(cfg, 2, 2, seed)
         head = tdhead.init_head([3], 2, 4, seed + 1)
         X = rng.normal(size=(4, 2))
         y = rng.integers(0, 2, size=4)

@@ -189,6 +189,21 @@ class TestKCenterGreedy:
             k = int(rng.integers(1, n + 1))
             assert kcenter_greedy(labeled, unl, ids, k) == self.brute_force(labeled, unl, ids, k)
 
+    def test_repeated_rows_with_k_the_pool_size_match_brute_force(self):
+        # Once a row is picked its repeats sit at distance 0 from the cover, so
+        # the last picks all tie at 0: each must still be picked exactly once,
+        # lowest id first.  Small-integer features keep every distance exact.
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n, n_lab, dim = (int(v) for v in rng.integers(1, [12, 4, 4]))
+            distinct = rng.integers(-2, 3, size=(int(rng.integers(1, 4)), dim)).astype(float)
+            unl = distinct[rng.integers(0, len(distinct), size=n)]
+            labeled = distinct[rng.integers(0, len(distinct), size=n_lab - 1)]
+            ids = rng.permutation(100)[:n]
+            got = kcenter_greedy(labeled, unl, ids, n)
+            assert sorted(got) == sorted(ids.tolist())
+            assert got == self.brute_force(labeled, unl, ids, n)
+
     def test_selection_subset_no_duplicates(self):
         rng = np.random.default_rng(2)
         unl = rng.normal(size=(20, 3))

@@ -23,7 +23,7 @@ def small_data(seed=3, n_classes=4, per_class=60):
 
 def small_cfg(strategy=StrategyKind.RANDOM, seed=0, **kw):
     base = dict(
-        net=NetConfig(input_dim=6, hidden_sizes=[16, 16], n_classes=4, tap_layers=[0, 1]),
+        net=NetConfig(hidden_sizes=[16, 16], tap_layers=[0, 1]),
         opt=OptimizerConfig(kind="sgd_momentum", initial_lr=0.05, momentum=0.9,
                             weight_decay=5e-4, decay_epoch=12, decay_factor=0.1),
         strategy=strategy,
@@ -42,8 +42,8 @@ def small_cfg(strategy=StrategyKind.RANDOM, seed=0, **kw):
 
 class TestEvaluate:
     def test_uniform_net_on_balanced_two_class(self):
-        cfg = NetConfig(input_dim=2, hidden_sizes=[3], n_classes=2)
-        net = netcore.init_net(cfg, 0)
+        cfg = NetConfig(hidden_sizes=[3], tap_layers=[0])
+        net = netcore.init_net(cfg, 2, 2, 0)
         for p in net.params():
             p[:] = 0.0
         test = datasets.Dataset(
@@ -218,8 +218,7 @@ class TestExperimentInvariants:
             finals = []
             for seed in range(10):
                 cfg = small_cfg(
-                    net=NetConfig(input_dim=8, hidden_sizes=[16, 16], n_classes=4,
-                                  tap_layers=[0, 1]),
+                    net=NetConfig(hidden_sizes=[16, 16], tap_layers=[0, 1]),
                     opt=OptimizerConfig(kind="sgd_momentum", initial_lr=0.05, momentum=0.9,
                                         weight_decay=5e-4, decay_epoch=24, decay_factor=0.1),
                     strategy=strategy, initial_labeled=20, budget_per_cycle=20, n_cycles=3,
@@ -241,7 +240,7 @@ class TestExperimentInvariants:
         train, test = build_dataset(spec)
         # 30 train samples: 10 initial + 8/cycle exhausts during cycle 3
         cfg = small_cfg(
-            net=NetConfig(input_dim=6, hidden_sizes=[8], n_classes=2, tap_layers=[0]),
+            net=NetConfig(hidden_sizes=[8], tap_layers=[0]),
             strategy=StrategyKind.SNAPSHOT_ENTROPY,
             initial_labeled=10, budget_per_cycle=8, subset_size=8, n_cycles=10, epochs=2,
         )
@@ -479,18 +478,19 @@ def oracle_train_joint(labeled, cfg, cycle, test=None):
     """train_joint as a per-batch loop of separate passes: forward, store
     update, a re-read of the updated means as KL targets, gradient,
     update.  Returns (theta, store, test probs, head probs, test store)."""
-    net_cfg = cfg.net
+    net_cfg, n_classes = cfg.net, labeled.n_classes
     theta, net, head = netcore.flatten(
-        netcore.init_net(net_cfg, alengine._stream_seed(cfg.seed, cycle, alengine._STREAM_NET)),
-        tdhead.init_head([net_cfg.hidden_sizes[t] for t in net_cfg.tap_layers], net_cfg.n_classes,
+        netcore.init_net(net_cfg, labeled.dim, n_classes,
+                         alengine._stream_seed(cfg.seed, cycle, alengine._STREAM_NET)),
+        tdhead.init_head([net_cfg.hidden_sizes[t] for t in net_cfg.tap_layers], n_classes,
                          cfg.head_reduce_dim,
                          alengine._stream_seed(cfg.seed, cycle, alengine._STREAM_HEAD)),
     )
     opt_state = netcore.init_opt_state(theta)
     rng = np.random.default_rng(alengine._stream_seed(cfg.seed, cycle, alengine._STREAM_SHUFFLE))
     n = len(labeled)
-    store = TDStore(n, net_cfg.n_classes)
-    test_store = TDStore(len(test), net_cfg.n_classes) if test is not None else None
+    store = TDStore(n, n_classes)
+    test_store = TDStore(len(test), n_classes) if test is not None else None
     test_probs, head_probs = [], []
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
@@ -538,8 +538,7 @@ class TestTrainJointOracle:
         # three epochs with the learning rate stepping down at the third
         opt = OptimizerConfig(kind=kind, initial_lr=0.05 if kind == "sgd_momentum" else 0.01,
                               weight_decay=5e-3, decay_epoch=2, decay_factor=0.1)
-        net = NetConfig(input_dim=6, hidden_sizes=[16, 16], n_classes=4, tap_layers=taps,
-                        activation=activation)
+        net = NetConfig(hidden_sizes=[16, 16], tap_layers=taps, activation=activation)
         cfg = small_cfg(net=net, opt=opt, epochs=3, batch_size=batch_size, lam=lam, seed=seed)
         result = alengine.train_joint(labeled, cfg, cycle=1, test=test if analysis else None)
         theta, store, test_probs, head_probs, test_store = oracle_train_joint(
@@ -574,6 +573,17 @@ class TestTrainJointChecks:
             alengine.train_joint(labeled, small_cfg(n_cycles=1), cycle=0)
         named = int(str(err.value).rsplit(" ", 1)[1])
         assert named in labeled.ids.tolist()
+
+    @pytest.mark.parametrize("dim, n_classes", [(6, 4), (3, 5)])
+    def test_the_net_takes_its_width_and_class_count_from_the_data(self, dim, n_classes):
+        # One config trains on data of any width and class count.
+        train, _ = small_data(n_classes=n_classes)
+        labeled = datasets.Dataset(train.ids[:30], train.X[:30, :dim], train.y[:30], n_classes)
+        result = alengine.train_joint(labeled, small_cfg(epochs=1), cycle=0)
+        assert result.net.weights[0].shape == (16, dim)
+        assert result.net.biases[-1].shape == (n_classes,)
+        assert result.store.mean.shape == (30, n_classes)
+        assert result.head.out_bias.shape == (n_classes,)
 
     @pytest.mark.parametrize("label", [-1, 4])
     def test_label_out_of_range_raises_before_any_update(self, monkeypatch, label):
@@ -630,7 +640,7 @@ class TestPilot:
                            test_fraction=0.25, seed=11)
         train, test = build_dataset(spec)
         cfg = small_cfg(
-            net=NetConfig(input_dim=8, hidden_sizes=[16, 16], n_classes=4, tap_layers=[0, 1]),
+            net=NetConfig(hidden_sizes=[16, 16], tap_layers=[0, 1]),
             opt=OptimizerConfig(kind="adam", initial_lr=5e-3, weight_decay=0.0,
                                 decay_epoch=10**6, decay_factor=1.0),
             epochs=10,

@@ -20,7 +20,7 @@ from dynal.cli import ExperimentConfig, main, parse_config, serialize_config
 from dynal.datasets import (GENERATORS, IMBALANCE_PROFILES, DatasetSpec, gen_gaussian_mixture,
                             load_csv, save_csv)
 from dynal.estimators import StrategyKind
-from dynal.netcore import ACTIVATIONS, OPTIMIZER_KINDS
+from dynal.netcore import ACTIVATIONS, OPTIMIZER_KINDS, NetConfig
 from dynal.theorysim import ElasticityParams
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -108,6 +108,7 @@ class TestParseConfig:
         assert cfg.optimizer.decay_factor == 0.1
         assert cfg.al.batch_size == 32
         assert cfg.al.lam == 1.0
+        assert cfg.net == NetConfig(hidden_sizes=[32, 32], activation="relu", tap_layers=[0, 1])
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.yaml"
@@ -567,6 +568,16 @@ pilot:
         assert "line 6: non-finite feature" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["al-run", "gen-data"])
+    def test_one_class_csv_exits_2_naming_the_file(self, csv_config, tmp_path, capsys, command):
+        data = tmp_path / "four_classes.csv"
+        lines = data.read_text().splitlines(keepends=True)
+        data.write_text("".join([lines[0]] + [l.rsplit(",", 1)[0] + ",0\n" for l in lines[1:]]))
+        out = tmp_path / "bad"
+        assert main([command, "--config", str(csv_config), "--out", str(out)]) == 2
+        assert f"{data}: labels cover one class" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["al-run", "pilot"])
     def test_minor_classes_under_exponential_profile_exit_2(self, csv_config, tmp_path, capsys,
                                                             command):
@@ -620,6 +631,7 @@ class TestMain:
         (["--seeds", "1,2,1"], "repeated seed 1"),
         (["--strategies", "random,random"], "repeated strategy random"),
         (["--strategies", ","], "at least one strategy is required"),
+        (["--strategies", ""], "at least one strategy is required"),
     ])
     def test_bad_run_flags_exit_2_before_any_output(self, small_config, tmp_path, capsys,
                                                     flags, message):
@@ -634,6 +646,16 @@ class TestMain:
         assert main([command, "--config", str(small_config), "--out", str(out),
                      "--seeds", "0,-1"]) == 2
         assert "error: seed -1 must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_bad_net_section_exits_2_for_every_command(self, small_config, tmp_path, capsys,
+                                                       command):
+        small_config.write_text(SMALL_CFG.replace("tap_layers: [0, 1]", "tap_layers: [0, 2]"))
+        out = tmp_path / "x"
+        assert main([command, "--config", str(small_config), "--out", str(out)]) == 2
+        assert ("invalid config section 'net': tap layer 2 out of range for 2 hidden layers"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_negative_dataset_seed_exits_2_naming_the_section(self, small_config, tmp_path,

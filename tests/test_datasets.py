@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -280,15 +282,24 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=r"labels skip class 2 of 0\.\.3"):
             load_csv(path)
 
+    def test_one_class_names_the_file(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("id,feature_0,label\n0,1.0,0\n1,2.0,0\n")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: labels cover one class; at least two")):
+            load_csv(path)
+
 
 @st.composite
 def csv_datasets(draw):
-    """Datasets load_csv accepts: distinct ids, labels covering 0..max."""
-    n, dim = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    """Datasets load_csv accepts: distinct ids, labels covering 0..max,
+    at least two classes."""
+    n, dim = draw(st.integers(2, 12)), draw(st.integers(1, 4))
     ids = draw(st.lists(st.integers(-2**62, 2**62), min_size=n, max_size=n, unique=True))
     X = draw(arrays(np.float64, (n, dim),
                     elements=st.floats(allow_nan=False, allow_infinity=False)))
-    raw = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    raw = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)
+               .filter(lambda r: len(set(r)) > 1))
     y = np.unique(raw, return_inverse=True)[1].astype(np.int64)
     return Dataset(np.array(ids, dtype=np.int64), X, y, int(y.max()) + 1)
 

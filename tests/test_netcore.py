@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,14 +10,13 @@ from dynal.numutil import kl_rows, softmax_and_log_softmax
 
 
 def tiny_cfg(activation="tanh"):
-    return NetConfig(input_dim=2, hidden_sizes=[3], n_classes=2, tap_layers=[0],
-                     activation=activation)
+    return NetConfig(hidden_sizes=[3], tap_layers=[0], activation=activation)
 
 
 class TestInit:
     def test_deterministic_in_the_seed(self):
-        cfg = NetConfig(input_dim=3, hidden_sizes=[4, 5], n_classes=3, tap_layers=[0, 1])
-        a, b, c = (netcore.init_net(cfg, s) for s in (3, 3, 4))
+        cfg = NetConfig(hidden_sizes=[4, 5], tap_layers=[0, 1])
+        a, b, c = (netcore.init_net(cfg, 3, 3, s) for s in (3, 3, 4))
         for p, q in zip(a.params(), b.params()):
             np.testing.assert_array_equal(p, q)
         assert not np.array_equal(a.weights[0], c.weights[0])
@@ -26,10 +26,27 @@ class TestInit:
         assert not np.array_equal(h1.out_weight, h3.out_weight)
 
 
+    def test_width_and_class_count_are_arguments(self):
+        cfg = NetConfig(hidden_sizes=[4, 5], tap_layers=[1])
+        state = netcore.init_net(cfg, 3, 6, 0)
+        assert [w.shape for w in state.weights] == [(4, 3), (5, 4), (6, 5)]
+        assert [b.shape for b in state.biases] == [(4,), (5,), (6,)]
+        with pytest.raises(ValueError, match="input_dim must be positive"):
+            netcore.init_net(cfg, 0, 6, 0)
+        with pytest.raises(ValueError, match="n_classes must be >= 2"):
+            netcore.init_net(cfg, 3, 1, 0)
+
+    def test_config_holds_the_net_section_only(self):
+        assert [f.name for f in dataclasses.fields(NetConfig)] == [
+            "hidden_sizes", "activation", "tap_layers"]
+        assert NetConfig() == NetConfig(hidden_sizes=[32, 32], activation="relu",
+                                        tap_layers=[0, 1])
+
+
 class TestForward:
     def test_zero_net_gives_uniform(self):
-        cfg = NetConfig(input_dim=3, hidden_sizes=[4], n_classes=5)
-        state = netcore.init_net(cfg, 0)
+        cfg = NetConfig(hidden_sizes=[4], tap_layers=[0])
+        state = netcore.init_net(cfg, 3, 5, 0)
         for w in state.weights:
             w[:] = 0.0
         trace = netcore.forward_batch(state, cfg, np.array([1.0, -2.0, 0.5]))
@@ -37,7 +54,7 @@ class TestForward:
 
     def test_deterministic(self):
         cfg = tiny_cfg()
-        state = netcore.init_net(cfg, 5)
+        state = netcore.init_net(cfg, 2, 2, 5)
         x = np.array([0.3, -0.7])
         t1 = netcore.forward_batch(state, cfg, x)
         t2 = netcore.forward_batch(state, cfg, x)
@@ -48,9 +65,8 @@ class TestForward:
 
     def test_matches_independent_reimplementation(self):
         # Per-unit loop evaluation, sharing no code with the library path.
-        cfg = NetConfig(input_dim=4, hidden_sizes=[5, 3], n_classes=3,
-                        tap_layers=[0, 1], activation="relu")
-        state = netcore.init_net(cfg, 12)
+        cfg = NetConfig(hidden_sizes=[5, 3], tap_layers=[0, 1], activation="relu")
+        state = netcore.init_net(cfg, 4, 3, 12)
         rng = np.random.default_rng(77)
         x = rng.normal(size=4)
         a = list(x)
@@ -73,13 +89,13 @@ class TestForward:
 
     def test_dimension_mismatch_rejected(self):
         cfg = tiny_cfg()
-        state = netcore.init_net(cfg, 5)
+        state = netcore.init_net(cfg, 2, 2, 5)
         with pytest.raises(ValueError):
             netcore.forward_batch(state, cfg, np.zeros(3))
 
     def test_softmax_always_on_simplex(self):
-        cfg = NetConfig(input_dim=6, hidden_sizes=[8], n_classes=7)
-        state = netcore.init_net(cfg, 3)
+        cfg = NetConfig(hidden_sizes=[8], tap_layers=[0])
+        state = netcore.init_net(cfg, 6, 7, 3)
         rng = np.random.default_rng(1)
         X = rng.normal(scale=5.0, size=(50, 6))
         probs = netcore.forward_batch(state, cfg, X).probs
@@ -91,8 +107,8 @@ def cross_entropy(probs, y):
     """The cross entropy grad_joint reports for one sample whose classifier
     outputs ``probs``: zero output weights, log-probability output biases."""
     C = len(probs)
-    cfg = NetConfig(input_dim=1, hidden_sizes=[1], n_classes=C)
-    state = netcore.init_net(cfg, 0)
+    cfg = NetConfig(hidden_sizes=[1], tap_layers=[0])
+    state = netcore.init_net(cfg, 1, C, 0)
     state.weights[-1][:] = 0.0
     with np.errstate(divide="ignore"):
         state.biases[-1][:] = np.log(probs)
@@ -132,9 +148,8 @@ def n_params(state):
 
 class TestGradJoint:
     def make_instance(self, seed, activation="tanh"):
-        cfg = NetConfig(input_dim=2, hidden_sizes=[3], n_classes=2, tap_layers=[0],
-                        activation=activation)
-        net = netcore.init_net(cfg, seed)
+        cfg = NetConfig(hidden_sizes=[3], tap_layers=[0], activation=activation)
+        net = netcore.init_net(cfg, 2, 2, seed)
         head = tdhead.init_head([3], 2, 4, seed + 1)
         rng = np.random.default_rng(seed + 2)
         X = rng.normal(size=(4, 2))
@@ -207,8 +222,8 @@ class TestGradJoint:
 
     def test_kernel_writes_every_gradient_entry(self):
         # Training reuses one gradient vector: each step overwrites all of it.
-        cfg = NetConfig(input_dim=2, hidden_sizes=[3, 4], n_classes=3, tap_layers=[1, 0, 1])
-        net = netcore.init_net(cfg, 2)
+        cfg = NetConfig(hidden_sizes=[3, 4], tap_layers=[1, 0, 1])
+        net = netcore.init_net(cfg, 2, 3, 2)
         head = tdhead.init_head([4, 3, 4], 3, 2, 3)
         rng = np.random.default_rng(4)
         X, y, q = rng.normal(size=(5, 2)), rng.integers(0, 3, size=5), rng.dirichlet([1.0] * 3, 5)
@@ -253,7 +268,7 @@ class TestGradJoint:
 class TestFlatten:
     def test_states_are_views_into_one_vector(self):
         cfg = tiny_cfg()
-        net = netcore.init_net(cfg, 5)
+        net = netcore.init_net(cfg, 2, 2, 5)
         head = tdhead.init_head([3], 2, 4, 1)
         expected = flat(net.params() + head.params())
         theta, fnet, fhead = netcore.flatten(net, head)
@@ -265,7 +280,7 @@ class TestFlatten:
         np.testing.assert_array_equal(flat(fnet.params() + fhead.params()), expected + 1.0)
 
     def test_from_params_inverts_params(self):
-        net = netcore.init_net(NetConfig(input_dim=2, hidden_sizes=[3, 4], n_classes=2), 0)
+        net = netcore.init_net(NetConfig(hidden_sizes=[3, 4], tap_layers=[0]), 2, 2, 0)
         head = tdhead.init_head([3, 4], 2, 16, 0)
         for state in (net, head):
             rebuilt = type(state).from_params(state.params())
@@ -292,7 +307,7 @@ class TestOptimizerConfig:
 class TestOptimizer:
     def test_zero_grads_decay_velocity(self):
         cfg = tiny_cfg()
-        theta, state = netcore.flatten(netcore.init_net(cfg, 5))
+        theta, state = netcore.flatten(netcore.init_net(cfg, 2, 2, 5))
         opt = OptimizerConfig(kind="sgd_momentum", initial_lr=0.1, momentum=0.9, weight_decay=0.0)
         before = theta.copy()
         zeros = np.zeros_like(theta)
@@ -306,7 +321,7 @@ class TestOptimizer:
 
     def test_plain_sgd_step(self):
         cfg = tiny_cfg()
-        theta, state = netcore.flatten(netcore.init_net(cfg, 5))
+        theta, state = netcore.flatten(netcore.init_net(cfg, 2, 2, 5))
         opt = OptimizerConfig(kind="sgd_momentum", initial_lr=0.1, momentum=0.0, weight_decay=0.0)
         before = [p.copy() for p in state.params()]
         grad = np.full_like(theta, 2.0)
@@ -316,8 +331,8 @@ class TestOptimizer:
 
     def test_adam_matches_hand_recurrence(self):
         # independent evaluation of the update for a single scalar parameter
-        cfg = NetConfig(input_dim=1, hidden_sizes=[1], n_classes=2)
-        theta, state = netcore.flatten(netcore.init_net(cfg, 0))
+        cfg = NetConfig(hidden_sizes=[1], tap_layers=[0])
+        theta, state = netcore.flatten(netcore.init_net(cfg, 1, 2, 0))
         theta0 = float(state.weights[0][0, 0])
         g = 0.5
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
@@ -336,7 +351,7 @@ class TestOptimizer:
 
     def test_weight_decay_augments_gradient(self):
         cfg = tiny_cfg()
-        theta, state = netcore.flatten(netcore.init_net(cfg, 5))
+        theta, state = netcore.flatten(netcore.init_net(cfg, 2, 2, 5))
         opt = OptimizerConfig(kind="sgd_momentum", initial_lr=0.1, momentum=0.0, weight_decay=0.5)
         before = [p.copy() for p in state.params()]
         netcore.apply_update(theta, np.zeros_like(theta), netcore.init_opt_state(theta), opt,
@@ -345,7 +360,7 @@ class TestOptimizer:
             np.testing.assert_allclose(p, b - 0.1 * 0.5 * b, atol=1e-15)
 
     def test_shape_mismatch_moves_no_parameter(self):
-        theta, _ = netcore.flatten(netcore.init_net(tiny_cfg(), 5))
+        theta, _ = netcore.flatten(netcore.init_net(tiny_cfg(), 2, 2, 5))
         opt = OptimizerConfig(kind="sgd_momentum")
         before = theta.copy()
         st = netcore.init_opt_state(theta)
@@ -357,7 +372,7 @@ class TestOptimizer:
     @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
     def test_step_to_a_non_finite_head_bias_raises(self, kind):
         head = tdhead.init_head([3], 2, 4, 1)
-        theta, _, fhead = netcore.flatten(netcore.init_net(tiny_cfg(), 5), head)
+        theta, _, fhead = netcore.flatten(netcore.init_net(tiny_cfg(), 2, 2, 5), head)
         grad = np.zeros_like(theta)
         grad[-1] = np.inf  # theta ends with the head's output bias
         opt = OptimizerConfig(kind=kind)
@@ -371,12 +386,12 @@ class TestOptimizer:
     def test_flat_update_is_the_per_parameter_recurrence_bit_for_bit(self, kind):
         # The per-array recurrence written out here, entry for entry in the
         # same operation order, over 60 steps that cross decay_epoch.
-        cfg = NetConfig(input_dim=3, hidden_sizes=[5, 4], n_classes=3)
+        cfg = NetConfig(hidden_sizes=[5, 4], tap_layers=[0])
         head = tdhead.init_head([5], 3, 2, 8)
         opt = OptimizerConfig(kind=kind, initial_lr=0.05, weight_decay=5e-3, decay_epoch=3,
                               decay_factor=0.1)
-        ref = [p.copy() for p in netcore.init_net(cfg, 7).params() + head.params()]
-        theta, net, fhead = netcore.flatten(netcore.init_net(cfg, 7), head)
+        ref = [p.copy() for p in netcore.init_net(cfg, 3, 3, 7).params() + head.params()]
+        theta, net, fhead = netcore.flatten(netcore.init_net(cfg, 3, 3, 7), head)
         st = netcore.init_opt_state(theta)
         m = [np.zeros_like(p) for p in ref]
         v = [np.zeros_like(p) for p in ref]
@@ -419,8 +434,9 @@ class TestLrSchedule:
 def classifier_with_head(seed):
     """A 2-8-2 classifier and a head in one parameter vector; at lam = 0
     the head and its targets reach no classifier gradient."""
-    cfg = NetConfig(input_dim=2, hidden_sizes=[8], n_classes=2)
-    theta, state, head = netcore.flatten(netcore.init_net(cfg, seed), tdhead.init_head([8], 2, 4, 0))
+    cfg = NetConfig(hidden_sizes=[8], tap_layers=[0])
+    theta, state, head = netcore.flatten(netcore.init_net(cfg, 2, 2, seed),
+                                          tdhead.init_head([8], 2, 4, 0))
     return cfg, theta, state, head
 
 

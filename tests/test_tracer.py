@@ -30,8 +30,8 @@ def test_install_records_spans_and_uninstall_restores():
     t = tracer.Tracer()
     tracer.install_layers(t)
     try:
-        cfg = NetConfig(input_dim=2, hidden_sizes=[3], n_classes=2)
-        netcore.forward_batch(netcore.init_net(cfg, 0), cfg, np.zeros((3, 2)))
+        cfg = NetConfig(hidden_sizes=[3], tap_layers=[0])
+        netcore.forward_batch(netcore.init_net(cfg, 2, 2, 0), cfg, np.zeros((3, 2)))
         assert t.counts["netcore.forward_batch.calls"] == 1
         assert t.counts["netcore.forward_batch.rows"] == 3
         assert "netcore.forward_batch" in t.names
@@ -47,7 +47,7 @@ def test_row_counts_of_a_scored_cycle():
     tracer = load_tracer()
     train, test = build_dataset(DatasetSpec(n_classes=3, dim=4, per_class=40, seed=1))
     cfg = ALConfig(
-        net=NetConfig(input_dim=4, hidden_sizes=[8], n_classes=3, tap_layers=[0]),
+        net=NetConfig(hidden_sizes=[8], tap_layers=[0]),
         opt=OptimizerConfig(kind="sgd_momentum", initial_lr=0.05),
         strategy=StrategyKind.TIDAL_MARGIN, initial_labeled=10, budget_per_cycle=5,
         subset_size=25, epochs=3, batch_size=4, seed=0,
