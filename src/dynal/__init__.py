@@ -52,7 +52,6 @@ from .theorysim import (
     convergence_gap,
     integrate_ode,
     s_vector,
-    simulate_discrete,
     simulate_discrete_ensemble,
     theorem2_entropy,
     theorem2_margin,

@@ -43,7 +43,17 @@ _STREAM_SUBSET = 4
 
 
 @dataclass
-class ALProtocol:
+class Schedule:
+    """How one model is trained: epochs, minibatch size and the weight
+    of the head's loss.  The ``pilot:`` config section."""
+
+    epochs: int = 30
+    batch_size: int = 32
+    lam: float = 1.0
+
+
+@dataclass
+class ALProtocol(Schedule):
     """The settings of one active-learning protocol: the ``al:`` config
     section.  ``strategy`` is a strategy name; ALConfig turns it into a
     StrategyKind."""
@@ -54,19 +64,17 @@ class ALProtocol:
     n_cycles: int = 5
     subset_size: int = 200
     epochs: int = 60
-    batch_size: int = 32
-    lam: float = 1.0
     dump_scores: bool = False
 
 
 @dataclass(kw_only=True)
 class ALConfig(ALProtocol):
-    """A protocol bound to a network, an optimizer and a seed; checked
-    when built."""
+    """A protocol bound to a network, an optimizer, a head and a seed;
+    checked when built."""
 
     net: NetConfig
     opt: OptimizerConfig = field(default_factory=OptimizerConfig)
-    head_reduce_dim: int = 16
+    head: tdhead.HeadConfig = field(default_factory=tdhead.HeadConfig)
     analysis: bool = False
     seed: int = 0
 
@@ -80,8 +88,8 @@ class ALConfig(ALProtocol):
             raise ValueError("n_cycles, epochs and batch_size must be >= 1")
         if not 0 <= self.lam < np.inf:
             raise ValueError("lam must be nonnegative and finite")
-        if self.head_reduce_dim < 1:
-            raise ValueError("head_reduce_dim must be >= 1")
+        if self.head.reduce_dim < 1:
+            raise ValueError("head.reduce_dim must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -147,7 +155,7 @@ def train_joint(
         netcore.init_net(net_cfg, labeled.dim, n_classes,
                          _stream_seed(cfg.seed, cycle, _STREAM_NET)),
         tdhead.init_head([net_cfg.hidden_sizes[t] for t in net_cfg.tap_layers], n_classes,
-                         cfg.head_reduce_dim, _stream_seed(cfg.seed, cycle, _STREAM_HEAD)),
+                         cfg.head.reduce_dim, _stream_seed(cfg.seed, cycle, _STREAM_HEAD)),
     )
     grad, grad_net, grad_head = netcore._gradient(net, head)
     opt_state = netcore.init_opt_state(theta)

@@ -29,33 +29,21 @@ from pathlib import Path
 import yaml
 
 from . import alengine, theorysim
-from .alengine import ALConfig, ALProtocol, save_kl_csv, save_results_csv
+from .alengine import ALConfig, ALProtocol, Schedule, save_kl_csv, save_results_csv
 from .datasets import DatasetSpec, build_dataset, save_csv
 from .estimators import StrategyKind, save_scores_csv
 from .netcore import NetConfig, OptimizerConfig
 from .numutil import write_csv
-from .theorysim import ElasticityParams
+from .tdhead import HeadConfig
+from .theorysim import ElasticityModel, ElasticityParams
 
 DEFAULT_SY_GRID = [round(0.55 + 0.05 * i, 2) for i in range(9)]
 
 
 @dataclass
-class HeadSection:
-    reduce_dim: int = 16
+class TheorySection(ElasticityModel):
+    """The elasticity model plus the commands' integration and grid settings."""
 
-
-@dataclass
-class TheorySection:
-    n_1e: int = 10
-    n_1h: int = 10
-    n_2: int = 10
-    alpha_e: float = 1.0
-    alpha_h: float = 0.5
-    beta: float = 0.1
-    step_size: float = 1e-3
-    noise: float = 0.0
-    x0: list[float] = field(default_factory=lambda: [1.0, 1.0, 1.0])
-    iterations: int = 1000
     n_runs: int = 200
     dt: float = 1e-3
     t_end: float = 5.0
@@ -63,27 +51,19 @@ class TheorySection:
     classes: list[int] = field(default_factory=lambda: [2, 3, 10, 100])
 
     def elasticity_params(self, seed: int) -> ElasticityParams:
-        kwargs = {f.name: getattr(self, f.name) for f in dataclasses.fields(ElasticityParams)
-                  if f.name != "seed"}
-        return ElasticityParams(**{**kwargs, "x0": tuple(self.x0)}, seed=seed)
-
-
-@dataclass
-class PilotSection:
-    epochs: int = 30
-    batch_size: int = 32
-    lam: float = 1.0
+        model = {f.name: getattr(self, f.name) for f in dataclasses.fields(ElasticityModel)}
+        return ElasticityParams(**model, seed=seed)
 
 
 @dataclass
 class ExperimentConfig:
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     net: NetConfig = field(default_factory=NetConfig)
-    head: HeadSection = field(default_factory=HeadSection)
+    head: HeadConfig = field(default_factory=HeadConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     al: ALProtocol = field(default_factory=ALProtocol)
     theory: TheorySection = field(default_factory=TheorySection)
-    pilot: PilotSection = field(default_factory=PilotSection)
+    pilot: Schedule = field(default_factory=Schedule)
 
 
 def _build_section(cls, mapping, path: str):
@@ -142,7 +122,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def _run_settings(cfg: ExperimentConfig, seed: int) -> dict:
     """The ALConfig fields outside the protocol: network, optimizer, head, seed."""
-    return dict(net=cfg.net, opt=cfg.optimizer, head_reduce_dim=cfg.head.reduce_dim, seed=seed)
+    return dict(net=cfg.net, opt=cfg.optimizer, head=cfg.head, seed=seed)
 
 
 def build_al_config(cfg: ExperimentConfig, seed: int, analysis: bool = False) -> ALConfig:
@@ -267,10 +247,9 @@ def _run_kl(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
 def _run_theory_sde(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     th = cfg.theory
     # The ODE first, so that its bad inputs stop the run before any file is written.
-    _, ode = theorysim.integrate_ode(th.elasticity_params(args.seeds[0]), th.dt, th.t_end)
+    _, ode = theorysim.integrate_ode(th, th.dt, th.t_end)
     for seed in args.seeds:
-        params = th.elasticity_params(seed)
-        traj = theorysim.simulate_discrete(params)
+        traj = theorysim.simulate_discrete_ensemble(th.elasticity_params(seed), 1)[0]
         theorysim.save_trajectory_csv(out / f"trajectory_sde_seed{seed}.csv", traj)
     theorysim.save_trajectory_csv(out / "trajectory_ode.csv", ode)
     gap = theorysim.convergence_gap(ode)

@@ -84,6 +84,8 @@ class ImbalanceSpec:
             raise ValueError(f"imbalance profile must be one of {IMBALANCE_PROFILES}")
         if self.profile == "exponential" and self.minor_classes is not None:
             raise ValueError("minor_classes applies to profile 'step', not 'exponential'")
+        if self.minor_classes is not None and len(self.minor_classes) == 0:
+            raise ValueError("minor_classes is empty: name a class, or leave the key out")
         for i, c in enumerate(self.minor_classes or ()):
             if c in self.minor_classes[:i]:
                 raise ValueError(f"repeated minor class {c}")
@@ -176,7 +178,8 @@ def apply_imbalance(ds: Dataset, spec: ImbalanceSpec, seed: int = 0) -> Dataset:
     the class range) are cut to floor(N_max / ratio); the rest keep all
     samples.  exponential: class c is cut to N_max * ratio**(-c/(C-1)),
     and naming ``minor_classes`` is an error of the spec.  A named minor
-    class outside ``ds``'s class range is a ValueError, at any ratio.
+    class outside ``ds``'s class range is a ValueError, at any ratio; at
+    ratio 1, ``ds`` itself is returned.
     Removal is seeded-random without replacement; original row order is
     preserved among survivors.
     """
@@ -184,7 +187,7 @@ def apply_imbalance(ds: Dataset, spec: ImbalanceSpec, seed: int = 0) -> Dataset:
         if not 0 <= c < ds.n_classes:
             raise ValueError(f"minor class {c} out of range for {ds.n_classes} classes")
     if spec.ratio == 1:
-        return ds.take(np.arange(len(ds)))
+        return ds
     counts = ds.class_counts()
     n_max = int(counts.max())
     C, ratio = ds.n_classes, spec.ratio
@@ -235,9 +238,7 @@ def build_dataset(spec: DatasetSpec) -> tuple[Dataset, Dataset]:
             raise ValueError("csv_file generator requires csv_path")
         full = load_csv(spec.csv_path)
     train, test = split(full, spec.test_fraction, spec.seed)
-    if spec.imbalance.ratio > 1:
-        train = apply_imbalance(train, spec.imbalance, seed=spec.seed)
-    return train, test
+    return apply_imbalance(train, spec.imbalance, seed=spec.seed), test
 
 
 def save_csv(ds: Dataset, path) -> None:

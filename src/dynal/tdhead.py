@@ -20,6 +20,13 @@ from .numutil import relu, stable_softmax
 
 
 @dataclass
+class HeadConfig:
+    """The head's width: the ``head:`` config section."""
+
+    reduce_dim: int = 16
+
+
+@dataclass
 class HeadState:
     """Per-tap reduction weights plus the final output layer."""
 

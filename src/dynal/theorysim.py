@@ -12,7 +12,7 @@ share the remaining mass equally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,9 @@ GROUP_EASY1, GROUP_HARD1, GROUP_CLASS2 = 0, 1, 2
 
 
 @dataclass
-class ElasticityParams:
+class ElasticityModel:
+    """The seedless elasticity model and its simulation length; checked when built."""
+
     n_1e: int = 10
     n_1h: int = 10
     n_2: int = 10
@@ -31,9 +33,8 @@ class ElasticityParams:
     beta: float = 0.1
     step_size: float = 1e-3
     noise: float = 0.0
-    x0: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    x0: list[float] = field(default_factory=lambda: [1.0, 1.0, 1.0])
     iterations: int = 1000
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.n_1e, self.n_1h, self.n_2) < 1:
@@ -48,8 +49,6 @@ class ElasticityParams:
             raise ValueError("x0 must be three finite group means")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
     @property
     def n_total(self) -> int:
@@ -59,7 +58,17 @@ class ElasticityParams:
         return np.array([self.n_1e, self.n_1h, self.n_2])
 
 
-def elasticity_matrix(params: ElasticityParams) -> np.ndarray:
+@dataclass
+class ElasticityParams(ElasticityModel):
+    seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+
+
+def elasticity_matrix(params: ElasticityModel) -> np.ndarray:
     """3x3 group-level elasticity; entry [g, g'] is the pull on a group-g
     sample when a group-g' sample is the training draw."""
     a_e, a_h, b = params.alpha_e, params.alpha_h, params.beta
@@ -114,29 +123,27 @@ def simulate_discrete_ensemble(params: ElasticityParams, n_runs: int) -> np.ndar
     return means.transpose(1, 0, 2)
 
 
-def simulate_discrete(params: ElasticityParams) -> np.ndarray:
-    """Single seeded trajectory of group-mean logits, shape (R + 1, 3)."""
-    return simulate_discrete_ensemble(params, 1)[0]
-
-
-def ode_matrix(params: ElasticityParams) -> np.ndarray:
+def ode_matrix(params: ElasticityModel) -> np.ndarray:
     """Coefficients of the averaged dynamics d xbar/dt = A @ xbar."""
     weights = params.group_sizes() / params.n_total
     return elasticity_matrix(params) * weights[None, :]
 
 
-def integrate_ode(params: ElasticityParams, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarray]:
+def integrate_ode(params: ElasticityModel, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarray]:
     """Forward-Euler integration of the averaged group dynamics.
 
-    Returns (times, trajectory) with trajectory[k] the group means at
-    times[k]; deterministic.
+    ``t_end`` must be a whole number (>= 1) of ``dt`` steps, within float
+    rounding.  Returns (times, trajectory) with trajectory[k] the group
+    means at times[k]; deterministic.
     """
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
     if not 0 < t_end < np.inf:
         raise ValueError("t_end must be positive and finite")
-    A = ode_matrix(params)
     steps = int(round(t_end / dt))
+    if steps < 1 or abs(steps * dt - t_end) > 1e-9 * t_end:
+        raise ValueError(f"t_end must be a whole number of dt steps, got t_end={t_end}, dt={dt}")
+    A = ode_matrix(params)
     traj = np.empty((steps + 1, 3))
     traj[0] = np.asarray(params.x0, dtype=np.float64)
     x = traj[0].copy()

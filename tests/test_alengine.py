@@ -483,7 +483,7 @@ def oracle_train_joint(labeled, cfg, cycle, test=None):
         netcore.init_net(net_cfg, labeled.dim, n_classes,
                          alengine._stream_seed(cfg.seed, cycle, alengine._STREAM_NET)),
         tdhead.init_head([net_cfg.hidden_sizes[t] for t in net_cfg.tap_layers], n_classes,
-                         cfg.head_reduce_dim,
+                         cfg.head.reduce_dim,
                          alengine._stream_seed(cfg.seed, cycle, alengine._STREAM_HEAD)),
     )
     opt_state = netcore.init_opt_state(theta)

@@ -20,7 +20,8 @@ from dynal.cli import ExperimentConfig, main, parse_config, serialize_config
 from dynal.datasets import (GENERATORS, IMBALANCE_PROFILES, DatasetSpec, gen_gaussian_mixture,
                             load_csv, save_csv)
 from dynal.estimators import StrategyKind
-from dynal.netcore import ACTIVATIONS, OPTIMIZER_KINDS, NetConfig
+from dynal.netcore import ACTIVATIONS, OPTIMIZER_KINDS, NetConfig, OptimizerConfig
+from dynal.tdhead import HeadConfig
 from dynal.theorysim import ElasticityParams
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -125,9 +126,8 @@ class TestParseConfig:
     def test_theory_constraint_violation_named(self, tmp_path):
         p = tmp_path / "bad.yaml"
         p.write_text("theory:\n  alpha_e: 0.2\n  alpha_h: 0.9\n")
-        cfg = parse_config(p)
         with pytest.raises(ValueError, match="alpha_e > alpha_h > beta"):
-            cfg.theory.elasticity_params(seed=0)
+            parse_config(p)
 
     def test_elasticity_params_take_every_theory_field(self, tmp_path):
         p = tmp_path / "th.yaml"
@@ -135,7 +135,7 @@ class TestParseConfig:
                      "  beta: 0.5\n  step_size: 0.01\n  noise: 0.2\n  x0: [1, 2, 3]\n"
                      "  iterations: 7\n")
         params = parse_config(p).theory.elasticity_params(seed=9)
-        assert params == ElasticityParams(3, 4, 5, 2.0, 1.0, 0.5, 0.01, 0.2, (1, 2, 3), 7, 9)
+        assert params == ElasticityParams(3, 4, 5, 2.0, 1.0, 0.5, 0.01, 0.2, [1, 2, 3], 7, 9)
 
     @pytest.mark.parametrize("text, key", [
         ("al:\n  epochs: '60'\n", "al.epochs"),
@@ -190,7 +190,7 @@ class TestParseConfig:
         p.write_text(serialize_config(ExperimentConfig()))
         assert parse_config(p) == ExperimentConfig()
 
-    @pytest.mark.parametrize("key", ["seed", "net", "opt", "head_reduce_dim", "analysis"])
+    @pytest.mark.parametrize("key", ["seed", "net", "opt", "head", "head_reduce_dim", "analysis"])
     def test_run_settings_are_not_al_keys(self, tmp_path, key):
         p = tmp_path / "bad.yaml"
         p.write_text(f"al:\n  {key}: 1\n")
@@ -249,6 +249,44 @@ class TestParseConfig:
         p2 = tmp_path / "round.yaml"
         p2.write_text(serialize_config(cfg))
         assert parse_config(p2) == cfg
+
+
+class TestBuilders:
+    """The run configs that commands build from a parsed config."""
+
+    def test_pilot_config_of_an_empty_config(self, tmp_path):
+        p = tmp_path / "empty.yaml"
+        p.write_text("")
+        cfg = parse_config(p)
+        run = cli.build_pilot_config(cfg, seed=7)
+        assert (run.epochs, run.batch_size, run.lam, run.seed) == (30, 32, 1.0, 7)
+        assert run.net is cfg.net and run.head is cfg.head and run.opt is cfg.optimizer
+        assert (run.net, run.head, run.opt) == (NetConfig(), HeadConfig(), OptimizerConfig())
+
+    def test_al_config_carries_the_al_section_whole(self, small_config):
+        cfg = parse_config(small_config)
+        run = cli.build_al_config(cfg, seed=3, analysis=True)
+        for f in dataclasses.fields(alengine.ALProtocol):
+            assert getattr(run, f.name) == getattr(cfg.al, f.name), f.name
+        assert (run.analysis, run.seed) == (True, 3)
+        assert run.net is cfg.net and run.head is cfg.head and run.opt is cfg.optimizer
+
+    def test_ode_of_the_section_is_the_ode_of_its_params(self, small_config):
+        th = parse_config(small_config).theory
+        times, ode = theorysim.integrate_ode(th, th.dt, th.t_end)
+        for seed in (0, 5):
+            t_p, ode_p = theorysim.integrate_ode(th.elasticity_params(seed), th.dt, th.t_end)
+            assert times.tobytes() == t_p.tobytes() and ode.tobytes() == ode_p.tobytes()
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_bad_theory_model_exits_2_for_every_command(self, small_config, tmp_path, capsys,
+                                                        command):
+        small_config.write_text(SMALL_CFG + "  alpha_e: 0.2\n  alpha_h: 0.9\n")
+        out = tmp_path / "x"
+        assert main([command, "--config", str(small_config), "--out", str(out)]) == 2
+        assert ("invalid config section 'theory': elasticities must satisfy"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 # Fields whose values the section classes check, drawn from their valid sets.
@@ -675,6 +713,33 @@ class TestMain:
         out = tmp_path / "x"
         assert main([command, "--config", str(pilot_config), "--out", str(out)]) == 2
         assert "repeated minor class 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["al-run", "gen-data"])
+    def test_named_minor_class_out_of_range_at_ratio_one_exits_2(self, tmp_path, capsys,
+                                                                 command):
+        p = tmp_path / "cfg.yaml"
+        p.write_text("dataset: {n_classes: 4, per_class: 10, imbalance: {minor_classes: [9]}}\n")
+        out = tmp_path / "x"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert "minor class 9 out of range for 4 classes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_minor_class_list_exits_2_naming_it(self, pilot_config, tmp_path, capsys):
+        pilot_config.write_text(PILOT_CFG.replace("minor_classes: [2, 3]", "minor_classes: []"))
+        out = tmp_path / "x"
+        assert main(["pilot", "--config", str(pilot_config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "minor_classes is empty: name a class, or leave the key out" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dt, t_end", [(1.0, 0.4), (0.3, 1.0)])
+    def test_t_end_off_the_dt_grid_exits_2(self, small_config, tmp_path, capsys, dt, t_end):
+        small_config.write_text(SMALL_CFG.replace("  t_end: 1.0\n",
+                                                  f"  t_end: {t_end}\n  dt: {dt}\n"))
+        out = tmp_path / "x"
+        assert main(["theory-sde", "--config", str(small_config), "--out", str(out)]) == 2
+        assert "t_end must be a whole number of dt steps" in capsys.readouterr().err
         assert not out.exists()
 
     def test_initial_labeling_of_the_whole_train_set_exits_2(self, small_config, tmp_path,

@@ -120,6 +120,7 @@ class TestApplyImbalance:
         ds = self.balanced(per_class=50, C=3)
         out = apply_imbalance(ds, ImbalanceSpec(ratio=1))
         np.testing.assert_array_equal(np.sort(out.ids), np.sort(ds.ids))
+        assert out is ds  # datasets are immutable by convention: no copy
 
     def test_exponential_profile_counts(self):
         ds = self.balanced(per_class=100, C=3)
@@ -153,6 +154,12 @@ class TestApplyImbalance:
         ds = self.balanced(per_class=20, C=4)
         with pytest.raises(ValueError, match="minor class 5 out of range for 4 classes"):
             apply_imbalance(ds, ImbalanceSpec(ratio=1, minor_classes=[5]))
+
+    @pytest.mark.parametrize("ratio", [1, 5])
+    def test_empty_minor_class_list_rejected(self, ratio):
+        # An empty list would keep every sample, so a "long-tailed" set would be balanced.
+        with pytest.raises(ValueError, match="name a class, or leave the key out"):
+            ImbalanceSpec(ratio=ratio, minor_classes=[])
 
     def test_minor_classes_for(self):
         assert ImbalanceSpec().minor_classes_for(4) == []
@@ -327,6 +334,11 @@ class TestBuildDataset:
         counts = train.class_counts()
         assert counts[0] == counts[1] == 30
         assert counts[2] == counts[3] == 3
+
+    def test_named_minor_class_range_checked_at_ratio_one(self):
+        spec = mixture_spec(imbalance=ImbalanceSpec(minor_classes=[9]))
+        with pytest.raises(ValueError, match="minor class 9 out of range for 4 classes"):
+            build_dataset(spec)
 
     def test_pure_function_of_spec(self):
         a_train, a_test = build_dataset(mixture_spec())

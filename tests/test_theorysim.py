@@ -11,7 +11,6 @@ from dynal.theorysim import (
     integrate_ode,
     ode_matrix,
     s_vector,
-    simulate_discrete,
     simulate_discrete_ensemble,
     theorem2_entropy,
     theorem2_margin,
@@ -46,7 +45,7 @@ class TestDiscreteSimulation:
         # alpha_e = alpha_h = beta is outside the admissible ordering, so
         # push them together within it: nearly equal values stay nearly equal.
         p = params(alpha_e=1.0 + 1e-9, alpha_h=1.0, beta=1.0 - 1e-9, iterations=200)
-        traj = simulate_discrete(p)
+        traj = simulate_discrete_ensemble(p, 1)[0]
         gaps = np.abs(traj - traj[:, [0]])
         assert gaps.max() < 1e-5
 
@@ -70,13 +69,9 @@ class TestDiscreteSimulation:
         assert got_gap == pytest.approx(expected_gap, rel=0.15)
 
     def test_seeded_determinism(self):
-        a = simulate_discrete(params(noise=0.3, iterations=50))
-        b = simulate_discrete(params(noise=0.3, iterations=50))
+        a = simulate_discrete_ensemble(params(noise=0.3, iterations=50), 1)[0]
+        b = simulate_discrete_ensemble(params(noise=0.3, iterations=50), 1)[0]
         np.testing.assert_array_equal(a, b)
-
-    def test_ensemble_first_run_matches_single(self):
-        p = params(iterations=30)
-        np.testing.assert_array_equal(simulate_discrete(p), simulate_discrete_ensemble(p, 1)[0])
 
 
 class TestODE:
@@ -111,6 +106,18 @@ class TestODE:
         slope0 = (gap[1] - gap[0]) / dt
         # cancellation in gap[1] - gap[0] costs ~1e-12 of absolute accuracy
         assert slope0 == pytest.approx(1.0 / 6.0, abs=1e-9)
+
+    @pytest.mark.parametrize("dt, t_end", [(1.0, 0.4), (0.3, 1.0), (0.4, 1.0), (2.0, 5.0)])
+    def test_t_end_off_the_step_grid_rejected(self, dt, t_end):
+        # Rounding would integrate to t = 0 or t = 0.9 and report it as t_end.
+        with pytest.raises(ValueError, match="t_end must be a whole number of dt steps"):
+            integrate_ode(params(), dt, t_end)
+
+    @pytest.mark.parametrize("dt, t_end, steps", [(0.1, 0.3, 3), (0.5, 0.5, 1)])
+    def test_t_end_on_the_step_grid_within_rounding(self, dt, t_end, steps):
+        times, traj = integrate_ode(params(), dt, t_end)
+        assert traj.shape == (steps + 1, 3)
+        assert times[-1] == pytest.approx(t_end, rel=1e-12)
 
     def test_gap_positive_and_increasing(self):
         p = params()
