@@ -95,21 +95,12 @@ class ALConfig(ALProtocol):
 
 
 @dataclass
-class TrainingTrace:
-    """Per-epoch test-set snapshots kept only in analysis mode."""
-
-    test_probs: list[np.ndarray] = field(default_factory=list)
-    head_probs: list[np.ndarray] = field(default_factory=list)
-    test_store: TDStore | None = None
-
-
-@dataclass
 class TrainResult:
     net: NetState
     net_cfg: NetConfig
     head: tdhead.HeadState
     store: TDStore
-    trace: TrainingTrace | None = None
+    kl_rows: list[tuple[int, float, float]] | None = None
 
 
 @dataclass
@@ -141,13 +132,17 @@ def train_joint(
     folded into its running mean, and the current mean is the head's KL
     target for the same batch; the head-loss gradient reaches the
     classifier through the tapped layers.  Store rows are positions in
-    ``labeled`` (and in ``test`` for the trace).  Inputs are checked here,
-    once: each step is one ``netcore._joint_step`` into one gradient
-    vector, then ``netcore.apply_update``.
+    ``labeled``.  Inputs are checked here, once: each step is one
+    ``netcore._joint_step`` into one gradient vector, then
+    ``netcore.apply_update``.  Given ``test``, each epoch ends with one
+    forward pass of it, and ``kl_rows`` is ``kl_analysis`` of those
+    snapshots.
     """
     net_cfg, n_classes = cfg.net, labeled.n_classes
     if not 0 <= cfg.lam < np.inf:
         raise ValueError("lam must be nonnegative and finite")
+    if test is not None and len(test) == 0:
+        raise ValueError("test set is empty")
     X = np.atleast_2d(np.asarray(labeled.X, dtype=np.float64))
     y = np.asarray(labeled.y, dtype=int)
     netcore.check_labels(y, n_classes)
@@ -164,9 +159,7 @@ def train_joint(
     n = len(labeled)
     # The store's (n, C) means are the KL targets, so their shape holds by construction.
     store = TDStore(n, n_classes)
-    trace = None
-    if test is not None:
-        trace = TrainingTrace(test_store=TDStore(len(test), n_classes))
+    snapshots = []  # per epoch with ``test``: (test-set probs, head probs)
 
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(n)
@@ -176,13 +169,11 @@ def train_joint(
                                 lambda probs: store.update_batch(idx, probs), cfg.lam,
                                 labeled.ids[idx], grad_net, grad_head)
             netcore.apply_update(theta, grad, opt_state, cfg.opt, epoch)
-        if trace is not None:
+        if test is not None:
             tt = netcore.forward_batch(net, net_cfg, test.X)
-            pt, _ = tdhead.head_forward_batch(head, tt.taps)
-            trace.test_probs.append(tt.probs)
-            trace.head_probs.append(pt)
-            trace.test_store.update_batch(np.arange(len(test)), tt.probs)
-    return TrainResult(net, net_cfg, head, store, trace)
+            snapshots.append((tt.probs, tdhead.head_forward_batch(head, tt.taps)[0]))
+    return TrainResult(net, net_cfg, head, store,
+                       kl_analysis(snapshots) if test is not None else None)
 
 
 def evaluate(net: NetState, net_cfg: NetConfig, test: Dataset) -> tuple[float, np.ndarray]:
@@ -212,7 +203,6 @@ class _SharedCycle:
         self.labeled = train.by_ids(labeled_ids)
         self.result = train_joint(self.labeled, cfg, cycle, test=test if cfg.analysis else None)
         self.accuracy, self.per_class = evaluate(self.result.net, self.result.net_cfg, test)
-        self.kl = kl_analysis(self.result) if cfg.analysis else None
         # After the subset draw, random selection continues a copy of this stream.
         self.rng = np.random.default_rng(_stream_seed(cfg.seed, cycle, _STREAM_SUBSET))
         self.subset_ids = sample_subset(pool_ids, cfg.subset_size, self.rng)
@@ -295,7 +285,7 @@ def run_cycle(
         test_accuracy=shared.accuracy,
         minor_class_accuracy=minor_acc,
         selected_ids=[int(s) for s in selected],
-        kl_rows=shared.kl,
+        kl_rows=shared.result.kl_rows,
         score_rows=score_rows,
     )
     return shared.result, report, new_labeled, new_pool
@@ -371,21 +361,22 @@ def run_experiment(
     return outcome
 
 
-def kl_analysis(result: TrainResult) -> list[tuple[int, float, float]]:
+def kl_analysis(snapshots: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[int, float, float]]:
     """Per-epoch divergence of head prediction and snapshot from the final
     mean-probability vector, sample-averaged on the test set.
 
-    Returns rows (epoch, kl_module, kl_snapshot), epochs 1-based.
-    Requires a training run with analysis mode on.
+    ``snapshots`` holds one (test-set probs, head probs) pair per epoch,
+    in training order; the final mean folds the test-set probs through
+    one TDStore.  Returns rows (epoch, kl_module, kl_snapshot), epochs
+    1-based.
     """
-    if result.trace is None:
-        raise RuntimeError("kl_analysis needs a training run with analysis mode enabled")
-    trace = result.trace
-    final_td = trace.test_store.values(np.arange(trace.test_store.count.size))
-    rows = []
-    for t, (p_t, pt_t) in enumerate(zip(trace.test_probs, trace.head_probs), start=1):
-        rows.append((t, float(kl_rows(final_td, pt_t).mean()), float(kl_rows(final_td, p_t).mean())))
-    return rows
+    n, n_classes = snapshots[0][0].shape
+    test_store, rows = TDStore(n, n_classes), np.arange(n)
+    for p_t, _ in snapshots:
+        test_store.update_batch(rows, p_t)
+    final_td = test_store.values(rows)
+    return [(t, float(kl_rows(final_td, pt_t).mean()), float(kl_rows(final_td, p_t).mean()))
+            for t, (p_t, pt_t) in enumerate(snapshots, start=1)]
 
 
 def separation_auroc(scores: np.ndarray, is_minor: np.ndarray) -> float:

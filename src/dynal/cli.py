@@ -233,8 +233,7 @@ def _run_kl(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     train, test = build_dataset(cfg.dataset)
     for seed in args.seeds:
         al_cfg = build_pilot_config(cfg, seed)
-        result = alengine.train_joint(train, al_cfg, cycle=0, test=test)
-        rows = alengine.kl_analysis(result)
+        rows = alengine.train_joint(train, al_cfg, cycle=0, test=test).kl_rows
         save_kl_csv(out / f"kl_seed{seed}.csv", rows)
         last = rows[-1]
         print(

@@ -124,6 +124,12 @@ class DatasetSpec:
             raise ValueError("test_fraction must be in (0, 1)")
         if not (np.isfinite(self.radius) and np.isfinite(self.noise)):
             raise ValueError("radius and noise must be finite")
+        if self.generator == "csv_file" and not self.csv_path:
+            raise ValueError("csv_file generator requires csv_path")
+        if self.generator == "concentric_rings" and self.dim != 2:
+            raise ValueError("concentric_rings is defined for dim = 2")
+        if self.generator == "gaussian_mixture" and self.dim < 2:
+            raise ValueError("gaussian_mixture needs dim >= 2")
         if self.generator != "csv_file":
             if self.n_classes < 2:
                 raise ValueError("n_classes must be >= 2")
@@ -135,8 +141,6 @@ class DatasetSpec:
 
 def gen_gaussian_mixture(spec: DatasetSpec) -> Dataset:
     """Isotropic Gaussian blobs with means on a seeded random sphere."""
-    if spec.dim < 2:
-        raise ValueError("gaussian_mixture needs dim >= 2")
     rng = np.random.default_rng(spec.seed)
     dirs = rng.normal(size=(spec.n_classes, spec.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -151,8 +155,6 @@ def gen_gaussian_mixture(spec: DatasetSpec) -> Dataset:
 
 def gen_concentric_rings(spec: DatasetSpec) -> Dataset:
     """Class c sits on radius (c+1)*radius with Gaussian radial noise."""
-    if spec.dim != 2:
-        raise ValueError("concentric_rings is defined for dim = 2")
     rng = np.random.default_rng(spec.seed)
     parts = []
     for c in range(spec.n_classes):
@@ -209,9 +211,13 @@ def apply_imbalance(ds: Dataset, spec: ImbalanceSpec, seed: int = 0) -> Dataset:
 
 
 def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Stratified train/test split; disjoint, union preserving."""
+    """Stratified train/test split; disjoint, union preserving.  A class of
+    two or more samples puts at least one on each side, so a dataset with
+    no such class is a ValueError: its test side would be empty."""
     if not 0 < test_fraction < 1:
         raise ValueError("test_fraction must be in (0, 1)")
+    if ds.class_counts().max(initial=0) < 2:
+        raise ValueError("no class has two samples, so the test split would be empty")
     rng = np.random.default_rng(seed)
     test_mask = np.zeros(len(ds), dtype=bool)
     for c in range(ds.n_classes):
@@ -234,8 +240,6 @@ def build_dataset(spec: DatasetSpec) -> tuple[Dataset, Dataset]:
     elif spec.generator == "concentric_rings":
         full = gen_concentric_rings(spec)
     else:
-        if not spec.csv_path:
-            raise ValueError("csv_file generator requires csv_path")
         full = load_csv(spec.csv_path)
     train, test = split(full, spec.test_fraction, spec.seed)
     return apply_imbalance(train, spec.imbalance, seed=spec.seed), test

@@ -167,8 +167,7 @@ def test_criterion_5_kl_convergence():
     wins = 0
     finals = []
     for seed in range(5):
-        result = alengine.train_joint(train, pilot_cfg(seed), cycle=0, test=test)
-        rows = alengine.kl_analysis(result)
+        rows = alengine.train_joint(train, pilot_cfg(seed), cycle=0, test=test).kl_rows
         _, kl_module, kl_snapshot = rows[-1]
         finals.append((kl_module, kl_snapshot))
         wins += kl_module < kl_snapshot

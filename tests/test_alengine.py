@@ -510,6 +510,13 @@ def oracle_train_joint(labeled, cfg, cycle, test=None):
     return theta, store, test_probs, head_probs, test_store
 
 
+def oracle_kl_rows(test_store, test_probs, head_probs):
+    """The KL table from the oracle's own test-set means and snapshots."""
+    final_td = test_store.values(np.arange(test_store.count.size))
+    return [(t, float(kl_rows(final_td, h).mean()), float(kl_rows(final_td, p).mean()))
+            for t, (p, h) in enumerate(zip(test_probs, head_probs), start=1)]
+
+
 class TestTrainJointOracle:
     """train_joint's fused steps against the per-batch loop of separate
     passes, byte for byte: parameters, TD means and counts, and in
@@ -549,13 +556,9 @@ class TestTrainJointOracle:
         assert result.store.mean.tobytes() == store.mean.tobytes()
         assert result.store.count.tobytes() == store.count.tobytes()
         if analysis:
-            trace = result.trace
-            assert [p.tobytes() for p in trace.test_probs] == [p.tobytes() for p in test_probs]
-            assert [p.tobytes() for p in trace.head_probs] == [p.tobytes() for p in head_probs]
-            assert trace.test_store.mean.tobytes() == test_store.mean.tobytes()
-            assert trace.test_store.count.tobytes() == test_store.count.tobytes()
+            assert result.kl_rows == oracle_kl_rows(test_store, test_probs, head_probs)
         else:
-            assert result.trace is None
+            assert result.kl_rows is None
 
 
 class TestTrainJointChecks:
@@ -606,18 +609,10 @@ class TestTrainJointChecks:
 
 
 class TestKlAnalysis:
-    def test_requires_analysis_mode(self):
-        train, test = small_data()
-        cfg = small_cfg(epochs=3)
-        result = alengine.train_joint(train, cfg, cycle=0)  # no test snapshots
-        with pytest.raises(RuntimeError):
-            kl_analysis(result)
-
     def test_rows_shape_and_nonnegativity(self):
         train, test = small_data()
         cfg = small_cfg(epochs=6)
-        result = alengine.train_joint(train, cfg, cycle=0, test=test)
-        rows = kl_analysis(result)
+        rows = alengine.train_joint(train, cfg, cycle=0, test=test).kl_rows
         assert [r[0] for r in rows] == list(range(1, 7))
         assert all(r[1] >= 0 and r[2] >= 0 for r in rows)
 
@@ -627,9 +622,40 @@ class TestKlAnalysis:
         train, test = small_data()
         cfg = small_cfg(epochs=4)
         result = alengine.train_joint(train, cfg, cycle=0, test=test)
-        trace = result.trace
-        final_td = trace.test_store.values(np.arange(len(test)))
+        _, _, test_probs, head_probs, test_store = oracle_train_joint(train, cfg, 0, test)
+        assert result.kl_rows == oracle_kl_rows(test_store, test_probs, head_probs)
+        final_td = test_store.values(np.arange(len(test)))
         assert kl_rows(final_td, final_td).mean() == pytest.approx(0.0, abs=1e-12)
+
+    def test_two_epoch_table_by_hand(self):
+        # Two test samples, two classes; the final TD is the mean of the two snapshots.
+        p1, p2 = np.array([[0.2, 0.8], [0.5, 0.5]]), np.array([[0.6, 0.4], [0.5, 0.5]])
+        h1, h2 = np.array([[0.5, 0.5], [0.25, 0.75]]), np.array([[0.4, 0.6], [0.5, 0.5]])
+        rows = kl_analysis([(p1, h1), (p2, h2)])
+        td = [0.4, 0.6]
+
+        def kl(q, p):
+            return sum(a * np.log(a / b) for a, b in zip(q, p))
+
+        expected = [
+            (1, (kl(td, [0.5, 0.5]) + kl([0.5, 0.5], [0.25, 0.75])) / 2, kl(td, [0.2, 0.8]) / 2),
+            (2, 0.0, kl(td, [0.6, 0.4]) / 2),
+        ]
+        assert [r[0] for r in rows] == [1, 2]
+        for got, want in zip(rows, expected):
+            assert got[1:] == pytest.approx(want[1:], rel=1e-12, abs=1e-15)
+
+    def test_constant_snapshots_give_zero(self):
+        p = np.array([[0.1, 0.2, 0.7], [1 / 3, 1 / 3, 1 / 3], [0.0, 1.0, 0.0]])
+        assert kl_analysis([(p, p)] * 4) == [(t, 0.0, 0.0) for t in range(1, 5)]
+
+    def test_empty_test_set_is_rejected_before_training(self, monkeypatch):
+        train, test = small_data()
+        calls = []
+        monkeypatch.setattr(netcore, "apply_update", lambda *a: calls.append(1))
+        with pytest.raises(ValueError, match="test set is empty"):
+            alengine.train_joint(train, small_cfg(epochs=2), cycle=0, test=test.take(np.arange(0)))
+        assert calls == []
 
 
 class TestPilot:

@@ -467,6 +467,16 @@ class TestDispatch:
         for f in plain.iterdir():
             assert f.read_bytes() == (traced / f.name).read_bytes()
 
+    def test_al_run_analysis_cycle_one_table_is_shared(self, small_config, tmp_path):
+        # Cycle 1 is one training for every strategy of a seed, so its KL table is too.
+        out = tmp_path / "out"
+        strategies = ["random", "coreset", "snapshot_entropy", "tidal_entropy", "tidal_margin"]
+        assert main(["al-run", "--config", str(small_config), "--out", str(out), "--seeds", "0,1",
+                     "--strategies", ",".join(strategies), "--analysis"]) == 0
+        for k in (0, 1):
+            tables = {(out / f"kl_{s}_seed{k}_cycle1.csv").read_bytes() for s in strategies}
+            assert len(tables) == 1
+
     @pytest.mark.parametrize("command", ["pilot", "kl-analysis"])
     def test_al_section_does_not_reach_pilot_runs(self, tmp_path, command):
         """The pilot trains with its own epochs, batch size and lam; no
@@ -632,6 +642,47 @@ pilot:
         assert main(["pilot", "--config", str(csv_config), "--out", str(out)]) == 0
         with open(out / "pilot_auroc.csv") as f:
             assert len(list(csv.DictReader(f))) == 6
+
+
+class TestDatasetFaults:
+    """Dataset faults exit 2 for every command that reads the dataset,
+    before any file is written."""
+
+    @pytest.fixture
+    def one_per_class_csv(self, tmp_path):
+        data = tmp_path / "three_rows.csv"
+        save_csv(gen_gaussian_mixture(DatasetSpec(n_classes=3, dim=4, per_class=1, seed=2)), data)
+        return data
+
+    @pytest.mark.parametrize("command", ["kl-analysis", "gen-data", "al-run"])
+    @pytest.mark.parametrize("source", ["generated", "csv"])
+    def test_no_class_of_two_samples_exits_2(self, one_per_class_csv, tmp_path, capsys, command,
+                                             source):
+        dataset = ("{n_classes: 3, dim: 4, per_class: 1}" if source == "generated"
+                   else f"{{generator: csv_file, csv_path: '{one_per_class_csv}'}}")
+        p = tmp_path / "cfg.yaml"
+        p.write_text(f"dataset: {dataset}\n"
+                     "al: {initial_labeled: 1, budget_per_cycle: 1, n_cycles: 1, subset_size: 1,"
+                     " epochs: 2}\npilot: {epochs: 2}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert ("no class has two samples, so the test split would be empty"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["theory-closed-form", "gen-data"])
+    @pytest.mark.parametrize("dataset, message", [
+        ("{generator: csv_file}", "csv_file generator requires csv_path"),
+        ("{generator: concentric_rings}", "concentric_rings is defined for dim = 2"),
+        ("{generator: gaussian_mixture, dim: 1}", "gaussian_mixture needs dim >= 2"),
+    ])
+    def test_generator_fault_exits_2_at_parse(self, tmp_path, capsys, command, dataset, message):
+        p = tmp_path / "cfg.yaml"
+        p.write_text(f"dataset: {dataset}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert f"invalid config section 'dataset': {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMain:

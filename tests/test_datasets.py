@@ -228,6 +228,11 @@ class TestSplit:
         assert (train.y == 1).sum() == 1
         assert (test.y == 1).sum() == 0
 
+    def test_no_class_of_two_samples_is_rejected(self):
+        ds = self.make(1, 3)
+        with pytest.raises(ValueError, match="no class has two samples, so the test split"):
+            split(ds, 0.25, seed=0)
+
 
 class TestCsvRoundTrip:
     def test_round_trip_lossless(self, tmp_path):
@@ -355,6 +360,15 @@ class TestBuildDataset:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             mixture_spec(seed=-1)
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(generator="csv_file"), "csv_file generator requires csv_path"),
+        (dict(generator="concentric_rings", dim=3), "concentric_rings is defined for dim = 2"),
+        (dict(generator="gaussian_mixture", dim=1), "gaussian_mixture needs dim >= 2"),
+    ])
+    def test_generator_faults_rejected_by_the_spec(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            DatasetSpec(**kw)
 
     def test_imbalance_spec_kept(self):
         spec = mixture_spec(imbalance=ImbalanceSpec(ratio=2.0, profile="step"))
