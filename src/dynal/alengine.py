@@ -305,8 +305,9 @@ def run_experiments(
 
     Returns, per strategy, its reports, or the exception its run raised;
     a failed run leaves the others to finish.  A run ends early (with
-    the reports so far) once its pool empties.  An initial labeling of
-    the whole training set raises ValueError before any training.
+    the reports so far) once its pool empties.  ValueError comes only
+    before any training, from an initial labeling of the whole training
+    set or a minor class with no test sample (its accuracy would be nan).
     Output is a pure function of the config, strategies and datasets.
     """
     if not strategies:
@@ -315,6 +316,9 @@ def run_experiments(
     if cfg.initial_labeled >= len(train):
         raise ValueError(f"initial_labeled={cfg.initial_labeled} must be below the"
                          f" training-set size {len(train)}")
+    for c in minor_classes or []:
+        if not (test.y == c).any():
+            raise ValueError(f"minor class {c} has no test sample, so its accuracy is undefined")
     if cfg.initial_labeled < train.n_classes:
         warnings.warn(
             f"initial_labeled={cfg.initial_labeled} < {train.n_classes} classes;"
@@ -425,18 +429,21 @@ def run_pilot(
 
     Margins use the true labels (training data is analysis data here);
     entropy needs none.  AUROC reads the scores through ``uncertainty``.
+    A training set without minor or major samples is a ValueError.
     """
+    labels = train.y
+    is_minor = np.isin(labels, list(minor_classes))
+    if is_minor.all() or not is_minor.any():
+        raise ValueError("pilot needs an imbalanced dataset: both minor and major training samples")
     result = train_joint(train, cfg, cycle=0)
     bt = netcore.forward_batch(result.net, result.net_cfg, train.X)
     snap = bt.probs
     td = result.store.values(np.arange(len(train)))
     pred_td, _ = tdhead.head_forward_batch(result.head, bt.taps)
 
-    labels = train.y
     vectors = {"snapshot": snap, "td": td, "pred_td": pred_td}
     scores = {f"{name}_entropy": entropy(p) for name, p in vectors.items()}
     scores.update({f"{name}_margin": margin(p, labels) for name, p in vectors.items()})
-    is_minor = np.isin(labels, list(minor_classes))
     auroc = {k: separation_auroc(uncertainty(k, v), is_minor) for k, v in scores.items()}
     return PilotResult(train.ids.copy(), snap.argmax(axis=1), is_minor, scores, auroc, result)
 

@@ -167,10 +167,6 @@ def _al_worker(job):
 
 def _run_al(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     train, test = build_dataset(cfg.dataset)
-    # run_experiments checks this too, but an error from a worker counts as a failed run (exit 1).
-    if cfg.al.initial_labeled >= len(train):
-        raise ValueError(f"al.initial_labeled={cfg.al.initial_labeled} must be below the"
-                         f" training-set size {len(train)}")
     minor = cfg.dataset.imbalance.minor_classes_for(train.n_classes)
     # One job runs every strategy of a seed.
     jobs = [(train, test, build_al_config(cfg, seed, analysis=args.analysis),
@@ -184,6 +180,8 @@ def _run_al(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
         for job, fut in zip(jobs, futures):
             try:
                 by_seed.append(_al_worker(job) if fut is None else fut.result())
+            except ValueError:
+                raise  # run_experiments rejected the input before any training: exit 2
             except Exception:
                 by_seed.append([(None, traceback.format_exc())] * len(args.strategies))
 
@@ -212,8 +210,6 @@ def _run_al(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
 def _run_pilot(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     train, test = build_dataset(cfg.dataset)
     minor = cfg.dataset.imbalance.minor_classes_for(train.n_classes)
-    if not minor:
-        raise ValueError("pilot needs an imbalanced dataset (imbalance.ratio > 1)")
     auroc_rows = []
     for seed in args.seeds:
         al_cfg = build_pilot_config(cfg, seed)

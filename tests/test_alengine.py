@@ -258,6 +258,17 @@ class TestExperimentInvariants:
         with pytest.raises(ValueError, match=f"must be below the training-set size {len(train)}"):
             alengine.run_experiments(train, test, cfg, [cfg.strategy])
 
+    def test_minor_class_without_a_test_sample_rejected(self, monkeypatch):
+        """A class absent from the test set has a nan recall, so its
+        minor-class accuracy would be nan; the run is refused before
+        training, naming the class."""
+        train, test = small_data()
+        monkeypatch.setattr(alengine, "train_joint", lambda *a, **k: pytest.fail("trained"))
+        test = test.take(np.flatnonzero(test.y != 3))
+        cfg = small_cfg()
+        with pytest.raises(ValueError, match="minor class 3 has no test sample"):
+            alengine.run_experiments(train, test, cfg, [cfg.strategy], [2, 3])
+
 
 class TestSharedCycles:
     """``run_experiments`` trains each (cycle, labeled ids in order) once
@@ -679,6 +690,15 @@ class TestPilot:
         assert pilot.is_minor.sum() == (np.isin(train.y, [2, 3])).sum()
         for v in pilot.auroc.values():
             assert 0.0 <= v <= 1.0
+
+    @pytest.mark.parametrize("minor", [[], [0, 1, 2, 3]])
+    def test_one_sided_training_set_rejected_before_training(self, monkeypatch, minor):
+        """Separation needs both minor and major samples; a training set
+        with one side empty is refused before any training."""
+        train, _ = small_data()
+        monkeypatch.setattr(alengine, "train_joint", lambda *a, **k: pytest.fail("trained"))
+        with pytest.raises(ValueError, match="^pilot needs an imbalanced dataset"):
+            alengine.run_pilot(train, small_cfg(epochs=3), minor_classes=minor)
 
     def test_snapshot_labels_are_final_argmax(self):
         spec = DatasetSpec(generator="gaussian_mixture", n_classes=4, dim=6, per_class=30,

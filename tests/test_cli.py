@@ -393,11 +393,13 @@ class TestDispatch:
         for name in files:
             assert (seq / name).read_bytes() == (par / name).read_bytes()
 
+    @pytest.mark.parametrize("error", [RuntimeError, ValueError])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_strategy_leaves_its_seed_group(self, small_config, tmp_path, capsys,
-                                                    monkeypatch, jobs):
+                                                    monkeypatch, jobs, error):
         """A run that raises writes nothing and is named on stderr with its
-        traceback; the other strategies of its seed finish and are written."""
+        traceback; the other strategies of its seed finish and are written.
+        A ValueError raised inside a run is such a failure too, not bad input."""
         if jobs > 1 and multiprocessing.get_start_method() != "fork":
             pytest.skip("the patch reaches pool workers only when they are forked")
         args = ["al-run", "--config", str(small_config), "--seeds", "0,1"]
@@ -408,7 +410,7 @@ class TestDispatch:
 
         def fail_tidal(kind, *a):
             if kind is StrategyKind.TIDAL_MARGIN:
-                raise RuntimeError("tidal scoring failed")
+                raise error("tidal scoring failed")
             return scores(kind, *a)
 
         monkeypatch.setattr(alengine, "strategy_scores", fail_tidal)
@@ -418,7 +420,7 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert code == 1
         assert "FAILED runs: tidal_margin-seed0, tidal_margin-seed1" in err
-        assert err.count("RuntimeError: tidal scoring failed") == 2
+        assert err.count(f"{error.__name__}: tidal scoring failed") == 2
         assert not list(out.glob("results_tidal_margin_*"))
         for name in ("results_random_seed0.csv", "results_random_seed1.csv",
                      "results_snapshot_entropy_seed0.csv", "results_snapshot_entropy_seed1.csv"):
@@ -637,6 +639,23 @@ pilot:
         assert "minor_classes applies to profile 'step', not 'exponential'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_minor_class_without_a_test_sample_exits_2(self, csv_config, tmp_path, capsys,
+                                                       jobs):
+        """A one-row class stays in train, so its test recall, and the
+        minor-class accuracy, would be nan: al-run refuses it before training."""
+        data = tmp_path / "four_classes.csv"
+        lines = data.read_text().splitlines(keepends=True)
+        class_3 = [l for l in lines[1:] if l.rstrip().endswith(",3")]
+        data.write_text("".join(l for l in lines if l not in class_3[1:]))
+        csv_config.write_text(csv_config.read_text().replace("ratio: 4", "ratio: 2"))
+        out = tmp_path / "bad"
+        with pytest.warns(UserWarning, match="class 3 has a single sample"):
+            assert main(["al-run", "--config", str(csv_config), "--out", str(out),
+                         "--seeds", "0,1", "--jobs", str(jobs)]) == 2
+        assert "error: minor class 3 has no test sample" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pilot_separates_minor_classes_of_the_csv(self, csv_config, tmp_path):
         out = tmp_path / "pilot"
         assert main(["pilot", "--config", str(csv_config), "--out", str(out)]) == 0
@@ -798,7 +817,7 @@ class TestMain:
         small_config.write_text(SMALL_CFG.replace("initial_labeled: 9", "initial_labeled: 500"))
         out = tmp_path / "x"
         assert main(["al-run", "--config", str(small_config), "--out", str(out)]) == 2
-        assert ("al.initial_labeled=500 must be below the training-set size 90"
+        assert ("error: initial_labeled=500 must be below the training-set size 90"
                 in capsys.readouterr().err)
         assert not out.exists()
 
@@ -808,6 +827,16 @@ class TestMain:
         assert main(["pilot", "--config", str(small_config), "--out", str(out)]) == 2
         assert "pilot needs an imbalanced dataset" in capsys.readouterr().err
         assert not (tmp_path / "new").exists()
+
+    def test_pilot_with_every_class_minor_exits_2_before_training(self, pilot_config, tmp_path,
+                                                                   capsys, monkeypatch):
+        pilot_config.write_text(PILOT_CFG.replace("minor_classes: [2, 3]",
+                                                  "minor_classes: [0, 1, 2, 3]"))
+        monkeypatch.setattr(alengine, "train_joint", lambda *a, **k: pytest.fail("trained"))
+        out = tmp_path / "x"
+        assert main(["pilot", "--config", str(pilot_config), "--out", str(out)]) == 2
+        assert "error: pilot needs an imbalanced dataset" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("keep", ["empty", "with a file"])
     def test_command_check_leaves_an_existing_out_alone(self, small_config, tmp_path, keep):
