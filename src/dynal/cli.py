@@ -296,7 +296,8 @@ def _distinct_values(kind: str, text: str, parse) -> list:
 def main(argv=None) -> int:
     """The command line's one entry: parses argv and the config once,
     checks the seeds, strategies and ``--jobs``, then runs the command into
-    ``--out``; returns the exit code (2 for bad input, before any file)."""
+    ``--out``; returns the exit code: 2 for bad input, before any file, and
+    1 for a training or simulation that diverges (files of earlier seeds stay)."""
     parser = argparse.ArgumentParser(
         prog="dynal", description="Training-dynamics active-learning workbench"
     )
@@ -338,7 +339,7 @@ def main(argv=None) -> int:
                 p.rmdir()
             except OSError:
                 break
-        return 2
+        return 1 if isinstance(e, FloatingPointError) else 2
 
 
 if __name__ == "__main__":

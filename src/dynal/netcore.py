@@ -22,13 +22,14 @@ Conventions
   place parameters change, rejects a step that leaves ``theta`` non-finite
   with the FloatingPointError that a non-finite loss raises.
 * One kernel, ``_joint_step``, takes a batch through one forward pass of
-  net and head and one backprop of the joint loss, writing the gradient
-  into views of a vector its caller allocated (``_gradient``).  It checks
-  nothing that a training run cannot change between steps: ``train_joint``
-  checks its inputs once, and ``grad_joint``, the kernel's public face,
-  checks them per call and backprops into a fresh vector.  The KL targets
-  come from a callback on the batch's class probabilities, in training
-  ``TDStore.update_batch``, which returns the means it stored.
+  net and head and one backprop of the joint loss, the head's part by
+  ``tdhead.head_backward``, writing the gradient into views of a vector
+  its caller allocated (``_gradient``).  It checks nothing that a training
+  run cannot change between steps: ``train_joint`` checks its inputs
+  once, and ``grad_joint``, the kernel's public face, checks them per call
+  and backprops into a fresh vector.  The KL targets come from a callback
+  on the batch's class probabilities, in training ``TDStore.update_batch``,
+  which returns the means it stored.
 * SGD momentum uses ``v = mu * v + g``, ``theta -= lr * v``.
 * Weight decay enters as gradient augmentation ``g += wd * theta``.
 """
@@ -302,7 +303,7 @@ def _joint_step(state, cfg, head, X, y, targets_of, lam, sample_ids, grad_net, g
     dlogits = (probs - _eye(probs.shape[1])[y]) / B
     # d(lam * mean KL)/d(head logits) = lam * (softmax - target) / B
     dU = lam * (pt - q) / B
-    tap_grads = tdhead._backward(head, taps, concat, dU, grad_head)
+    tap_grads = tdhead.head_backward(head, taps, concat, dU, grad_head)
     tap_at_layer: dict[int, np.ndarray] = {}
     for layer, g in zip(cfg.tap_layers, tap_grads):
         tap_at_layer[layer] = tap_at_layer.get(layer, 0.0) + g

@@ -5,9 +5,9 @@ dimension, the reduced vectors are concatenated, and a single affine
 layer followed by softmax produces a C-dimensional prediction of the
 per-sample running-mean probability vector.  The head is trained by
 minimizing KL(target || prediction), as part of netcore's joint loss.
-``_forward`` and ``_backward`` are the unchecked passes of netcore's
-training kernel; ``head_forward_batch``, which checks its inputs, and
-``head_backward`` wrap them.
+``_forward`` is the unchecked forward pass of netcore's training kernel,
+and ``head_forward_batch`` wraps it with a check of its inputs;
+``head_backward`` is the kernel's one backward pass, called each step.
 """
 
 from __future__ import annotations
@@ -49,14 +49,6 @@ class HeadState:
         return cls(list(params[0:-2:2]), list(params[1:-2:2]), params[-2], params[-1])
 
 
-@dataclass
-class HeadCache:
-    """Intermediates of a batched head forward pass, kept for backprop."""
-
-    taps: list[np.ndarray]
-    concat: np.ndarray
-
-
 def init_head(tap_dims: list[int], n_classes: int, reduce_dim: int, seed: int) -> HeadState:
     """He-initialized tap reductions, a Xavier output layer, zero biases."""
     rng = np.random.default_rng(seed)
@@ -69,12 +61,12 @@ def init_head(tap_dims: list[int], n_classes: int, reduce_dim: int, seed: int) -
     return HeadState(rw, rb, out_w, np.zeros(n_classes))
 
 
-def head_forward_batch(head: HeadState, taps: list[np.ndarray]) -> tuple[np.ndarray, HeadCache]:
-    """Batched head pass: returns (probs (B, C), cache)."""
+def head_forward_batch(head: HeadState, taps: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Batched head pass: returns (probs (B, C), relu concat that ``head_backward`` reads)."""
     taps = [np.atleast_2d(np.asarray(t, dtype=np.float64)) for t in taps]
     check_taps(head, [t.shape[1] for t in taps])
     concat, probs = _forward(head, taps)
-    return probs, HeadCache(taps, concat)
+    return probs, concat
 
 
 def check_taps(head: HeadState, tap_dims: list[int]) -> None:
@@ -94,20 +86,7 @@ def _forward(head: HeadState, taps: list[np.ndarray]) -> tuple[np.ndarray, np.nd
     return concat, stable_softmax(logits, axis=1)
 
 
-def head_backward(
-    head: HeadState, cache: HeadCache, dlogits: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Backprop dlogits through the head.
-
-    Returns (head_grads parallel to params(), tap_grads per tap) so the
-    caller can continue the chain into the classifier.
-    """
-    grads = HeadState.from_params([np.empty_like(p) for p in head.params()])
-    tap_grads = _backward(head, cache.taps, cache.concat, dlogits, grads)
-    return grads.params(), tap_grads
-
-
-def _backward(head: HeadState, taps, concat, dlogits, out: HeadState) -> list[np.ndarray]:
+def head_backward(head: HeadState, taps, concat, dlogits, out: HeadState) -> list[np.ndarray]:
     """Backprop dlogits through the head, writing its parameter gradients
     into ``out``'s arrays; returns the gradient reaching each tap."""
     np.matmul(dlogits.T, concat, out=out.out_weight)

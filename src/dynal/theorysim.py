@@ -87,7 +87,7 @@ def simulate_discrete_ensemble(params: ElasticityParams, n_runs: int) -> np.ndar
     Each step draws one training sample uniformly with replacement and
     updates every logit by ``h * E[group(s), group(J)] * X_J`` plus
     ``sqrt(h) * N(0, noise^2)`` per sample.  Returns group-mean logits of
-    shape (n_runs, iterations + 1, 3).
+    shape (n_runs, iterations + 1, 3); FloatingPointError if they diverge.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -120,6 +120,8 @@ def simulate_discrete_ensemble(params: ElasticityParams, n_runs: int) -> np.ndar
         if params.noise > 0:
             X += sqrt_h * params.noise * rng.standard_normal(size=X.shape)
         record(m)
+    if not np.isfinite(means[-1]).all():  # inf and nan persist once reached
+        raise FloatingPointError(f"non-finite group means by iteration {params.iterations}")
     return means.transpose(1, 0, 2)
 
 
@@ -134,7 +136,7 @@ def integrate_ode(params: ElasticityModel, dt: float, t_end: float) -> tuple[np.
 
     ``t_end`` must be a whole number (>= 1) of ``dt`` steps, within float
     rounding.  Returns (times, trajectory) with trajectory[k] the group
-    means at times[k]; deterministic.
+    means at times[k]; deterministic.  FloatingPointError if they diverge.
     """
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
@@ -150,6 +152,8 @@ def integrate_ode(params: ElasticityModel, dt: float, t_end: float) -> tuple[np.
     for k in range(1, steps + 1):
         x = x + dt * (A @ x)
         traj[k] = x
+    if not np.isfinite(x).all():  # inf and nan persist once reached
+        raise FloatingPointError(f"non-finite ODE group means by t_end={t_end}")
     return np.arange(steps + 1) * dt, traj
 
 

@@ -9,6 +9,7 @@ import types
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, reject, settings
@@ -836,6 +837,37 @@ class TestMain:
         out = tmp_path / "x"
         assert main(["pilot", "--config", str(pilot_config), "--out", str(out)]) == 2
         assert "error: pilot needs an imbalanced dataset" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, kept", [("pilot", "scores_pilot_seed0.csv"),
+                                               ("kl-analysis", "kl_seed0.csv")])
+    def test_diverging_training_exits_1_keeping_earlier_seeds(self, pilot_config, tmp_path,
+                                                              capsys, monkeypatch, command, kept):
+        train_joint = alengine.train_joint
+
+        def diverge_at_seed_1(train, cfg, *args, **kwargs):
+            if cfg.seed == 1:
+                raise FloatingPointError("non-finite loss for sample id 0")
+            return train_joint(train, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(alengine, "train_joint", diverge_at_seed_1)
+        out = tmp_path / "x"
+        assert main([command, "--config", str(pilot_config), "--out", str(out),
+                     "--seeds", "0,1"]) == 1
+        assert "error: non-finite loss for sample id 0" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [kept]
+
+    @pytest.mark.parametrize("theory", [
+        "{dt: 1.0, t_end: 2000.0}",  # the ODE
+        "{step_size: 10.0, iterations: 2000, dt: 0.5, t_end: 500.0}",  # the SDE
+    ])
+    def test_diverging_theory_sde_exits_1_before_any_file(self, tmp_path, capsys, theory):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"theory: {theory}\n")
+        out = tmp_path / "x"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["theory-sde", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "error: non-finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("keep", ["empty", "with a file"])

@@ -6,7 +6,7 @@ import pytest
 from dynal import netcore, tdhead
 from dynal.netcore import OptimizerConfig
 from dynal.numutil import kl_rows
-from dynal.tdhead import head_backward, head_forward_batch, init_head
+from dynal.tdhead import HeadState, head_backward, head_forward_batch, init_head
 
 
 def make_head(seed=0, tap_dims=(3, 4), C=3, reduce_dim=5):
@@ -21,9 +21,10 @@ def head_forward(head, taps):
 def module_loss(head, taps_batch, targets):
     """Batch-mean KL(targets || head output) and its exact head gradients,
     built from the pieces grad_joint uses for the head's share of the loss."""
-    probs, cache = head_forward_batch(head, taps_batch)
-    grads, _ = head_backward(head, cache, (probs - targets) / len(targets))
-    return float(kl_rows(targets, probs).mean()), grads
+    probs, concat = head_forward_batch(head, taps_batch)
+    out = HeadState.from_params([np.empty_like(p) for p in head.params()])
+    head_backward(head, taps_batch, concat, (probs - targets) / len(targets), out)
+    return float(kl_rows(targets, probs).mean()), out.params()
 
 
 class TestHeadForward:

@@ -73,6 +73,12 @@ class TestDiscreteSimulation:
         b = simulate_discrete_ensemble(params(noise=0.3, iterations=50), 1)[0]
         np.testing.assert_array_equal(a, b)
 
+    def test_diverging_ensemble_raises(self):
+        # step_size 10: each draw adds up to 10 times the drawn logit to every logit
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="non-finite group means by iteration"):
+                simulate_discrete_ensemble(params(step_size=10.0, iterations=2000), 3)
+
 
 class TestODE:
     def test_matrix_weights(self):
@@ -118,6 +124,12 @@ class TestODE:
         times, traj = integrate_ode(params(), dt, t_end)
         assert traj.shape == (steps + 1, 3)
         assert times[-1] == pytest.approx(t_end, rel=1e-12)
+
+    def test_diverging_euler_steps_raise(self):
+        # the group means grow geometrically, past the float range by t = 2000
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="non-finite ODE group means"):
+                integrate_ode(params(), 1.0, 2000.0)
 
     def test_gap_positive_and_increasing(self):
         p = params()

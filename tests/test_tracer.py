@@ -62,6 +62,9 @@ def test_row_counts_of_a_scored_cycle():
     assert t.counts["estimators.strategy_scores.rows"] == 25
     assert t.counts["acquisition.select_top_k.rows"] == 25
     assert t.counts["tdtrack.update_batch.rows"] == 3 * 10
+    # The head's backprop runs once per executed step: 3 epochs x ceil(10 / 4) batches.
+    assert t.names.count("tdhead.head_backward") == 3 * 3
+    assert t.names.count("tdhead.head_backward") == t.names.count("tdtrack.update_batch")
 
 
 def test_step_counts_of_the_theory_calls():
