@@ -50,6 +50,11 @@ class TheorySection(ElasticityModel):
     sy_values: list[float] = field(default_factory=lambda: list(DEFAULT_SY_GRID))
     classes: list[int] = field(default_factory=lambda: [2, 3, 10, 100])
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_runs < 1:
+            raise ValueError("n_runs must be >= 1")
+
     def elasticity_params(self, seed: int) -> ElasticityParams:
         model = {f.name: getattr(self, f.name) for f in dataclasses.fields(ElasticityModel)}
         return ElasticityParams(**model, seed=seed)

@@ -19,6 +19,8 @@ import numpy as np
 from .numutil import write_csv
 
 GROUP_EASY1, GROUP_HARD1, GROUP_CLASS2 = 0, 1, 2
+# Floats of simulate_discrete_ensemble's logit buffer (512 KiB).
+SIM_CHUNK_FLOATS = 2**16
 
 
 @dataclass
@@ -88,6 +90,11 @@ def simulate_discrete_ensemble(params: ElasticityParams, n_runs: int) -> np.ndar
     updates every logit by ``h * E[group(s), group(J)] * X_J`` plus
     ``sqrt(h) * N(0, noise^2)`` per sample.  Returns group-mean logits of
     shape (n_runs, iterations + 1, 3); FloatingPointError if they diverge.
+
+    Each step's logits go to the next row of a (chunk, n_runs, n) buffer of
+    at most SIM_CHUNK_FLOATS floats (one step if a step is larger); the
+    group means of a full buffer, and of the last partial one, are taken
+    at once.  Memory stays near the returned means plus that buffer.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -97,29 +104,33 @@ def simulate_discrete_ensemble(params: ElasticityParams, n_runs: int) -> np.ndar
     n = params.n_total
     group_of = np.repeat(np.arange(3), sizes)
     G = elasticity_matrix(params)
-    row_fac = G[group_of]  # (n, 3): pull on each sample per draw group
+    # row g: the pull on each sample, times h, when the draw is in group g
+    h_col_fac = np.ascontiguousarray((h * G[group_of]).T)
 
     rng = np.random.default_rng(params.seed)
-    per_sample_x0 = np.repeat(np.asarray(params.x0, dtype=np.float64), sizes)
-    X = np.tile(per_sample_x0, (n_runs, 1))
-
     starts = np.concatenate([[0], np.cumsum(sizes)])
     means = np.empty((params.iterations + 1, n_runs, 3))
+    hist = np.empty((min(max(1, SIM_CHUNK_FLOATS // (n_runs * n)), params.iterations + 1),
+                     n_runs, n))
+    hist[0] = np.repeat(np.asarray(params.x0, dtype=np.float64), sizes)
 
-    def record(step):
+    def record(first, k):
         for g in range(3):
-            means[step, :, g] = X[:, starts[g] : starts[g + 1]].mean(axis=1)
+            means[first : first + k, :, g] = hist[:k, :, starts[g] : starts[g + 1]].mean(axis=2)
 
-    record(0)
     run_idx = np.arange(n_runs)
+    X, k = hist[0], 1  # at step m, the first k buffer rows hold steps m - k .. m - 1
     for m in range(1, params.iterations + 1):
+        if k == len(hist):
+            record(m - k, k)
+            k = 0
         J = rng.integers(0, n, size=n_runs)
         x_j = X[run_idx, J][:, None]
-        fac = row_fac[:, group_of[J]].T  # (n_runs, n)
-        X += h * fac * x_j
+        X = np.add(X, h_col_fac[group_of[J]] * x_j, out=hist[k])
         if params.noise > 0:
             X += sqrt_h * params.noise * rng.standard_normal(size=X.shape)
-        record(m)
+        k += 1
+    record(params.iterations + 1 - k, k)
     if not np.isfinite(means[-1]).all():  # inf and nan persist once reached
         raise FloatingPointError(f"non-finite group means by iteration {params.iterations}")
     return means.transpose(1, 0, 2)

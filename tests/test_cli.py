@@ -289,6 +289,16 @@ class TestBuilders:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_runs", [0, -1])
+    @pytest.mark.parametrize("command", ["theory-sde", "theory-closed-form", "gen-data"])
+    def test_non_positive_n_runs_exits_2(self, small_config, tmp_path, capsys, command, n_runs):
+        small_config.write_text(SMALL_CFG + f"  n_runs: {n_runs}\n")
+        out = tmp_path / "x"
+        assert main([command, "--config", str(small_config), "--out", str(out)]) == 2
+        assert ("invalid config section 'theory': n_runs must be >= 1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 # Fields whose values the section classes check, drawn from their valid sets.
 FIELD_VALUES = {
@@ -310,6 +320,7 @@ FIELD_VALUES = {
     "epsilon": st.floats(1e-300, 1e300),
     "radius": st.floats(allow_nan=False, allow_infinity=False),
     "noise": st.floats(allow_nan=False, allow_infinity=False),
+    "n_runs": st.integers(1, 10**6),
 }
 
 

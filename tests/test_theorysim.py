@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,42 @@ def params(**kw):
                 step_size=1e-3, noise=0.0, x0=(1.0, 1.0, 1.0), iterations=100, seed=0)
     base.update(kw)
     return ElasticityParams(**base)
+
+
+def per_step_ensemble(params, n_runs):
+    """simulate_discrete_ensemble as it was before its logits were buffered:
+    the group means taken and stored every step."""
+    h = params.step_size
+    sqrt_h = np.sqrt(h)
+    sizes = params.group_sizes()
+    n = params.n_total
+    group_of = np.repeat(np.arange(3), sizes)
+    row_fac = elasticity_matrix(params)[group_of]
+    rng = np.random.default_rng(params.seed)
+    X = np.tile(np.repeat(np.asarray(params.x0, dtype=np.float64), sizes), (n_runs, 1))
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    means = np.empty((params.iterations + 1, n_runs, 3))
+
+    def record(step):
+        for g in range(3):
+            means[step, :, g] = X[:, starts[g] : starts[g + 1]].mean(axis=1)
+
+    record(0)
+    run_idx = np.arange(n_runs)
+    for m in range(1, params.iterations + 1):
+        J = rng.integers(0, n, size=n_runs)
+        x_j = X[run_idx, J][:, None]
+        fac = row_fac[:, group_of[J]].T
+        X += h * fac * x_j
+        if params.noise > 0:
+            X += sqrt_h * params.noise * rng.standard_normal(size=X.shape)
+        record(m)
+    return means.transpose(1, 0, 2)
+
+
+def chunk_steps(n_runs, n):
+    """Steps per full buffer of simulate_discrete_ensemble."""
+    return max(1, theorysim.SIM_CHUNK_FLOATS // (n_runs * n))
 
 
 class TestParams:
@@ -78,6 +115,55 @@ class TestDiscreteSimulation:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="non-finite group means by iteration"):
                 simulate_discrete_ensemble(params(step_size=10.0, iterations=2000), 3)
+
+    def test_diverging_ensemble_raises_when_the_last_chunk_is_partial(self, monkeypatch):
+        p = params(step_size=10.0, iterations=2000)
+        monkeypatch.setattr(theorysim, "SIM_CHUNK_FLOATS", 7 * 3 * p.n_total)
+        assert (p.iterations + 1) % chunk_steps(3, p.n_total) != 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError,
+                               match="non-finite group means by iteration 2000$"):
+                simulate_discrete_ensemble(p, 3)
+
+
+class TestChunkedRecording:
+    """The group means, taken once per buffer of logits, against the
+    per-step loop they replaced."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, theorysim.SIM_CHUNK_FLOATS])
+    @pytest.mark.parametrize("n_runs", [1, 3, 40])
+    # group sizes of 1 and above numpy's pairwise-sum block of 128
+    @pytest.mark.parametrize("sizes", [(1, 2, 3), (129, 1, 6)])
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    @pytest.mark.parametrize("length", ["one step", "whole chunks", "partial chunk"])
+    def test_equals_the_per_step_loop(self, monkeypatch, chunk, n_runs, sizes, noise, length):
+        monkeypatch.setattr(theorysim, "SIM_CHUNK_FLOATS", chunk)
+        steps = chunk_steps(n_runs, sum(sizes))
+        # iterations + 1 steps are recorded, the initial one included
+        iterations = {"one step": 1, "whole chunks": 2 * steps - 1,
+                      "partial chunk": 2 * steps + 1}[length]
+        p = params(n_1e=sizes[0], n_1h=sizes[1], n_2=sizes[2], noise=noise,
+                   iterations=iterations, seed=7)
+        assert np.array_equal(simulate_discrete_ensemble(p, n_runs), per_step_ensemble(p, n_runs))
+
+    def test_memory_stays_near_the_means_and_one_buffer(self):
+        n_runs = 200
+        p = params(n_1e=10, n_1h=10, n_2=10, noise=0.3, iterations=5000)
+        means_bytes = (p.iterations + 1) * n_runs * 3 * 8
+        # Besides the means and the buffer: per step, the gathered pull
+        # factors, their product with the drawn logits and the noise draws
+        # (n_runs x n floats each); per chunk, one group's means and sum
+        # (chunk x n_runs floats each); 64 KiB for small arrays.
+        step_floats = n_runs * p.n_total
+        slack = 8 * (3 * step_floats + 2 * chunk_steps(n_runs, p.n_total) * n_runs) + 2**16
+        simulate_discrete_ensemble(params(noise=0.3, iterations=2), 2)  # the generator's imports
+        tracemalloc.start()
+        try:
+            simulate_discrete_ensemble(p, n_runs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= means_bytes + 8 * theorysim.SIM_CHUNK_FLOATS + slack
 
 
 class TestODE:
