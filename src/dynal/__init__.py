@@ -45,7 +45,7 @@ from .netcore import (
     lr_at,
 )
 from .numutil import kl_rows
-from .tdhead import HeadState, head_forward_batch, init_head
+from .tdhead import head_forward_batch, init_head
 from .tdtrack import TDStore
 from .theorysim import (
     ElasticityParams,

@@ -45,18 +45,25 @@ _STREAM_SUBSET = 4
 @dataclass
 class Schedule:
     """How one model is trained: epochs, minibatch size and the weight
-    of the head's loss.  The ``pilot:`` config section."""
+    of the head's loss.  The ``pilot:`` config section; checked when built."""
 
     epochs: int = 30
     batch_size: int = 32
     lam: float = 1.0
 
+    def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lam must be nonnegative and finite")
+
 
 @dataclass
 class ALProtocol(Schedule):
     """The settings of one active-learning protocol: the ``al:`` config
-    section.  ``strategy`` is a strategy name; ALConfig turns it into a
-    StrategyKind."""
+    section; checked when built.  ``strategy`` is a strategy name; ALConfig
+    turns it into a StrategyKind."""
 
     strategy: str = "random"
     initial_labeled: int = 20
@@ -66,11 +73,20 @@ class ALProtocol(Schedule):
     epochs: int = 60
     dump_scores: bool = False
 
+    def __post_init__(self):
+        super().__post_init__()
+        StrategyKind.from_string(self.strategy)
+        for name in ("initial_labeled", "budget_per_cycle", "n_cycles"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.subset_size < self.budget_per_cycle:
+            raise ValueError("subset_size must be >= budget_per_cycle")
+
 
 @dataclass(kw_only=True)
 class ALConfig(ALProtocol):
     """A protocol bound to a network, an optimizer, a head and a seed;
-    checked when built."""
+    each section checks itself, and the seed is checked here."""
 
     net: NetConfig
     opt: OptimizerConfig = field(default_factory=OptimizerConfig)
@@ -79,17 +95,8 @@ class ALConfig(ALProtocol):
     seed: int = 0
 
     def __post_init__(self):
-        self.strategy = StrategyKind.from_string(self.strategy)
-        if self.initial_labeled < 1 or self.budget_per_cycle < 1:
-            raise ValueError("initial_labeled and budget_per_cycle must be >= 1")
-        if self.subset_size < self.budget_per_cycle:
-            raise ValueError("subset_size must be >= budget_per_cycle")
-        if self.n_cycles < 1 or self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("n_cycles, epochs and batch_size must be >= 1")
-        if not 0 <= self.lam < np.inf:
-            raise ValueError("lam must be nonnegative and finite")
-        if self.head.reduce_dim < 1:
-            raise ValueError("head.reduce_dim must be >= 1")
+        super().__post_init__()
+        self.strategy = StrategyKind(self.strategy)
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -98,7 +105,7 @@ class ALConfig(ALProtocol):
 class TrainResult:
     net: NetState
     net_cfg: NetConfig
-    head: tdhead.HeadState
+    head: NetState
     store: TDStore
     kl_rows: list[tuple[int, float, float]] | None = None
 

@@ -42,7 +42,7 @@ DEFAULT_SY_GRID = [round(0.55 + 0.05 * i, 2) for i in range(9)]
 
 @dataclass
 class TheorySection(ElasticityModel):
-    """The elasticity model plus the commands' integration and grid settings."""
+    """The elasticity model plus the commands' integration and grid settings; checked when built."""
 
     n_runs: int = 200
     dt: float = 1e-3
@@ -54,6 +54,8 @@ class TheorySection(ElasticityModel):
         super().__post_init__()
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
+        theorysim.ode_steps(self.dt, self.t_end)
+        theorysim.check_closed_form_domain(self.sy_values, self.classes)
 
     def elasticity_params(self, seed: int) -> ElasticityParams:
         model = {f.name: getattr(self, f.name) for f in dataclasses.fields(ElasticityModel)}
@@ -246,7 +248,7 @@ def _run_kl(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
 
 def _run_theory_sde(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     th = cfg.theory
-    # The ODE first, so that its bad inputs stop the run before any file is written.
+    # The ODE first, so that a diverging ODE stops the run before any file is written.
     _, ode = theorysim.integrate_ode(th, th.dt, th.t_end)
     for seed in args.seeds:
         traj = theorysim.simulate_discrete_ensemble(th.elasticity_params(seed), 1)[0]

@@ -13,8 +13,8 @@ Conventions
   net's input width and class count are read off them: ``init_net`` takes
   both from the data, and ``NetConfig`` holds neither.
 * Batches are ``(B, dim)`` arrays; single samples are 1-D.
-* ``params()`` lists ``[W0, b0, W1, b1, ..., W_out, b_out]``; each state's
-  ``from_params`` is its inverse.
+* Net and head are each a ``NetState``: ``params()`` lists ``[W0, b0, W1,
+  b1, ..., W_out, b_out]``, and ``from_params`` is its inverse.
 * Training holds all parameters in one contiguous float64 vector ``theta``
   (``flatten``): ``net.params() + head.params()`` raveled end to end, the
   states' arrays being views into it.  Only this module knows that layout:
@@ -138,12 +138,12 @@ def _views(vec: np.ndarray, states) -> list:
     arrays = [p for s in states for p in s.params()]
     ends = np.cumsum([a.size for a in arrays])
     views = iter([vec[e - a.size : e].reshape(a.shape) for a, e in zip(arrays, ends)])
-    return [type(s).from_params([next(views) for _ in s.params()]) for s in states]
+    return [NetState.from_params([next(views) for _ in s.params()]) for s in states]
 
 
 @dataclass
 class NetState:
-    """Classifier parameters."""
+    """Parameters of a chain of affine layers: the classifier's or the head's."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]

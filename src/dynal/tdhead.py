@@ -5,6 +5,8 @@ dimension, the reduced vectors are concatenated, and a single affine
 layer followed by softmax produces a C-dimensional prediction of the
 per-sample running-mean probability vector.  The head is trained by
 minimizing KL(target || prediction), as part of netcore's joint loss.
+The head is a ``netcore.NetState``, as the classifier is: one reduction
+layer per tap, in tap order, then the layer from the relu concat to logits.
 ``_forward`` is the unchecked forward pass of netcore's training kernel,
 and ``head_forward_batch`` wraps it with a check of its inputs;
 ``head_backward`` is the kernel's one backward pass, called each step.
@@ -16,52 +18,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import netcore
 from .numutil import relu, stable_softmax
 
 
 @dataclass
 class HeadConfig:
-    """The head's width: the ``head:`` config section."""
+    """The head's width: the ``head:`` config section; checked when built."""
 
     reduce_dim: int = 16
 
-
-@dataclass
-class HeadState:
-    """Per-tap reduction weights plus the final output layer."""
-
-    reduce_weights: list[np.ndarray]
-    reduce_biases: list[np.ndarray]
-    out_weight: np.ndarray
-    out_bias: np.ndarray
-
-    def params(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.reduce_weights, self.reduce_biases):
-            out.append(w)
-            out.append(b)
-        out.append(self.out_weight)
-        out.append(self.out_bias)
-        return out
-
-    @classmethod
-    def from_params(cls, params: list[np.ndarray]) -> "HeadState":
-        return cls(list(params[0:-2:2]), list(params[1:-2:2]), params[-2], params[-1])
+    def __post_init__(self):
+        if self.reduce_dim < 1:
+            raise ValueError("reduce_dim must be >= 1")
 
 
-def init_head(tap_dims: list[int], n_classes: int, reduce_dim: int, seed: int) -> HeadState:
+def init_head(tap_dims: list[int], n_classes: int, reduce_dim: int, seed: int) -> netcore.NetState:
     """He-initialized tap reductions, a Xavier output layer, zero biases."""
     rng = np.random.default_rng(seed)
-    rw, rb = [], []
-    for d in tap_dims:
-        rw.append(rng.normal(0.0, np.sqrt(2.0 / d), size=(reduce_dim, d)))
-        rb.append(np.zeros(reduce_dim))
+    weights = [rng.normal(0.0, np.sqrt(2.0 / d), size=(reduce_dim, d)) for d in tap_dims]
     total = reduce_dim * len(tap_dims)
-    out_w = rng.normal(0.0, np.sqrt(1.0 / total), size=(n_classes, total))
-    return HeadState(rw, rb, out_w, np.zeros(n_classes))
+    weights.append(rng.normal(0.0, np.sqrt(1.0 / total), size=(n_classes, total)))
+    return netcore.NetState(weights, [np.zeros(w.shape[0]) for w in weights])
 
 
-def head_forward_batch(head: HeadState, taps: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def head_forward_batch(head: netcore.NetState,
+                       taps: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Batched head pass: returns (probs (B, C), relu concat that ``head_backward`` reads)."""
     taps = [np.atleast_2d(np.asarray(t, dtype=np.float64)) for t in taps]
     check_taps(head, [t.shape[1] for t in taps])
@@ -69,36 +51,37 @@ def head_forward_batch(head: HeadState, taps: list[np.ndarray]) -> tuple[np.ndar
     return probs, concat
 
 
-def check_taps(head: HeadState, tap_dims: list[int]) -> None:
+def check_taps(head: netcore.NetState, tap_dims: list[int]) -> None:
     """ValueError unless ``head`` reads taps of widths ``tap_dims``, in order."""
-    if len(tap_dims) != len(head.reduce_weights):
-        raise ValueError(f"expected {len(head.reduce_weights)} taps, got {len(tap_dims)}")
-    for d, w in zip(tap_dims, head.reduce_weights):
+    if len(tap_dims) != len(head.weights) - 1:
+        raise ValueError(f"expected {len(head.weights) - 1} taps, got {len(tap_dims)}")
+    for d, w in zip(tap_dims, head.weights[:-1]):
         if d != w.shape[1]:
             raise ValueError(f"tap dim {d} != expected {w.shape[1]}")
 
 
-def _forward(head: HeadState, taps: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _forward(head: netcore.NetState, taps: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(relu concat of the tap reductions, probs) of checked (B, dim) float64 taps."""
-    pre = [t @ w.T + b for t, w, b in zip(taps, head.reduce_weights, head.reduce_biases)]
+    pre = [t @ w.T + b for t, w, b in zip(taps, head.weights[:-1], head.biases[:-1])]
     concat = relu(np.concatenate(pre, axis=1))
-    logits = concat @ head.out_weight.T + head.out_bias
+    logits = concat @ head.weights[-1].T + head.biases[-1]
     return concat, stable_softmax(logits, axis=1)
 
 
-def head_backward(head: HeadState, taps, concat, dlogits, out: HeadState) -> list[np.ndarray]:
+def head_backward(head: netcore.NetState, taps, concat, dlogits,
+                  out: netcore.NetState) -> list[np.ndarray]:
     """Backprop dlogits through the head, writing its parameter gradients
     into ``out``'s arrays; returns the gradient reaching each tap."""
-    np.matmul(dlogits.T, concat, out=out.out_weight)
-    dlogits.sum(axis=0, out=out.out_bias)
-    dconcat = dlogits @ head.out_weight
-    r = head.reduce_weights[0].shape[0]
+    np.matmul(dlogits.T, concat, out=out.weights[-1])
+    dlogits.sum(axis=0, out=out.biases[-1])
+    dconcat = dlogits @ head.weights[-1]
+    r = head.weights[0].shape[0]
     tap_grads = []
-    for j, (t, w) in enumerate(zip(taps, head.reduce_weights)):
+    for j, (t, w) in enumerate(zip(taps, head.weights[:-1])):
         cols = slice(j * r, (j + 1) * r)
         # relu(s) > 0 exactly where s > 0
         dS = dconcat[:, cols] * (concat[:, cols] > 0)
-        np.matmul(dS.T, t, out=out.reduce_weights[j])
-        dS.sum(axis=0, out=out.reduce_biases[j])
+        np.matmul(dS.T, t, out=out.weights[j])
+        dS.sum(axis=0, out=out.biases[j])
         tap_grads.append(dS @ w)
     return tap_grads

@@ -142,13 +142,9 @@ def ode_matrix(params: ElasticityModel) -> np.ndarray:
     return elasticity_matrix(params) * weights[None, :]
 
 
-def integrate_ode(params: ElasticityModel, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarray]:
-    """Forward-Euler integration of the averaged group dynamics.
-
-    ``t_end`` must be a whole number (>= 1) of ``dt`` steps, within float
-    rounding.  Returns (times, trajectory) with trajectory[k] the group
-    means at times[k]; deterministic.  FloatingPointError if they diverge.
-    """
+def ode_steps(dt: float, t_end: float) -> int:
+    """The number of ``dt`` steps to ``t_end``; ValueError unless both are
+    positive and finite and ``t_end`` is a whole number (>= 1) of them, within rounding."""
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
     if not 0 < t_end < np.inf:
@@ -156,6 +152,15 @@ def integrate_ode(params: ElasticityModel, dt: float, t_end: float) -> tuple[np.
     steps = int(round(t_end / dt))
     if steps < 1 or abs(steps * dt - t_end) > 1e-9 * t_end:
         raise ValueError(f"t_end must be a whole number of dt steps, got t_end={t_end}, dt={dt}")
+    return steps
+
+
+def integrate_ode(params: ElasticityModel, dt: float, t_end: float) -> tuple[np.ndarray, np.ndarray]:
+    """Forward-Euler integration of the averaged group dynamics over
+    ``ode_steps(dt, t_end)`` steps: (times, trajectory) with trajectory[k]
+    the group means at times[k]; deterministic.  FloatingPointError if
+    they diverge."""
+    steps = ode_steps(dt, t_end)
     A = ode_matrix(params)
     traj = np.empty((steps + 1, 3))
     traj[0] = np.asarray(params.x0, dtype=np.float64)
@@ -176,17 +181,19 @@ def convergence_gap(trajectory) -> np.ndarray:
     return traj[:, GROUP_EASY1] - traj[:, GROUP_HARD1]
 
 
-def _check_s_y(s_y: float, n_classes: int) -> None:
-    """The closed forms' domain: s_y in (0, 1) and at least two classes."""
-    if not 0 < s_y < 1:
-        raise ValueError("s_y must lie in (0, 1)")
-    if n_classes < 2:
-        raise ValueError("n_classes must be >= 2")
+def check_closed_form_domain(sy_values, classes) -> None:
+    """The closed forms' domain: every s_y in (0, 1), every class count >= 2."""
+    for s_y in sy_values:
+        if not 0 < s_y < 1:
+            raise ValueError(f"s_y must lie in (0, 1), got {s_y}")
+    for n_classes in classes:
+        if n_classes < 2:
+            raise ValueError(f"n_classes must be >= 2, got {n_classes}")
 
 
 def s_vector(s_y: float, n_classes: int) -> np.ndarray:
     """[s_y, (1-s_y)/(C-1), ...]: true-class mass plus a uniform rest."""
-    _check_s_y(s_y, n_classes)
+    check_closed_form_domain([s_y], [n_classes])
     v = np.full(n_classes, (1.0 - s_y) / (n_classes - 1))
     v[0] = s_y
     return v
@@ -194,14 +201,14 @@ def s_vector(s_y: float, n_classes: int) -> np.ndarray:
 
 def theorem2_entropy(s_y: float, n_classes: int) -> float:
     """Closed-form entropy of s_vector: H2(s_y) + (1-s_y) ln(C-1)."""
-    _check_s_y(s_y, n_classes)
+    check_closed_form_domain([s_y], [n_classes])
     h2 = -s_y * np.log(s_y) - (1.0 - s_y) * np.log(1.0 - s_y)
     return float(h2 + (1.0 - s_y) * np.log(n_classes - 1))
 
 
 def theorem2_margin(s_y: float, n_classes: int) -> float:
     """Closed-form margin of s_vector: C/(C-1) * s_y - 1/(C-1)."""
-    _check_s_y(s_y, n_classes)
+    check_closed_form_domain([s_y], [n_classes])
     C = n_classes
     return float(C / (C - 1) * s_y - 1.0 / (C - 1))
 

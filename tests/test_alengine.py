@@ -121,6 +121,22 @@ class TestSeparationAuroc:
 
 
 class TestALConfig:
+    @pytest.mark.parametrize("section, kwargs, message", [
+        (alengine.Schedule, dict(epochs=0), "epochs must be >= 1"),
+        (alengine.Schedule, dict(batch_size=-1), "batch_size must be >= 1"),
+        (alengine.Schedule, dict(lam=np.nan), "lam must be nonnegative and finite"),
+        (alengine.ALProtocol, dict(strategy="nope"), "unknown strategy 'nope'"),
+        (alengine.ALProtocol, dict(initial_labeled=0), "initial_labeled must be >= 1"),
+        (alengine.ALProtocol, dict(n_cycles=0), "n_cycles must be >= 1"),
+        (alengine.ALProtocol, dict(epochs=0), "epochs must be >= 1"),
+        (alengine.ALProtocol, dict(budget_per_cycle=10, subset_size=5),
+         "subset_size must be >= budget_per_cycle"),
+        (tdhead.HeadConfig, dict(reduce_dim=0), "reduce_dim must be >= 1"),
+    ])
+    def test_each_section_checks_its_own_values(self, section, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            section(**kwargs)
+
     @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
     def test_bad_lam_rejected(self, lam):
         with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
@@ -435,9 +451,9 @@ def oracle_forward(net, cfg, X):
 
 
 def oracle_head_forward(head, taps):
-    pre = [t @ w.T + b for t, w, b in zip(taps, head.reduce_weights, head.reduce_biases)]
+    pre = [t @ w.T + b for t, w, b in zip(taps, head.weights[:-1], head.biases[:-1])]
     concat = np.maximum(np.concatenate(pre, axis=1), 0.0)
-    return concat, oracle_softmax(concat @ head.out_weight.T + head.out_bias)
+    return concat, oracle_softmax(concat @ head.weights[-1].T + head.biases[-1])
 
 
 def oracle_grad_joint(net, cfg, head, X, y, q, lam, act, probs):
@@ -454,10 +470,10 @@ def oracle_grad_joint(net, cfg, head, X, y, q, lam, act, probs):
 
     dWo = dU.T @ concat
     dbo = dU.sum(axis=0)
-    dconcat = dU @ head.out_weight
-    r = head.reduce_weights[0].shape[0]
+    dconcat = dU @ head.weights[-1]
+    r = head.weights[0].shape[0]
     head_grads, tap_grads = [], []
-    for j, (t, w) in enumerate(zip(taps, head.reduce_weights)):
+    for j, (t, w) in enumerate(zip(taps, head.weights[:-1])):
         cols = slice(j * r, (j + 1) * r)
         dS = dconcat[:, cols] * (concat[:, cols] > 0)
         head_grads += [dS.T @ t, dS.sum(axis=0)]
@@ -597,7 +613,7 @@ class TestTrainJointChecks:
         assert result.net.weights[0].shape == (16, dim)
         assert result.net.biases[-1].shape == (n_classes,)
         assert result.store.mean.shape == (30, n_classes)
-        assert result.head.out_bias.shape == (n_classes,)
+        assert result.head.biases[-1].shape == (n_classes,)
 
     @pytest.mark.parametrize("label", [-1, 4])
     def test_label_out_of_range_raises_before_any_update(self, monkeypatch, label):

@@ -289,6 +289,35 @@ class TestBuilders:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("pilot", "epochs", 0, "epochs must be >= 1"),
+        ("pilot", "batch_size", 0, "batch_size must be >= 1"),
+        ("pilot", "lam", -1.0, "lam must be nonnegative and finite"),
+        ("al", "strategy", "nope", "unknown strategy 'nope'"),
+        ("al", "initial_labeled", 0, "initial_labeled must be >= 1"),
+        ("al", "budget_per_cycle", 0, "budget_per_cycle must be >= 1"),
+        ("al", "n_cycles", 0, "n_cycles must be >= 1"),
+        ("al", "subset_size", 5, "subset_size must be >= budget_per_cycle"),
+        ("al", "epochs", 0, "epochs must be >= 1"),
+        ("head", "reduce_dim", 0, "reduce_dim must be >= 1"),
+        ("theory", "dt", 0.3, "t_end must be a whole number of dt steps"),
+        ("theory", "sy_values", [0.5, 1.5], "s_y must lie in (0, 1), got 1.5"),
+        ("theory", "classes", [3, 1], "n_classes must be >= 2, got 1"),
+    ])
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_bad_section_value_exits_2_for_every_command(self, tmp_path, capsys, command,
+                                                         section, key, value, message):
+        """Each section checks its own values at parse, so a bad one stops
+        every command, even one that does not read the section."""
+        raw = yaml.safe_load(SMALL_CFG)
+        raw.setdefault(section, {})[key] = value
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "new" / "x"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert f"invalid config section '{section}': {message}" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
     @pytest.mark.parametrize("n_runs", [0, -1])
     @pytest.mark.parametrize("command", ["theory-sde", "theory-closed-form", "gen-data"])
     def test_non_positive_n_runs_exits_2(self, small_config, tmp_path, capsys, command, n_runs):
@@ -321,6 +350,27 @@ FIELD_VALUES = {
     "radius": st.floats(allow_nan=False, allow_infinity=False),
     "noise": st.floats(allow_nan=False, allow_infinity=False),
     "n_runs": st.integers(1, 10**6),
+    "epochs": st.integers(1, 10**6),
+    "batch_size": st.integers(1, 10**6),
+    "lam": st.floats(0, 1e300),
+    "initial_labeled": st.integers(1, 10**6),
+    "n_cycles": st.integers(1, 10**6),
+    # Every budget drawn fits the default subset (200) and every subset drawn.
+    "budget_per_cycle": st.integers(1, 200),
+    "subset_size": st.integers(200, 10**6),
+    "reduce_dim": st.integers(1, 10**6),
+    # Every dt drawn divides the default t_end (5.0) and every t_end drawn into whole steps.
+    "dt": st.sampled_from([1e-3, 0.01, 0.25, 0.5, 1.0]),
+    "t_end": st.integers(1, 10**6).map(float),
+    "sy_values": st.lists(st.floats(0, 1, exclude_min=True, exclude_max=True), max_size=4),
+    "classes": st.lists(st.integers(2, 10**6), max_size=4),
+    "n_1e": st.integers(1, 10**6),
+    "n_1h": st.integers(1, 10**6),
+    "n_2": st.integers(1, 10**6),
+    "seed": st.integers(0, 10**6),
+    # At least two hidden layers, so that every tap layer drawn (0 or 1) exists.
+    "hidden_sizes": st.lists(st.integers(1, 10**6), min_size=2, max_size=4),
+    "tap_layers": st.lists(st.integers(0, 1), min_size=1, max_size=4),
 }
 
 
@@ -494,13 +544,11 @@ class TestDispatch:
     @pytest.mark.parametrize("command", ["pilot", "kl-analysis"])
     def test_al_section_does_not_reach_pilot_runs(self, tmp_path, command):
         """The pilot trains with its own epochs, batch size and lam; no
-        key of the ``al:`` section changes its artifacts, and an ``al:``
-        section that ALConfig would reject is not checked."""
+        key of the ``al:`` section changes its artifacts."""
         al_sections = {
             "varied": "al:\n  strategy: tidal_entropy\n  initial_labeled: 5\n"
                       "  budget_per_cycle: 3\n  n_cycles: 1\n  subset_size: 7\n"
                       "  epochs: 2\n  batch_size: 7\n  lam: 0.25\n  dump_scores: true\n",
-            "invalid": "al:\n  subset_size: 5\n  budget_per_cycle: 10\n",
         }
         outs = []
         for label, al in {"base": "", **al_sections}.items():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dynal import netcore, tdhead
-from dynal.netcore import NetConfig, OptimizerConfig
+from dynal.netcore import ACTIVATIONS, NetConfig, OptimizerConfig
 from dynal.numutil import kl_rows, softmax_and_log_softmax
 
 
@@ -23,8 +23,42 @@ class TestInit:
         h1, h2, h3 = (tdhead.init_head([4, 5], 3, 2, s) for s in (3, 3, 4))
         for p, q in zip(h1.params(), h2.params()):
             np.testing.assert_array_equal(p, q)
-        assert not np.array_equal(h1.out_weight, h3.out_weight)
+        assert not np.array_equal(h1.weights[-1], h3.weights[-1])
 
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_draws_rebuilt_by_hand(self, activation, seed):
+        """Each state's weights come from one generator of its seed, layer
+        after layer: the net's hidden layers N(0, gain/fan_in) (gain 2 for
+        relu, He; 1 for tanh, Xavier) and its output layer N(0, 1/fan_in);
+        the head's tap reductions N(0, 2/d) in tap order, then its output
+        layer N(0, 1/(r * n_taps)).  Biases are zero."""
+        gain = 2.0 if activation == "relu" else 1.0
+        rng = np.random.default_rng(seed)
+        net_w = [rng.normal(0.0, np.sqrt(gain / 3), size=(4, 3)),
+                 rng.normal(0.0, np.sqrt(gain / 4), size=(5, 4)),
+                 rng.normal(0.0, np.sqrt(1.0 / 5), size=(3, 5))]
+        rng = np.random.default_rng(seed)
+        head_w = [rng.normal(0.0, np.sqrt(2.0 / 4), size=(2, 4)),
+                  rng.normal(0.0, np.sqrt(2.0 / 5), size=(2, 5)),
+                  rng.normal(0.0, np.sqrt(1.0 / (2 * 2)), size=(3, 4))]
+        cfg = NetConfig(hidden_sizes=[4, 5], activation=activation, tap_layers=[0, 1])
+        net = netcore.init_net(cfg, 3, 3, seed)
+        head = tdhead.init_head([4, 5], 3, 2, seed)
+        expected = []
+        for state, weights in ((net, net_w), (head, head_w)):
+            assert len(state.weights) == len(state.biases) == len(weights)
+            for w, b, w_hand in zip(state.weights, state.biases, weights):
+                assert w.shape == w_hand.shape and np.array_equal(w, w_hand)
+                b_hand = np.zeros(w_hand.shape[0])
+                assert b.shape == b_hand.shape and np.array_equal(b, b_hand)
+                expected += [w_hand, b_hand]
+        theta, _, _ = netcore.flatten(net, head)
+        assert np.array_equal(theta, np.concatenate([p.ravel() for p in expected]))
+        # The head's output layer comes last: its weights, then its bias.
+        out_w = head_w[-1]
+        assert np.array_equal(theta[-3:], np.zeros(3))
+        assert np.array_equal(theta[-3 - out_w.size : -3], out_w.ravel())
 
     def test_width_and_class_count_are_arguments(self):
         cfg = NetConfig(hidden_sizes=[4, 5], tap_layers=[1])
@@ -379,7 +413,7 @@ class TestOptimizer:
         with np.errstate(invalid="ignore"), \
                 pytest.raises(FloatingPointError, match="non-finite network parameters"):
             netcore.apply_update(theta, grad, netcore.init_opt_state(theta), opt, epoch=0)
-        assert not np.isfinite(fhead.out_bias[-1])
+        assert not np.isfinite(fhead.biases[-1][-1])
         assert np.isfinite(theta[:-1]).all()
 
     @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])

@@ -6,7 +6,7 @@ import pytest
 from dynal import netcore, tdhead
 from dynal.netcore import OptimizerConfig
 from dynal.numutil import kl_rows
-from dynal.tdhead import HeadState, head_backward, head_forward_batch, init_head
+from dynal.tdhead import head_backward, head_forward_batch, init_head
 
 
 def make_head(seed=0, tap_dims=(3, 4), C=3, reduce_dim=5):
@@ -22,7 +22,7 @@ def module_loss(head, taps_batch, targets):
     """Batch-mean KL(targets || head output) and its exact head gradients,
     built from the pieces grad_joint uses for the head's share of the loss."""
     probs, concat = head_forward_batch(head, taps_batch)
-    out = HeadState.from_params([np.empty_like(p) for p in head.params()])
+    out = netcore.NetState.from_params([np.empty_like(p) for p in head.params()])
     head_backward(head, taps_batch, concat, (probs - targets) / len(targets), out)
     return float(kl_rows(targets, probs).mean()), out.params()
 
@@ -49,12 +49,13 @@ class TestHeadForward:
         taps = [rng.normal(size=3), rng.normal(size=4)]
         # affine -> relu -> concat -> affine -> softmax, evaluated longhand
         reduced = []
-        for t, w, b in zip(taps, head.reduce_weights, head.reduce_biases):
+        for t, w, b in zip(taps, head.weights[:-1], head.biases[:-1]):
             s = [b[i] + sum(w[i, j] * t[j] for j in range(w.shape[1])) for i in range(w.shape[0])]
             reduced.extend(max(v, 0.0) for v in s)
         logits = [
-            head.out_bias[i] + sum(head.out_weight[i, j] * reduced[j] for j in range(len(reduced)))
-            for i in range(head.out_weight.shape[0])
+            head.biases[-1][i]
+            + sum(head.weights[-1][i, j] * reduced[j] for j in range(len(reduced)))
+            for i in range(head.weights[-1].shape[0])
         ]
         mx = max(logits)
         exps = [math.exp(v - mx) for v in logits]

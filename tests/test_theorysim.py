@@ -204,10 +204,13 @@ class TestODE:
         # Rounding would integrate to t = 0 or t = 0.9 and report it as t_end.
         with pytest.raises(ValueError, match="t_end must be a whole number of dt steps"):
             integrate_ode(params(), dt, t_end)
+        with pytest.raises(ValueError, match="t_end must be a whole number of dt steps"):
+            theorysim.ode_steps(dt, t_end)
 
     @pytest.mark.parametrize("dt, t_end, steps", [(0.1, 0.3, 3), (0.5, 0.5, 1)])
     def test_t_end_on_the_step_grid_within_rounding(self, dt, t_end, steps):
         times, traj = integrate_ode(params(), dt, t_end)
+        assert theorysim.ode_steps(dt, t_end) == steps
         assert traj.shape == (steps + 1, 3)
         assert times[-1] == pytest.approx(t_end, rel=1e-12)
 
@@ -277,6 +280,11 @@ class TestClosedForms:
                 theorem2_entropy(bad, 3)
             with pytest.raises(ValueError):
                 theorem2_margin(bad, 3)
+            with pytest.raises(ValueError, match=f"s_y must lie in \\(0, 1\\), got {bad}"):
+                theorysim.check_closed_form_domain([0.5, bad], [2])
+        with pytest.raises(ValueError, match="n_classes must be >= 2, got 1"):
+            theorysim.check_closed_form_domain([0.5], [3, 1])
+        theorysim.check_closed_form_domain([], [])
 
     @pytest.mark.parametrize("C", [2, 3, 10, 100])
     def test_monotonicity_above_half(self, C):
