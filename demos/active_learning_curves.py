@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from dynal.alengine import run_experiments
-from dynal.cli import build_al_config, parse_config
+from dynal.cli import build_run_config, parse_config
 from dynal.datasets import build_dataset, nearest_mean_predict
 
 cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "al_mixture.yaml")
@@ -32,7 +32,7 @@ SEEDS = range(4)
 
 accs = {strategy: [] for strategy in STRATEGIES}
 for seed in SEEDS:
-    outcomes = run_experiments(train, test, build_al_config(cfg, seed), STRATEGIES)
+    outcomes = run_experiments(train, test, build_run_config(cfg, cfg.al, seed), STRATEGIES)
     for strategy, reports in zip(STRATEGIES, outcomes):
         if isinstance(reports, Exception):
             raise reports

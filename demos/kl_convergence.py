@@ -16,13 +16,14 @@ than the last snapshot is.
 from pathlib import Path
 
 from dynal.alengine import train_joint
-from dynal.cli import build_pilot_config, parse_config
+from dynal.cli import build_run_config, parse_config
 from dynal.datasets import build_dataset
 
 cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "pilot_longtail.yaml")
 train, test = build_dataset(cfg.dataset)
 
-rows = train_joint(train, build_pilot_config(cfg, seed=0), cycle=0, test=test).kl_rows
+rows = train_joint(train, build_run_config(cfg, cfg.pilot, seed=0), cycle=0,
+                   test=test).kl_rows
 
 print("epoch | KL(final mean || head prediction) | KL(final mean || snapshot)")
 for epoch, kl_module, kl_snapshot in rows:

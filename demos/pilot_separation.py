@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from dynal.alengine import run_pilot
-from dynal.cli import build_pilot_config, parse_config
+from dynal.cli import build_run_config, parse_config
 from dynal.datasets import build_dataset
 
 cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "pilot_longtail.yaml")
@@ -30,7 +30,7 @@ print(f"training set: {len(train)} samples, per-class counts {train.class_counts
 
 aurocs = {}
 for seed in range(3):
-    pilot = run_pilot(train, build_pilot_config(cfg, seed), minor)
+    pilot = run_pilot(train, build_run_config(cfg, cfg.pilot, seed), minor)
     for name, val in pilot.auroc.items():
         aurocs.setdefault(name, []).append(val)
     print(f"seed {seed} done")

@@ -118,7 +118,9 @@ class CycleReport:
     minor_class_accuracy: float
     selected_ids: list[int]
     kl_rows: list[tuple[int, float, float]] | None = None
-    score_rows: list[tuple] | None = None
+    # With dump_scores and a score-based strategy: the scored ids, their raw
+    # scores and argmax labels; plain lists, so that reports compare with ==.
+    score_dump: tuple[list[int], list[float], list[int]] | None = None
 
 
 def _stream_seed(*parts: int) -> int:
@@ -260,7 +262,7 @@ def run_cycle(
         shared = memo[key] = _SharedCycle(labeled_ids, pool_ids, train, test, cfg, cycle)
     subset_ids = shared.subset_ids
 
-    score_rows = None
+    score_dump = None
     if cfg.strategy is StrategyKind.RANDOM:
         selected = sample_subset(subset_ids, cfg.budget_per_cycle, copy.deepcopy(shared.rng))
     elif cfg.strategy is StrategyKind.CORESET:
@@ -272,12 +274,7 @@ def run_cycle(
         scores = strategy_scores(cfg.strategy, probs, p_mod)
         selected = select_top_k(subset_ids, uncertainty(cfg.strategy, scores), cfg.budget_per_cycle)
         if cfg.dump_scores:
-            chosen = np.isin(subset_ids, selected)
-            score_rows = [
-                (sid, cfg.strategy.value, s, lbl, c)
-                for sid, s, lbl, c in zip(subset_ids.tolist(), scores.tolist(),
-                                          probs.argmax(axis=1).tolist(), chosen.tolist())
-            ]
+            score_dump = (subset_ids.tolist(), scores.tolist(), probs.argmax(axis=1).tolist())
 
     new_labeled = list(labeled_ids) + [int(s) for s in selected]
     keep = ~np.isin(pool_ids, selected)
@@ -293,7 +290,7 @@ def run_cycle(
         minor_class_accuracy=minor_acc,
         selected_ids=[int(s) for s in selected],
         kl_rows=shared.result.kl_rows,
-        score_rows=score_rows,
+        score_dump=score_dump,
     )
     return shared.result, report, new_labeled, new_pool
 
@@ -413,11 +410,10 @@ def separation_auroc(scores: np.ndarray, is_minor: np.ndarray) -> float:
 
 @dataclass
 class PilotResult:
-    """Scores of every training sample under six estimator variants plus
-    their minor-vs-major separation; ``snapshot_labels`` are the final
-    classifier's argmax labels."""
+    """Scores of every training sample, in training-set order, under six
+    estimator variants plus their minor-vs-major separation;
+    ``snapshot_labels`` are the final classifier's argmax labels."""
 
-    sample_ids: np.ndarray
     snapshot_labels: np.ndarray
     is_minor: np.ndarray
     scores: dict[str, np.ndarray]
@@ -452,7 +448,7 @@ def run_pilot(
     scores = {f"{name}_entropy": entropy(p) for name, p in vectors.items()}
     scores.update({f"{name}_margin": margin(p, labels) for name, p in vectors.items()})
     auroc = {k: separation_auroc(uncertainty(k, v), is_minor) for k, v in scores.items()}
-    return PilotResult(train.ids.copy(), snap.argmax(axis=1), is_minor, scores, auroc, result)
+    return PilotResult(snap.argmax(axis=1), is_minor, scores, auroc, result)
 
 
 def save_results_csv(path, rows) -> None:

@@ -111,10 +111,28 @@ def _check_value(hint, value, path: str):
     return value
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that rejects a key written twice in one mapping.
+    Each mapping is checked as it is composed, before ``<<:`` merges are
+    flattened, so a key that overrides a merged one is not a repeat."""
+
+    def compose_mapping_node(self, anchor):
+        node = super().compose_mapping_node(anchor)
+        seen = set()
+        for key, _ in node.value:
+            if isinstance(key, yaml.ScalarNode):
+                if (key.tag, key.value) in seen:
+                    mark = key.start_mark
+                    raise ValueError(f"{mark.name}: repeated config key '{key.value}'"
+                                     f" at line {mark.line + 1}")
+                seen.add((key.tag, key.value))
+        return node
+
+
 def parse_config(path) -> ExperimentConfig:
     """Load and validate a YAML experiment config; defaults fill gaps."""
     with open(path) as f:
-        raw = yaml.safe_load(f)
+        raw = yaml.load(f, Loader=_ConfigLoader)
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -127,19 +145,13 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=True)
 
 
-def _run_settings(cfg: ExperimentConfig, seed: int) -> dict:
-    """The ALConfig fields outside the protocol: network, optimizer, head, seed."""
-    return dict(net=cfg.net, opt=cfg.optimizer, head=cfg.head, seed=seed)
-
-
-def build_al_config(cfg: ExperimentConfig, seed: int, analysis: bool = False) -> ALConfig:
-    """The ``al:`` section's run at ``seed``; ``run_experiments`` varies its strategy."""
-    return ALConfig(**dataclasses.asdict(cfg.al), analysis=analysis, **_run_settings(cfg, seed))
-
-
-def build_pilot_config(cfg: ExperimentConfig, seed: int) -> ALConfig:
-    """The pilot's training run from the ``pilot:`` section; ``al:`` is not read."""
-    return ALConfig(**dataclasses.asdict(cfg.pilot), **_run_settings(cfg, seed))
+def build_run_config(cfg: ExperimentConfig, schedule: Schedule, seed: int,
+                     analysis: bool = False) -> ALConfig:
+    """The run of ``schedule`` (``cfg.al``, or ``cfg.pilot``, whose run
+    keeps the protocol defaults) at ``seed``, with ``cfg``'s network,
+    optimizer and head; ``run_experiments`` varies its strategy."""
+    return ALConfig(**dataclasses.asdict(schedule), net=cfg.net, opt=cfg.optimizer,
+                    head=cfg.head, analysis=analysis, seed=seed)
 
 
 def _save_run(strategy: str, seed: int, reports, out: Path) -> list:
@@ -147,9 +159,10 @@ def _save_run(strategy: str, seed: int, reports, out: Path) -> list:
     rows = [(strategy, seed, rep) for rep in reports]
     save_results_csv(out / f"results_{strategy}_seed{seed}.csv", rows)
     for rep in reports:
-        if rep.score_rows is not None:
+        if rep.score_dump is not None:
+            ids, scores, labels = rep.score_dump
             save_scores_csv(out / f"scores_{strategy}_seed{seed}_cycle{rep.cycle}.csv",
-                            rep.score_rows)
+                            ids, {strategy: scores}, labels, rep.selected_ids)
         if rep.kl_rows is not None:
             save_kl_csv(out / f"kl_{strategy}_seed{seed}_cycle{rep.cycle}.csv", rep.kl_rows)
     return rows
@@ -176,7 +189,7 @@ def _run_al(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     train, test = build_dataset(cfg.dataset)
     minor = cfg.dataset.imbalance.minor_classes_for(train.n_classes)
     # One job runs every strategy of a seed.
-    jobs = [(train, test, build_al_config(cfg, seed, analysis=args.analysis),
+    jobs = [(train, test, build_run_config(cfg, cfg.al, seed, analysis=args.analysis),
              args.strategies, minor, str(out)) for seed in args.seeds]
 
     by_seed = []  # per seed, per strategy: (rows, traceback)
@@ -219,12 +232,9 @@ def _run_pilot(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> in
     minor = cfg.dataset.imbalance.minor_classes_for(train.n_classes)
     auroc_rows = []
     for seed in args.seeds:
-        al_cfg = build_pilot_config(cfg, seed)
-        pilot = alengine.run_pilot(train, al_cfg, minor)
-        ids, labels = pilot.sample_ids.tolist(), pilot.snapshot_labels.tolist()
-        rows = [(sid, name, s, lbl, False) for name, vals in pilot.scores.items()
-                for sid, s, lbl in zip(ids, vals.tolist(), labels)]
-        save_scores_csv(out / f"scores_pilot_seed{seed}.csv", rows)
+        pilot = alengine.run_pilot(train, build_run_config(cfg, cfg.pilot, seed), minor)
+        save_scores_csv(out / f"scores_pilot_seed{seed}.csv", train.ids, pilot.scores,
+                        pilot.snapshot_labels)
         for name, a in pilot.auroc.items():
             auroc_rows.append((name, seed, a))
             print(f"pilot seed={seed} {name}: separation AUROC = {a:.4f}")
@@ -235,8 +245,8 @@ def _run_pilot(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> in
 def _run_kl(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     train, test = build_dataset(cfg.dataset)
     for seed in args.seeds:
-        al_cfg = build_pilot_config(cfg, seed)
-        rows = alengine.train_joint(train, al_cfg, cycle=0, test=test).kl_rows
+        rows = alengine.train_joint(train, build_run_config(cfg, cfg.pilot, seed), cycle=0,
+                                    test=test).kl_rows
         save_kl_csv(out / f"kl_seed{seed}.csv", rows)
         last = rows[-1]
         print(

@@ -107,10 +107,17 @@ def uncertainty(name: str, scores: np.ndarray) -> np.ndarray:
     return scores if name.endswith("entropy") else -scores
 
 
-def save_scores_csv(path, rows) -> None:
+def save_scores_csv(path, ids, scores_by_name, labels, selected=()) -> None:
     """Score dump: ``sample_id,strategy,score,predicted_label,selected``.
 
-    ``rows`` are (sample_id, strategy, score, predicted_label, selected)
-    tuples of Python scalars; selected is a bool, written as 0/1.
+    ``scores_by_name`` maps each strategy or estimator name to the scores
+    of ``ids``, and ``labels`` are their predicted labels.  One row per
+    name, in order, then per id; selected is 1 exactly for the ids in
+    ``selected``.
     """
+    ids = np.asarray(ids)
+    id_list, labels = ids.tolist(), np.asarray(labels).tolist()
+    chosen = np.isin(ids, selected).tolist()
+    rows = [(i, name, s, lbl, c) for name, scores in scores_by_name.items()
+            for i, s, lbl, c in zip(id_list, np.asarray(scores).tolist(), labels, chosen)]
     write_csv(path, ["sample_id", "strategy", "score", "predicted_label", "selected"], rows)

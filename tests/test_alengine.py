@@ -357,7 +357,7 @@ class TestSharedCycles:
             assert reports == alone
             assert all(r.kl_rows for r in reports)
             if strategy not in (StrategyKind.RANDOM, StrategyKind.CORESET):
-                assert all(r.score_rows for r in reports)
+                assert all(r.score_dump[0] for r in reports)
 
     def test_failed_strategy_leaves_the_others_to_finish(self, monkeypatch):
         train, test = small_data()

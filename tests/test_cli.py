@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 import dynal
 from dynal import alengine, cli, theorysim
 from dynal.cli import ExperimentConfig, main, parse_config, serialize_config
-from dynal.datasets import (GENERATORS, IMBALANCE_PROFILES, DatasetSpec, gen_gaussian_mixture,
-                            load_csv, save_csv)
+from dynal.datasets import (GENERATORS, IMBALANCE_PROFILES, DatasetSpec, build_dataset,
+                            gen_gaussian_mixture, load_csv, save_csv)
 from dynal.estimators import StrategyKind
 from dynal.netcore import ACTIVATIONS, OPTIMIZER_KINDS, NetConfig, OptimizerConfig
 from dynal.tdhead import HeadConfig
@@ -155,6 +155,44 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=key):
             parse_config(p)
 
+    @pytest.mark.parametrize("text, key, line", [
+        ("al:\n  epochs: 5\npilot:\n  epochs: 3\nal:\n  n_cycles: 2\n", "al", 5),
+        ("pilot:\n  epochs: 2\n  batch_size: 8\n  epochs: 40\n", "epochs", 4),
+        ("pilot: {epochs: 2, epochs: 40}\n", "epochs", 1),
+        ("dataset:\n  seed: 1\n  imbalance:\n    ratio: 3\n    profile: step\n"
+         "    ratio: 4\n", "ratio", 6),
+        # Quoting does not make another key.
+        ("pilot: {lam: 0.5}\n'pilot': {epochs: 2}\n", "pilot", 2),
+    ])
+    def test_repeated_key_rejected_naming_it_and_its_line(self, tmp_path, text, key, line):
+        p = tmp_path / "bad.yaml"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"repeated config key '{key}' at line {line}$"):
+            parse_config(p)
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_repeated_key_exits_2_for_every_command(self, small_config, tmp_path, capsys,
+                                                    command):
+        small_config.write_text(SMALL_CFG + "pilot: {epochs: 2, epochs: 40}\n")
+        out = tmp_path / "x"
+        assert main([command, "--config", str(small_config), "--out", str(out)]) == 2
+        line = SMALL_CFG.count("\n") + 1
+        assert (f"error: {small_config}: repeated config key 'epochs' at line {line}\n"
+                == capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_merge_override_and_aliases_parse(self, tmp_path):
+        """A key that overrides one merged in by ``<<:`` is not a repeat."""
+        p = tmp_path / "ok.yaml"
+        p.write_text("pilot: &p {<<: {epochs: 3, lam: 0.5}, epochs: 4}\n"
+                     "al: {<<: [*p, {batch_size: 8}], batch_size: 16, epochs: 5}\n"
+                     "net: {hidden_sizes: &h [8, 8], tap_layers: [0, 1]}\n"
+                     "theory: {x0: [1, 2, 3], classes: *h}\n")
+        cfg = parse_config(p)
+        assert cfg.pilot == alengine.Schedule(epochs=4, batch_size=32, lam=0.5)
+        assert (cfg.al.epochs, cfg.al.batch_size, cfg.al.lam) == (5, 16, 0.5)
+        assert cfg.net.hidden_sizes == cfg.theory.classes == [8, 8]
+
     def test_ints_pass_as_floats_and_null_as_none(self, tmp_path):
         p = tmp_path / "ok.yaml"
         p.write_text("al:\n  lam: 2\ntheory:\n  x0: [1, 2, 3]\ndataset:\n  csv_path: null\n")
@@ -192,7 +230,7 @@ class TestParseConfig:
         assert parse_config(p) == ExperimentConfig()
 
     @pytest.mark.parametrize("key", ["seed", "net", "opt", "head", "head_reduce_dim", "analysis"])
-    def test_run_settings_are_not_al_keys(self, tmp_path, key):
+    def test_run_fields_are_not_al_keys(self, tmp_path, key):
         p = tmp_path / "bad.yaml"
         p.write_text(f"al:\n  {key}: 1\n")
         with pytest.raises(ValueError, match=f"unknown config key 'al.{key}'"):
@@ -259,14 +297,14 @@ class TestBuilders:
         p = tmp_path / "empty.yaml"
         p.write_text("")
         cfg = parse_config(p)
-        run = cli.build_pilot_config(cfg, seed=7)
+        run = cli.build_run_config(cfg, cfg.pilot, seed=7)
         assert (run.epochs, run.batch_size, run.lam, run.seed) == (30, 32, 1.0, 7)
         assert run.net is cfg.net and run.head is cfg.head and run.opt is cfg.optimizer
         assert (run.net, run.head, run.opt) == (NetConfig(), HeadConfig(), OptimizerConfig())
 
     def test_al_config_carries_the_al_section_whole(self, small_config):
         cfg = parse_config(small_config)
-        run = cli.build_al_config(cfg, seed=3, analysis=True)
+        run = cli.build_run_config(cfg, cfg.al, seed=3, analysis=True)
         for f in dataclasses.fields(alengine.ALProtocol):
             assert getattr(run, f.name) == getattr(cfg.al, f.name), f.name
         assert (run.analysis, run.seed) == (True, 3)
@@ -503,6 +541,24 @@ class TestDispatch:
             "snapshot_margin", "td_margin", "pred_td_margin",
         }
 
+    def test_pilot_score_dump_is_the_library_run(self, pilot_config, tmp_path):
+        out = tmp_path / "out"
+        assert main(["pilot", "--config", str(pilot_config), "--out", str(out),
+                     "--seeds", "0,2"]) == 0
+        cfg = parse_config(pilot_config)
+        train, _ = build_dataset(cfg.dataset)
+        minor = cfg.dataset.imbalance.minor_classes_for(train.n_classes)
+        for seed in (0, 2):
+            pilot = alengine.run_pilot(train, cli.build_run_config(cfg, cfg.pilot, seed), minor)
+            labels = pilot.snapshot_labels.tolist()
+            expected = [[str(i), name, repr(s), str(lbl), "0"]
+                        for name, scores in pilot.scores.items()
+                        for i, s, lbl in zip(train.ids.tolist(), scores.tolist(), labels)]
+            with open(out / f"scores_pilot_seed{seed}.csv") as f:
+                rows = list(csv.reader(f))
+            assert rows[0] == ["sample_id", "strategy", "score", "predicted_label", "selected"]
+            assert rows[1:] == expected
+
     def test_kl_analysis_csv(self, pilot_config, tmp_path):
         out = tmp_path / "out"
         assert main(["kl-analysis", "--config", str(pilot_config), "--out", str(out),
@@ -610,6 +666,35 @@ class TestDispatch:
             rows = list(csv.DictReader(f))
         assert len(rows) == 20  # subset size
         assert sum(int(r["selected"]) for r in rows) == 6
+
+    def test_al_run_score_dumps_are_the_cycle_reports(self, tmp_path):
+        p = tmp_path / "cfg.yaml"
+        p.write_text(SMALL_CFG.replace("al:", "al:\n  dump_scores: true"))
+        out = tmp_path / "out"
+        strategies = ["random", "coreset", "snapshot_margin", "tidal_entropy"]
+        assert main(["al-run", "--config", str(p), "--out", str(out), "--seeds", "0,1",
+                     "--strategies", ",".join(strategies)]) == 0
+        cfg = parse_config(p)
+        train, test = build_dataset(cfg.dataset)
+        expected_files = set()
+        for seed in (0, 1):
+            runs = alengine.run_experiments(train, test, cli.build_run_config(cfg, cfg.al, seed),
+                                            strategies)
+            for strategy, reports in zip(strategies, runs):
+                for rep in reports:
+                    if strategy in ("random", "coreset"):
+                        assert rep.score_dump is None
+                        continue
+                    name = f"scores_{strategy}_seed{seed}_cycle{rep.cycle}.csv"
+                    expected_files.add(name)
+                    ids, scores, labels = rep.score_dump
+                    assert set(rep.selected_ids) <= set(ids)
+                    with open(out / name) as f:
+                        rows = list(csv.reader(f))[1:]
+                    assert rows == [[str(i), strategy, repr(s), str(lbl),
+                                     str(int(i in rep.selected_ids))]
+                                    for i, s, lbl in zip(ids, scores, labels)]
+        assert {f.name for f in out.glob("scores_*")} == expected_files
 
 
 class TestCsvDataset:

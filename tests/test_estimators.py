@@ -261,11 +261,32 @@ class TestSeparationOrdering:
 
 
 class TestScoreDump:
+    HEADER = "sample_id,strategy,score,predicted_label,selected"
+
     def test_csv_format(self, tmp_path):
-        rows = [(3, "tidal_entropy", 0.25, 1, True), (1, "tidal_entropy", 0.5, 0, False)]
         path = tmp_path / "scores.csv"
-        estimators.save_scores_csv(path, rows)
+        estimators.save_scores_csv(path, [3, 1], {"tidal_entropy": [0.25, 0.5]}, [1, 0],
+                                   selected=[3])
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "sample_id,strategy,score,predicted_label,selected"
+        assert lines[0] == self.HEADER
         assert lines[1] == "3,tidal_entropy,0.25,1,1"
         assert lines[2] == "1,tidal_entropy,0.5,0,0"
+
+    def test_names_in_order_then_ids_none_selected(self, tmp_path):
+        # The pilot's shape: arrays, several names, nothing selected.
+        path = tmp_path / "scores.csv"
+        scores = {"td_margin": np.array([0.1, -0.75]), "td_entropy": np.array([1 / 3, 0.0])}
+        estimators.save_scores_csv(path, np.array([9, 4]), scores, np.array([2, 0]))
+        assert path.read_text().splitlines() == [
+            self.HEADER,
+            "9,td_margin,0.1,2,0", "4,td_margin,-0.75,0,0",
+            f"9,td_entropy,{1 / 3!r},2,0", "4,td_entropy,0.0,0,0",
+        ]
+
+    def test_selected_matches_ids_not_positions(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        estimators.save_scores_csv(path, [5, 7, 2, 8], {"snapshot_margin": [0.5, 0.25, 0.0, 1.0]},
+                                   [0, 1, 1, 0], selected=[8, 5, 2])
+        assert [line.split(",")[0::4] for line in path.read_text().splitlines()[1:]] == [
+            ["5", "1"], ["7", "0"], ["2", "1"], ["8", "1"],
+        ]
