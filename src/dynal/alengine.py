@@ -13,7 +13,11 @@ the head's predicted mean probabilities.
 runs whose labeled ids agree, in order, at the start of a cycle train
 the same model, so that cycle's training, evaluation and the pool
 subset's forward passes are computed once for all of them (always so in
-cycle 1); only scoring, selection and the report are per strategy.
+cycle 1); only scoring, selection and the report are per strategy.  A
+cycle's distinct labeled sets of one size share their init and their
+permutations, so they train in lockstep (``train_lockstep``): one
+kernel call with a leading run axis per step, with the bits of each
+training alone.
 """
 
 from __future__ import annotations
@@ -147,42 +151,81 @@ def train_joint(
     forward pass of it, and ``kl_rows`` is ``kl_analysis`` of those
     snapshots.
     """
-    net_cfg, n_classes = cfg.net, labeled.n_classes
+    X, hot = _training_arrays(labeled, cfg, test)
+    net, head, store, snapshots = _train(X, hot, labeled.ids, cfg, cycle, test)
+    return TrainResult(net, cfg.net, head, store,
+                       kl_analysis(snapshots) if test is not None else None)
+
+
+def train_lockstep(
+    labeled_sets: list[Dataset],
+    cfg: ALConfig,
+    cycle: int,
+    test: Dataset | None = None,
+) -> list[TrainResult]:
+    """``train_joint`` of each of ``labeled_sets``, which hold the same
+    number of samples, as one training whose arrays carry a leading run
+    axis: the runs share their init and their permutations, so each step
+    is one kernel call, one store update and one ``apply_update`` for all
+    of them.  Each result has the bits of its set's training alone.  It
+    raises if any set's training would, not necessarily with that text.
+    """
+    if len({len(s) for s in labeled_sets}) != 1:
+        raise ValueError("lockstep training needs labeled sets of one size")
+    X, hot = map(np.stack, zip(*[_training_arrays(s, cfg, test) for s in labeled_sets]))
+    ids = np.stack([s.ids for s in labeled_sets])
+    net, head, store, snapshots = _train(X, hot, ids, cfg, cycle, test)
+    return [TrainResult(net.run(r), cfg.net, head.run(r), store.run(r),
+                        kl_analysis([(p[r], pt[r]) for p, pt in snapshots])
+                        if test is not None else None)
+            for r in range(len(labeled_sets))]
+
+
+def _training_arrays(labeled: Dataset, cfg: ALConfig, test: Dataset | None):
+    """The checked features and boolean one-hot labels that train on ``labeled``."""
     if not 0 <= cfg.lam < np.inf:
         raise ValueError("lam must be nonnegative and finite")
     if test is not None and len(test) == 0:
         raise ValueError("test set is empty")
     X = np.atleast_2d(np.asarray(labeled.X, dtype=np.float64))
     y = np.asarray(labeled.y, dtype=int)
-    netcore.check_labels(y, n_classes)
-    theta, net, head = netcore.flatten(
-        netcore.init_net(net_cfg, labeled.dim, n_classes,
-                         _stream_seed(cfg.seed, cycle, _STREAM_NET)),
-        tdhead.init_head([net_cfg.hidden_sizes[t] for t in net_cfg.tap_layers], n_classes,
-                         cfg.head.reduce_dim, _stream_seed(cfg.seed, cycle, _STREAM_HEAD)),
-    )
-    grad, grad_net, grad_head = netcore._gradient(net, head)
+    netcore.check_labels(y, labeled.n_classes)
+    return X, netcore.one_hot(y, labeled.n_classes)
+
+
+def _train(X, hot, ids, cfg: ALConfig, cycle: int, test: Dataset | None):
+    """The training of ``train_joint`` on checked (..., n, dim) features,
+    (..., n, C) one-hot labels and (..., n) sample ids, where a leading
+    axis holds runs trained in lockstep.  Returns the net, head, TD store
+    and per-epoch test snapshots, all with that leading axis."""
+    net_cfg = cfg.net
+    runs, (n, dim), n_classes = X.shape[:-2], X.shape[-2:], hot.shape[-1]
+    net0 = netcore.init_net(net_cfg, dim, n_classes, _stream_seed(cfg.seed, cycle, _STREAM_NET))
+    head0 = tdhead.init_head([net_cfg.hidden_sizes[t] for t in net_cfg.tap_layers], n_classes,
+                             cfg.head.reduce_dim, _stream_seed(cfg.seed, cycle, _STREAM_HEAD))
+    theta, net, head = netcore.flatten(net0, head0, runs=runs)
+    grad, grad_net, grad_head = netcore._gradient(net0, head0, runs=runs)
     opt_state = netcore.init_opt_state(theta)
     shuffle_rng = np.random.default_rng(_stream_seed(cfg.seed, cycle, _STREAM_SHUFFLE))
 
-    n = len(labeled)
-    # The store's (n, C) means are the KL targets, so their shape holds by construction.
-    store = TDStore(n, n_classes)
+    # The store's (..., n, C) means are the KL targets, so their shape holds by construction.
+    store = TDStore(n, n_classes, runs)
     snapshots = []  # per epoch with ``test``: (test-set probs, head probs)
 
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(n)
+        # One gather per epoch; each batch is then a slice of it.
+        X_p, hot_p, ids_p = X[..., perm, :], hot[..., perm, :], ids[..., perm]
         for lo in range(0, n, cfg.batch_size):
-            idx = perm[lo : lo + cfg.batch_size]
-            netcore._joint_step(net, net_cfg, head, X[idx], y[idx],
-                                lambda probs: store.update_batch(idx, probs), cfg.lam,
-                                labeled.ids[idx], grad_net, grad_head)
+            rows, b = perm[lo : lo + cfg.batch_size], slice(lo, lo + cfg.batch_size)
+            netcore._joint_step(net, net_cfg, head, X_p[..., b, :], hot_p[..., b, :],
+                                lambda probs: store.update_batch(rows, probs), cfg.lam,
+                                ids_p[..., b], grad_net, grad_head)
             netcore.apply_update(theta, grad, opt_state, cfg.opt, epoch)
         if test is not None:
             tt = netcore.forward_batch(net, net_cfg, test.X)
             snapshots.append((tt.probs, tdhead.head_forward_batch(head, tt.taps)[0]))
-    return TrainResult(net, net_cfg, head, store,
-                       kl_analysis(snapshots) if test is not None else None)
+    return net, head, store, snapshots
 
 
 def evaluate(net: NetState, net_cfg: NetConfig, test: Dataset) -> tuple[float, np.ndarray]:
@@ -202,15 +245,13 @@ def evaluate(net: NetState, net_cfg: NetConfig, test: Dataset) -> tuple[float, n
 
 class _SharedCycle:
     """The work of one cycle that follows from (config minus strategy,
-    cycle, labeled ids in order): the labeled set, the trained model, its
-    test accuracy and the pool subset.  Forward passes that only some
-    strategies read are computed on first use."""
+    cycle, labeled ids in order): the labeled set, the model trained on
+    it, its test accuracy and the pool subset.  Forward passes that only
+    some strategies read are computed on first use."""
 
-    def __init__(self, labeled_ids, pool_ids, train: Dataset, test: Dataset, cfg: ALConfig,
-                 cycle: int):
-        self.train = train
-        self.labeled = train.by_ids(labeled_ids)
-        self.result = train_joint(self.labeled, cfg, cycle, test=test if cfg.analysis else None)
+    def __init__(self, labeled: Dataset, result: TrainResult, pool_ids, train: Dataset,
+                 test: Dataset, cfg: ALConfig, cycle: int):
+        self.train, self.labeled, self.result = train, labeled, result
         self.accuracy, self.per_class = evaluate(self.result.net, self.result.net_cfg, test)
         # After the subset draw, random selection continues a copy of this stream.
         self.rng = np.random.default_rng(_stream_seed(cfg.seed, cycle, _STREAM_SUBSET))
@@ -259,7 +300,9 @@ def run_cycle(
     key = (cycle, tuple(labeled_ids))
     shared = memo.get(key)
     if shared is None:
-        shared = memo[key] = _SharedCycle(labeled_ids, pool_ids, train, test, cfg, cycle)
+        labeled = train.by_ids(labeled_ids)
+        result = train_joint(labeled, cfg, cycle, test=test if cfg.analysis else None)
+        shared = memo[key] = _SharedCycle(labeled, result, pool_ids, train, test, cfg, cycle)
     subset_ids = shared.subset_ids
 
     score_dump = None
@@ -305,7 +348,8 @@ def run_experiments(
     """The full protocol of ``cfg`` under each of ``strategies`` (run i
     reads ``replace(cfg, strategy=strategies[i])``): seeded initial
     labeling, then n_cycles cycles, run cycle by cycle so that runs at
-    the same labeled ids share each cycle's training.
+    the same labeled ids share each cycle's training, and the distinct
+    labeled sets of one size train in lockstep (``_train_in_lockstep``).
 
     Returns, per strategy, its reports, or the exception its run raised;
     a failed run leaves the others to finish.  A run ends early (with
@@ -337,13 +381,14 @@ def run_experiments(
     for cycle in range(1, cfg.n_cycles + 1):
         memo: dict = {}
         try:
-            for i, c in enumerate(cfgs):
+            live = [i for i, (_, pool) in enumerate(runs)
+                    if not isinstance(outcomes[i], Exception) and pool.size > 0]
+            _train_in_lockstep(memo, [runs[i] for i in live], cfg, train, test, cycle)
+            for i in live:
                 labeled, pool = runs[i]
-                if isinstance(outcomes[i], Exception) or pool.size == 0:
-                    continue
                 try:
                     _, report, labeled, pool = run_cycle(
-                        labeled, pool, train, test, c, cycle, minor_classes, memo=memo
+                        labeled, pool, train, test, cfgs[i], cycle, minor_classes, memo=memo
                     )
                 except Exception as e:
                     traceback.clear_frames(e.__traceback__)  # keep the error, not its arrays
@@ -354,6 +399,32 @@ def run_experiments(
         finally:
             memo.clear()  # a cycle's models and forward passes end with it
     return outcomes
+
+
+def _train_in_lockstep(memo: dict, runs, cfg: ALConfig, train: Dataset, test: Dataset,
+                       cycle: int) -> None:
+    """Put into ``memo``, under the keys ``run_cycle`` looks up, the shared
+    work of each group of two or more distinct labeled sets of one size
+    among ``runs`` ((labeled ids, pool) pairs of ``cfg``'s strategies),
+    trained by one ``train_lockstep``.  A group that raises stores
+    nothing, so its runs train alone in ``run_cycle``, and fail there, or
+    not, as they would alone."""
+    groups: dict[int, dict] = {}
+    for labeled_ids, pool_ids in runs:
+        groups.setdefault(len(labeled_ids), {}).setdefault((cycle, tuple(labeled_ids)),
+                                                           (labeled_ids, pool_ids))
+    for group in groups.values():
+        if len(group) < 2:
+            continue
+        try:
+            sets = [train.by_ids(labeled_ids) for labeled_ids, _ in group.values()]
+            results = train_lockstep(sets, cfg, cycle, test=test if cfg.analysis else None)
+            shared = {key: _SharedCycle(labeled, result, pool_ids, train, test, cfg, cycle)
+                      for (key, (_, pool_ids)), labeled, result
+                      in zip(group.items(), sets, results)}
+        except Exception:
+            continue
+        memo.update(shared)
 
 
 def run_experiment(

@@ -21,22 +21,28 @@ Conventions
   gradients and the optimizer moments share it.  ``apply_update``, the one
   place parameters change, rejects a step that leaves ``theta`` non-finite
   with the FloatingPointError that a non-finite loss raises.
+* A leading run axis: ``flatten(..., runs=(R,))`` gives ``theta`` the shape
+  ``(R, P)``, one row per run, and every parameter, gradient and batch
+  array the same leading axis (weights ``(R, fan_out, fan_in)``, batches
+  ``(R, B, dim)``).  R runs then train in lockstep through the same code
+  as one: matmuls act per 2-D slice, every reduction names its axis from
+  the end, and each run's numbers are those of its training alone.
 * One kernel, ``_joint_step``, takes a batch through one forward pass of
   net and head and one backprop of the joint loss, the head's part by
   ``tdhead.head_backward``, writing the gradient into views of a vector
   its caller allocated (``_gradient``).  It checks nothing that a training
   run cannot change between steps: ``train_joint`` checks its inputs
   once, and ``grad_joint``, the kernel's public face, checks them per call
-  and backprops into a fresh vector.  The KL targets come from a callback
-  on the batch's class probabilities, in training ``TDStore.update_batch``,
-  which returns the means it stored.
+  and backprops into a fresh vector.  Labels reach the kernel as a boolean
+  one-hot (``one_hot``).  The KL targets come from a callback on the
+  batch's class probabilities, in training ``TDStore.update_batch``, which
+  returns the means it stored.
 * SGD momentum uses ``v = mu * v + g``, ``theta -= lr * v``.
 * Weight decay enters as gradient augmentation ``g += wd * theta``.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,27 +123,31 @@ def init_opt_state(theta: np.ndarray) -> OptState:
     return OptState(np.zeros_like(theta), np.zeros_like(theta))
 
 
-def flatten(*states):
+def flatten(*states, runs: tuple[int, ...] = ()):
     """Copy the parameters of ``states`` into one contiguous float64 vector
-    in ``params()`` order, state after state.  Returns the vector followed
-    by one state per input whose arrays are views into it."""
-    theta = np.concatenate([p.ravel() for s in states for p in s.params()])
+    in ``params()`` order, state after state, once per run of ``runs``
+    (the leading axes; none for one run).  Returns the vector, ``(*runs,
+    P)``, followed by one state per input whose arrays are views into it,
+    each with the leading axes ``runs``."""
+    theta = np.tile(np.concatenate([p.ravel() for s in states for p in s.params()]), (*runs, 1))
     return (theta, *_views(theta, states))
 
 
-def _gradient(*states):
-    """An unset float64 vector in the layout ``flatten(*states)`` gives the
-    parameters, followed by one state per input whose arrays are views
-    into it: where ``_joint_step`` writes the gradient."""
-    grad = np.empty(sum(p.size for s in states for p in s.params()))
+def _gradient(*states, runs: tuple[int, ...] = ()):
+    """An unset float64 vector in the layout ``flatten(*states, runs=runs)``
+    gives the parameters, followed by one state per input whose arrays are
+    views into it: where ``_joint_step`` writes the gradient."""
+    grad = np.empty((*runs, sum(p.size for s in states for p in s.params())))
     return (grad, *_views(grad, states))
 
 
 def _views(vec: np.ndarray, states) -> list:
-    """States shaped like ``states`` whose arrays are consecutive views into ``vec``."""
+    """States shaped like ``states``, behind the leading axes of ``vec``,
+    whose arrays are consecutive views into ``vec``'s last axis."""
     arrays = [p for s in states for p in s.params()]
     ends = np.cumsum([a.size for a in arrays])
-    views = iter([vec[e - a.size : e].reshape(a.shape) for a, e in zip(arrays, ends)])
+    views = iter([vec[..., e - a.size : e].reshape(*vec.shape[:-1], *a.shape)
+                  for a, e in zip(arrays, ends)])
     return [NetState.from_params([next(views) for _ in s.params()]) for s in states]
 
 
@@ -159,10 +169,15 @@ class NetState:
     def from_params(cls, params: list[np.ndarray]) -> "NetState":
         return cls(list(params[0::2]), list(params[1::2]))
 
+    def run(self, r: int) -> "NetState":
+        """Run ``r`` of a state with a leading run axis, as views into it."""
+        return NetState.from_params([p[r] for p in self.params()])
+
 
 @dataclass
 class BatchTrace:
-    """Activations, probabilities and taps of one forward pass of a batch (arrays are (B, dim))."""
+    """Activations, probabilities and taps of one forward pass of a batch
+    (arrays are (B, dim); (R, B, dim) for a state with a leading run axis)."""
 
     activations: list[np.ndarray]
     probs: np.ndarray
@@ -198,31 +213,29 @@ def _act_deriv(a: np.ndarray, kind: str) -> np.ndarray:
     return a > 0 if kind == "relu" else 1.0 - a * a
 
 
-@functools.cache
-def _eye(n: int) -> np.ndarray:
-    """A read-only (n, n) identity, whose rows are the one-hot labels."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
+def one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:
+    """Boolean one-hot rows, (..., n_classes), of int labels in range."""
+    return y[..., None] == np.arange(n_classes)
 
 
 def forward_batch(state: NetState, cfg: NetConfig, X: np.ndarray) -> BatchTrace:
-    """Forward pass over a (B, input_dim) batch; deterministic."""
+    """Forward pass over a (B, input_dim) batch; deterministic.  A state
+    with a leading run axis passes the batch through each of its runs."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != state.weights[0].shape[1]:
-        raise ValueError(f"expected feature dim {state.weights[0].shape[1]}, got {X.shape[1]}")
+    if X.shape[-1] != state.weights[0].shape[-1]:
+        raise ValueError(f"expected feature dim {state.weights[0].shape[-1]}, got {X.shape[-1]}")
     act, logits = _forward(state, cfg, X)
-    return BatchTrace(act, stable_softmax(logits, axis=1), [act[l] for l in cfg.tap_layers])
+    return BatchTrace(act, stable_softmax(logits, axis=-1), [act[l] for l in cfg.tap_layers])
 
 
 def _forward(state: NetState, cfg: NetConfig, X: np.ndarray):
-    """(hidden activations, logits) of a checked (B, input_dim) float64 batch."""
+    """(hidden activations, logits) of a checked (..., B, input_dim) float64 batch."""
     act = []
     a = X
     for l in range(len(cfg.hidden_sizes)):
-        a = _act(a @ state.weights[l].T + state.biases[l], cfg.activation)
+        a = _act(a @ state.weights[l].mT + state.biases[l][..., None, :], cfg.activation)
         act.append(a)
-    return act, a @ state.weights[-1].T + state.biases[-1]
+    return act, a @ state.weights[-1].mT + state.biases[-1][..., None, :]
 
 
 def grad_joint(
@@ -263,8 +276,8 @@ def grad_joint(
     tdhead.check_taps(head, [cfg.hidden_sizes[t] for t in cfg.tap_layers])
     ids = np.arange(B) if sample_ids is None else np.asarray(sample_ids)
     grad, grad_net, grad_head = _gradient(state, head)
-    per_ce, per_kl = _joint_step(state, cfg, head, X, y, lambda probs: q, lam, ids,
-                                 grad_net, grad_head)
+    per_ce, per_kl = _joint_step(state, cfg, head, X, one_hot(y, n_classes), lambda probs: q, lam,
+                                 ids, grad_net, grad_head)
     return grad, float(per_ce.mean()), float(per_kl.mean())
 
 
@@ -274,33 +287,34 @@ def check_labels(y: np.ndarray, n_classes: int) -> None:
         raise ValueError(f"class index out of range for {n_classes} classes")
 
 
-def _joint_step(state, cfg, head, X, y, targets_of, lam, sample_ids, grad_net, grad_head):
+def _joint_step(state, cfg, head, X, hot, targets_of, lam, sample_ids, grad_net, grad_head):
     """One batch of joint training on checked inputs: one forward pass of
     net and head, then one backprop of ``L_target + lam * L_module`` whose
     gradient is written into ``grad_net`` and ``grad_head`` (from
     ``_gradient(state, head)``), every entry of them each call.
 
-    ``X`` is a (B, input_dim) float64 array, ``y`` int labels in range,
-    ``targets_of`` maps the (B, C) class probabilities to the (B, C) KL
-    targets and is called once, after the forward pass.  Returns the
-    per-sample cross entropies and KL divergences; raises
-    FloatingPointError naming the entry of ``sample_ids`` of the first
-    sample whose loss is non-finite.
+    ``X`` is a (B, input_dim) float64 array, ``hot`` the (B, C) boolean
+    one-hot of its labels, ``targets_of`` maps the (B, C) class
+    probabilities to the (B, C) KL targets and is called once, after the
+    forward pass.  With a leading run axis on the states, every array has
+    it too.  Returns the per-sample cross entropies and KL divergences;
+    raises FloatingPointError naming the entry of ``sample_ids`` of the
+    first sample whose loss is non-finite.
     """
     act, logits = _forward(state, cfg, X)
-    probs, log_probs = softmax_and_log_softmax(logits, axis=1)
+    probs, log_probs = softmax_and_log_softmax(logits, axis=-1)
     taps = [act[l] for l in cfg.tap_layers]
     q = targets_of(probs)
-    B = X.shape[0]
-    per_ce = -log_probs[np.arange(B), y]
+    B = X.shape[-2]
+    per_ce = -log_probs[hot].reshape(hot.shape[:-1])
     concat, pt = tdhead._forward(head, taps)
     per_kl = kl_rows(q, pt)
     per_total = per_ce + lam * per_kl
     if not np.isfinite(per_total).all():
-        bad = sample_ids[np.flatnonzero(~np.isfinite(per_total))[0]]
+        bad = sample_ids.flat[np.flatnonzero(~np.isfinite(per_total))[0]]
         raise FloatingPointError(f"non-finite loss for sample id {bad}")
 
-    dlogits = (probs - _eye(probs.shape[1])[y]) / B
+    dlogits = (probs - hot) / B
     # d(lam * mean KL)/d(head logits) = lam * (softmax - target) / B
     dU = lam * (pt - q) / B
     tap_grads = tdhead.head_backward(head, taps, concat, dU, grad_head)
@@ -308,15 +322,15 @@ def _joint_step(state, cfg, head, X, y, targets_of, lam, sample_ids, grad_net, g
     for layer, g in zip(cfg.tap_layers, tap_grads):
         tap_at_layer[layer] = tap_at_layer.get(layer, 0.0) + g
 
-    np.matmul(dlogits.T, act[-1], out=grad_net.weights[-1])
-    dlogits.sum(axis=0, out=grad_net.biases[-1])
+    np.matmul(dlogits.mT, act[-1], out=grad_net.weights[-1])
+    dlogits.sum(axis=-2, out=grad_net.biases[-1])
     dA = dlogits @ state.weights[-1]
     for l in range(len(act) - 1, -1, -1):
         if l in tap_at_layer:
             dA = dA + tap_at_layer[l]
         dZ = dA * _act_deriv(act[l], cfg.activation)
-        np.matmul(dZ.T, X if l == 0 else act[l - 1], out=grad_net.weights[l])
-        dZ.sum(axis=0, out=grad_net.biases[l])
+        np.matmul(dZ.mT, X if l == 0 else act[l - 1], out=grad_net.weights[l])
+        dZ.sum(axis=-2, out=grad_net.biases[l])
         if l > 0:
             dA = dZ @ state.weights[l]
     return per_ce, per_kl
@@ -338,9 +352,10 @@ def apply_update(
     opt: OptimizerConfig,
     epoch: int,
 ) -> None:
-    """In-place SGD-momentum or Adam update of the parameter vector; raises
-    ValueError on a shape mismatch and FloatingPointError if the step leaves
-    any parameter non-finite."""
+    """In-place SGD-momentum or Adam update of the parameter vector, or of
+    each run's row of a ``(R, P)`` one; raises ValueError on a shape
+    mismatch and FloatingPointError if the step leaves any parameter
+    non-finite."""
     if grad.shape != theta.shape:
         raise ValueError(f"gradient shape {grad.shape} != parameter shape {theta.shape}")
     lr = lr_at(opt, epoch)

@@ -10,6 +10,8 @@ layer per tap, in tap order, then the layer from the relu concat to logits.
 ``_forward`` is the unchecked forward pass of netcore's training kernel,
 and ``head_forward_batch`` wraps it with a check of its inputs;
 ``head_backward`` is the kernel's one backward pass, called each step.
+All three take a head with a leading run axis (``netcore.flatten``'s
+``runs``) and taps with the same axis, as the kernel does.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def head_forward_batch(head: netcore.NetState,
                        taps: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Batched head pass: returns (probs (B, C), relu concat that ``head_backward`` reads)."""
     taps = [np.atleast_2d(np.asarray(t, dtype=np.float64)) for t in taps]
-    check_taps(head, [t.shape[1] for t in taps])
+    check_taps(head, [t.shape[-1] for t in taps])
     concat, probs = _forward(head, taps)
     return probs, concat
 
@@ -56,32 +58,32 @@ def check_taps(head: netcore.NetState, tap_dims: list[int]) -> None:
     if len(tap_dims) != len(head.weights) - 1:
         raise ValueError(f"expected {len(head.weights) - 1} taps, got {len(tap_dims)}")
     for d, w in zip(tap_dims, head.weights[:-1]):
-        if d != w.shape[1]:
-            raise ValueError(f"tap dim {d} != expected {w.shape[1]}")
+        if d != w.shape[-1]:
+            raise ValueError(f"tap dim {d} != expected {w.shape[-1]}")
 
 
 def _forward(head: netcore.NetState, taps: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(relu concat of the tap reductions, probs) of checked (B, dim) float64 taps."""
-    pre = [t @ w.T + b for t, w, b in zip(taps, head.weights[:-1], head.biases[:-1])]
-    concat = relu(np.concatenate(pre, axis=1))
-    logits = concat @ head.weights[-1].T + head.biases[-1]
-    return concat, stable_softmax(logits, axis=1)
+    """(relu concat of the tap reductions, probs) of checked (..., B, dim) float64 taps."""
+    pre = [t @ w.mT + b[..., None, :] for t, w, b in zip(taps, head.weights[:-1], head.biases[:-1])]
+    concat = relu(np.concatenate(pre, axis=-1))
+    logits = concat @ head.weights[-1].mT + head.biases[-1][..., None, :]
+    return concat, stable_softmax(logits, axis=-1)
 
 
 def head_backward(head: netcore.NetState, taps, concat, dlogits,
                   out: netcore.NetState) -> list[np.ndarray]:
     """Backprop dlogits through the head, writing its parameter gradients
     into ``out``'s arrays; returns the gradient reaching each tap."""
-    np.matmul(dlogits.T, concat, out=out.weights[-1])
-    dlogits.sum(axis=0, out=out.biases[-1])
+    np.matmul(dlogits.mT, concat, out=out.weights[-1])
+    dlogits.sum(axis=-2, out=out.biases[-1])
     dconcat = dlogits @ head.weights[-1]
-    r = head.weights[0].shape[0]
+    r = head.weights[0].shape[-2]
     tap_grads = []
     for j, (t, w) in enumerate(zip(taps, head.weights[:-1])):
         cols = slice(j * r, (j + 1) * r)
         # relu(s) > 0 exactly where s > 0
-        dS = dconcat[:, cols] * (concat[:, cols] > 0)
-        np.matmul(dS.T, t, out=out.weights[j])
-        dS.sum(axis=0, out=out.biases[j])
+        dS = dconcat[..., cols] * (concat[..., cols] > 0)
+        np.matmul(dS.mT, t, out=out.weights[j])
+        dS.sum(axis=-2, out=out.biases[j])
         tap_grads.append(dS @ w)
     return tap_grads

@@ -635,6 +635,115 @@ class TestTrainJointChecks:
             alengine.train_joint(train, cfg, cycle=0)
 
 
+class TestLockstep:
+    """Same-size labeled sets trained in lockstep, one kernel call per step
+    with a leading run axis, against each set trained alone, byte for byte."""
+
+    @staticmethod
+    def flat(result):
+        return np.concatenate([p.ravel() for p in result.net.params() + result.head.params()])
+
+    @pytest.mark.parametrize(
+        "runs, kind, activation, hidden, taps, n, batch_size, lam, analysis",
+        [
+            (2, "sgd_momentum", "relu", [16, 16], [0, 1], 45, 16, 1.0, True),
+            (3, "adam", "tanh", [16, 16], [1], 40, 16, 1.0, False),
+            (3, "sgd_momentum", "tanh", [16, 16], [0], 33, 8, 0.5, True),
+            (2, "adam", "relu", [12], [0], 45, 7, 1.0, True),
+            (3, "adam", "relu", [16, 16], [0, 1], 48, 16, 0.0, False),
+            (2, "sgd_momentum", "relu", [16, 16], [1], 37, 32, 1.0, False),
+        ],
+    )
+    def test_equals_each_run_trained_alone(self, runs, kind, activation, hidden, taps, n,
+                                           batch_size, lam, analysis):
+        train, test = small_data()
+        rng = np.random.default_rng(n)
+        sets = [train.take(rng.choice(len(train), size=n, replace=False)) for _ in range(runs)]
+        # four epochs with the learning rate stepping down at the third
+        opt = OptimizerConfig(kind=kind, initial_lr=0.05 if kind == "sgd_momentum" else 0.01,
+                              weight_decay=5e-3, decay_epoch=2, decay_factor=0.1)
+        net = NetConfig(hidden_sizes=hidden, tap_layers=taps, activation=activation)
+        cfg = small_cfg(net=net, opt=opt, epochs=4, batch_size=batch_size, lam=lam, seed=runs)
+        at = test if analysis else None
+        together = alengine.train_lockstep(sets, cfg, cycle=2, test=at)
+        assert len(together) == runs
+        for labeled, got in zip(sets, together):
+            alone = alengine.train_joint(labeled, cfg, cycle=2, test=at)
+            assert np.array_equal(self.flat(got), self.flat(alone))
+            assert np.array_equal(got.store.mean, alone.store.mean)
+            assert np.array_equal(got.store.count, alone.store.count)
+            assert got.kl_rows == alone.kl_rows
+            if analysis:
+                assert len(got.kl_rows) == 4
+        # the runs really differ: lockstep keeps their sets apart
+        assert not np.array_equal(self.flat(together[0]), self.flat(together[1]))
+
+    def test_sets_of_different_sizes_rejected(self):
+        train, _ = small_data()
+        with pytest.raises(ValueError, match="labeled sets of one size"):
+            alengine.train_lockstep([train.take(np.arange(20)), train.take(np.arange(21))],
+                                    small_cfg(), cycle=1)
+
+    def test_a_cycle_trains_its_distinct_sets_in_one_lockstep_call(self, monkeypatch):
+        train, test = small_data()
+        solo = TestSharedCycles.count_calls(monkeypatch, "train_joint")
+        lockstep = TestSharedCycles.count_calls(monkeypatch, "train_lockstep")
+        outcomes = alengine.run_experiments(train, test, small_cfg(n_cycles=2, epochs=3),
+                                            TestSharedCycles.SCORED)
+        # cycle 1: one shared model, trained alone; cycle 2: three sets, one lockstep call
+        assert [a[2] for a in solo] == [1]
+        assert [(len(a[0]), a[2]) for a in lockstep] == [(3, 2)]
+        assert len({tuple(s.ids) for s in lockstep[0][0]}) == 3
+        assert all(len(reports) == 2 for reports in outcomes)
+
+    def test_a_failure_inside_a_group_stays_its_own(self, monkeypatch):
+        train, test = small_data()
+        cfg = small_cfg(n_cycles=3, epochs=3)
+        scored = TestSharedCycles.SCORED
+        expected = alengine.run_experiments(train, test, cfg, scored, minor_classes=[1])
+        # a sample that only the second strategy selects in cycle 1
+        picked = [set(reports[0].selected_ids) for reports in expected]
+        bad = min(picked[1] - picked[0] - picked[2])
+        step = netcore._joint_step
+
+        def poisoned(state, net_cfg, head, X, hot, targets_of, lam, sample_ids, *a):
+            if (sample_ids == bad).any():
+                raise FloatingPointError(f"non-finite loss for sample id {bad}")
+            return step(state, net_cfg, head, X, hot, targets_of, lam, sample_ids, *a)
+
+        monkeypatch.setattr(netcore, "_joint_step", poisoned)
+        raised = []
+        lockstep = alengine.train_lockstep
+
+        def spy(*a, **k):
+            try:
+                return lockstep(*a, **k)
+            except Exception as e:
+                raised.append(e)
+                raise
+
+        monkeypatch.setattr(alengine, "train_lockstep", spy)
+        memos = []
+        run_cycle = alengine.run_cycle
+
+        def cycle_spy(*a, memo, **k):
+            memos.append(memo)
+            return run_cycle(*a, memo=memo, **k)
+
+        monkeypatch.setattr(alengine, "run_cycle", cycle_spy)
+        outcomes = alengine.run_experiments(train, test, cfg, scored, minor_classes=[1])
+        assert len(raised) == 1  # cycle 2's group of three raised, cycle 3's group of two not
+        (alone,) = alengine.run_experiments(train, test, replace(cfg, strategy=scored[1]),
+                                            [scored[1]], minor_classes=[1])
+        assert type(outcomes[1]) is type(alone) is FloatingPointError
+        assert str(outcomes[1]) == str(alone) == f"non-finite loss for sample id {bad}"
+        for i in (0, 2):
+            assert outcomes[i] == expected[i]
+            assert outcomes[i] == alengine.run_experiment(
+                train, test, replace(cfg, strategy=scored[i]), minor_classes=[1])
+        assert memos and all(not m for m in memos)
+
+
 class TestKlAnalysis:
     def test_rows_shape_and_nonnegativity(self):
         train, test = small_data()

@@ -265,8 +265,9 @@ class TestGradJoint:
         grad, grad_net, grad_head = netcore._gradient(net, head)
         for _ in range(2):
             grad[:] = np.nan
-            per_ce, per_kl = netcore._joint_step(net, cfg, head, X, y, lambda p: q, 0.5,
-                                                 np.arange(5), grad_net, grad_head)
+            per_ce, per_kl = netcore._joint_step(net, cfg, head, X, netcore.one_hot(y, 3),
+                                                 lambda p: q, 0.5, np.arange(5), grad_net,
+                                                 grad_head)
             assert grad.tobytes() == want.tobytes()
             assert (float(per_ce.mean()), float(per_kl.mean())) == (lt, lm)
 
@@ -274,8 +275,8 @@ class TestGradJoint:
         cfg, net, head, X, y, _ = self.make_instance(12)
         seen = []
         grad, grad_net, grad_head = netcore._gradient(net, head)
-        netcore._joint_step(net, cfg, head, X, y, lambda p: seen.append(p) or p, 1.0,
-                            np.arange(4), grad_net, grad_head)
+        netcore._joint_step(net, cfg, head, X, netcore.one_hot(y, 2),
+                            lambda p: seen.append(p) or p, 1.0, np.arange(4), grad_net, grad_head)
         assert len(seen) == 1
         assert seen[0].tobytes() == netcore.forward_batch(net, cfg, X).probs.tobytes()
 
