@@ -43,6 +43,7 @@ from .netcore import (
     init_net,
     init_opt_state,
     lr_at,
+    predict,
 )
 from .numutil import kl_rows
 from .tdhead import head_forward_batch, init_head

@@ -12,12 +12,14 @@ the head's predicted mean probabilities.
 ``run_experiments`` runs the strategies of one seed cycle by cycle.  Two
 runs whose labeled ids agree, in order, at the start of a cycle train
 the same model, so that cycle's training, evaluation and the pool
-subset's forward passes are computed once for all of them (always so in
-cycle 1); only scoring, selection and the report are per strategy.  A
+subset's inference passes are computed once for all of them (always so
+in cycle 1); only scoring, selection and the report are per strategy.  A
 cycle's distinct labeled sets of one size share their init and their
 permutations, so they train in lockstep (``train_lockstep``): one
 kernel call with a leading run axis per step, with the bits of each
-training alone.
+training alone.  Every inference pass but training's per-epoch test
+snapshot is ``netcore.predict``, in aligned row blocks with the bits of
+one whole-array pass.
 """
 
 from __future__ import annotations
@@ -232,8 +234,7 @@ def evaluate(net: NetState, net_cfg: NetConfig, test: Dataset) -> tuple[float, n
     """Argmax accuracy plus per-class recall (nan for absent classes)."""
     if len(test) == 0:
         raise ValueError("test set is empty")
-    probs = netcore.forward_batch(net, net_cfg, test.X).probs
-    pred = probs.argmax(axis=1)
+    pred = netcore.predict(net, net_cfg, test.X)[0].argmax(axis=1)
     acc = float((pred == test.y).mean())
     per_class = np.full(test.n_classes, np.nan)
     for c in range(test.n_classes):
@@ -246,7 +247,7 @@ def evaluate(net: NetState, net_cfg: NetConfig, test: Dataset) -> tuple[float, n
 class _SharedCycle:
     """The work of one cycle that follows from (config minus strategy,
     cycle, labeled ids in order): the labeled set, the model trained on
-    it, its test accuracy and the pool subset.  Forward passes that only
+    it, its test accuracy and the pool subset.  Inference passes that only
     some strategies read are computed on first use."""
 
     def __init__(self, labeled: Dataset, result: TrainResult, pool_ids, train: Dataset,
@@ -256,21 +257,28 @@ class _SharedCycle:
         # After the subset draw, random selection continues a copy of this stream.
         self.rng = np.random.default_rng(_stream_seed(cfg.seed, cycle, _STREAM_SUBSET))
         self.subset_ids = sample_subset(pool_ids, cfg.subset_size, self.rng)
+        self._subset_probs = None
 
     @cached_property
-    def subset_trace(self) -> netcore.BatchTrace:
+    def subset_X(self) -> np.ndarray:
         # Scoring sees features only; pool labels stay untouched until selection.
-        subset_X = self.train.by_ids(self.subset_ids).X
-        return netcore.forward_batch(self.result.net, self.result.net_cfg, subset_X)
+        return self.train.by_ids(self.subset_ids).X
+
+    def subset_probs(self, with_head: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """The subset's class probabilities and, ``with_head``, the head's
+        (else None, unless an earlier call computed them): the score
+        strategies' input, from one pass that later calls reuse."""
+        if self._subset_probs is None or with_head and self._subset_probs[1] is None:
+            self._subset_probs = netcore.predict(self.result.net, self.result.net_cfg, self.subset_X,
+                                                 head=self.result.head if with_head else None)[:2]
+        return self._subset_probs
 
     @cached_property
-    def subset_head_probs(self) -> np.ndarray:
-        return tdhead.head_forward_batch(self.result.head, self.subset_trace.taps)[0]
-
-    @cached_property
-    def labeled_features(self) -> np.ndarray:
-        return netcore.forward_batch(self.result.net, self.result.net_cfg,
-                                     self.labeled.X).activations[-1]
+    def features(self) -> tuple[np.ndarray, np.ndarray]:
+        """The labeled set's and the subset's last hidden layers: k-center's input."""
+        net, net_cfg = self.result.net, self.result.net_cfg
+        return (netcore.predict(net, net_cfg, self.labeled.X, features=True)[2],
+                netcore.predict(net, net_cfg, self.subset_X, features=True)[2])
 
 
 def run_cycle(
@@ -309,12 +317,10 @@ def run_cycle(
     if cfg.strategy is StrategyKind.RANDOM:
         selected = sample_subset(subset_ids, cfg.budget_per_cycle, copy.deepcopy(shared.rng))
     elif cfg.strategy is StrategyKind.CORESET:
-        selected = kcenter_greedy(shared.labeled_features, shared.subset_trace.activations[-1],
-                                  subset_ids, cfg.budget_per_cycle)
+        selected = kcenter_greedy(*shared.features, subset_ids, cfg.budget_per_cycle)
     else:
-        probs = shared.subset_trace.probs
-        p_mod = shared.subset_head_probs if cfg.strategy in HEAD_STRATEGIES else None
-        scores = strategy_scores(cfg.strategy, probs, p_mod)
+        probs, head_probs = shared.subset_probs(cfg.strategy in HEAD_STRATEGIES)
+        scores = strategy_scores(cfg.strategy, probs, head_probs)
         selected = select_top_k(subset_ids, uncertainty(cfg.strategy, scores), cfg.budget_per_cycle)
         if cfg.dump_scores:
             score_dump = (subset_ids.tolist(), scores.tolist(), probs.argmax(axis=1).tolist())
@@ -352,10 +358,12 @@ def run_experiments(
     labeled sets of one size train in lockstep (``_train_in_lockstep``).
 
     Returns, per strategy, its reports, or the exception its run raised;
-    a failed run leaves the others to finish.  A run ends early (with
-    the reports so far) once its pool empties.  ValueError comes only
-    before any training, from an initial labeling of the whole training
-    set or a minor class with no test sample (its accuracy would be nan).
+    a failed run leaves the others to finish, but a lockstep training
+    that raises anything but FloatingPointError raises here.  A run ends
+    early (with the reports so far) once its pool empties.  ValueError
+    comes only before any training, from an initial labeling of the whole
+    training set or a minor class with no test sample (its accuracy would
+    be nan).
     Output is a pure function of the config, strategies and datasets.
     """
     if not strategies:
@@ -406,9 +414,10 @@ def _train_in_lockstep(memo: dict, runs, cfg: ALConfig, train: Dataset, test: Da
     """Put into ``memo``, under the keys ``run_cycle`` looks up, the shared
     work of each group of two or more distinct labeled sets of one size
     among ``runs`` ((labeled ids, pool) pairs of ``cfg``'s strategies),
-    trained by one ``train_lockstep``.  A group that raises stores
-    nothing, so its runs train alone in ``run_cycle``, and fail there, or
-    not, as they would alone."""
+    trained by one ``train_lockstep``.  A group whose training diverges
+    (FloatingPointError, how one run's training fails) stores nothing, so
+    its runs train alone in ``run_cycle``, and fail there, or not, as they
+    would alone; any other exception is a defect and propagates."""
     groups: dict[int, dict] = {}
     for labeled_ids, pool_ids in runs:
         groups.setdefault(len(labeled_ids), {}).setdefault((cycle, tuple(labeled_ids)),
@@ -422,7 +431,7 @@ def _train_in_lockstep(memo: dict, runs, cfg: ALConfig, train: Dataset, test: Da
             shared = {key: _SharedCycle(labeled, result, pool_ids, train, test, cfg, cycle)
                       for (key, (_, pool_ids)), labeled, result
                       in zip(group.items(), sets, results)}
-        except Exception:
+        except FloatingPointError:
             continue
         memo.update(shared)
 
@@ -510,10 +519,8 @@ def run_pilot(
     if is_minor.all() or not is_minor.any():
         raise ValueError("pilot needs an imbalanced dataset: both minor and major training samples")
     result = train_joint(train, cfg, cycle=0)
-    bt = netcore.forward_batch(result.net, result.net_cfg, train.X)
-    snap = bt.probs
+    snap, pred_td, _ = netcore.predict(result.net, result.net_cfg, train.X, head=result.head)
     td = result.store.values(np.arange(len(train)))
-    pred_td, _ = tdhead.head_forward_batch(result.head, bt.taps)
 
     vectors = {"snapshot": snap, "td": td, "pred_td": pred_td}
     scores = {f"{name}_entropy": entropy(p) for name, p in vectors.items()}

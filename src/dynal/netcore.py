@@ -37,6 +37,9 @@ Conventions
   one-hot (``one_hot``).  The KL targets come from a callback on the
   batch's class probabilities, in training ``TDStore.update_batch``, which
   returns the means it stored.
+* Inference over a set of rows is ``predict``: the net's and the head's
+  passes over blocks of ``BLOCK_ROWS`` rows (``row_blocks``), so its
+  memory stays near one block's, with the bits of one whole-array pass.
 * SGD momentum uses ``v = mu * v + g``, ``theta -= lr * v``.
 * Weight decay enters as gradient augmentation ``g += wd * theta``.
 """
@@ -52,6 +55,8 @@ from .numutil import kl_rows, relu, softmax_and_log_softmax, stable_softmax
 
 ACTIVATIONS = ("relu", "tanh")
 OPTIMIZER_KINDS = ("sgd_momentum", "adam")
+# Rows per block of an inference pass (``predict``).
+BLOCK_ROWS = 8192
 
 
 @dataclass
@@ -226,6 +231,46 @@ def forward_batch(state: NetState, cfg: NetConfig, X: np.ndarray) -> BatchTrace:
         raise ValueError(f"expected feature dim {state.weights[0].shape[-1]}, got {X.shape[-1]}")
     act, logits = _forward(state, cfg, X)
     return BatchTrace(act, stable_softmax(logits, axis=-1), [act[l] for l in cfg.tap_layers])
+
+
+def row_blocks(n: int) -> list[slice]:
+    """The row blocks of ``predict`` over ``n`` rows: each starts at a
+    multiple of ``BLOCK_ROWS``, and the last runs to ``n``, so it holds
+    ``BLOCK_ROWS`` to ``2 * BLOCK_ROWS - 1`` rows (all ``n`` below that)."""
+    starts = [BLOCK_ROWS * i for i in range(max(n // BLOCK_ROWS, 1))]
+    return [slice(lo, hi) for lo, hi in zip(starts, [*starts[1:], n])]
+
+
+def predict(state: NetState, cfg: NetConfig, X: np.ndarray, head: NetState | None = None,
+            features: bool = False):
+    """``(probs, head_probs, features)`` of the rows of ``X``: the class
+    probabilities, (n, C); given ``head``, its probabilities, (n, C), else
+    None; with ``features``, the last hidden layer, (n, width), else None.
+
+    ``forward_batch`` and ``tdhead.head_forward_batch`` run once per
+    ``row_blocks`` block, writing into the preallocated outputs, so the
+    memory beyond them is one block's activations.  The bits are those of
+    one whole-array call (with one BLAS thread; several threads split a
+    product's rows at a point that depends on its size): a matmul row's
+    bits depend on its place modulo the BLAS kernel's row unroll, which a
+    block start at a multiple of ``BLOCK_ROWS`` keeps, and on whether the
+    product takes the small-matrix path, which a block of ``BLOCK_ROWS``
+    rows or more never does unless the whole array would.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    n = X.shape[0]
+    probs = np.empty((n, state.biases[-1].shape[-1]))
+    head_probs = None if head is None else np.empty((n, head.biases[-1].shape[-1]))
+    feats = np.empty((n, cfg.hidden_sizes[-1])) if features else None
+    for rows in row_blocks(n):
+        # Through the module attributes, which a tracer may wrap.
+        bt = forward_batch(state, cfg, X[rows])
+        probs[rows] = bt.probs
+        if head is not None:
+            head_probs[rows] = tdhead.head_forward_batch(head, bt.taps)[0]
+        if features:
+            feats[rows] = bt.activations[-1]
+    return probs, head_probs, feats
 
 
 def _forward(state: NetState, cfg: NetConfig, X: np.ndarray):

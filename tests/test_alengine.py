@@ -346,6 +346,36 @@ class TestSharedCycles:
         assert len({id(m) for _, m in seen}) == 3
         assert all(not m for _, m in seen)
 
+    def test_a_score_only_cycle_runs_no_features_pass(self, monkeypatch):
+        train, test = small_data()
+        calls = []
+        predict = netcore.predict
+
+        def spy(*a, head=None, features=False):
+            calls.append((head is not None, features))
+            return predict(*a, head=head, features=features)
+
+        monkeypatch.setattr(netcore, "predict", spy)
+        scored = [StrategyKind.SNAPSHOT_MARGIN, StrategyKind.TIDAL_ENTROPY]
+        alengine.run_experiments(train, test, small_cfg(n_cycles=2, epochs=3), scored)
+        # Per model, one in cycle 1 and two in cycle 2: the test set, then the subset, with
+        # the head once tidal_entropy scores it (in cycle 1 after snapshot_margin's pass).
+        assert sorted(calls) == [(False, False)] * 5 + [(True, False)] * 2
+
+    def test_a_coreset_only_cycle_never_runs_the_head(self, monkeypatch):
+        train, test = small_data()
+        calls, features = [], []
+        head_forward, predict = tdhead.head_forward_batch, netcore.predict
+        monkeypatch.setattr(tdhead, "head_forward_batch",
+                            lambda *a: calls.append(a) or head_forward(*a))
+        monkeypatch.setattr(netcore, "predict",
+                            lambda *a, **k: features.append(k.get("features")) or predict(*a, **k))
+        outcomes = alengine.run_experiments(train, test, small_cfg(n_cycles=2, epochs=3),
+                                            [StrategyKind.CORESET])
+        assert calls == [] and len(outcomes[0]) == 2
+        # per cycle: the test set, then the labeled set's and the subset's features
+        assert features == [None, True, True] * 2
+
     def test_grouped_reports_equal_separate_runs(self):
         train, test = small_data()
         cfg = small_cfg(n_cycles=2, epochs=4, dump_scores=True, analysis=True)
@@ -695,6 +725,18 @@ class TestLockstep:
         assert [(len(a[0]), a[2]) for a in lockstep] == [(3, 2)]
         assert len({tuple(s.ids) for s in lockstep[0][0]}) == 3
         assert all(len(reports) == 2 for reports in outcomes)
+
+    def test_a_defect_in_a_group_propagates(self, monkeypatch):
+        # Only a diverging training (FloatingPointError) sends a group's runs to train alone.
+        train, test = small_data()
+
+        def broken(*a, **k):
+            raise IndexError("lockstep defect")
+
+        monkeypatch.setattr(alengine, "train_lockstep", broken)
+        with pytest.raises(IndexError, match="lockstep defect"):
+            alengine.run_experiments(train, test, small_cfg(n_cycles=2, epochs=3),
+                                     TestSharedCycles.SCORED)
 
     def test_a_failure_inside_a_group_stays_its_own(self, monkeypatch):
         train, test = small_data()

@@ -1,9 +1,18 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import dynal
 from dynal import netcore, tdhead
 from dynal.netcore import ACTIVATIONS, NetConfig, OptimizerConfig
 from dynal.numutil import kl_rows, softmax_and_log_softmax
@@ -135,6 +144,120 @@ class TestForward:
         probs = netcore.forward_batch(state, cfg, X).probs
         assert np.all(probs >= 0)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+
+
+# Bit-identity of ``predict`` against one whole-array pass, run in a fresh
+# interpreter with one BLAS thread: several threads split a product's rows at
+# a point that depends on its size, so the whole-array pass's own bits then
+# depend on the thread count under some kernels (Haswell's, for one).  The
+# child inherits the rest of the environment, ``OPENBLAS_CORETYPE`` and
+# ``NPY_DISABLE_CPU_FEATURES`` included.
+_PREDICT_BITS = """
+import json, sys
+import numpy as np
+from dynal import netcore, tdhead
+sizes = json.loads(sys.argv[1])
+X = np.random.default_rng(5).normal(0.0, 3.0, size=(max(sizes), 12))
+same = {}
+for seed, hidden, activation, taps in [(0, [32, 32], "relu", [0, 1]), (1, [24, 40], "tanh", [1])]:
+    cfg = netcore.NetConfig(hidden_sizes=hidden, tap_layers=taps, activation=activation)
+    net = netcore.init_net(cfg, 12, 8, seed)
+    head = tdhead.init_head([hidden[t] for t in taps], 8, 16, seed + 10)
+    for n in sizes:
+        whole = netcore.forward_batch(net, cfg, X[:n])
+        whole_head = tdhead.head_forward_batch(head, whole.taps)[0]
+        got = netcore.predict(net, cfg, X[:n], head=head, features=True)
+        same[f"{activation} {n}"] = [np.array_equal(a.view(np.int64), b.view(np.int64))
+                                     for a, b in zip(got, (whole.probs, whole_head,
+                                                           whole.activations[-1]))]
+print(json.dumps(same))
+"""
+BIT_SIZES = [16383, 16384, 16385, 24577, 100001]
+
+
+@pytest.fixture(scope="module")
+def predict_bits():
+    src = str(Path(dynal.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", _PREDICT_BITS, json.dumps(BIT_SIZES)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+class TestPredict:
+    """``predict``: forward and head passes in aligned row blocks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 200000))
+    @example(0)
+    @example(8191)
+    @example(8192)
+    @example(16383)
+    @example(16384)
+    @example(24576)
+    @example(200000)
+    def test_row_blocks_rule(self, n):
+        blocks = netcore.row_blocks(n)
+        B = netcore.BLOCK_ROWS
+        # contiguous cover of range(n), blocks starting at multiples of BLOCK_ROWS
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert all(b.start % B == 0 and b.step is None for b in blocks)
+        assert all(b.stop - b.start == B for b in blocks[:-1])
+        last = blocks[-1].stop - blocks[-1].start
+        assert last == n if n < 2 * B else B <= last < 2 * B
+
+    @pytest.mark.parametrize("n", BIT_SIZES)
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_bits_of_one_whole_array_pass(self, predict_bits, activation, n):
+        # probabilities, head probabilities and features, as int64 views
+        assert predict_bits[f"{activation} {n}"] == [True, True, True]
+
+    def test_one_block_is_the_whole_array_call(self, monkeypatch):
+        cfg = NetConfig(hidden_sizes=[8, 6], tap_layers=[0, 1])
+        net = netcore.init_net(cfg, 5, 3, 0)
+        X = np.random.default_rng(0).normal(size=(40, 5))
+        rows = []
+        forward = netcore.forward_batch
+        monkeypatch.setattr(netcore, "forward_batch",
+                            lambda s, c, X: rows.append(len(X)) or forward(s, c, X))
+        probs, head_probs, feats = netcore.predict(net, cfg, X)
+        whole = forward(net, cfg, X)
+        assert rows == [40] and head_probs is None and feats is None
+        assert probs.tobytes() == whole.probs.tobytes()
+
+    def test_blocks_go_through_the_module_attributes(self, monkeypatch):
+        # so that a tracer wrapping forward_batch and head_forward_batch sees every block
+        cfg = NetConfig(hidden_sizes=[4], tap_layers=[0])
+        net, head = netcore.init_net(cfg, 3, 2, 0), tdhead.init_head([4], 2, 2, 1)
+        seen = []
+        forward, head_forward = netcore.forward_batch, tdhead.head_forward_batch
+        monkeypatch.setattr(netcore, "forward_batch",
+                            lambda s, c, X: seen.append(("net", len(X))) or forward(s, c, X))
+        monkeypatch.setattr(tdhead, "head_forward_batch",
+                            lambda h, t: seen.append(("head", len(t[0]))) or head_forward(h, t))
+        probs, head_probs, feats = netcore.predict(net, cfg, np.zeros((20000, 3)), head=head,
+                                                   features=True)
+        assert seen == [("net", 8192), ("head", 8192), ("net", 11808), ("head", 11808)]
+        assert probs.shape == head_probs.shape == (20000, 2) and feats.shape == (20000, 4)
+
+    def test_peak_memory_is_a_block_not_the_pass(self):
+        cfg = NetConfig(hidden_sizes=[32, 32], tap_layers=[0, 1])
+        net, head = netcore.init_net(cfg, 12, 8, 0), tdhead.init_head([32, 32], 8, 16, 1)
+        X = np.random.default_rng(0).normal(size=(50000, 12))
+
+        def peak(f):
+            tracemalloc.start()
+            try:
+                f()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def whole():
+            tdhead.head_forward_batch(head, netcore.forward_batch(net, cfg, X).taps)
+
+        assert peak(lambda: netcore.predict(net, cfg, X, head=head)) < peak(whole) / 3
 
 
 def cross_entropy(probs, y):
