@@ -344,6 +344,23 @@ def run_cycle(
     return shared.result, report, new_labeled, new_pool
 
 
+def check_experiment_inputs(train: Dataset, test: Dataset, protocol: ALProtocol,
+                            strategies: list[str | StrategyKind],
+                            minor_classes: list[int] | None = None) -> None:
+    """ValueError for input that ``run_experiments`` cannot run under
+    ``protocol`` (an ALConfig or the ``al:`` section): no strategy, an
+    initial labeling of the whole training set, or a minor class with no
+    test sample (its accuracy would be nan)."""
+    if not strategies:
+        raise ValueError("no strategies given")
+    if protocol.initial_labeled >= len(train):
+        raise ValueError(f"initial_labeled={protocol.initial_labeled} must be below the"
+                         f" training-set size {len(train)}")
+    for c in minor_classes or []:
+        if not (test.y == c).any():
+            raise ValueError(f"minor class {c} has no test sample, so its accuracy is undefined")
+
+
 def run_experiments(
     train: Dataset,
     test: Dataset,
@@ -360,21 +377,12 @@ def run_experiments(
     Returns, per strategy, its reports, or the exception its run raised;
     a failed run leaves the others to finish, but a lockstep training
     that raises anything but FloatingPointError raises here.  A run ends
-    early (with the reports so far) once its pool empties.  ValueError
-    comes only before any training, from an initial labeling of the whole
-    training set or a minor class with no test sample (its accuracy would
-    be nan).
+    early (with the reports so far) once its pool empties.  Before any
+    training, ``check_experiment_inputs`` raises ValueError for bad input.
     Output is a pure function of the config, strategies and datasets.
     """
-    if not strategies:
-        raise ValueError("no strategies given")
+    check_experiment_inputs(train, test, cfg, strategies, minor_classes)
     cfgs = [replace(cfg, strategy=s) for s in strategies]
-    if cfg.initial_labeled >= len(train):
-        raise ValueError(f"initial_labeled={cfg.initial_labeled} must be below the"
-                         f" training-set size {len(train)}")
-    for c in minor_classes or []:
-        if not (test.y == c).any():
-            raise ValueError(f"minor class {c} has no test sample, so its accuracy is undefined")
     if cfg.initial_labeled < train.n_classes:
         warnings.warn(
             f"initial_labeled={cfg.initial_labeled} < {train.n_classes} classes;"

@@ -188,6 +188,8 @@ def _al_worker(job):
 def _run_al(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     train, test = build_dataset(cfg.dataset)
     minor = cfg.dataset.imbalance.minor_classes_for(train.n_classes)
+    # Bad input exits 2 here, before any job; whatever a job raises fails its seed.
+    alengine.check_experiment_inputs(train, test, cfg.al, args.strategies, minor)
     # One job runs every strategy of a seed.
     jobs = [(train, test, build_run_config(cfg, cfg.al, seed, analysis=args.analysis),
              args.strategies, minor, str(out)) for seed in args.seeds]
@@ -200,8 +202,6 @@ def _run_al(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
         for job, fut in zip(jobs, futures):
             try:
                 by_seed.append(_al_worker(job) if fut is None else fut.result())
-            except ValueError:
-                raise  # run_experiments rejected the input before any training: exit 2
             except Exception:
                 by_seed.append([(None, traceback.format_exc())] * len(args.strategies))
 
@@ -314,7 +314,8 @@ def main(argv=None) -> int:
     """The command line's one entry: parses argv and the config once,
     checks the seeds, strategies and ``--jobs``, then runs the command into
     ``--out``; returns the exit code: 2 for bad input, before any file, and
-    1 for a training or simulation that diverges (files of earlier seeds stay)."""
+    1 for a training or simulation that diverges, or an al-run run that
+    fails (the files of the other seeds stay)."""
     parser = argparse.ArgumentParser(
         prog="dynal", description="Training-dynamics active-learning workbench"
     )

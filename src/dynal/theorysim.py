@@ -94,7 +94,16 @@ def simulate_discrete_ensemble(params: ElasticityParams, n_runs: int) -> np.ndar
     Each step's logits go to the next row of a (chunk, n_runs, n) buffer of
     at most SIM_CHUNK_FLOATS floats (one step if a step is larger); the
     group means of a full buffer, and of the last partial one, are taken
-    at once.  Memory stays near the returned means plus that buffer.
+    at once.
+
+    Draw order: with noise, each step draws its n_runs sample indices and
+    then its (n_runs, n) normals.  Without noise, one (steps, n_runs) draw
+    gives the indices of all the steps that fill the buffer, and their pull
+    factors are gathered at once; it returns what ``steps`` draws of n_runs
+    would, because the bit generator keeps the unused 32-bit half of a word
+    between calls, so both paths give the per-step loop's bits.  Memory
+    stays near the returned means plus two buffer-sized arrays: the logits
+    and, without noise, the buffer's pull factors.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -119,17 +128,32 @@ def simulate_discrete_ensemble(params: ElasticityParams, n_runs: int) -> np.ndar
             means[first : first + k, :, g] = hist[:k, :, starts[g] : starts[g + 1]].mean(axis=2)
 
     run_idx = np.arange(n_runs)
-    X, k = hist[0], 1  # at step m, the first k buffer rows hold steps m - k .. m - 1
-    for m in range(1, params.iterations + 1):
+    if params.noise == 0:
+        fac = np.empty_like(hist)  # the pull factors of the steps that fill the buffer
+        flat = hist.reshape(-1)
+    X, k, m = hist[0], 1, 1  # the first k buffer rows hold steps m - k .. m - 1
+    while m <= params.iterations:
         if k == len(hist):
             record(m - k, k)
             k = 0
-        J = rng.integers(0, n, size=n_runs)
-        x_j = X[run_idx, J][:, None]
-        X = np.add(X, h_col_fac[group_of[J]] * x_j, out=hist[k])
-        if params.noise > 0:
-            X += sqrt_h * params.noise * rng.standard_normal(size=X.shape)
-        k += 1
+        steps = min(len(hist) - k, params.iterations + 1 - m)  # to fill the buffer
+        if params.noise == 0:
+            J = rng.integers(0, n, size=(steps, n_runs))
+            # mode="clip" writes straight to out ("raise" would buffer it); no index is out of range
+            np.take(h_col_fac, group_of[J], axis=0, out=fac[:steps], mode="clip")
+            # flat positions of the drawn logits in the buffer row before each step's own;
+            # row -1 counts from the end, the last row, which a buffer's first step reads
+            read_rows = np.arange(k - 1, k - 1 + steps)
+            src = (read_rows[:, None] * (n_runs * n) + run_idx * n + J)[:, :, None]
+            for s, f, out in zip(src, fac, hist[k : k + steps]):
+                X = np.add(X, np.multiply(f, flat[s], out=f), out=out)
+        else:
+            for i in range(steps):
+                J = rng.integers(0, n, size=n_runs)
+                X = np.add(X, h_col_fac[group_of[J]] * X[run_idx, J][:, None], out=hist[k + i])
+                X += sqrt_h * params.noise * rng.standard_normal(size=X.shape)
+        k += steps
+        m += steps
     record(params.iterations + 1 - k, k)
     if not np.isfinite(means[-1]).all():  # inf and nan persist once reached
         raise FloatingPointError(f"non-finite group means by iteration {params.iterations}")

@@ -966,6 +966,52 @@ class TestMain:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_initial_labeling_of_the_whole_train_set_exits_2_before_any_job(
+            self, small_config, tmp_path, capsys, monkeypatch, jobs):
+        small_config.write_text(SMALL_CFG.replace("initial_labeled: 9", "initial_labeled: 90"))
+        monkeypatch.setattr(cli, "_al_worker", lambda job: pytest.fail("a job ran"))
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda n: pytest.fail("a pool started"))
+        out = tmp_path / "x"
+        assert main(["al-run", "--config", str(small_config), "--out", str(out),
+                     "--seeds", "0,1", "--jobs", str(jobs)]) == 2
+        assert ("error: initial_labeled=90 must be below the training-set size 90"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_value_error_inside_lockstep_training_fails_only_its_seed(
+            self, small_config, tmp_path, capsys, monkeypatch):
+        """A ValueError raised after the input checks is a failed seed, not
+        bad input: exit 1, the other seed's files and the summary kept."""
+        args = ["al-run", "--config", str(small_config), "--seeds", "0,1",
+                "--strategies", "random,snapshot_entropy"]
+        clean = tmp_path / "clean"
+        assert main(args + ["--out", str(clean)]) == 0
+        capsys.readouterr()
+        train_lockstep, calls = alengine.train_lockstep, []
+
+        def fail_at_seed_1(labeled_sets, cfg, *a, **k):
+            calls.append(cfg.seed)
+            if cfg.seed == 1:
+                raise ValueError("lockstep defect")
+            return train_lockstep(labeled_sets, cfg, *a, **k)
+
+        monkeypatch.setattr(alengine, "train_lockstep", fail_at_seed_1)
+        out = tmp_path / "out"
+        code = main(args + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert calls == [0, 1]  # cycle 2 of each seed trains its two labeled sets in lockstep
+        assert "FAILED runs: random-seed1, snapshot_entropy-seed1" in err
+        assert "ValueError: lockstep defect" in err
+        assert "error:" not in err
+        assert sorted(f.name for f in out.iterdir()) == [
+            "results_random_seed0.csv", "results_snapshot_entropy_seed0.csv", "summary.csv"]
+        for name in ("results_random_seed0.csv", "results_snapshot_entropy_seed0.csv"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes()
+        with open(out / "summary.csv") as f:
+            assert {row["seed"] for row in csv.DictReader(f)} == {"0"}
+
     def test_pilot_on_a_balanced_dataset_removes_the_out_it_created(self, small_config, tmp_path,
                                                                      capsys):
         out = tmp_path / "new" / "pilot"

@@ -110,6 +110,19 @@ class TestDiscreteSimulation:
         b = simulate_discrete_ensemble(params(noise=0.3, iterations=50), 1)[0]
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("n, steps, n_runs", [(3, 5, 1), (30, 11, 7), (2**31 + 1, 4, 201)])
+    def test_one_draw_of_a_buffers_indices_equals_its_per_step_draws(self, seed, n, steps,
+                                                                     n_runs):
+        """The noise-free path draws the indices of a buffer's steps in one
+        call; that equals per-step draws only while the bit generator keeps
+        the unused half of a 64-bit word between calls: an odd n_runs leaves
+        one, and at n = 2**31 + 1 about half the 32-bit draws are rejected."""
+        block = np.random.default_rng(seed).integers(0, n, size=(steps, n_runs))
+        rng = np.random.default_rng(seed)
+        per_step = np.stack([rng.integers(0, n, size=n_runs) for _ in range(steps)])
+        assert np.array_equal(block, per_step)
+
     def test_diverging_ensemble_raises(self):
         # step_size 10: each draw adds up to 10 times the drawn logit to every logit
         with np.errstate(over="ignore", invalid="ignore"):
@@ -146,16 +159,23 @@ class TestChunkedRecording:
                    iterations=iterations, seed=7)
         assert np.array_equal(simulate_discrete_ensemble(p, n_runs), per_step_ensemble(p, n_runs))
 
-    def test_memory_stays_near_the_means_and_one_buffer(self):
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_memory_stays_near_the_means_and_one_buffer(self, noise):
         n_runs = 200
-        p = params(n_1e=10, n_1h=10, n_2=10, noise=0.3, iterations=5000)
+        p = params(n_1e=10, n_1h=10, n_2=10, noise=noise, iterations=5000)
         means_bytes = (p.iterations + 1) * n_runs * 3 * 8
-        # Besides the means and the buffer: per step, the gathered pull
-        # factors, their product with the drawn logits and the noise draws
-        # (n_runs x n floats each); per chunk, one group's means and sum
-        # (chunk x n_runs floats each); 64 KiB for small arrays.
-        step_floats = n_runs * p.n_total
-        slack = 8 * (3 * step_floats + 2 * chunk_steps(n_runs, p.n_total) * n_runs) + 2**16
+        chunk_cells = chunk_steps(n_runs, p.n_total) * n_runs
+        # Besides the means and the buffer: per chunk, one group's means and
+        # sum (chunk x n_runs floats each); 64 KiB for small arrays.  With
+        # noise, per step, the gathered pull factors, their product with the
+        # drawn logits and the noise draws (n_runs x n floats each).  Without
+        # noise, per buffer, the pull factors (at most one buffer's floats) and
+        # at most four index arrays of the draws (chunk x n_runs ints each).
+        if noise > 0:
+            per_path = 3 * n_runs * p.n_total
+        else:
+            per_path = theorysim.SIM_CHUNK_FLOATS + 4 * chunk_cells
+        slack = 8 * (per_path + 2 * chunk_cells) + 2**16
         simulate_discrete_ensemble(params(noise=0.3, iterations=2), 2)  # the generator's imports
         tracemalloc.start()
         try:
