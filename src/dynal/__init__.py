@@ -13,7 +13,6 @@ from .alengine import (
     evaluate,
     kl_analysis,
     run_cycle,
-    run_experiment,
     run_experiments,
     run_pilot,
     separation_auroc,

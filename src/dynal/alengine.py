@@ -9,17 +9,20 @@ with the configured strategy, and moves the top picks into the labeled
 set.  Scoring never sees pool labels; dynamics-aware strategies read
 the head's predicted mean probabilities.
 
+``train_lockstep`` is the one training loop: the trainings of same-size
+labeled sets share their init and their permutations, so they run as
+one, a kernel call with a leading run axis per step, with the bits of
+each training alone; ``train_joint`` is a lockstep of one run.
 ``run_experiments`` runs the strategies of one seed cycle by cycle.  Two
 runs whose labeled ids agree, in order, at the start of a cycle train
 the same model, so that cycle's training, evaluation and the pool
 subset's inference passes are computed once for all of them (always so
-in cycle 1); only scoring, selection and the report are per strategy.  A
-cycle's distinct labeled sets of one size share their init and their
-permutations, so they train in lockstep (``train_lockstep``): one
-kernel call with a leading run axis per step, with the bits of each
-training alone.  Every inference pass but training's per-epoch test
-snapshot is ``netcore.predict``, in aligned row blocks with the bits of
-one whole-array pass.
+in cycle 1); only scoring, selection and the report are per strategy.
+``_train_cycle`` is the one place that trains a cycle: a cycle's
+distinct labeled sets of one size in one ``train_lockstep``.  Every
+inference pass but training's per-epoch test snapshot is
+``netcore.predict``, in aligned row blocks with the bits of one
+whole-array pass.
 """
 
 from __future__ import annotations
@@ -139,24 +142,9 @@ def train_joint(
     cycle: int,
     test: Dataset | None = None,
 ) -> TrainResult:
-    """Train classifier and head from scratch on the labeled set, the net
-    mapping its ``dim`` features to its ``n_classes`` classes.
-
-    Per epoch, each labeled sample's probability vector from the
-    training-time forward pass (taken before that batch's update) is
-    folded into its running mean, and the current mean is the head's KL
-    target for the same batch; the head-loss gradient reaches the
-    classifier through the tapped layers.  Store rows are positions in
-    ``labeled``.  Inputs are checked here, once: each step is one
-    ``netcore._joint_step`` into one gradient vector, then
-    ``netcore.apply_update``.  Given ``test``, each epoch ends with one
-    forward pass of it, and ``kl_rows`` is ``kl_analysis`` of those
-    snapshots.
-    """
-    X, hot = _training_arrays(labeled, cfg, test)
-    net, head, store, snapshots = _train(X, hot, labeled.ids, cfg, cycle, test)
-    return TrainResult(net, cfg.net, head, store,
-                       kl_analysis(snapshots) if test is not None else None)
+    """Train classifier and head from scratch on the labeled set: a
+    ``train_lockstep`` of one run."""
+    return train_lockstep([labeled], cfg, cycle, test)[0]
 
 
 def train_lockstep(
@@ -165,69 +153,66 @@ def train_lockstep(
     cycle: int,
     test: Dataset | None = None,
 ) -> list[TrainResult]:
-    """``train_joint`` of each of ``labeled_sets``, which hold the same
-    number of samples, as one training whose arrays carry a leading run
-    axis: the runs share their init and their permutations, so each step
-    is one kernel call, one store update and one ``apply_update`` for all
-    of them.  Each result has the bits of its set's training alone.  It
-    raises if any set's training would, not necessarily with that text.
+    """Train classifier and head from scratch on each of ``labeled_sets``,
+    which hold the same number of samples, the net mapping their ``dim``
+    features to their ``n_classes`` classes.  The runs share their init
+    and every epoch's permutation, so they train as one training whose
+    arrays carry a leading run axis: each step is one
+    ``netcore._joint_step`` into one gradient array, one store update and
+    one ``netcore.apply_update`` for all of them.  Each result has the bits
+    of its set's training alone.
+
+    Per epoch, each labeled sample's probability vector from the
+    training-time forward pass (taken before that batch's update) is
+    folded into its running mean, and the current mean is the head's KL
+    target for the same batch; the head-loss gradient reaches the
+    classifier through the tapped layers.  Store rows are positions in the
+    set.  Inputs are checked here, once.  Given ``test``, each epoch ends
+    with one forward pass of it, and ``kl_rows`` is ``kl_analysis`` of
+    those snapshots.  It raises if any set's training would, not
+    necessarily with that text.
     """
     if len({len(s) for s in labeled_sets}) != 1:
         raise ValueError("lockstep training needs labeled sets of one size")
-    X, hot = map(np.stack, zip(*[_training_arrays(s, cfg, test) for s in labeled_sets]))
-    ids = np.stack([s.ids for s in labeled_sets])
-    net, head, store, snapshots = _train(X, hot, ids, cfg, cycle, test)
-    return [TrainResult(net.run(r), cfg.net, head.run(r), store.run(r),
-                        kl_analysis([(p[r], pt[r]) for p, pt in snapshots])
-                        if test is not None else None)
-            for r in range(len(labeled_sets))]
-
-
-def _training_arrays(labeled: Dataset, cfg: ALConfig, test: Dataset | None):
-    """The checked features and boolean one-hot labels that train on ``labeled``."""
     if not 0 <= cfg.lam < np.inf:
         raise ValueError("lam must be nonnegative and finite")
     if test is not None and len(test) == 0:
         raise ValueError("test set is empty")
-    X = np.atleast_2d(np.asarray(labeled.X, dtype=np.float64))
-    y = np.asarray(labeled.y, dtype=int)
-    netcore.check_labels(y, labeled.n_classes)
-    return X, netcore.one_hot(y, labeled.n_classes)
-
-
-def _train(X, hot, ids, cfg: ALConfig, cycle: int, test: Dataset | None):
-    """The training of ``train_joint`` on checked (..., n, dim) features,
-    (..., n, C) one-hot labels and (..., n) sample ids, where a leading
-    axis holds runs trained in lockstep.  Returns the net, head, TD store
-    and per-epoch test snapshots, all with that leading axis."""
-    net_cfg = cfg.net
-    runs, (n, dim), n_classes = X.shape[:-2], X.shape[-2:], hot.shape[-1]
+    net_cfg, n_classes = cfg.net, labeled_sets[0].n_classes
+    X = np.stack([s.X for s in labeled_sets], dtype=np.float64)
+    y = np.stack([s.y for s in labeled_sets]).astype(int, copy=False)
+    netcore.check_labels(y, n_classes)
+    hot, ids = netcore.one_hot(y, n_classes), np.stack([s.ids for s in labeled_sets])
+    runs, n, dim = X.shape
     net0 = netcore.init_net(net_cfg, dim, n_classes, _stream_seed(cfg.seed, cycle, _STREAM_NET))
     head0 = tdhead.init_head([net_cfg.hidden_sizes[t] for t in net_cfg.tap_layers], n_classes,
                              cfg.head.reduce_dim, _stream_seed(cfg.seed, cycle, _STREAM_HEAD))
-    theta, net, head = netcore.flatten(net0, head0, runs=runs)
-    grad, grad_net, grad_head = netcore._gradient(net0, head0, runs=runs)
+    theta, net, head = netcore.flatten(net0, head0, runs=(runs,))
+    grad, grad_net, grad_head = netcore._gradient(net0, head0, runs=(runs,))
     opt_state = netcore.init_opt_state(theta)
     shuffle_rng = np.random.default_rng(_stream_seed(cfg.seed, cycle, _STREAM_SHUFFLE))
 
-    # The store's (..., n, C) means are the KL targets, so their shape holds by construction.
-    store = TDStore(n, n_classes, runs)
-    snapshots = []  # per epoch with ``test``: (test-set probs, head probs)
+    # The store's (runs, n, C) means are the KL targets, so their shape holds by construction.
+    store = TDStore(n, n_classes, (runs,))
+    snapshots = []  # per epoch with ``test``: (test-set probs, head probs), each (runs, T, C)
 
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(n)
         # One gather per epoch; each batch is then a slice of it.
-        X_p, hot_p, ids_p = X[..., perm, :], hot[..., perm, :], ids[..., perm]
+        X_p, hot_p, ids_p = X[:, perm], hot[:, perm], ids[:, perm]
         for lo in range(0, n, cfg.batch_size):
             rows, b = perm[lo : lo + cfg.batch_size], slice(lo, lo + cfg.batch_size)
-            netcore._joint_step(net, net_cfg, head, X_p[..., b, :], hot_p[..., b, :],
+            netcore._joint_step(net, net_cfg, head, X_p[:, b], hot_p[:, b],
                                 lambda probs: store.update_batch(rows, probs), cfg.lam,
-                                ids_p[..., b], grad_net, grad_head)
+                                ids_p[:, b], grad_net, grad_head)
             netcore.apply_update(theta, grad, opt_state, cfg.opt, epoch)
         if test is not None:
             tt = netcore.forward_batch(net, net_cfg, test.X)
             snapshots.append((tt.probs, tdhead.head_forward_batch(head, tt.taps)[0]))
-    return net, head, store, snapshots
+    return [TrainResult(net.run(r), net_cfg, head.run(r), store.run(r),
+                        kl_analysis([(p[r], pt[r]) for p, pt in snapshots])
+                        if test is not None else None)
+            for r in range(runs)]
 
 
 def evaluate(net: NetState, net_cfg: NetConfig, test: Dataset) -> tuple[float, np.ndarray]:
@@ -295,9 +280,9 @@ def run_cycle(
     """One protocol cycle: train from scratch, evaluate, score, select.
 
     Returns the train result, the cycle report, and the updated labeled
-    and pool id collections.  ``memo`` holds the shared work of calls
-    made for one cycle with configs that differ only in strategy, keyed
-    on (cycle, labeled ids in order): the same ids in another order
+    and pool id collections.  ``memo`` holds the shared work of one
+    cycle's calls with configs that differ only in strategy, keyed on the
+    labeled ids in order (``_train_cycle``): the same ids in another order
     train another model.  The pool must follow from the labeled ids, as
     it does in ``run_experiments``.  A call that raises before the
     training is done stores nothing.
@@ -305,12 +290,10 @@ def run_cycle(
     if not labeled_ids:
         raise ValueError("labeled set is empty")
     memo = {} if memo is None else memo
-    key = (cycle, tuple(labeled_ids))
-    shared = memo.get(key)
-    if shared is None:
-        labeled = train.by_ids(labeled_ids)
-        result = train_joint(labeled, cfg, cycle, test=test if cfg.analysis else None)
-        shared = memo[key] = _SharedCycle(labeled, result, pool_ids, train, test, cfg, cycle)
+    key = tuple(labeled_ids)
+    if key not in memo:
+        _train_cycle(memo, [(labeled_ids, pool_ids)], cfg, train, test, cycle)
+    shared = memo[key]
     subset_ids = shared.subset_ids
 
     score_dump = None
@@ -370,16 +353,20 @@ def run_experiments(
 ) -> list[list[CycleReport] | Exception]:
     """The full protocol of ``cfg`` under each of ``strategies`` (run i
     reads ``replace(cfg, strategy=strategies[i])``): seeded initial
-    labeling, then n_cycles cycles, run cycle by cycle so that runs at
-    the same labeled ids share each cycle's training, and the distinct
-    labeled sets of one size train in lockstep (``_train_in_lockstep``).
+    labeling, then n_cycles cycles, run cycle by cycle.  Each cycle first
+    trains the distinct labeled sets of each size among its live runs in
+    one ``_train_cycle``, so that runs at the same labeled ids share that
+    cycle's training, and then runs each strategy's ``run_cycle``.
 
     Returns, per strategy, its reports, or the exception its run raised;
-    a failed run leaves the others to finish, but a lockstep training
-    that raises anything but FloatingPointError raises here.  A run ends
-    early (with the reports so far) once its pool empties.  Before any
-    training, ``check_experiment_inputs`` raises ValueError for bad input.
-    Output is a pure function of the config, strategies and datasets.
+    a failed run leaves the others to finish.  A group whose training
+    diverges (FloatingPointError, how one run's training fails) stores
+    nothing, so its runs train alone in ``run_cycle`` and fail there, or
+    not, as they would alone; a group's training that raises anything
+    else raises here.  A run ends early (with the reports so far) once its
+    pool empties.  Before any training, ``check_experiment_inputs`` raises
+    ValueError for bad input.  Output is a pure function of the config,
+    strategies and datasets.
     """
     check_experiment_inputs(train, test, cfg, strategies, minor_classes)
     cfgs = [replace(cfg, strategy=s) for s in strategies]
@@ -399,7 +386,14 @@ def run_experiments(
         try:
             live = [i for i, (_, pool) in enumerate(runs)
                     if not isinstance(outcomes[i], Exception) and pool.size > 0]
-            _train_in_lockstep(memo, [runs[i] for i in live], cfg, train, test, cycle)
+            groups: dict[int, list] = {}
+            for i in live:
+                groups.setdefault(len(runs[i][0]), []).append(runs[i])
+            for group in groups.values():
+                try:
+                    _train_cycle(memo, group, cfg, train, test, cycle)
+                except FloatingPointError:
+                    pass  # its runs train alone in run_cycle, and fail there as they would alone
             for i in live:
                 labeled, pool = runs[i]
                 try:
@@ -417,44 +411,21 @@ def run_experiments(
     return outcomes
 
 
-def _train_in_lockstep(memo: dict, runs, cfg: ALConfig, train: Dataset, test: Dataset,
-                       cycle: int) -> None:
-    """Put into ``memo``, under the keys ``run_cycle`` looks up, the shared
-    work of each group of two or more distinct labeled sets of one size
-    among ``runs`` ((labeled ids, pool) pairs of ``cfg``'s strategies),
-    trained by one ``train_lockstep``.  A group whose training diverges
-    (FloatingPointError, how one run's training fails) stores nothing, so
-    its runs train alone in ``run_cycle``, and fail there, or not, as they
-    would alone; any other exception is a defect and propagates."""
-    groups: dict[int, dict] = {}
+def _train_cycle(memo: dict, runs, cfg: ALConfig, train: Dataset, test: Dataset,
+                 cycle: int) -> None:
+    """Train the distinct labeled sets among ``runs``, (labeled ids, pool)
+    pairs of one labeled size under ``cfg`` but for its strategy, in one
+    ``train_lockstep``, and put each set's ``_SharedCycle`` into ``memo``
+    under its labeled ids in order.  A memo holds one cycle's work.  It
+    stores nothing if anything raises."""
+    distinct: dict[tuple, tuple] = {}
     for labeled_ids, pool_ids in runs:
-        groups.setdefault(len(labeled_ids), {}).setdefault((cycle, tuple(labeled_ids)),
-                                                           (labeled_ids, pool_ids))
-    for group in groups.values():
-        if len(group) < 2:
-            continue
-        try:
-            sets = [train.by_ids(labeled_ids) for labeled_ids, _ in group.values()]
-            results = train_lockstep(sets, cfg, cycle, test=test if cfg.analysis else None)
-            shared = {key: _SharedCycle(labeled, result, pool_ids, train, test, cfg, cycle)
-                      for (key, (_, pool_ids)), labeled, result
-                      in zip(group.items(), sets, results)}
-        except FloatingPointError:
-            continue
-        memo.update(shared)
-
-
-def run_experiment(
-    train: Dataset,
-    test: Dataset,
-    cfg: ALConfig,
-    minor_classes: list[int] | None = None,
-) -> list[CycleReport]:
-    """``run_experiments`` for ``cfg``'s own strategy; raises what its run raised."""
-    (outcome,) = run_experiments(train, test, cfg, [cfg.strategy], minor_classes)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+        distinct.setdefault(tuple(labeled_ids), (labeled_ids, pool_ids))
+    sets = [train.by_ids(labeled_ids) for labeled_ids, _ in distinct.values()]
+    results = train_lockstep(sets, cfg, cycle, test=test if cfg.analysis else None)
+    memo.update({key: _SharedCycle(labeled, result, pool_ids, train, test, cfg, cycle)
+                 for (key, (_, pool_ids)), labeled, result
+                 in zip(distinct.items(), sets, results)})
 
 
 def kl_analysis(snapshots: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[int, float, float]]:

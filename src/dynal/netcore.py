@@ -31,12 +31,12 @@ Conventions
   net and head and one backprop of the joint loss, the head's part by
   ``tdhead.head_backward``, writing the gradient into views of a vector
   its caller allocated (``_gradient``).  It checks nothing that a training
-  run cannot change between steps: ``train_joint`` checks its inputs
-  once, and ``grad_joint``, the kernel's public face, checks them per call
-  and backprops into a fresh vector.  Labels reach the kernel as a boolean
-  one-hot (``one_hot``).  The KL targets come from a callback on the
-  batch's class probabilities, in training ``TDStore.update_batch``, which
-  returns the means it stored.
+  run cannot change between steps: ``alengine.train_lockstep``, the one
+  training loop, checks its inputs once, and ``grad_joint``, the kernel's
+  public face, checks them per call and backprops into a fresh vector.
+  Labels reach the kernel as a boolean one-hot (``one_hot``).  The KL
+  targets come from a callback on the batch's class probabilities, in
+  training ``TDStore.update_batch``, which returns the means it stored.
 * Inference over a set of rows is ``predict``: the net's and the head's
   passes over blocks of ``BLOCK_ROWS`` rows (``row_blocks``), so its
   memory stays near one block's, with the bits of one whole-array pass.

@@ -189,7 +189,10 @@ def test_criterion_6_al_sanity_band():
     def final_accs(strategy):
         out = []
         for seed in range(10):
-            reports = alengine.run_experiment(train, test, sanity_cfg(strategy, seed))
+            cfg = sanity_cfg(strategy, seed)
+            (reports,) = alengine.run_experiments(train, test, cfg, [cfg.strategy])
+            if isinstance(reports, Exception):
+                raise reports
             out.append(reports[-1].test_accuracy)
         return np.array(out)
 

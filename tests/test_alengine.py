@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +8,16 @@ from hypothesis import strategies as st
 
 from dynal import alengine, datasets, netcore, tdhead
 from dynal.alengine import ALConfig, evaluate, kl_analysis, separation_auroc
+from dynal.cli import build_run_config, parse_config
 from dynal.datasets import DatasetSpec, ImbalanceSpec, build_dataset
 from dynal.estimators import StrategyKind
 from dynal.netcore import NetConfig, OptimizerConfig
 from dynal.numutil import kl_rows
 from dynal.tdtrack import TDStore
+
+from solo_training import train_2d
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_data(seed=3, n_classes=4, per_class=60):
@@ -38,6 +44,15 @@ def small_cfg(strategy=StrategyKind.RANDOM, seed=0, **kw):
     )
     base.update(kw)
     return ALConfig(**base)
+
+
+def run_alone(train, test, cfg, minor_classes=None):
+    """``run_experiments`` for ``cfg``'s own strategy: its reports, or the
+    exception its run raised, raised."""
+    (outcome,) = alengine.run_experiments(train, test, cfg, [cfg.strategy], minor_classes)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 class TestEvaluate:
@@ -161,7 +176,7 @@ class TestRunCycle:
     def test_labeled_count_invariant(self):
         train, test = small_data()
         cfg = small_cfg(n_cycles=1)
-        reports = alengine.run_experiment(train, test, cfg)
+        reports = run_alone(train, test, cfg)
         assert len(reports) == 1
         assert reports[0].labeled_count == 12 + 8
 
@@ -169,7 +184,7 @@ class TestRunCycle:
         # the untrained-head ablation: the head scores without ever learning
         train, test = small_data()
         cfg = small_cfg(strategy=StrategyKind.TIDAL_ENTROPY, lam=0.0, n_cycles=1)
-        reports = alengine.run_experiment(train, test, cfg)
+        reports = run_alone(train, test, cfg)
         assert reports[0].labeled_count == 12 + 8
 
     def test_budget_equals_subset_selects_everything(self):
@@ -188,7 +203,7 @@ class TestRunCycle:
         train, test = small_data()
         for strategy in StrategyKind:
             cfg = small_cfg(strategy=strategy, n_cycles=1, epochs=4)
-            reports = alengine.run_experiment(train, test, cfg)
+            reports = run_alone(train, test, cfg)
             assert reports[0].labeled_count == 20
             assert len(set(reports[0].selected_ids)) == 8
 
@@ -208,8 +223,8 @@ class TestExperimentInvariants:
     def test_determinism_same_seed(self):
         train, test = small_data()
         cfg = small_cfg(strategy=StrategyKind.TIDAL_ENTROPY, seed=7, epochs=6)
-        a = alengine.run_experiment(train, test, cfg)
-        b = alengine.run_experiment(train, test, cfg)
+        a = run_alone(train, test, cfg)
+        b = run_alone(train, test, cfg)
         for ra, rb in zip(a, b):
             assert ra.test_accuracy == rb.test_accuracy
             assert ra.selected_ids == rb.selected_ids
@@ -220,7 +235,7 @@ class TestExperimentInvariants:
         accs = []
         for strategy in (StrategyKind.RANDOM, StrategyKind.CORESET, StrategyKind.TIDAL_PROB):
             cfg = small_cfg(strategy=strategy, seed=5, epochs=6, n_cycles=1)
-            reports = alengine.run_experiment(train, test, cfg)
+            reports = run_alone(train, test, cfg)
             accs.append(reports[0].test_accuracy)
         assert accs[0] == accs[1] == accs[2]
 
@@ -240,7 +255,7 @@ class TestExperimentInvariants:
                     strategy=strategy, initial_labeled=20, budget_per_cycle=20, n_cycles=3,
                     subset_size=100, epochs=30, batch_size=32, seed=seed,
                 )
-                reports = alengine.run_experiment(train, test, cfg)
+                reports = run_alone(train, test, cfg)
                 finals.append(reports[-1].test_accuracy)
             assert np.mean(finals) > 0.9
 
@@ -248,7 +263,7 @@ class TestExperimentInvariants:
         train, test = small_data()
         cfg = small_cfg(initial_labeled=2, epochs=2, n_cycles=1)
         with pytest.warns(UserWarning, match="classes"):
-            alengine.run_experiment(train, test, cfg)
+            run_alone(train, test, cfg)
 
     def test_pool_exhaustion_terminates_early(self):
         spec = DatasetSpec(generator="gaussian_mixture", n_classes=2, dim=6, per_class=20,
@@ -261,7 +276,7 @@ class TestExperimentInvariants:
             initial_labeled=10, budget_per_cycle=8, subset_size=8, n_cycles=10, epochs=2,
         )
         with pytest.warns(UserWarning, match="returning all"):
-            reports = alengine.run_experiment(train, test, cfg)
+            reports = run_alone(train, test, cfg)
         assert len(reports) == 3
         assert reports[-1].labeled_count == len(train)
 
@@ -269,7 +284,7 @@ class TestExperimentInvariants:
     @pytest.mark.parametrize("extra", [0, 1])
     def test_initial_labeling_of_the_whole_train_set_rejected(self, monkeypatch, extra):
         train, test = small_data()
-        monkeypatch.setattr(alengine, "train_joint", lambda *a, **k: pytest.fail("trained"))
+        monkeypatch.setattr(alengine, "train_lockstep", lambda *a, **k: pytest.fail("trained"))
         cfg = small_cfg(initial_labeled=len(train) + extra)
         with pytest.raises(ValueError, match=f"must be below the training-set size {len(train)}"):
             alengine.run_experiments(train, test, cfg, [cfg.strategy])
@@ -279,7 +294,7 @@ class TestExperimentInvariants:
         minor-class accuracy would be nan; the run is refused before
         training, naming the class."""
         train, test = small_data()
-        monkeypatch.setattr(alengine, "train_joint", lambda *a, **k: pytest.fail("trained"))
+        monkeypatch.setattr(alengine, "train_lockstep", lambda *a, **k: pytest.fail("trained"))
         test = test.take(np.flatnonzero(test.y != 3))
         cfg = small_cfg()
         with pytest.raises(ValueError, match="minor class 3 has no test sample"):
@@ -293,14 +308,16 @@ class TestSharedCycles:
     SCORED = (StrategyKind.SNAPSHOT_MARGIN, StrategyKind.CORESET, StrategyKind.TIDAL_ENTROPY)
 
     @staticmethod
-    def count_calls(monkeypatch, name, fail=False):
+    def count_calls(monkeypatch, name, fail=None):
+        """Record the positional arguments of each call of ``alengine.<name>``;
+        with ``fail``, an exception type, each call raises it instead."""
         calls = []
         orig = getattr(alengine, name)
 
         def wrapped(*a, **k):
             calls.append(a)
-            if fail:
-                raise RuntimeError(f"{name} failed")
+            if fail is not None:
+                raise fail(f"{name} failed")
             return orig(*a, **k)
 
         monkeypatch.setattr(alengine, name, wrapped)
@@ -308,10 +325,10 @@ class TestSharedCycles:
 
     def test_three_strategies_train_one_model_per_cycle(self, monkeypatch):
         train, test = small_data()
-        calls = self.count_calls(monkeypatch, "train_joint")
+        calls = self.count_calls(monkeypatch, "train_lockstep")
         outcomes = alengine.run_experiments(train, test, small_cfg(n_cycles=1, epochs=3),
                                             self.SCORED)
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(calls[0][0]) == 1
         assert all(len(reports) == 1 for reports in outcomes)
 
     def test_permuted_labeled_ids_do_not_share_an_entry(self, monkeypatch):
@@ -319,7 +336,7 @@ class TestSharedCycles:
         cfg = small_cfg(strategy=StrategyKind.SNAPSHOT_ENTROPY, epochs=3)
         labeled = [int(i) for i in train.ids[:12]]
         pool = train.ids[12:]
-        calls = self.count_calls(monkeypatch, "train_joint")
+        calls = self.count_calls(monkeypatch, "train_lockstep")
         memo = {}
         first = alengine.run_cycle(labeled, pool, train, test, cfg, 1, memo=memo)
         permuted = alengine.run_cycle(labeled[::-1], pool, train, test, cfg, 1, memo=memo)
@@ -382,8 +399,7 @@ class TestSharedCycles:
         grouped = alengine.run_experiments(train, test, cfg, list(StrategyKind),
                                            minor_classes=[1, 2])
         for strategy, reports in zip(StrategyKind, grouped):
-            alone = alengine.run_experiment(train, test, replace(cfg, strategy=strategy),
-                                            minor_classes=[1, 2])
+            alone = run_alone(train, test, replace(cfg, strategy=strategy), minor_classes=[1, 2])
             assert reports == alone
             assert all(r.kl_rows for r in reports)
             if strategy not in (StrategyKind.RANDOM, StrategyKind.CORESET):
@@ -405,21 +421,21 @@ class TestSharedCycles:
         assert isinstance(outcomes[2], RuntimeError)
         assert outcomes[:2] == expected[:2]
         with pytest.raises(RuntimeError, match="scoring failed"):
-            alengine.run_experiment(train, test, replace(cfg, strategy=self.SCORED[2]))
+            run_alone(train, test, replace(cfg, strategy=self.SCORED[2]))
 
     def test_failed_training_stores_nothing(self, monkeypatch):
         train, test = small_data()
-        calls = self.count_calls(monkeypatch, "train_joint", fail=True)
+        calls = self.count_calls(monkeypatch, "train_lockstep", fail=FloatingPointError)
         cfg = small_cfg(strategy=self.SCORED[0], n_cycles=2, epochs=3)
         memo = {}
-        with pytest.raises(RuntimeError):
+        with pytest.raises(FloatingPointError):
             alengine.run_cycle([int(i) for i in train.ids[:12]], train.ids[12:], train, test,
                                cfg, 1, memo=memo)
         assert memo == {}
-        # each strategy then trains, and fails, on its own
+        # a diverged group stores nothing: each strategy then trains, and fails, on its own
         outcomes = alengine.run_experiments(train, test, cfg, self.SCORED[:2])
-        assert all(isinstance(o, RuntimeError) for o in outcomes)
-        assert len(calls) == 1 + 2
+        assert all(isinstance(o, FloatingPointError) for o in outcomes)
+        assert len(calls) == 1 + 1 + 2
 
     def test_no_strategies_rejected(self):
         train, test = small_data()
@@ -665,48 +681,87 @@ class TestTrainJointChecks:
             alengine.train_joint(train, cfg, cycle=0)
 
 
+# Lockstep and one-run training cases: SGD-momentum and Adam, relu and tanh, tap_layers [0], [1]
+# and [0, 1], one hidden layer, n not a multiple of the batch size, analysis on and off.
+TRAINING_CASES = pytest.mark.parametrize(
+    "runs, kind, activation, hidden, taps, n, batch_size, lam, analysis",
+    [
+        (2, "sgd_momentum", "relu", [16, 16], [0, 1], 45, 16, 1.0, True),
+        (3, "adam", "tanh", [16, 16], [1], 40, 16, 1.0, False),
+        (3, "sgd_momentum", "tanh", [16, 16], [0], 33, 8, 0.5, True),
+        (2, "adam", "relu", [12], [0], 45, 7, 1.0, True),
+        (3, "adam", "relu", [16, 16], [0, 1], 48, 16, 0.0, False),
+        (2, "sgd_momentum", "relu", [16, 16], [1], 37, 32, 1.0, False),
+    ],
+)
+
+
+def training_case(runs, kind, activation, hidden, taps, n, batch_size, lam):
+    """``runs`` labeled sets of ``n`` samples each, and the config that trains them."""
+    train, _ = small_data()
+    rng = np.random.default_rng(n)
+    sets = [train.take(rng.choice(len(train), size=n, replace=False)) for _ in range(runs)]
+    # four epochs with the learning rate stepping down at the third
+    opt = OptimizerConfig(kind=kind, initial_lr=0.05 if kind == "sgd_momentum" else 0.01,
+                          weight_decay=5e-3, decay_epoch=2, decay_factor=0.1)
+    net = NetConfig(hidden_sizes=hidden, tap_layers=taps, activation=activation)
+    return sets, small_cfg(net=net, opt=opt, epochs=4, batch_size=batch_size, lam=lam, seed=runs)
+
+
+def flat(result):
+    return np.concatenate([p.ravel() for p in result.net.params() + result.head.params()])
+
+
+def assert_same_training(got, want):
+    """Parameters, TD means and counts array_equal, KL rows equal."""
+    assert np.array_equal(flat(got), flat(want))
+    assert np.array_equal(got.store.mean, want.store.mean)
+    assert np.array_equal(got.store.count, want.store.count)
+    assert got.kl_rows == want.kl_rows
+
+
+class TestTrainJointReference:
+    """One run's training, a lockstep of one, against ``train_2d``: the same
+    training on 2-D arrays, with no run axis, bit for bit."""
+
+    @TRAINING_CASES
+    def test_equals_the_2d_loop(self, runs, kind, activation, hidden, taps, n, batch_size, lam,
+                                analysis):
+        sets, cfg = training_case(runs, kind, activation, hidden, taps, n, batch_size, lam)
+        at = small_data()[1] if analysis else None
+        for labeled in sets:
+            assert_same_training(alengine.train_joint(labeled, cfg, cycle=2, test=at),
+                                 train_2d(labeled, cfg, cycle=2, test=at))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_the_pilot_config_equals_the_2d_loop(self, seed):
+        # kl-analysis's training: Adam on the whole long-tailed set, with its per-epoch KL table
+        cfg = parse_config(CONFIGS / "pilot_longtail.yaml")
+        train, test = build_dataset(cfg.dataset)
+        run = build_run_config(cfg, cfg.pilot, seed)
+        got = alengine.train_joint(train, run, cycle=0, test=test)
+        assert_same_training(got, train_2d(train, run, cycle=0, test=test))
+        assert len(got.kl_rows) == cfg.pilot.epochs
+
+
 class TestLockstep:
     """Same-size labeled sets trained in lockstep, one kernel call per step
-    with a leading run axis, against each set trained alone, byte for byte."""
+    with a leading run axis, against each set trained alone on 2-D arrays,
+    byte for byte."""
 
-    @staticmethod
-    def flat(result):
-        return np.concatenate([p.ravel() for p in result.net.params() + result.head.params()])
-
-    @pytest.mark.parametrize(
-        "runs, kind, activation, hidden, taps, n, batch_size, lam, analysis",
-        [
-            (2, "sgd_momentum", "relu", [16, 16], [0, 1], 45, 16, 1.0, True),
-            (3, "adam", "tanh", [16, 16], [1], 40, 16, 1.0, False),
-            (3, "sgd_momentum", "tanh", [16, 16], [0], 33, 8, 0.5, True),
-            (2, "adam", "relu", [12], [0], 45, 7, 1.0, True),
-            (3, "adam", "relu", [16, 16], [0, 1], 48, 16, 0.0, False),
-            (2, "sgd_momentum", "relu", [16, 16], [1], 37, 32, 1.0, False),
-        ],
-    )
+    @TRAINING_CASES
     def test_equals_each_run_trained_alone(self, runs, kind, activation, hidden, taps, n,
                                            batch_size, lam, analysis):
-        train, test = small_data()
-        rng = np.random.default_rng(n)
-        sets = [train.take(rng.choice(len(train), size=n, replace=False)) for _ in range(runs)]
-        # four epochs with the learning rate stepping down at the third
-        opt = OptimizerConfig(kind=kind, initial_lr=0.05 if kind == "sgd_momentum" else 0.01,
-                              weight_decay=5e-3, decay_epoch=2, decay_factor=0.1)
-        net = NetConfig(hidden_sizes=hidden, tap_layers=taps, activation=activation)
-        cfg = small_cfg(net=net, opt=opt, epochs=4, batch_size=batch_size, lam=lam, seed=runs)
-        at = test if analysis else None
+        sets, cfg = training_case(runs, kind, activation, hidden, taps, n, batch_size, lam)
+        at = small_data()[1] if analysis else None
         together = alengine.train_lockstep(sets, cfg, cycle=2, test=at)
         assert len(together) == runs
         for labeled, got in zip(sets, together):
-            alone = alengine.train_joint(labeled, cfg, cycle=2, test=at)
-            assert np.array_equal(self.flat(got), self.flat(alone))
-            assert np.array_equal(got.store.mean, alone.store.mean)
-            assert np.array_equal(got.store.count, alone.store.count)
-            assert got.kl_rows == alone.kl_rows
+            assert_same_training(got, train_2d(labeled, cfg, cycle=2, test=at))
             if analysis:
                 assert len(got.kl_rows) == 4
         # the runs really differ: lockstep keeps their sets apart
-        assert not np.array_equal(self.flat(together[0]), self.flat(together[1]))
+        assert not np.array_equal(flat(together[0]), flat(together[1]))
 
     def test_sets_of_different_sizes_rejected(self):
         train, _ = small_data()
@@ -720,11 +775,38 @@ class TestLockstep:
         lockstep = TestSharedCycles.count_calls(monkeypatch, "train_lockstep")
         outcomes = alengine.run_experiments(train, test, small_cfg(n_cycles=2, epochs=3),
                                             TestSharedCycles.SCORED)
-        # cycle 1: one shared model, trained alone; cycle 2: three sets, one lockstep call
-        assert [a[2] for a in solo] == [1]
-        assert [(len(a[0]), a[2]) for a in lockstep] == [(3, 2)]
-        assert len({tuple(s.ids) for s in lockstep[0][0]}) == 3
+        # cycle 1: one shared model, a lockstep of one; cycle 2: three sets, one lockstep call
+        assert solo == []
+        assert [(len(a[0]), a[2]) for a in lockstep] == [(1, 1), (3, 2)]
+        assert len({tuple(s.ids) for s in lockstep[1][0]}) == 3
         assert all(len(reports) == 2 for reports in outcomes)
+
+    def test_the_shipped_al_run_trains_each_cycle_in_one_lockstep_call(self, monkeypatch):
+        # A group that fell back to training its runs alone in run_cycle would write the same
+        # files, only slower; here every cycle trains once, before any run_cycle.
+        cfg = parse_config(CONFIGS / "al_mixture.yaml")
+        train, test = build_dataset(cfg.dataset)
+        calls, in_cycle = [], []
+        lockstep, run_cycle = alengine.train_lockstep, alengine.run_cycle
+
+        def lockstep_spy(labeled_sets, run_cfg, cycle, *a, **k):
+            calls.append((cycle, bool(in_cycle)))
+            return lockstep(labeled_sets, run_cfg, cycle, *a, **k)
+
+        def cycle_spy(*a, **k):
+            in_cycle.append(True)
+            try:
+                return run_cycle(*a, **k)
+            finally:
+                in_cycle.pop()
+
+        monkeypatch.setattr(alengine, "train_lockstep", lockstep_spy)
+        monkeypatch.setattr(alengine, "run_cycle", cycle_spy)
+        strategies = ["random", "snapshot_entropy", "coreset", "tidal_entropy", "tidal_margin"]
+        outcomes = alengine.run_experiments(train, test, build_run_config(cfg, cfg.al, seed=0),
+                                            strategies)
+        assert all(len(reports) == cfg.al.n_cycles == 5 for reports in outcomes)
+        assert calls == [(cycle, False) for cycle in range(1, 6)]
 
     def test_a_defect_in_a_group_propagates(self, monkeypatch):
         # Only a diverging training (FloatingPointError) sends a group's runs to train alone.
@@ -774,14 +856,15 @@ class TestLockstep:
 
         monkeypatch.setattr(alengine, "run_cycle", cycle_spy)
         outcomes = alengine.run_experiments(train, test, cfg, scored, minor_classes=[1])
-        assert len(raised) == 1  # cycle 2's group of three raised, cycle 3's group of two not
+        # cycle 2's group of three raised, then the diverging run alone; cycle 3's group of two not
+        assert len(raised) == 2
         (alone,) = alengine.run_experiments(train, test, replace(cfg, strategy=scored[1]),
                                             [scored[1]], minor_classes=[1])
         assert type(outcomes[1]) is type(alone) is FloatingPointError
         assert str(outcomes[1]) == str(alone) == f"non-finite loss for sample id {bad}"
         for i in (0, 2):
             assert outcomes[i] == expected[i]
-            assert outcomes[i] == alengine.run_experiment(
+            assert outcomes[i] == run_alone(
                 train, test, replace(cfg, strategy=scored[i]), minor_classes=[1])
         assert memos and all(not m for m in memos)
 

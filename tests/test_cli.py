@@ -1001,7 +1001,9 @@ class TestMain:
         code = main(args + ["--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1
-        assert calls == [0, 1]  # cycle 2 of each seed trains its two labeled sets in lockstep
+        # every cycle trains in one lockstep call: seed 0's two cycles (one labeled set, then
+        # two), then seed 1's first
+        assert calls == [0, 0, 1]
         assert "FAILED runs: random-seed1, snapshot_entropy-seed1" in err
         assert "ValueError: lockstep defect" in err
         assert "error:" not in err
