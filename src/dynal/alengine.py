@@ -18,11 +18,10 @@ runs whose labeled ids agree, in order, at the start of a cycle train
 the same model, so that cycle's training, evaluation and the pool
 subset's inference passes are computed once for all of them (always so
 in cycle 1); only scoring, selection and the report are per strategy.
-``_train_cycle`` is the one place that trains a cycle: a cycle's
-distinct labeled sets of one size in one ``train_lockstep``.  Every
-inference pass but training's per-epoch test snapshot is
-``netcore.predict``, in aligned row blocks with the bits of one
-whole-array pass.
+``_train_cycle`` is the one place that trains a cycle: the distinct
+labeled sets of its live runs, all of one size, in one
+``train_lockstep``.  Every inference pass is ``netcore.predict``, in
+aligned row blocks with the bits of one whole-array pass.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ class ALProtocol(Schedule):
 
     def __post_init__(self):
         super().__post_init__()
-        StrategyKind.from_string(self.strategy)
+        StrategyKind(self.strategy)
         for name in ("initial_labeled", "budget_per_cycle", "n_cycles"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -168,8 +167,8 @@ def train_lockstep(
     target for the same batch; the head-loss gradient reaches the
     classifier through the tapped layers.  Store rows are positions in the
     set.  Inputs are checked here, once.  Given ``test``, each epoch ends
-    with one forward pass of it, and ``kl_rows`` is ``kl_analysis`` of
-    those snapshots.  It raises if any set's training would, not
+    with one ``netcore.predict`` of it, and ``kl_rows`` is ``kl_analysis``
+    of those snapshots.  It raises if any set's training would, not
     necessarily with that text.
     """
     if len({len(s) for s in labeled_sets}) != 1:
@@ -207,8 +206,7 @@ def train_lockstep(
                                 ids_p[:, b], grad_net, grad_head)
             netcore.apply_update(theta, grad, opt_state, cfg.opt, epoch)
         if test is not None:
-            tt = netcore.forward_batch(net, net_cfg, test.X)
-            snapshots.append((tt.probs, tdhead.head_forward_batch(head, tt.taps)[0]))
+            snapshots.append(netcore.predict(net, net_cfg, test.X, head=head)[:2])
     return [TrainResult(net.run(r), net_cfg, head.run(r), store.run(r),
                         kl_analysis([(p[r], pt[r]) for p, pt in snapshots])
                         if test is not None else None)
@@ -354,15 +352,16 @@ def run_experiments(
     """The full protocol of ``cfg`` under each of ``strategies`` (run i
     reads ``replace(cfg, strategy=strategies[i])``): seeded initial
     labeling, then n_cycles cycles, run cycle by cycle.  Each cycle first
-    trains the distinct labeled sets of each size among its live runs in
-    one ``_train_cycle``, so that runs at the same labeled ids share that
-    cycle's training, and then runs each strategy's ``run_cycle``.
+    trains the distinct labeled sets of its live runs (all of one size,
+    since the pools shrink together) in one ``_train_cycle``, so that runs
+    at the same labeled ids share that cycle's training, and then runs
+    each strategy's ``run_cycle``.
 
     Returns, per strategy, its reports, or the exception its run raised;
-    a failed run leaves the others to finish.  A group whose training
+    a failed run leaves the others to finish.  A cycle whose training
     diverges (FloatingPointError, how one run's training fails) stores
     nothing, so its runs train alone in ``run_cycle`` and fail there, or
-    not, as they would alone; a group's training that raises anything
+    not, as they would alone; a cycle's training that raises anything
     else raises here.  A run ends early (with the reports so far) once its
     pool empties.  Before any training, ``check_experiment_inputs`` raises
     ValueError for bad input.  Output is a pure function of the config,
@@ -386,14 +385,12 @@ def run_experiments(
         try:
             live = [i for i, (_, pool) in enumerate(runs)
                     if not isinstance(outcomes[i], Exception) and pool.size > 0]
-            groups: dict[int, list] = {}
-            for i in live:
-                groups.setdefault(len(runs[i][0]), []).append(runs[i])
-            for group in groups.values():
-                try:
-                    _train_cycle(memo, group, cfg, train, test, cycle)
-                except FloatingPointError:
-                    pass  # its runs train alone in run_cycle, and fail there as they would alone
+            if not live:
+                break
+            try:
+                _train_cycle(memo, [runs[i] for i in live], cfg, train, test, cycle)
+            except FloatingPointError:
+                pass  # its runs train alone in run_cycle, and fail there as they would alone
             for i in live:
                 labeled, pool = runs[i]
                 try:

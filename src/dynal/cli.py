@@ -341,7 +341,7 @@ def main(argv=None) -> int:
         args.strategies = (_distinct_values("strategy", args.strategies, str.strip)
                            if args.strategies is not None else [cfg.al.strategy])
         for s in args.strategies:
-            StrategyKind.from_string(s)
+            StrategyKind(s)
         if args.jobs < 1:
             raise ValueError("--jobs must be >= 1")
         out = Path(args.out)

@@ -122,8 +122,8 @@ class DatasetSpec:
             raise ValueError(f"generator must be one of {GENERATORS}")
         if not 0 < self.test_fraction < 1:
             raise ValueError("test_fraction must be in (0, 1)")
-        if not (np.isfinite(self.radius) and np.isfinite(self.noise)):
-            raise ValueError("radius and noise must be finite")
+        if not (0 <= self.radius < np.inf and 0 <= self.noise < np.inf):
+            raise ValueError("radius and noise must be finite and nonnegative")
         if self.generator == "csv_file" and not self.csv_path:
             raise ValueError("csv_file generator requires csv_path")
         if self.generator == "concentric_rings" and self.dim != 2:

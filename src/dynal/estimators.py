@@ -28,13 +28,8 @@ class StrategyKind(str, Enum):
     TIDAL_PROB_NAIVE = "tidal_prob_naive"
 
     @classmethod
-    def from_string(cls, s: str) -> "StrategyKind":
-        try:
-            return cls(s)
-        except ValueError:
-            raise ValueError(
-                f"unknown strategy {s!r}; choose from {[k.value for k in cls]}"
-            ) from None
+    def _missing_(cls, value):
+        raise ValueError(f"unknown strategy {value!r}; choose from {[k.value for k in cls]}")
 
 
 # Strategies that score the head's predicted dynamics, not the snapshot.

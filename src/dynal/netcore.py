@@ -39,7 +39,8 @@ Conventions
   training ``TDStore.update_batch``, which returns the means it stored.
 * Inference over a set of rows is ``predict``: the net's and the head's
   passes over blocks of ``BLOCK_ROWS`` rows (``row_blocks``), so its
-  memory stays near one block's, with the bits of one whole-array pass.
+  memory stays near one block's, with the bits of one whole-array pass;
+  states with a leading run axis give each run's pass of the same rows.
 * SGD momentum uses ``v = mu * v + g``, ``theta -= lr * v``.
 * Weight decay enters as gradient augmentation ``g += wd * theta``.
 """
@@ -112,6 +113,8 @@ class OptimizerConfig:
             raise ValueError("epsilon must be positive and finite")
         if not 0 < self.decay_factor <= 1:
             raise ValueError("decay_factor must be in (0, 1]")
+        if self.decay_epoch < 0:
+            raise ValueError("decay_epoch must be nonnegative")
 
 
 @dataclass
@@ -246,6 +249,8 @@ def predict(state: NetState, cfg: NetConfig, X: np.ndarray, head: NetState | Non
     """``(probs, head_probs, features)`` of the rows of ``X``: the class
     probabilities, (n, C); given ``head``, its probabilities, (n, C), else
     None; with ``features``, the last hidden layer, (n, width), else None.
+    States with a leading run axis (``flatten``'s ``runs``) pass the rows
+    through each run, and every output has that axis first: ``(*runs, n, .)``.
 
     ``forward_batch`` and ``tdhead.head_forward_batch`` run once per
     ``row_blocks`` block, writing into the preallocated outputs, so the
@@ -258,18 +263,18 @@ def predict(state: NetState, cfg: NetConfig, X: np.ndarray, head: NetState | Non
     rows or more never does unless the whole array would.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    n = X.shape[0]
-    probs = np.empty((n, state.biases[-1].shape[-1]))
-    head_probs = None if head is None else np.empty((n, head.biases[-1].shape[-1]))
-    feats = np.empty((n, cfg.hidden_sizes[-1])) if features else None
+    n, runs = X.shape[0], state.biases[-1].shape[:-1]
+    probs = np.empty((*runs, n, state.biases[-1].shape[-1]))
+    head_probs = None if head is None else np.empty((*runs, n, head.biases[-1].shape[-1]))
+    feats = np.empty((*runs, n, cfg.hidden_sizes[-1])) if features else None
     for rows in row_blocks(n):
         # Through the module attributes, which a tracer may wrap.
         bt = forward_batch(state, cfg, X[rows])
-        probs[rows] = bt.probs
+        probs[..., rows, :] = bt.probs
         if head is not None:
-            head_probs[rows] = tdhead.head_forward_batch(head, bt.taps)[0]
+            head_probs[..., rows, :] = tdhead.head_forward_batch(head, bt.taps)[0]
         if features:
-            feats[rows] = bt.activations[-1]
+            feats[..., rows, :] = bt.activations[-1]
     return probs, head_probs, feats
 
 

@@ -808,6 +808,37 @@ class TestLockstep:
         assert all(len(reports) == cfg.al.n_cycles == 5 for reports in outcomes)
         assert calls == [(cycle, False) for cycle in range(1, 6)]
 
+    def test_a_run_failed_in_cycle_1_leaves_one_lockstep_call_per_cycle(self, monkeypatch):
+        train, test = small_data()
+        calls = TestSharedCycles.count_calls(monkeypatch, "train_lockstep")
+        scores = alengine.strategy_scores
+
+        def fail_tidal(kind, *a):
+            if kind is StrategyKind.TIDAL_ENTROPY:
+                raise RuntimeError("scoring failed")
+            return scores(kind, *a)
+
+        monkeypatch.setattr(alengine, "strategy_scores", fail_tidal)
+        outcomes = alengine.run_experiments(train, test, small_cfg(n_cycles=3, epochs=3),
+                                            TestSharedCycles.SCORED)
+        assert isinstance(outcomes[2], RuntimeError)
+        assert [len(r) for r in outcomes[:2]] == [3, 3]
+        # (labeled sets, cycle) per call: the two live runs' sets from cycle 2 on
+        assert [(len(a[0]), a[2]) for a in calls] == [(1, 1), (2, 2), (2, 3)]
+
+    def test_no_lockstep_call_once_every_pool_is_empty(self, monkeypatch):
+        spec = DatasetSpec(generator="gaussian_mixture", n_classes=2, dim=6, per_class=20,
+                           radius=4.0, noise=0.5, test_fraction=0.25, seed=1)
+        train, test = build_dataset(spec)
+        # 30 train samples: 10 initial + 8/cycle empties every pool in cycle 3 of 10
+        cfg = small_cfg(net=NetConfig(hidden_sizes=[8], tap_layers=[0]), initial_labeled=10,
+                        budget_per_cycle=8, subset_size=8, n_cycles=10, epochs=2)
+        calls = TestSharedCycles.count_calls(monkeypatch, "train_lockstep")
+        with pytest.warns(UserWarning, match="returning all"):
+            outcomes = alengine.run_experiments(train, test, cfg, TestSharedCycles.SCORED)
+        assert all(len(reports) == 3 for reports in outcomes)
+        assert [a[2] for a in calls] == [1, 2, 3]
+
     def test_a_defect_in_a_group_propagates(self, monkeypatch):
         # Only a diverging training (FloatingPointError) sends a group's runs to train alone.
         train, test = small_data()
@@ -917,6 +948,38 @@ class TestKlAnalysis:
         with pytest.raises(ValueError, match="test set is empty"):
             alengine.train_joint(train, small_cfg(epochs=2), cycle=0, test=test.take(np.arange(0)))
         assert calls == []
+
+    @pytest.mark.parametrize("caller", ["train_joint", "run_experiments"])
+    def test_every_forward_pass_is_a_predict_block(self, monkeypatch, caller):
+        # training's test snapshots included: every set-level pass runs in aligned row blocks
+        train, test = small_data()
+        inside, passes = [], []
+        predict, forward = netcore.predict, netcore.forward_batch
+        head_forward = tdhead.head_forward_batch
+
+        def predict_spy(*a, **k):
+            inside.append(True)
+            try:
+                return predict(*a, **k)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(netcore, "predict", predict_spy)
+        monkeypatch.setattr(netcore, "forward_batch",
+                            lambda *a: passes.append(("net", bool(inside))) or forward(*a))
+        monkeypatch.setattr(tdhead, "head_forward_batch",
+                            lambda *a: passes.append(("head", bool(inside))) or head_forward(*a))
+        cfg = small_cfg(strategy=StrategyKind.TIDAL_ENTROPY, n_cycles=2, epochs=3, analysis=True)
+        if caller == "train_joint":
+            result = alengine.train_joint(train, cfg, cycle=1, test=test)
+            assert len(result.kl_rows) == 3
+            assert passes == [("net", True), ("head", True)] * 3
+        else:
+            (reports,) = alengine.run_experiments(train, test, cfg, [cfg.strategy])
+            assert len(reports) == 2 and all(len(r.kl_rows) == 3 for r in reports)
+            # each cycle's three test snapshots run the head, besides evaluation and scoring
+            assert passes.count(("head", True)) >= 2 * 3
+            assert all(within for _, within in passes)
 
 
 class TestPilot:

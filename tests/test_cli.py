@@ -338,6 +338,9 @@ class TestBuilders:
         ("al", "subset_size", 5, "subset_size must be >= budget_per_cycle"),
         ("al", "epochs", 0, "epochs must be >= 1"),
         ("head", "reduce_dim", 0, "reduce_dim must be >= 1"),
+        ("optimizer", "decay_epoch", -5, "decay_epoch must be nonnegative"),
+        ("dataset", "noise", -1.0, "radius and noise must be finite and nonnegative"),
+        ("dataset", "radius", -3.0, "radius and noise must be finite and nonnegative"),
         ("theory", "dt", 0.3, "t_end must be a whole number of dt steps"),
         ("theory", "sy_values", [0.5, 1.5], "s_y must lie in (0, 1), got 1.5"),
         ("theory", "classes", [3, 1], "n_classes must be >= 2, got 1"),
@@ -385,8 +388,9 @@ FIELD_VALUES = {
     "beta1": st.floats(0, 1, exclude_max=True),
     "beta2": st.floats(0, 1, exclude_max=True),
     "epsilon": st.floats(1e-300, 1e300),
-    "radius": st.floats(allow_nan=False, allow_infinity=False),
-    "noise": st.floats(allow_nan=False, allow_infinity=False),
+    "decay_epoch": st.integers(0, 10**6),
+    "radius": st.floats(0, allow_infinity=False),
+    "noise": st.floats(0, allow_infinity=False),
     "n_runs": st.integers(1, 10**6),
     "epochs": st.integers(1, 10**6),
     "batch_size": st.integers(1, 10**6),

@@ -190,9 +190,9 @@ class TestStrategyScoring:
 
     def test_round_trip_strings(self):
         for kind in StrategyKind:
-            assert StrategyKind.from_string(kind.value) is kind
+            assert StrategyKind(kind.value) is kind
         with pytest.raises(ValueError):
-            StrategyKind.from_string("nope")
+            StrategyKind("nope")
 
     def test_scores_match_scalar_functions(self):
         rng = np.random.default_rng(8)
@@ -223,6 +223,12 @@ class TestStrategyScoring:
         for kind in (StrategyKind.RANDOM, StrategyKind.CORESET):
             with pytest.raises(ValueError):
                 strategy_scores(kind, np.full((2, 2), 0.5))
+
+    def test_unknown_strategy_name_lists_the_choices(self):
+        choices = str([k.value for k in StrategyKind])
+        with pytest.raises(ValueError) as err:
+            strategy_scores("nope", np.full((2, 2), 0.5))
+        assert str(err.value) == f"unknown strategy 'nope'; choose from {choices}"
 
     def test_missing_head_predictions_rejected(self):
         with pytest.raises(ValueError):

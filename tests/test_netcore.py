@@ -159,17 +159,28 @@ from dynal import netcore, tdhead
 sizes = json.loads(sys.argv[1])
 X = np.random.default_rng(5).normal(0.0, 3.0, size=(max(sizes), 12))
 same = {}
+
+def bits(got, net, head, cfg, n):
+    whole = netcore.forward_batch(net, cfg, X[:n])
+    whole_head = tdhead.head_forward_batch(head, whole.taps)[0]
+    return [np.array_equal(a.view(np.int64), b.view(np.int64))
+            for a, b in zip(got, (whole.probs, whole_head, whole.activations[-1]))]
+
+def stacked(states):
+    return netcore.NetState.from_params([np.stack(p) for p in zip(*(s.params() for s in states))])
+
 for seed, hidden, activation, taps in [(0, [32, 32], "relu", [0, 1]), (1, [24, 40], "tanh", [1])]:
     cfg = netcore.NetConfig(hidden_sizes=hidden, tap_layers=taps, activation=activation)
-    net = netcore.init_net(cfg, 12, 8, seed)
-    head = tdhead.init_head([hidden[t] for t in taps], 8, 16, seed + 10)
+    nets = [netcore.init_net(cfg, 12, 8, seed + 100 * r) for r in range(3)]
+    heads = [tdhead.init_head([hidden[t] for t in taps], 8, 16, seed + 10 + 100 * r)
+             for r in range(3)]
     for n in sizes:
-        whole = netcore.forward_batch(net, cfg, X[:n])
-        whole_head = tdhead.head_forward_batch(head, whole.taps)[0]
-        got = netcore.predict(net, cfg, X[:n], head=head, features=True)
-        same[f"{activation} {n}"] = [np.array_equal(a.view(np.int64), b.view(np.int64))
-                                     for a, b in zip(got, (whole.probs, whole_head,
-                                                           whole.activations[-1]))]
+        got = netcore.predict(nets[0], cfg, X[:n], head=heads[0], features=True)
+        same[f"{activation} {n}"] = bits(got, nets[0], heads[0], cfg, n)
+        # three runs on a leading run axis: each run's slice against its own whole-array pass
+        got = netcore.predict(stacked(nets), cfg, X[:n], head=stacked(heads), features=True)
+        same[f"runs {activation} {n}"] = [bits([a[r] for a in got], nets[r], heads[r], cfg, n)
+                                          for r in range(3)]
 print(json.dumps(same))
 """
 BIT_SIZES = [16383, 16384, 16385, 24577, 100001]
@@ -212,6 +223,13 @@ class TestPredict:
     def test_bits_of_one_whole_array_pass(self, predict_bits, activation, n):
         # probabilities, head probabilities and features, as int64 views
         assert predict_bits[f"{activation} {n}"] == [True, True, True]
+
+    @pytest.mark.parametrize("n", BIT_SIZES)
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_run_axis_bits_of_each_runs_whole_array_pass(self, predict_bits, activation, n):
+        # three nets and heads stacked on a leading run axis: each run's probabilities, head
+        # probabilities and features, as int64 views, against that run's own 2-D pass
+        assert predict_bits[f"runs {activation} {n}"] == [[True, True, True]] * 3
 
     def test_one_block_is_the_whole_array_call(self, monkeypatch):
         cfg = NetConfig(hidden_sizes=[8, 6], tap_layers=[0, 1])
