@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import traceback
 import types
@@ -138,11 +139,6 @@ def parse_config(path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: top level must be a mapping")
     return _build_section(ExperimentConfig, raw, "")
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """YAML text whose parse equals cfg (round-trip stable)."""
-    return yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=True)
 
 
 def build_run_config(cfg: ExperimentConfig, schedule: Schedule, seed: int,
@@ -311,17 +307,18 @@ def _distinct_values(kind: str, text: str, parse) -> list:
 
 
 def main(argv=None) -> int:
-    """The command line's one entry: parses argv and the config once,
-    checks the seeds, strategies and ``--jobs``, then runs the command into
-    ``--out``; returns the exit code: 2 for bad input, before any file, and
-    1 for a training or simulation that diverges, or an al-run run that
-    fails (the files of the other seeds stay)."""
+    """The command line's one entry: parses argv and the config once, checks
+    the seeds, strategies, ``--jobs`` and that ``--out`` can be made, then
+    runs the command, whose first write makes ``--out``.  Returns the exit
+    code: 2 for bad input, before anything is written, and 1 for a training or
+    simulation that diverges, or an al-run run that fails (the others' files stay)."""
     parser = argparse.ArgumentParser(
         prog="dynal", description="Training-dynamics active-learning workbench"
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="YAML config path")
-    parser.add_argument("--out", required=True, help="output directory for CSV artifacts")
+    parser.add_argument("--out", required=True,
+                        help="output directory for CSV artifacts, made at the first write")
     parser.add_argument("--seeds", default="0", help="comma-separated seed list")
     parser.add_argument("--strategies", default=None, help="comma-separated strategy list")
     parser.add_argument("--jobs", type=int, default=1, help="al-run: seeds run in parallel")
@@ -331,7 +328,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    created: list[Path] = []
     try:
         cfg = parse_config(args.config)
         args.seeds = _distinct_values("seed", args.seeds, int)
@@ -345,18 +341,13 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ValueError("--jobs must be >= 1")
         out = Path(args.out)
-        created = [p for p in (out, *out.parents) if not p.exists()]
-        out.mkdir(parents=True, exist_ok=True)
+        # Fail before any work if the first write could not make --out.
+        near = next(p for p in (out, *out.parents) if os.path.lexists(p))
+        if not near.is_dir() or not os.access(near, os.W_OK | os.X_OK):
+            raise ValueError(f"--out {out}: {near} is not a writable directory")
         return _COMMANDS[args.command](args, cfg, out)
     except Exception as e:
         print(f"error: {e}", file=sys.stderr)
-        # A command's own check can fail before it writes: remove the
-        # directories made above while they are still empty.
-        for p in created:
-            try:
-                p.rmdir()
-            except OSError:
-                break
         return 1 if isinstance(e, FloatingPointError) else 2
 
 

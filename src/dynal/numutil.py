@@ -4,6 +4,7 @@ the one CSV artifact writer."""
 from __future__ import annotations
 
 import csv
+from pathlib import Path
 
 import numpy as np
 
@@ -47,13 +48,14 @@ def kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a CSV artifact: ``header``, then ``rows`` of Python scalars.
+    """Make the file's directory, then write the CSV artifact: ``header``, then ``rows``.
 
     This is the one cell format of every artifact: a ``float`` is written
     as its ``repr`` (exact round trip), a ``bool`` as 0/1, anything else
     as ``str``.  Cells are matched by exact type, so build rows with
     ``.tolist()``, not from numpy scalars.
     """
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)

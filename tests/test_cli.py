@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import dynal
 from dynal import alengine, cli, theorysim
-from dynal.cli import ExperimentConfig, main, parse_config, serialize_config
+from dynal.cli import ExperimentConfig, main, parse_config
 from dynal.datasets import (GENERATORS, IMBALANCE_PROFILES, DatasetSpec, build_dataset,
                             gen_gaussian_mixture, load_csv, save_csv)
 from dynal.estimators import StrategyKind
@@ -82,6 +82,11 @@ optimizer:
 pilot:
   epochs: 8
 """
+
+
+def dump_config(cfg: ExperimentConfig) -> str:
+    """YAML text of every field of ``cfg``, whose parse should equal ``cfg``."""
+    return yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=True)
 
 
 @pytest.fixture
@@ -203,12 +208,12 @@ class TestParseConfig:
     def test_shipped_configs_parse(self, path, tmp_path):
         cfg = parse_config(path)
         p2 = tmp_path / "round.yaml"
-        p2.write_text(serialize_config(cfg))
+        p2.write_text(dump_config(cfg))
         assert parse_config(p2) == cfg
 
     def test_section_key_sets(self, tmp_path):
         """The keys each YAML section accepts; a default config round-trips."""
-        default = yaml.safe_load(serialize_config(ExperimentConfig()))
+        default = yaml.safe_load(dump_config(ExperimentConfig()))
         keys = {name: set(section) for name, section in default.items()}
         keys["dataset.imbalance"] = set(default["dataset"]["imbalance"])
         assert keys == {
@@ -226,7 +231,7 @@ class TestParseConfig:
             "pilot": {"epochs", "batch_size", "lam"},
         }
         p = tmp_path / "default.yaml"
-        p.write_text(serialize_config(ExperimentConfig()))
+        p.write_text(dump_config(ExperimentConfig()))
         assert parse_config(p) == ExperimentConfig()
 
     @pytest.mark.parametrize("key", ["seed", "net", "opt", "head", "head_reduce_dim", "analysis"])
@@ -286,7 +291,7 @@ class TestParseConfig:
     def test_round_trip(self, small_config, tmp_path):
         cfg = parse_config(small_config)
         p2 = tmp_path / "round.yaml"
-        p2.write_text(serialize_config(cfg))
+        p2.write_text(dump_config(cfg))
         assert parse_config(p2) == cfg
 
 
@@ -448,7 +453,7 @@ def sections(draw, cls):
 @given(cfg=sections(ExperimentConfig))
 def test_parse_of_serialize_is_identity(tmp_path, cfg):
     p = tmp_path / "round.yaml"
-    p.write_text(serialize_config(cfg), encoding="utf-8")
+    p.write_text(dump_config(cfg), encoding="utf-8")
     assert parse_config(p) == cfg
 
 
@@ -1018,8 +1023,7 @@ class TestMain:
         with open(out / "summary.csv") as f:
             assert {row["seed"] for row in csv.DictReader(f)} == {"0"}
 
-    def test_pilot_on_a_balanced_dataset_removes_the_out_it_created(self, small_config, tmp_path,
-                                                                     capsys):
+    def test_pilot_on_a_balanced_dataset_leaves_no_out(self, small_config, tmp_path, capsys):
         out = tmp_path / "new" / "pilot"
         assert main(["pilot", "--config", str(small_config), "--out", str(out)]) == 2
         assert "pilot needs an imbalanced dataset" in capsys.readouterr().err
@@ -1099,3 +1103,87 @@ class TestMain:
         extra = (top_level_modules("dynal, dynal.cli") - top_level_modules("numpy, yaml")
                  - set(sys.stdlib_module_names))
         assert extra == {"dynal"}
+
+
+class TestOut:
+    """``--out`` and its missing parents are made by the command's first
+    write; ``main`` checks only that they could be, and makes nothing."""
+
+    @staticmethod
+    def config(tmp_path, command):
+        p = tmp_path / "cfg.yaml"
+        p.write_text(PILOT_CFG if command in ("pilot", "kl-analysis")
+                     else SMALL_CFG.replace("al:\n", "al:\n  dump_scores: true\n"))
+        return p
+
+    @pytest.mark.parametrize("command, flags", [
+        ("al-run", ["--jobs", "1"]), ("al-run", ["--jobs", "2"]), ("pilot", []),
+        ("kl-analysis", []), ("theory-sde", []), ("theory-closed-form", []), ("gen-data", []),
+    ])
+    def test_missing_nested_out_gets_the_files_of_an_existing_one(self, tmp_path, command,
+                                                                   flags):
+        args = [command, "--config", str(self.config(tmp_path, command)), "--seeds", "0,1",
+                *flags]
+        if command == "al-run":
+            args += ["--strategies", "random,tidal_entropy", "--analysis"]
+        existing, nested = tmp_path / "existing", tmp_path / "missing" / "nested" / "out"
+        existing.mkdir()
+        for out in (existing, nested):
+            assert main(args + ["--out", str(out)]) == 0
+        files = sorted(f.name for f in existing.iterdir())
+        assert files and files == sorted(f.name for f in nested.iterdir())
+        for name in files:
+            assert (nested / name).read_bytes() == (existing / name).read_bytes()
+
+    def test_relative_out_is_made_below_the_working_directory(self, tmp_path, monkeypatch):
+        config = self.config(tmp_path, "theory-closed-form")
+        monkeypatch.chdir(tmp_path)
+        assert main(["theory-closed-form", "--config", str(config), "--out", "a/b"]) == 0
+        assert [p.name for p in (tmp_path / "a" / "b").iterdir()] == ["closed_form.csv"]
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    @pytest.mark.parametrize("case", ["file", "below-file", "dangling-link"])
+    def test_out_at_or_below_a_file_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                            command, case):
+        """An ``--out`` that is a file, lies below one, or is a dangling link
+        (which no ``mkdir`` can replace) exits 2 naming it, touching nothing."""
+        config = self.config(tmp_path, command)
+        trained = []
+        monkeypatch.setattr(alengine, "train_lockstep", lambda *a, **k: trained.append(a))
+        file = tmp_path / "notes.txt"
+        file.write_text("mine")
+        if case == "dangling-link":
+            file = tmp_path / "link"
+            file.symlink_to(tmp_path / "nowhere" / "out")
+        out = file / "sub" / "out" if case == "below-file" else file
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert (f"error: --out {out}: {file} is not a writable directory"
+                in capsys.readouterr().err)
+        assert trained == []
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "notes.txt").read_text() == "mine"
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_unwritable_directory_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                          command):
+        """``os.access`` is asked about the nearest existing directory; when
+        it says no, the command exits 2 naming ``--out`` before training,
+        and nothing is made."""
+        config = self.config(tmp_path, command)
+        trained, asked = [], []
+        monkeypatch.setattr(alengine, "train_lockstep", lambda *a, **k: trained.append(a))
+
+        def no_access(path, mode):
+            asked.append((path, mode))
+            return False
+
+        monkeypatch.setattr(os, "access", no_access)
+        out = tmp_path / "a" / "b"
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert (f"error: --out {out}: {tmp_path} is not a writable directory"
+                in capsys.readouterr().err)
+        assert asked == [(tmp_path, os.W_OK | os.X_OK)]
+        assert trained == []
+        assert sorted(tmp_path.rglob("*")) == before

@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,3 +83,44 @@ def test_write_csv_cell_rule(tmp_path):
     assert path.read_bytes() == (
         b"f,b,i,s,g\r\n0.3333333333333333,1,3,x,1e-300\r\n2.0,0,-7,\"y,z\",nan\r\n"
     )
+
+
+def test_write_csv_makes_missing_directories(tmp_path):
+    """A write below missing directories makes them, and writes the bytes
+    of a write into an existing directory."""
+    header, rows = ["f", "b", "s"], [(0.1, True, "x"), (2.0, False, "y,z")]
+    write_csv(tmp_path / "x.csv", header, rows)
+    nested = tmp_path / "a" / "b" / "x.csv"
+    write_csv(nested, header, rows)
+    assert (tmp_path / "a").is_dir() and (tmp_path / "a" / "b").is_dir()
+    assert nested.read_bytes() == (tmp_path / "x.csv").read_bytes()
+
+
+def test_write_csv_writers_racing_to_make_one_directory_all_write(tmp_path):
+    """Writers that start together below the same missing directories, as
+    al-run's worker processes do, each make them or find them made."""
+    n, rounds = 8, 100
+    barrier = threading.Barrier(n, timeout=30)
+
+    def write(i):
+        for r in range(rounds):
+            barrier.wait()
+            try:
+                write_csv(tmp_path / str(r) / "a" / "b" / f"x{i}.csv", ["i"], [(i,)])
+            except BaseException:
+                barrier.abort()  # the others stop waiting for this writer
+                raise
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(n) as pool:
+            for fut in [pool.submit(write, i) for i in range(n)]:
+                fut.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    for r in range(rounds):
+        d = tmp_path / str(r) / "a" / "b"
+        assert sorted(p.name for p in d.iterdir()) == sorted(f"x{i}.csv" for i in range(n))
+        for i in range(n):
+            assert (d / f"x{i}.csv").read_bytes() == f"i\r\n{i}\r\n".encode()
