@@ -41,6 +41,13 @@ Conventions
   passes over blocks of ``BLOCK_ROWS`` rows (``row_blocks``), so its
   memory stays near one block's, with the bits of one whole-array pass;
   states with a leading run axis give each run's pass of the same rows.
+* Elementwise work acts in place only on arrays the function made: bias
+  adds, activations and gradient scalings act on the fresh result of a
+  matmul or subtraction, with the ufuncs and order of the out-of-place
+  expression, so the bits are the same.  Matmuls allocate their results.
+  No input is written, only the gradient views handed to ``_joint_step``
+  and the state ``apply_update`` moves: ``theta`` and the ``OptState``,
+  whose scratch arrays hold the update's intermediates.
 * SGD momentum uses ``v = mu * v + g``, ``theta -= lr * v``.
 * Weight decay enters as gradient augmentation ``g += wd * theta``.
 """
@@ -52,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tdhead
-from .numutil import kl_rows, relu, softmax_and_log_softmax, stable_softmax
+from .numutil import kl_rows, softmax_and_log_softmax, stable_softmax
 
 ACTIVATIONS = ("relu", "tanh")
 OPTIMIZER_KINDS = ("sgd_momentum", "adam")
@@ -119,16 +126,19 @@ class OptimizerConfig:
 
 @dataclass
 class OptState:
-    """Moment vectors in the layout of ``theta``: ``m`` is the SGD velocity
-    or Adam's first moment, ``v`` Adam's second moment."""
+    """Arrays in the layout of ``theta``: ``m`` is the SGD velocity or
+    Adam's first moment, ``v`` Adam's second moment, and the two of
+    ``scratch`` hold ``apply_update``'s intermediates."""
 
     m: np.ndarray
     v: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]
     step: int = 0
 
 
 def init_opt_state(theta: np.ndarray) -> OptState:
-    return OptState(np.zeros_like(theta), np.zeros_like(theta))
+    return OptState(np.zeros_like(theta), np.zeros_like(theta),
+                    (np.empty_like(theta), np.empty_like(theta)))
 
 
 def flatten(*states, runs: tuple[int, ...] = ()):
@@ -210,8 +220,16 @@ def init_net(cfg: NetConfig, input_dim: int, n_classes: int, seed: int) -> NetSt
     return NetState(weights=weights, biases=biases)
 
 
+def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ w.mT + b`` for rows ``a``, (..., B, fan_in); the bias is added in place."""
+    z = a @ w.mT
+    z += b[..., None, :]
+    return z
+
+
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    return relu(z) if kind == "relu" else np.tanh(z)
+    """The activation of ``z``, written over it: an array the caller made."""
+    return np.maximum(z, 0.0, out=z) if kind == "relu" else np.tanh(z, out=z)
 
 
 def _act_deriv(a: np.ndarray, kind: str) -> np.ndarray:
@@ -283,9 +301,9 @@ def _forward(state: NetState, cfg: NetConfig, X: np.ndarray):
     act = []
     a = X
     for l in range(len(cfg.hidden_sizes)):
-        a = _act(a @ state.weights[l].mT + state.biases[l][..., None, :], cfg.activation)
+        a = _act(_affine(a, state.weights[l], state.biases[l]), cfg.activation)
         act.append(a)
-    return act, a @ state.weights[-1].mT + state.biases[-1][..., None, :]
+    return act, _affine(a, state.weights[-1], state.biases[-1])
 
 
 def grad_joint(
@@ -364,9 +382,12 @@ def _joint_step(state, cfg, head, X, hot, targets_of, lam, sample_ids, grad_net,
         bad = sample_ids.flat[np.flatnonzero(~np.isfinite(per_total))[0]]
         raise FloatingPointError(f"non-finite loss for sample id {bad}")
 
-    dlogits = (probs - hot) / B
-    # d(lam * mean KL)/d(head logits) = lam * (softmax - target) / B
-    dU = lam * (pt - q) / B
+    dlogits = probs - hot
+    dlogits /= B
+    # d(lam * mean KL)/d(head logits) = lam * (softmax - target) / B, in that order
+    dU = pt - q
+    dU *= lam
+    dU /= B
     tap_grads = tdhead.head_backward(head, taps, concat, dU, grad_head)
     tap_at_layer: dict[int, np.ndarray] = {}
     for layer, g in zip(cfg.tap_layers, tap_grads):
@@ -377,8 +398,9 @@ def _joint_step(state, cfg, head, X, hot, targets_of, lam, sample_ids, grad_net,
     dA = dlogits @ state.weights[-1]
     for l in range(len(act) - 1, -1, -1):
         if l in tap_at_layer:
-            dA = dA + tap_at_layer[l]
-        dZ = dA * _act_deriv(act[l], cfg.activation)
+            dA += tap_at_layer[l]
+        dZ = dA
+        dZ *= _act_deriv(act[l], cfg.activation)
         np.matmul(dZ.mT, X if l == 0 else act[l - 1], out=grad_net.weights[l])
         dZ.sum(axis=-2, out=grad_net.biases[l])
         if l > 0:
@@ -405,21 +427,32 @@ def apply_update(
     """In-place SGD-momentum or Adam update of the parameter vector, or of
     each run's row of a ``(R, P)`` one; raises ValueError on a shape
     mismatch and FloatingPointError if the step leaves any parameter
-    non-finite."""
+    non-finite.  It writes ``theta`` and ``opt_state``'s arrays only."""
     if grad.shape != theta.shape:
         raise ValueError(f"gradient shape {grad.shape} != parameter shape {theta.shape}")
     lr = lr_at(opt, epoch)
-    g = grad + opt.weight_decay * theta
+    m, v, (g, t) = opt_state.m, opt_state.v, opt_state.scratch
+    np.multiply(theta, opt.weight_decay, out=g)  # g = grad + wd * theta
+    g += grad
     if opt.kind == "sgd_momentum":
-        opt_state.m = opt.momentum * opt_state.m + g
-        theta -= lr * opt_state.m
+        m *= opt.momentum  # m = mu * m + g; theta -= lr * m
+        m += g
+        theta -= np.multiply(m, lr, out=t)
     else:
         opt_state.step += 1
-        opt_state.m = opt.beta1 * opt_state.m + (1.0 - opt.beta1) * g
-        opt_state.v = opt.beta2 * opt_state.v + (1.0 - opt.beta2) * g * g
-        m_hat = opt_state.m / (1.0 - opt.beta1 ** opt_state.step)
-        v_hat = opt_state.v / (1.0 - opt.beta2 ** opt_state.step)
-        theta -= lr * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+        # m = b1 * m + (1 - b1) * g; v = b2 * v + (1 - b2) * g * g;
+        # theta -= lr * m_hat / (sqrt(v_hat) + eps), m_hat and v_hat bias-corrected
+        m *= opt.beta1
+        m += np.multiply(g, 1.0 - opt.beta1, out=t)
+        v *= opt.beta2
+        np.multiply(g, 1.0 - opt.beta2, out=t)
+        v += np.multiply(t, g, out=t)
+        np.divide(m, 1.0 - opt.beta1 ** opt_state.step, out=g)
+        g *= lr
+        np.divide(v, 1.0 - opt.beta2 ** opt_state.step, out=t)
+        np.sqrt(t, out=t)
+        t += opt.epsilon
+        theta -= np.divide(g, t, out=g)
     if not np.isfinite(theta).all():
         raise FloatingPointError("non-finite network parameters")
 

@@ -1,5 +1,8 @@
 """Shared numerical helpers: stable softmax family, the KL divergence, and
-the one CSV artifact writer."""
+the one CSV artifact writer.
+
+The numerical helpers write no argument: they work in place only on arrays
+they made, by the ufuncs and in the order of the plain expressions."""
 
 from __future__ import annotations
 
@@ -24,26 +27,31 @@ def _shifted_exp_sum(z: np.ndarray, axis: int):
 def stable_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     """Softmax with the max subtracted first so exp never overflows."""
     _, e, total = _shifted_exp_sum(z, axis)
-    return e / total
+    e /= total
+    return e
 
 
 def softmax_and_log_softmax(z: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
     """``stable_softmax(z)`` and log(softmax(z)) by the log-sum-exp identity
     (no flooring), from one shift, exp and sum."""
     shifted, e, total = _shifted_exp_sum(z, axis)
-    return e / total, shifted - np.log(total)
-
-
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
+    e /= total
+    shifted -= np.log(total)
+    return e, shifted
 
 
 def kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Row-wise KL(q || p) in nats over the last axis; 0*log(0/p) = 0 and
-    both sides floored at 1e-12 inside the log."""
+    """Row-wise KL(q || p) in nats over the last axis of ``q``'s shape, to
+    which ``p`` must broadcast; 0*log(0/p) = 0 and both sides floored at
+    1e-12 inside the log."""
     q = np.asarray(q, dtype=np.float64)
     p = np.maximum(np.asarray(p, dtype=np.float64), PROB_FLOOR)
-    terms = np.where(q > 0, q * np.log(np.maximum(q, PROB_FLOOR) / p), 0.0)
+    # q * log(max(q, floor) / p) where q > 0, else 0
+    terms = np.maximum(q, PROB_FLOOR)
+    terms /= p
+    np.log(terms, out=terms)
+    terms *= q
+    terms[~(q > 0)] = 0.0
     return terms.sum(axis=-1)
 
 

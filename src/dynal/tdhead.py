@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netcore
-from .numutil import relu, stable_softmax
+from .numutil import stable_softmax
 
 
 @dataclass
@@ -64,9 +64,9 @@ def check_taps(head: netcore.NetState, tap_dims: list[int]) -> None:
 
 def _forward(head: netcore.NetState, taps: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(relu concat of the tap reductions, probs) of checked (..., B, dim) float64 taps."""
-    pre = [t @ w.mT + b[..., None, :] for t, w, b in zip(taps, head.weights[:-1], head.biases[:-1])]
-    concat = relu(np.concatenate(pre, axis=-1))
-    logits = concat @ head.weights[-1].mT + head.biases[-1][..., None, :]
+    pre = [netcore._affine(t, w, b) for t, w, b in zip(taps, head.weights[:-1], head.biases[:-1])]
+    concat = netcore._act(np.concatenate(pre, axis=-1), "relu")
+    logits = netcore._affine(concat, head.weights[-1], head.biases[-1])
     return concat, stable_softmax(logits, axis=-1)
 
 

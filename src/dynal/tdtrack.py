@@ -42,7 +42,10 @@ class TDStore:
             raise ValueError("duplicate rows in one update")
         t = self.count[rows] + 1
         m = self.mean[..., rows, :]
-        m = m + (probs - m) / t[:, None]
+        # m + (probs - m) / t, into the gathered copy
+        d = probs - m
+        d /= t[:, None]
+        m += d
         self.mean[..., rows, :] = m
         self.count[rows] = t
         return m

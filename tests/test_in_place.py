@@ -1,0 +1,318 @@
+"""The in-place elementwise work of the training step and of inference,
+held bit for bit against the out-of-place expressions it replaced.
+
+Each ``ref_*`` function below is the earlier out-of-place form of one
+rewritten function, kept verbatim as the reference: the same ufuncs in the
+same order, each result a fresh array.  The shipped configs train relu nets
+at ``lam`` = 1 only, so their artifact fingerprints would miss a reordering
+under tanh or another ``lam``; these tests run both activations, ``lam`` 0
+and 0.7, one and three stacked runs, and a partial last batch, and compare
+``tobytes()`` (which tells -0.0 from 0.0) after every step.  A second group
+checks that no rewritten function writes an array it was given.
+"""
+
+import numpy as np
+import pytest
+
+from dynal import netcore, tdhead
+from dynal.netcore import NetConfig, OptimizerConfig
+from dynal.numutil import PROB_FLOOR, kl_rows, softmax_and_log_softmax, stable_softmax
+from dynal.tdtrack import TDStore
+
+# --- the out-of-place reference -------------------------------------------------------------
+
+
+def ref_shifted_exp_sum(z, axis):
+    z = np.asarray(z, dtype=np.float64)
+    shifted = z - z.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return shifted, e, e.sum(axis=axis, keepdims=True)
+
+
+def ref_stable_softmax(z, axis=-1):
+    _, e, total = ref_shifted_exp_sum(z, axis)
+    return e / total
+
+
+def ref_softmax_and_log_softmax(z, axis=-1):
+    shifted, e, total = ref_shifted_exp_sum(z, axis)
+    return e / total, shifted - np.log(total)
+
+
+def ref_kl_rows(q, p):
+    q = np.asarray(q, dtype=np.float64)
+    p = np.maximum(np.asarray(p, dtype=np.float64), PROB_FLOOR)
+    terms = np.where(q > 0, q * np.log(np.maximum(q, PROB_FLOOR) / p), 0.0)
+    return terms.sum(axis=-1)
+
+
+def ref_act(z, kind):
+    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
+
+
+def ref_forward(state, cfg, X):
+    act = []
+    a = X
+    for l in range(len(cfg.hidden_sizes)):
+        a = ref_act(a @ state.weights[l].mT + state.biases[l][..., None, :], cfg.activation)
+        act.append(a)
+    return act, a @ state.weights[-1].mT + state.biases[-1][..., None, :]
+
+
+def ref_head_forward(head, taps):
+    pre = [t @ w.mT + b[..., None, :] for t, w, b in zip(taps, head.weights[:-1], head.biases[:-1])]
+    concat = np.maximum(np.concatenate(pre, axis=-1), 0.0)
+    logits = concat @ head.weights[-1].mT + head.biases[-1][..., None, :]
+    return concat, ref_stable_softmax(logits, axis=-1)
+
+
+def ref_update_batch(mean, count, rows, probs):
+    """``TDStore.update_batch`` on a store's ``mean`` and ``count`` arrays."""
+    t = count[rows] + 1
+    m = mean[..., rows, :]
+    m = m + (probs - m) / t[:, None]
+    mean[..., rows, :] = m
+    count[rows] = t
+    return m
+
+
+def ref_joint_step(state, cfg, head, X, hot, targets_of, lam, grad_net, grad_head):
+    """``netcore._joint_step`` less its finiteness check."""
+    act, logits = ref_forward(state, cfg, X)
+    probs, log_probs = ref_softmax_and_log_softmax(logits, axis=-1)
+    taps = [act[l] for l in cfg.tap_layers]
+    q = targets_of(probs)
+    B = X.shape[-2]
+    per_ce = -log_probs[hot].reshape(hot.shape[:-1])
+    concat, pt = ref_head_forward(head, taps)
+    per_kl = ref_kl_rows(q, pt)
+
+    dlogits = (probs - hot) / B
+    dU = lam * (pt - q) / B
+    tap_grads = tdhead.head_backward(head, taps, concat, dU, grad_head)
+    tap_at_layer = {}
+    for layer, g in zip(cfg.tap_layers, tap_grads):
+        tap_at_layer[layer] = tap_at_layer.get(layer, 0.0) + g
+
+    np.matmul(dlogits.mT, act[-1], out=grad_net.weights[-1])
+    dlogits.sum(axis=-2, out=grad_net.biases[-1])
+    dA = dlogits @ state.weights[-1]
+    for l in range(len(act) - 1, -1, -1):
+        if l in tap_at_layer:
+            dA = dA + tap_at_layer[l]
+        dZ = dA * netcore._act_deriv(act[l], cfg.activation)
+        np.matmul(dZ.mT, X if l == 0 else act[l - 1], out=grad_net.weights[l])
+        dZ.sum(axis=-2, out=grad_net.biases[l])
+        if l > 0:
+            dA = dZ @ state.weights[l]
+    return per_ce, per_kl
+
+
+class RefOpt:
+    """``apply_update``'s state and step, each moment rebound to a fresh array."""
+
+    def __init__(self, theta):
+        self.m, self.v, self.step = np.zeros_like(theta), np.zeros_like(theta), 0
+
+    def update(self, theta, grad, opt, epoch):
+        lr = netcore.lr_at(opt, epoch)
+        g = grad + opt.weight_decay * theta
+        if opt.kind == "sgd_momentum":
+            self.m = opt.momentum * self.m + g
+            theta -= lr * self.m
+        else:
+            self.step += 1
+            self.m = opt.beta1 * self.m + (1.0 - opt.beta1) * g
+            self.v = opt.beta2 * self.v + (1.0 - opt.beta2) * g * g
+            m_hat = self.m / (1.0 - opt.beta1 ** self.step)
+            v_hat = self.v / (1.0 - opt.beta2 ** self.step)
+            theta -= lr * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+
+
+def ref_predict(state, cfg, X, head):
+    """``netcore.predict`` with the head and features, block by block."""
+    runs, n = state.biases[-1].shape[:-1], X.shape[0]
+    probs = np.empty((*runs, n, state.biases[-1].shape[-1]))
+    head_probs = np.empty((*runs, n, head.biases[-1].shape[-1]))
+    feats = np.empty((*runs, n, cfg.hidden_sizes[-1]))
+    for rows in netcore.row_blocks(n):
+        act, logits = ref_forward(state, cfg, X[rows])
+        probs[..., rows, :] = ref_stable_softmax(logits, axis=-1)
+        head_probs[..., rows, :] = ref_head_forward(head, [act[l] for l in cfg.tap_layers])[1]
+        feats[..., rows, :] = act[-1]
+    return probs, head_probs, feats
+
+
+# --- bit for bit against the reference ------------------------------------------------------
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def mixture(n, dim, n_classes, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, n_classes, size=n)
+    return rng.normal(size=(n, dim)) + 1.5 * np.eye(n_classes, dim)[y], y
+
+
+@pytest.mark.parametrize("runs", [(), (1,), (3,)])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("lam", [0.0, 0.7])
+@pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+def test_training_steps_match_the_out_of_place_reference(runs, activation, lam, kind):
+    # Three epochs over 45 samples in batches of 16, the last batch 13 rows,
+    # so the store folds repeat visits; every step's per-sample losses,
+    # gradient, store means and parameters are compared, and the moments.
+    cfg = NetConfig(hidden_sizes=[7, 6], activation=activation, tap_layers=[0, 1])
+    opt = OptimizerConfig(kind=kind, initial_lr=0.05, weight_decay=5e-4, decay_epoch=2)
+    n, dim, C, batch = 45, 5, 3, 16
+    X1, y1 = mixture(n, dim, C, 11)
+    R = runs[0] if runs else 1
+    # each run its own rows of the set, as the runs of a lockstep train distinct sets
+    order = [np.random.default_rng(20 + r).permutation(n) for r in range(R)]
+    X = np.stack([X1[o] for o in order]).reshape(*runs, n, dim)
+    hot = netcore.one_hot(np.stack([y1[o] for o in order]).reshape(*runs, n), C)
+    ids = np.arange(n)
+    net0 = netcore.init_net(cfg, dim, C, 1)
+    head0 = tdhead.init_head([7, 6], C, 4, 2)
+    theta, net, head = netcore.flatten(net0, head0, runs=runs)
+    grad, grad_net, grad_head = netcore._gradient(net0, head0, runs=runs)
+    opt_state, store = netcore.init_opt_state(theta), TDStore(n, C, runs)
+    ref_theta, ref_net, ref_head = netcore.flatten(net0, head0, runs=runs)
+    ref_grad, ref_grad_net, ref_grad_head = netcore._gradient(net0, head0, runs=runs)
+    ref_opt, ref_mean, ref_count = RefOpt(ref_theta), np.zeros((*runs, n, C)), np.zeros(n, int)
+    rng = np.random.default_rng(5)
+    steps = 0
+    for epoch in range(3):
+        perm = rng.permutation(n)
+        for lo in range(0, n, batch):
+            rows = perm[lo : lo + batch]
+            Xb, hotb = X[..., rows, :], hot[..., rows, :]
+            got = netcore._joint_step(net, cfg, head, Xb, hotb,
+                                      lambda probs: store.update_batch(rows, probs), lam,
+                                      ids[rows], grad_net, grad_head)
+            want = ref_joint_step(ref_net, cfg, ref_head, Xb, hotb,
+                                  lambda probs: ref_update_batch(ref_mean, ref_count, rows, probs),
+                                  lam, ref_grad_net, ref_grad_head)
+            assert all(same_bits(a, b) for a, b in zip(got, want))
+            assert same_bits(grad, ref_grad)
+            assert same_bits(store.mean, ref_mean) and same_bits(store.count, ref_count)
+            netcore.apply_update(theta, grad, opt_state, opt, epoch)
+            ref_opt.update(ref_theta, ref_grad, opt, epoch)
+            assert same_bits(theta, ref_theta) and same_bits(opt_state.m, ref_opt.m)
+            if kind == "adam":
+                assert same_bits(opt_state.v, ref_opt.v)
+            steps += 1
+    assert steps == 9 and len(rows) == 13
+
+
+@pytest.mark.parametrize("runs", [(), (3,)])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_predict_over_two_blocks_matches_the_out_of_place_reference(runs, activation):
+    # 16,385 rows: two row blocks, the second of 8,193 rows
+    cfg = NetConfig(hidden_sizes=[8, 5], activation=activation, tap_layers=[0, 1])
+    theta, net, head = netcore.flatten(netcore.init_net(cfg, 4, 3, 3),
+                                       tdhead.init_head([8, 5], 3, 4, 4), runs=runs)
+    theta += np.random.default_rng(6).normal(scale=0.3, size=theta.shape)  # runs differ
+    X = np.random.default_rng(7).normal(size=(2 * netcore.BLOCK_ROWS + 1, 4))
+    assert len(netcore.row_blocks(len(X))) == 2
+    got = netcore.predict(net, cfg, X, head=head, features=True)
+    want = ref_predict(net, cfg, X, head)
+    assert [same_bits(a, b) for a, b in zip(got, want)] == [True, True, True]
+
+
+def logit_cases():
+    rng = np.random.default_rng(8)
+    big = rng.normal(scale=30.0, size=(3, 6, 5))
+    big[0, 0] = [700.0, -700.0, 0.0, 0.0, 1e-300]  # exp underflows to 0 for all but one
+    return [rng.normal(size=5), rng.normal(size=(9, 4)), big, np.zeros((2, 3))]
+
+
+@pytest.mark.parametrize("z", logit_cases())
+def test_softmaxes_match_the_out_of_place_reference(z):
+    for axis in range(-z.ndim, 0):
+        assert same_bits(stable_softmax(z, axis=axis), ref_stable_softmax(z, axis=axis))
+        got = softmax_and_log_softmax(z, axis=axis)
+        want = ref_softmax_and_log_softmax(z, axis=axis)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+def kl_cases():
+    rng = np.random.default_rng(9)
+    q = ref_stable_softmax(rng.normal(scale=4.0, size=(3, 7, 4)))
+    p = ref_stable_softmax(rng.normal(scale=4.0, size=(3, 7, 4)))
+    q[0, :3, 1] = 0.0  # 0 * log(0 / p) = 0
+    q[1, 0] = [1.0, 0.0, 0.0, 0.0]
+    p[1, 1] = [1e-300, 0.0, 1.0, 0.0]  # p floored
+    q[2, 2, 0] = 1e-320  # positive, below the floor
+    return [(q, p), (q[0], p[0]), (q[1, 1], p[1, 1]), (q, p[0])]
+
+
+@pytest.mark.parametrize("q, p", kl_cases())
+def test_kl_rows_matches_the_out_of_place_reference(q, p):
+    assert same_bits(kl_rows(q, p), ref_kl_rows(q, p))
+
+
+# --- no argument is written ----------------------------------------------------------------
+
+
+def unchanged(fn, *arrays):
+    """Call ``fn`` on ``arrays``; True if each array keeps its bytes."""
+    before = [a.tobytes() for a in arrays]
+    fn(*arrays)
+    return [a.tobytes() for a in arrays] == before
+
+
+@pytest.mark.parametrize("runs", [(), (3,)])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_forward_and_predict_write_no_input(runs, activation):
+    cfg = NetConfig(hidden_sizes=[6, 5], activation=activation, tap_layers=[0, 1])
+    _, net, head = netcore.flatten(netcore.init_net(cfg, 4, 3, 0),
+                                   tdhead.init_head([6, 5], 3, 4, 1), runs=runs)
+    X = np.random.default_rng(1).normal(size=(40, 4))  # negative entries, which relu would zero
+    assert unchanged(lambda X: netcore.forward_batch(net, cfg, X), X)
+    assert unchanged(lambda X: netcore.predict(net, cfg, X, head=head, features=True), X)
+    taps = [np.random.default_rng(2).normal(size=(*runs, 40, d)) for d in (6, 5)]
+    assert unchanged(lambda *taps: tdhead.head_forward_batch(head, list(taps)), *taps)
+
+
+def test_softmaxes_and_kl_rows_write_no_input():
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(3, 8, 5))
+    assert unchanged(stable_softmax, z)
+    assert unchanged(softmax_and_log_softmax, z)
+    q, p = ref_stable_softmax(z), ref_stable_softmax(rng.normal(size=(3, 8, 5)))
+    q[0, 0, 0] = 0.0
+    assert unchanged(kl_rows, q, p)
+
+
+def test_update_batch_writes_no_input():
+    store = TDStore(10, 3, (2,))
+    rows = np.array([4, 1, 7])
+    first, probs = ref_stable_softmax(np.random.default_rng(4).normal(size=(2, 2, 3, 3)))
+    store.update_batch(rows, first)  # nonzero means, so that probs - means differs from probs
+    assert unchanged(lambda rows, probs: store.update_batch(rows, probs), rows, probs)
+    # the returned means are not the store's own array
+    m = store.update_batch(rows, probs)
+    m[...] = -1.0
+    assert (store.mean >= 0).all()
+
+
+@pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+def test_apply_update_writes_only_theta_and_its_state(kind):
+    theta = np.random.default_rng(5).normal(size=(2, 30))
+    grad = np.random.default_rng(6).normal(size=(2, 30))
+    opt = OptimizerConfig(kind=kind, weight_decay=5e-4)
+    st = netcore.init_opt_state(theta)
+    assert unchanged(lambda grad: netcore.apply_update(theta, grad, st, opt, 0), grad)
+
+
+def test_opt_states_share_no_scratch():
+    theta = np.zeros((2, 30))
+    a, b = netcore.init_opt_state(theta), netcore.init_opt_state(theta)
+    arrays = [theta, a.m, a.v, *a.scratch, b.m, b.v, *b.scratch]
+    assert all(not np.shares_memory(x, y)
+               for i, x in enumerate(arrays) for y in arrays[i + 1 :])
+    assert all(s.shape == theta.shape and s.dtype == theta.dtype for s in a.scratch)

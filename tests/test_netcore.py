@@ -559,15 +559,21 @@ class TestOptimizer:
         assert np.isfinite(theta[:-1]).all()
 
     @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
-    def test_flat_update_is_the_per_parameter_recurrence_bit_for_bit(self, kind):
+    @pytest.mark.parametrize("runs", [(), (3,)])
+    @pytest.mark.parametrize("weight_decay", [5e-3, 0.0])
+    def test_flat_update_is_the_per_parameter_recurrence_bit_for_bit(self, kind, runs,
+                                                                     weight_decay):
         # The per-array recurrence written out here, entry for entry in the
-        # same operation order, over 60 steps that cross decay_epoch.
+        # same operation order, over 60 steps that cross decay_epoch; with
+        # runs=(3,) each run's row gets its own gradients.  weight_decay 0.0
+        # is the pilot's Adam setting.
         cfg = NetConfig(hidden_sizes=[5, 4], tap_layers=[0])
         head = tdhead.init_head([5], 3, 2, 8)
-        opt = OptimizerConfig(kind=kind, initial_lr=0.05, weight_decay=5e-3, decay_epoch=3,
-                              decay_factor=0.1)
-        ref = [p.copy() for p in netcore.init_net(cfg, 3, 3, 7).params() + head.params()]
-        theta, net, fhead = netcore.flatten(netcore.init_net(cfg, 3, 3, 7), head)
+        opt = OptimizerConfig(kind=kind, initial_lr=0.05, weight_decay=weight_decay,
+                              decay_epoch=3, decay_factor=0.1)
+        ref = [np.tile(p, (*runs, *[1] * p.ndim))
+               for p in netcore.init_net(cfg, 3, 3, 7).params() + head.params()]
+        theta, net, fhead = netcore.flatten(netcore.init_net(cfg, 3, 3, 7), head, runs=runs)
         st = netcore.init_opt_state(theta)
         m = [np.zeros_like(p) for p in ref]
         v = [np.zeros_like(p) for p in ref]
@@ -587,9 +593,10 @@ class TestOptimizer:
                     m_hat = m[i] / (1.0 - opt.beta1 ** t)
                     v_hat = v[i] / (1.0 - opt.beta2 ** t)
                     p -= lr * m_hat / (np.sqrt(v_hat) + opt.epsilon)
-            netcore.apply_update(theta, flat(grads), st, opt, epoch)
+            netcore.apply_update(theta, np.concatenate([g.reshape(*runs, -1) for g in grads],
+                                                       axis=-1), st, opt, epoch)
             for a, b in zip(net.params() + fhead.params(), ref):
-                np.testing.assert_array_equal(a, b)
+                assert a.tobytes() == b.tobytes()
 
 
 class TestLrSchedule:
