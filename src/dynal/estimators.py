@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numutil import PROB_FLOOR, write_csv
+from .numutil import PROB_FLOOR, max_along, write_csv
 
 
 class StrategyKind(str, Enum):
@@ -60,7 +60,7 @@ def margin(p: np.ndarray, y) -> np.ndarray:
         raise ValueError(f"class index {y[bad][0]} out of range for {C} classes")
     others = p.copy()
     np.put_along_axis(others, y, -np.inf, axis=-1)
-    return np.take_along_axis(p, y, axis=-1)[..., 0] - others.max(axis=-1)
+    return np.take_along_axis(p, y, axis=-1)[..., 0] - max_along(others, -1)[..., 0]
 
 
 def strategy_scores(

@@ -44,7 +44,9 @@ Conventions
 * Elementwise work acts in place only on arrays the function made: bias
   adds, activations and gradient scalings act on the fresh result of a
   matmul or subtraction, with the ufuncs and order of the out-of-place
-  expression, so the bits are the same.  Matmuls allocate their results.
+  expression, so the bits are the same.  Matmuls allocate their results,
+  but for the head's tap reductions, which ``tdhead._forward`` writes into
+  the column blocks of one array in place of concatenating them.
   No input is written, only the gradient views handed to ``_joint_step``
   and the state ``apply_update`` moves: ``theta`` and the ``OptState``,
   whose scratch arrays hold the update's intermediates.
@@ -289,10 +291,15 @@ def predict(state: NetState, cfg: NetConfig, X: np.ndarray, head: NetState | Non
         # Through the module attributes, which a tracer may wrap.
         bt = forward_batch(state, cfg, X[rows])
         probs[..., rows, :] = bt.probs
-        if head is not None:
-            head_probs[..., rows, :] = tdhead.head_forward_batch(head, bt.taps)[0]
         if features:
             feats[..., rows, :] = bt.activations[-1]
+        # Of this block only its taps live through the head's pass, and
+        # nothing of it through the next block's passes.
+        taps = bt.taps
+        del bt
+        if head is not None:
+            head_probs[..., rows, :] = tdhead.head_forward_batch(head, taps)[0]
+        del taps
     return probs, head_probs, feats
 
 

@@ -1,8 +1,9 @@
 """Dynamics-prediction head: tap activations -> predicted mean probability.
 
 Each classifier tap is reduced by an affine map plus relu to a fixed
-dimension, the reduced vectors are concatenated, and a single affine
-layer followed by softmax produces a C-dimensional prediction of the
+dimension, the reduced vectors are concatenated (each tap's product is
+written into its column block of one array), and a single affine layer
+followed by softmax produces a C-dimensional prediction of the
 per-sample running-mean probability vector.  The head is trained by
 minimizing KL(target || prediction), as part of netcore's joint loss.
 The head is a ``netcore.NetState``, as the classifier is: one reduction
@@ -63,9 +64,20 @@ def check_taps(head: netcore.NetState, tap_dims: list[int]) -> None:
 
 
 def _forward(head: netcore.NetState, taps: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(relu concat of the tap reductions, probs) of checked (..., B, dim) float64 taps."""
-    pre = [netcore._affine(t, w, b) for t, w, b in zip(taps, head.weights[:-1], head.biases[:-1])]
-    concat = netcore._act(np.concatenate(pre, axis=-1), "relu")
+    """(relu concat of the tap reductions, probs) of checked (..., B, dim) float64 taps.
+
+    Each tap's product is written into its column block of one array; the
+    concatenated reduction biases are added over it and relu applied, in
+    place.  The bits are those of the per-tap affine maps concatenated:
+    BLAS writes a block at the array's leading dimension the products it
+    would write alone."""
+    reduce_w = head.weights[:-1]
+    r = reduce_w[0].shape[-2]
+    concat = np.empty((*taps[0].shape[:-1], r * len(taps)))
+    for j, (t, w) in enumerate(zip(taps, reduce_w)):
+        np.matmul(t, w.mT, out=concat[..., j * r : (j + 1) * r])
+    concat += np.concatenate(head.biases[:-1], axis=-1)[..., None, :]
+    netcore._act(concat, "relu")
     logits = netcore._affine(concat, head.weights[-1], head.biases[-1])
     return concat, stable_softmax(logits, axis=-1)
 

@@ -7,16 +7,23 @@ same order, each result a fresh array.  The shipped configs train relu nets
 at ``lam`` = 1 only, so their artifact fingerprints would miss a reordering
 under tanh or another ``lam``; these tests run both activations, ``lam`` 0
 and 0.7, one and three stacked runs, and a partial last batch, and compare
-``tobytes()`` (which tells -0.0 from 0.0) after every step.  A second group
-checks that no rewritten function writes an array it was given.
+``tobytes()`` (which tells -0.0 from 0.0) after every step.  The softmaxes'
+row max (``max_along``, a reduce over a class-major copy) is held against
+``ndarray.max`` on the rows where a max's evaluation order could show: NaN,
+infinities, a -0.0/+0.0 tie and a unique -0.0 maximum.  The head's tap
+reductions, which BLAS writes into the column blocks of one array, are held
+against the per-tap products concatenated.  A second group checks that no
+rewritten function writes an array it was given.
 """
 
 import numpy as np
 import pytest
 
 from dynal import netcore, tdhead
+from dynal.estimators import margin
 from dynal.netcore import NetConfig, OptimizerConfig
-from dynal.numutil import PROB_FLOOR, kl_rows, softmax_and_log_softmax, stable_softmax
+from dynal.numutil import (PROB_FLOOR, kl_rows, max_along, softmax_and_log_softmax,
+                           stable_softmax)
 from dynal.tdtrack import TDStore
 
 # --- the out-of-place reference -------------------------------------------------------------
@@ -64,6 +71,15 @@ def ref_head_forward(head, taps):
     concat = np.maximum(np.concatenate(pre, axis=-1), 0.0)
     logits = concat @ head.weights[-1].mT + head.biases[-1][..., None, :]
     return concat, ref_stable_softmax(logits, axis=-1)
+
+
+def ref_margin(p, y):
+    """``estimators.margin`` with its row max taken by ``ndarray.max``."""
+    p = np.asarray(p, dtype=np.float64)
+    y = np.asarray(y)[..., None]
+    others = p.copy()
+    np.put_along_axis(others, y, -np.inf, axis=-1)
+    return np.take_along_axis(p, y, axis=-1)[..., 0] - others.max(axis=-1)
 
 
 def ref_update_batch(mean, count, rows, probs):
@@ -223,20 +239,158 @@ def test_predict_over_two_blocks_matches_the_out_of_place_reference(runs, activa
     assert [same_bits(a, b) for a, b in zip(got, want)] == [True, True, True]
 
 
+# Rows on which the order of a max's comparisons could show, each padded to
+# four classes with -1.0.
+EDGE_ROWS = [
+    [np.nan, 1.0],
+    [2.0, np.nan],
+    [np.nan, -np.inf],
+    [np.inf, 3.0],
+    [-np.inf, 0.5],
+    [-np.inf, -np.inf, -np.inf, -np.inf],
+    [np.inf, -np.inf],
+    [-0.0, 0.0],
+    [0.0, -0.0],
+    [-0.0, -0.0, 0.0, -0.0],
+    [0.0, 0.0, -0.0],
+    # a unique -0.0 maximum whose exp is the only one not to underflow: the
+    # sum is exactly 1 and the log-softmax's 0.0 - 0.0 keeps the max's sign
+    [-0.0, -800.0, -1e300, -np.inf],
+]
+
+
+def edge_rows():
+    return np.array([row + [-1.0] * (4 - len(row)) for row in EDGE_ROWS])
+
+
+@pytest.mark.parametrize("runs", [(), (1,), (3,)])
+@pytest.mark.parametrize("widths", [[6], [7, 3], [5, 9, 2]])
+@pytest.mark.parametrize("B", [1, 2, 17, 64])
+def test_head_forward_matches_the_out_of_place_reference(runs, widths, B):
+    # each tap's product is written into its column block of one array
+    rng = np.random.default_rng(12)
+    _, head = netcore.flatten(tdhead.init_head(widths, 4, 5, 13), runs=runs)
+    for b in head.biases:  # nonzero biases, each tap's own
+        b[...] = rng.normal(size=b.shape)
+    taps = [rng.normal(size=(*runs, B, d)) for d in widths]
+    got, want = tdhead._forward(head, taps), ref_head_forward(head, taps)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    assert (got[0] == 0).any() and (got[0] > 0).any()
+
+
+@pytest.mark.parametrize("runs", [(), (3,)])
+def test_three_tap_predict_over_two_blocks_matches_the_out_of_place_reference(runs):
+    cfg = NetConfig(hidden_sizes=[8, 5, 6], tap_layers=[2, 0, 1])
+    theta, net, head = netcore.flatten(netcore.init_net(cfg, 4, 3, 5),
+                                       tdhead.init_head([6, 8, 5], 3, 4, 6), runs=runs)
+    theta += np.random.default_rng(7).normal(scale=0.3, size=theta.shape)
+    X = np.random.default_rng(8).normal(size=(2 * netcore.BLOCK_ROWS + 3, 4))
+    got = netcore.predict(net, cfg, X, head=head, features=True)
+    want = ref_predict(net, cfg, X, head)
+    assert [same_bits(a, b) for a, b in zip(got, want)] == [True, True, True]
+
+
+@pytest.mark.parametrize("runs", [(), (3,)])
+def test_taps_of_unequal_row_counts_raise(runs):
+    _, head = netcore.flatten(tdhead.init_head([4, 3], 2, 2, 0), runs=runs)
+    for rows in [(5, 4), (4, 5), (1, 4), (4, 1)]:
+        taps = [np.ones((*runs, n, d)) for n, d in zip(rows, [4, 3])]
+        with pytest.raises(ValueError):
+            tdhead._forward(head, taps)
+        with pytest.raises(ValueError):
+            tdhead.head_forward_batch(head, taps)
+
+
 def logit_cases():
     rng = np.random.default_rng(8)
     big = rng.normal(scale=30.0, size=(3, 6, 5))
     big[0, 0] = [700.0, -700.0, 0.0, 0.0, 1e-300]  # exp underflows to 0 for all but one
-    return [rng.normal(size=5), rng.normal(size=(9, 4)), big, np.zeros((2, 3))]
+    edges = edge_rows()
+    return [rng.normal(size=5), rng.normal(size=(9, 4)), big, np.zeros((2, 3)),
+            edges, np.stack([edges, edges[::-1]]), np.zeros((0, 4))]
+
+
+def outcome(f, *args, **kw):
+    """``f``'s result, or the ValueError it raises, with float warnings off
+    (NaN and infinite rows subtract infinities)."""
+    with np.errstate(all="ignore"):
+        try:
+            return f(*args, **kw)
+        except ValueError as e:
+            return e
+
+
+def same_outcome(a, b):
+    """Equal bits, or ValueErrors of the same message; tuples elementwise."""
+    if isinstance(a, ValueError) or isinstance(b, ValueError):
+        return type(a) is type(b) and str(a) == str(b)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(same_bits(x, y) for x, y in zip(a, b))
+    return same_bits(a, b)
 
 
 @pytest.mark.parametrize("z", logit_cases())
 def test_softmaxes_match_the_out_of_place_reference(z):
+    # over an empty axis (the zero-row case's rows) both raise the same ValueError
     for axis in range(-z.ndim, 0):
-        assert same_bits(stable_softmax(z, axis=axis), ref_stable_softmax(z, axis=axis))
-        got = softmax_and_log_softmax(z, axis=axis)
-        want = ref_softmax_and_log_softmax(z, axis=axis)
-        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        assert same_outcome(outcome(stable_softmax, z, axis=axis),
+                            outcome(ref_stable_softmax, z, axis=axis))
+        assert same_outcome(outcome(softmax_and_log_softmax, z, axis=axis),
+                            outcome(ref_softmax_and_log_softmax, z, axis=axis))
+
+
+def test_edge_rows_reach_the_cases_they_name():
+    z = edge_rows()
+    with np.errstate(all="ignore"):
+        _, _, total = ref_shifted_exp_sum(z, -1)
+        _, log_p = ref_softmax_and_log_softmax(z)
+    assert np.isnan(total[[0, 1, 2, 3, 5, 6]]).all() and np.isfinite(total[[4, *range(7, 12)]]).all()
+    # a zero tie for the max puts two 1s into the sum: log(total) >= log 2
+    # moves every zero of z - max off zero in the log-softmax, whatever its sign
+    ties = z[7:11] == 0
+    assert (total[7:11] >= 2).all() and (log_p[7:11][ties] < 0).all()
+    # the unique -0.0 maximum: the sum is 1, so the log-softmax keeps the zero of z - max
+    assert total[11, 0] == 1.0 and np.signbit(z[11, 0]) and (z[11, 1:] < 0).all()
+    assert log_p[11, 0] == 0.0
+
+
+def max_cases():
+    rng = np.random.default_rng(10)
+    edges = edge_rows()
+    return [rng.normal(size=7), rng.normal(size=(4, 7)), rng.normal(size=(3, 4, 5)),
+            rng.normal(size=(2, 3, 4, 5)), edges, edges.T.copy(),
+            np.stack([edges, edges[::-1]]), np.zeros((0, 4)), np.zeros((3, 0)),
+            np.zeros((2, 0, 3))]
+
+
+@pytest.mark.parametrize("z", max_cases())
+def test_max_along_matches_the_out_of_place_reference(z):
+    # every axis, by either sign; an empty reduced axis raises ndarray.max's ValueError
+    for axis in range(-z.ndim, z.ndim):
+        got = outcome(max_along, z, axis)
+        assert same_outcome(got, outcome(z.max, axis=axis, keepdims=True))
+        assert isinstance(got, ValueError) == (z.shape[axis] == 0)
+
+
+def margin_cases():
+    rng = np.random.default_rng(11)
+    p = ref_stable_softmax(rng.normal(size=(40, 5)))
+    y = p.argmax(axis=-1)
+    p[:10] = np.round(p[:10] * 4) / 4  # a coarse grid: tied maxima, with and without the label
+    p[10] = [0.4, 0.4, 0.2, 0.0, 0.0]
+    p[11] = [0.0, 0.0, 0.0, 0.0, 0.0]
+    p[12] = [-0.0, 0.0, -0.0, 0.0, -0.0]
+    y[10:13] = [0, 3, 2]
+    tied = np.full((6, 4), 0.25)
+    two = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, -0.0]])
+    return [(p, y), (p[0], y[0]), (tied, np.arange(6) % 4), (two, np.array([0, 1, 1])),
+            (np.ones((3, 1)), np.zeros(3, int))]  # one class: the -inf mask is the row's max
+
+
+@pytest.mark.parametrize("p, y", margin_cases())
+def test_margin_matches_the_out_of_place_reference(p, y):
+    got, want = margin(p, y), ref_margin(p, y)
+    assert same_bits(got, want) and type(got) is type(want)
 
 
 def kl_cases():
