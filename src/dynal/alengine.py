@@ -199,12 +199,15 @@ def train_lockstep(
         perm = shuffle_rng.permutation(n)
         # One gather per epoch; each batch is then a slice of it.
         X_p, hot_p, ids_p = X[:, perm], hot[:, perm], ids[:, perm]
-        for lo in range(0, n, cfg.batch_size):
-            rows, b = perm[lo : lo + cfg.batch_size], slice(lo, lo + cfg.batch_size)
-            netcore._joint_step(net, net_cfg, head, X_p[:, b], hot_p[:, b],
-                                lambda probs: store.update_batch(rows, probs), cfg.lam,
-                                ids_p[:, b], grad_net, grad_head)
-            netcore.apply_update(theta, grad, opt_state, cfg.opt, epoch)
+        # ... and the store holds its means in the epoch's order: a batch's rows are a range of it.
+        with store.epoch(perm):
+            for lo in range(0, n, cfg.batch_size):
+                rows = range(lo, min(lo + cfg.batch_size, n))
+                b = slice(rows.start, rows.stop)
+                netcore._joint_step(net, net_cfg, head, X_p[:, b], hot_p[:, b],
+                                    lambda probs: store.update_batch(rows, probs), cfg.lam,
+                                    ids_p[:, b], grad_net, grad_head)
+                netcore.apply_update(theta, grad, opt_state, cfg.opt, epoch)
         if test is not None:
             snapshots.append(netcore.predict(net, net_cfg, test.X, head=head)[:2])
     return [TrainResult(net.run(r), net_cfg, head.run(r), store.run(r),
@@ -435,7 +438,7 @@ def kl_analysis(snapshots: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[in
     1-based.
     """
     n, n_classes = snapshots[0][0].shape
-    test_store, rows = TDStore(n, n_classes), np.arange(n)
+    test_store, rows = TDStore(n, n_classes), range(n)
     for p_t, _ in snapshots:
         test_store.update_batch(rows, p_t)
     final_td = test_store.values(rows)

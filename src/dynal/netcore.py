@@ -36,7 +36,8 @@ Conventions
   public face, checks them per call and backprops into a fresh vector.
   Labels reach the kernel as a boolean one-hot (``one_hot``).  The KL
   targets come from a callback on the batch's class probabilities, in
-  training ``TDStore.update_batch``, which returns the means it stored.
+  training ``TDStore.update_batch`` of the batch's range of the epoch's
+  order, which returns the means it stored.
 * Inference over a set of rows is ``predict``: the net's and the head's
   passes over blocks of ``BLOCK_ROWS`` rows (``row_blocks``), so its
   memory stays near one block's, with the bits of one whole-array pass;
@@ -45,8 +46,11 @@ Conventions
   adds, activations and gradient scalings act on the fresh result of a
   matmul or subtraction, with the ufuncs and order of the out-of-place
   expression, so the bits are the same.  Matmuls allocate their results,
-  but for the head's tap reductions, which ``tdhead._forward`` writes into
-  the column blocks of one array in place of concatenating them.
+  with two exceptions: the head's tap reductions, which
+  ``tdhead._relu_concat`` writes into the column blocks of one array in
+  place of concatenating them, and the training step's logits, which
+  ``_joint_step`` writes into the two halves of one ``(2, *runs, B, C)``
+  array, the net's then the head's, for one softmax pass over both.
   No input is written, only the gradient views handed to ``_joint_step``
   and the state ``apply_update`` moves: ``theta`` and the ``OptState``,
   whose scratch arrays hold the update's intermediates.
@@ -222,9 +226,10 @@ def init_net(cfg: NetConfig, input_dim: int, n_classes: int, seed: int) -> NetSt
     return NetState(weights=weights, biases=biases)
 
 
-def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ w.mT + b`` for rows ``a``, (..., B, fan_in); the bias is added in place."""
-    z = a @ w.mT
+def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """``a @ w.mT + b`` for rows ``a``, (..., B, fan_in); the bias is added in
+    place, into ``out`` when given."""
+    z = np.matmul(a, w.mT, out=out)
     z += b[..., None, :]
     return z
 
@@ -303,14 +308,15 @@ def predict(state: NetState, cfg: NetConfig, X: np.ndarray, head: NetState | Non
     return probs, head_probs, feats
 
 
-def _forward(state: NetState, cfg: NetConfig, X: np.ndarray):
-    """(hidden activations, logits) of a checked (..., B, input_dim) float64 batch."""
+def _forward(state: NetState, cfg: NetConfig, X: np.ndarray, out=None):
+    """(hidden activations, logits) of a checked (..., B, input_dim) float64
+    batch; the logits are written into ``out`` when given."""
     act = []
     a = X
     for l in range(len(cfg.hidden_sizes)):
         a = _act(_affine(a, state.weights[l], state.biases[l]), cfg.activation)
         act.append(a)
-    return act, _affine(a, state.weights[-1], state.biases[-1])
+    return act, _affine(a, state.weights[-1], state.biases[-1], out)
 
 
 def grad_joint(
@@ -375,14 +381,23 @@ def _joint_step(state, cfg, head, X, hot, targets_of, lam, sample_ids, grad_net,
     it too.  Returns the per-sample cross entropies and KL divergences;
     raises FloatingPointError naming the entry of ``sample_ids`` of the
     first sample whose loss is non-finite.
+
+    The net's and the head's logits are written into the two halves of one
+    array, and one ``softmax_and_log_softmax`` over its last axis gives
+    both their probabilities (the head's log-softmax goes unread): each
+    row's bits are those of a pass over its own half, as every step of
+    the softmax acts on each row alone.
     """
-    act, logits = _forward(state, cfg, X)
-    probs, log_probs = softmax_and_log_softmax(logits, axis=-1)
+    logits = np.empty((2, *hot.shape))
+    act, _ = _forward(state, cfg, X, out=logits[0])
     taps = [act[l] for l in cfg.tap_layers]
+    concat = tdhead._relu_concat(head, taps)
+    _affine(concat, head.weights[-1], head.biases[-1], out=logits[1])
+    p, log_p = softmax_and_log_softmax(logits, axis=-1)
+    probs, pt = p
     q = targets_of(probs)
     B = X.shape[-2]
-    per_ce = -log_probs[hot].reshape(hot.shape[:-1])
-    concat, pt = tdhead._forward(head, taps)
+    per_ce = -log_p[0][hot].reshape(hot.shape[:-1])
     per_kl = kl_rows(q, pt)
     per_total = per_ce + lam * per_kl
     if not np.isfinite(per_total).all():

@@ -8,11 +8,15 @@ per-sample running-mean probability vector.  The head is trained by
 minimizing KL(target || prediction), as part of netcore's joint loss.
 The head is a ``netcore.NetState``, as the classifier is: one reduction
 layer per tap, in tap order, then the layer from the relu concat to logits.
-``_forward`` is the unchecked forward pass of netcore's training kernel,
-and ``head_forward_batch`` wraps it with a check of its inputs;
-``head_backward`` is the kernel's one backward pass, called each step.
-All three take a head with a leading run axis (``netcore.flatten``'s
-``runs``) and taps with the same axis, as the kernel does.
+``_forward`` is the unchecked forward pass, and ``head_forward_batch``
+wraps it with a check of its inputs.  netcore's training kernel calls its
+first part, ``_relu_concat``, and writes the head's logits next to the
+net's, for one softmax pass over both.  ``head_backward`` is the kernel's
+one backward pass, called each step: it applies the relu mask to the
+whole concat's gradient at once and reads each tap's block of it as a
+view.  All of them take a head with a leading run axis
+(``netcore.flatten``'s ``runs``) and taps with the same axis, as the
+kernel does.
 """
 
 from __future__ import annotations
@@ -64,7 +68,14 @@ def check_taps(head: netcore.NetState, tap_dims: list[int]) -> None:
 
 
 def _forward(head: netcore.NetState, taps: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(relu concat of the tap reductions, probs) of checked (..., B, dim) float64 taps.
+    """(relu concat of the tap reductions, probs) of checked (..., B, dim) float64 taps."""
+    concat = _relu_concat(head, taps)
+    return concat, stable_softmax(netcore._affine(concat, head.weights[-1], head.biases[-1]),
+                                  axis=-1)
+
+
+def _relu_concat(head: netcore.NetState, taps: list[np.ndarray]) -> np.ndarray:
+    """The relu concat of the tap reductions, the input of the head's last layer.
 
     Each tap's product is written into its column block of one array; the
     concatenated reduction biases are added over it and relu applied, in
@@ -77,9 +88,7 @@ def _forward(head: netcore.NetState, taps: list[np.ndarray]) -> tuple[np.ndarray
     for j, (t, w) in enumerate(zip(taps, reduce_w)):
         np.matmul(t, w.mT, out=concat[..., j * r : (j + 1) * r])
     concat += np.concatenate(head.biases[:-1], axis=-1)[..., None, :]
-    netcore._act(concat, "relu")
-    logits = netcore._affine(concat, head.weights[-1], head.biases[-1])
-    return concat, stable_softmax(logits, axis=-1)
+    return netcore._act(concat, "relu")
 
 
 def head_backward(head: netcore.NetState, taps, concat, dlogits,
@@ -89,12 +98,12 @@ def head_backward(head: netcore.NetState, taps, concat, dlogits,
     np.matmul(dlogits.mT, concat, out=out.weights[-1])
     dlogits.sum(axis=-2, out=out.biases[-1])
     dconcat = dlogits @ head.weights[-1]
+    # relu(s) > 0 exactly where s > 0; one mask for every tap's block
+    dconcat *= concat > 0
     r = head.weights[0].shape[-2]
     tap_grads = []
     for j, (t, w) in enumerate(zip(taps, head.weights[:-1])):
-        cols = slice(j * r, (j + 1) * r)
-        # relu(s) > 0 exactly where s > 0
-        dS = dconcat[..., cols] * (concat[..., cols] > 0)
+        dS = dconcat[..., j * r : (j + 1) * r]
         np.matmul(dS.mT, t, out=out.weights[j])
         dS.sum(axis=-2, out=out.biases[j])
         tap_grads.append(dS @ w)

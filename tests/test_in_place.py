@@ -12,9 +12,17 @@ row max (``max_along``, a reduce over a class-major copy) is held against
 ``ndarray.max`` on the rows where a max's evaluation order could show: NaN,
 infinities, a -0.0/+0.0 tie and a unique -0.0 maximum.  The head's tap
 reductions, which BLAS writes into the column blocks of one array, are held
-against the per-tap products concatenated.  A second group checks that no
-rewritten function writes an array it was given.
+against the per-tap products concatenated.  The training step is also
+driven as ``alengine.train_lockstep`` drives it, folding each batch as a
+range of the TD store's epoch order, against index folds in dataset order;
+the reference takes the net's and the head's softmaxes each over its own
+logits, where the kernel takes one over both stacked, and masks each tap's
+block of the head's gradient by its own relu, where ``head_backward``
+masks the whole concat once.  A second group checks that no rewritten
+function writes an array it was given.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -82,6 +90,22 @@ def ref_margin(p, y):
     return np.take_along_axis(p, y, axis=-1)[..., 0] - others.max(axis=-1)
 
 
+def ref_head_backward(head, taps, concat, dlogits, out):
+    """``tdhead.head_backward`` with each tap's relu mask applied to a copy of its block."""
+    np.matmul(dlogits.mT, concat, out=out.weights[-1])
+    dlogits.sum(axis=-2, out=out.biases[-1])
+    dconcat = dlogits @ head.weights[-1]
+    r = head.weights[0].shape[-2]
+    tap_grads = []
+    for j, (t, w) in enumerate(zip(taps, head.weights[:-1])):
+        cols = slice(j * r, (j + 1) * r)
+        dS = dconcat[..., cols] * (concat[..., cols] > 0)
+        np.matmul(dS.mT, t, out=out.weights[j])
+        dS.sum(axis=-2, out=out.biases[j])
+        tap_grads.append(dS @ w)
+    return tap_grads
+
+
 def ref_update_batch(mean, count, rows, probs):
     """``TDStore.update_batch`` on a store's ``mean`` and ``count`` arrays."""
     t = count[rows] + 1
@@ -93,7 +117,7 @@ def ref_update_batch(mean, count, rows, probs):
 
 
 def ref_joint_step(state, cfg, head, X, hot, targets_of, lam, grad_net, grad_head):
-    """``netcore._joint_step`` less its finiteness check."""
+    """``netcore._joint_step`` less its finiteness check, each softmax over its own logits."""
     act, logits = ref_forward(state, cfg, X)
     probs, log_probs = ref_softmax_and_log_softmax(logits, axis=-1)
     taps = [act[l] for l in cfg.tap_layers]
@@ -105,7 +129,7 @@ def ref_joint_step(state, cfg, head, X, hot, targets_of, lam, grad_net, grad_hea
 
     dlogits = (probs - hot) / B
     dU = lam * (pt - q) / B
-    tap_grads = tdhead.head_backward(head, taps, concat, dU, grad_head)
+    tap_grads = ref_head_backward(head, taps, concat, dU, grad_head)
     tap_at_layer = {}
     for layer, g in zip(cfg.tap_layers, tap_grads):
         tap_at_layer[layer] = tap_at_layer.get(layer, 0.0) + g
@@ -173,14 +197,15 @@ def mixture(n, dim, n_classes, seed):
     return rng.normal(size=(n, dim)) + 1.5 * np.eye(n_classes, dim)[y], y
 
 
-@pytest.mark.parametrize("runs", [(), (1,), (3,)])
-@pytest.mark.parametrize("activation", ["relu", "tanh"])
-@pytest.mark.parametrize("lam", [0.0, 0.7])
-@pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
-def test_training_steps_match_the_out_of_place_reference(runs, activation, lam, kind):
-    # Three epochs over 45 samples in batches of 16, the last batch 13 rows,
-    # so the store folds repeat visits; every step's per-sample losses,
-    # gradient, store means and parameters are compared, and the moments.
+def train_against_reference(runs, activation, lam, kind, epoch_path):
+    """Three epochs over 45 samples in batches of 16, the last batch 13 rows,
+    so the store folds repeat visits; every step's per-sample losses,
+    gradient, every row's store mean and count in dataset order, and the
+    parameters are compared, and the moments.  ``epoch_path`` folds as
+    ``alengine.train_lockstep`` does: inside the store's epoch, each batch a
+    range of the epoch's order, its rows sliced from the epoch's gather;
+    else each batch's rows are dataset indices.  The reference folds
+    dataset indices in both cases."""
     cfg = NetConfig(hidden_sizes=[7, 6], activation=activation, tap_layers=[0, 1])
     opt = OptimizerConfig(kind=kind, initial_lr=0.05, weight_decay=5e-4, decay_epoch=2)
     n, dim, C, batch = 45, 5, 3, 16
@@ -203,25 +228,54 @@ def test_training_steps_match_the_out_of_place_reference(runs, activation, lam, 
     steps = 0
     for epoch in range(3):
         perm = rng.permutation(n)
-        for lo in range(0, n, batch):
-            rows = perm[lo : lo + batch]
-            Xb, hotb = X[..., rows, :], hot[..., rows, :]
-            got = netcore._joint_step(net, cfg, head, Xb, hotb,
-                                      lambda probs: store.update_batch(rows, probs), lam,
-                                      ids[rows], grad_net, grad_head)
-            want = ref_joint_step(ref_net, cfg, ref_head, Xb, hotb,
-                                  lambda probs: ref_update_batch(ref_mean, ref_count, rows, probs),
-                                  lam, ref_grad_net, ref_grad_head)
-            assert all(same_bits(a, b) for a, b in zip(got, want))
-            assert same_bits(grad, ref_grad)
-            assert same_bits(store.mean, ref_mean) and same_bits(store.count, ref_count)
-            netcore.apply_update(theta, grad, opt_state, opt, epoch)
-            ref_opt.update(ref_theta, ref_grad, opt, epoch)
-            assert same_bits(theta, ref_theta) and same_bits(opt_state.m, ref_opt.m)
-            if kind == "adam":
-                assert same_bits(opt_state.v, ref_opt.v)
-            steps += 1
-    assert steps == 9 and len(rows) == 13
+        X_p, hot_p = X[..., perm, :], hot[..., perm, :]
+        with store.epoch(perm) if epoch_path else contextlib.nullcontext():
+            for lo in range(0, n, batch):
+                rows = perm[lo : lo + batch]
+                span = range(lo, min(lo + batch, n))
+                Xb, hotb = X[..., rows, :], hot[..., rows, :]
+                if epoch_path:
+                    b = slice(span.start, span.stop)
+                    got = netcore._joint_step(net, cfg, head, X_p[..., b, :], hot_p[..., b, :],
+                                              lambda probs: store.update_batch(span, probs), lam,
+                                              ids[rows], grad_net, grad_head)
+                else:
+                    got = netcore._joint_step(net, cfg, head, Xb, hotb,
+                                              lambda probs: store.update_batch(rows, probs), lam,
+                                              ids[rows], grad_net, grad_head)
+                want = ref_joint_step(ref_net, cfg, ref_head, Xb, hotb,
+                                      lambda probs: ref_update_batch(ref_mean, ref_count, rows,
+                                                                     probs),
+                                      lam, ref_grad_net, ref_grad_head)
+                assert all(same_bits(a, b) for a, b in zip(got, want))
+                assert same_bits(grad, ref_grad)
+                mean, count = store.by_row()
+                assert same_bits(mean, ref_mean) and same_bits(count, ref_count)
+                netcore.apply_update(theta, grad, opt_state, opt, epoch)
+                ref_opt.update(ref_theta, ref_grad, opt, epoch)
+                assert same_bits(theta, ref_theta) and same_bits(opt_state.m, ref_opt.m)
+                if kind == "adam":
+                    assert same_bits(opt_state.v, ref_opt.v)
+                steps += 1
+        # out of the epoch, the store's own arrays are in dataset order
+        assert same_bits(store.mean, ref_mean) and same_bits(store.count, ref_count)
+    assert steps == 9 and len(rows) == len(span) == 13
+
+
+@pytest.mark.parametrize("runs", [(), (1,), (3,)])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("lam", [0.0, 0.7])
+@pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+def test_training_steps_match_the_out_of_place_reference(runs, activation, lam, kind):
+    train_against_reference(runs, activation, lam, kind, epoch_path=False)
+
+
+@pytest.mark.parametrize("runs", [(), (1,), (3,)])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("lam", [0.0, 0.7])
+@pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+def test_epoch_path_steps_match_the_out_of_place_reference(runs, activation, lam, kind):
+    train_against_reference(runs, activation, lam, kind, epoch_path=True)
 
 
 @pytest.mark.parametrize("runs", [(), (3,)])
@@ -448,6 +502,7 @@ def test_update_batch_writes_no_input():
     first, probs = ref_stable_softmax(np.random.default_rng(4).normal(size=(2, 2, 3, 3)))
     store.update_batch(rows, first)  # nonzero means, so that probs - means differs from probs
     assert unchanged(lambda rows, probs: store.update_batch(rows, probs), rows, probs)
+    assert unchanged(lambda probs: store.update_batch(range(4, 7), probs), probs)
     # the returned means are not the store's own array
     m = store.update_batch(rows, probs)
     m[...] = -1.0

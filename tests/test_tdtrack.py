@@ -161,3 +161,141 @@ class TestStore:
             got = store.update_batch(rows, rng.dirichlet(np.ones(3), size=len(rows)))
             assert got.tobytes() == store.values(rows).tobytes()
             assert not np.shares_memory(got, store.mean)
+
+
+class TestRowsOutside:
+    def test_negative_row_does_not_alias_the_last(self):
+        # -1 would name row 2 of three and fold into it twice in one update
+        store = TDStore(3, 2)
+        with pytest.raises(ValueError, match="row -1 outside"):
+            store.update_batch([2, -1], np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert store.count.sum() == 0 and not store.mean.any()
+        feed(store, 2, [1.0, 0.0])
+        with pytest.raises(ValueError, match="row -1 outside"):
+            store.values([-1])
+
+    @pytest.mark.parametrize("rows, bad", [([3], 3), ([0, 7], 7), ([-3, 1], -3)])
+    def test_index_rows_outside_are_named(self, rows, bad):
+        store = TDStore(3, 2)
+        with pytest.raises(ValueError, match=f"row {bad} outside"):
+            store.update_batch(rows, np.full((len(rows), 2), 0.5))
+        assert store.count.sum() == 0
+        with pytest.raises(ValueError, match=f"row {bad} outside"):
+            store.values(rows)
+
+    @pytest.mark.parametrize("rows, bad", [(range(2, 4), 3), (range(-1, 1), -1),
+                                           (range(5, 6), 5), (range(-2, -1), -2)])
+    def test_ranges_outside_are_named(self, rows, bad):
+        store = TDStore(3, 2)
+        with pytest.raises(ValueError, match=f"row {bad} outside"):
+            store.update_batch(rows, np.full((len(rows), 2), 0.5))
+        assert store.count.sum() == 0 and not store.mean.any()
+
+    def test_range_with_a_step_is_rejected(self):
+        with pytest.raises(ValueError, match="step 1"):
+            TDStore(4, 2).update_batch(range(0, 4, 2), np.full((2, 2), 0.5))
+
+
+def fold_epochs(store, fed, perms, batch, as_ranges):
+    """Feed ``fed[e]`` (*runs, n, C) over ``perms[e]`` in batches: as ranges
+    of the store's epoch order, or as index rows with no epoch."""
+    n = store.count.size
+    for probs, perm in zip(fed, perms):
+        if as_ranges:
+            with store.epoch(perm):
+                for lo in range(0, n, batch):
+                    rows = range(lo, min(lo + batch, n))
+                    store.update_batch(rows, probs[..., perm[lo : lo + batch], :])
+        else:
+            for lo in range(0, n, batch):
+                rows = perm[lo : lo + batch]
+                store.update_batch(rows, probs[..., rows, :])
+
+
+class TestEpoch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_rows=st.integers(1, 12),
+        n_classes=st.integers(2, 5),
+        runs=st.sampled_from([(), (1,), (3,)]),
+        epochs=st.integers(1, 6),
+        batch=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_range_folds_equal_index_folds(self, n_rows, n_classes, runs, epochs, batch, seed):
+        rng = np.random.default_rng(seed)
+        fed = rng.dirichlet(np.ones(n_classes), size=(epochs, *runs, n_rows))
+        perms = [rng.permutation(n_rows) for _ in range(epochs)]
+        got, want = TDStore(n_rows, n_classes, runs), TDStore(n_rows, n_classes, runs)
+        fold_epochs(got, fed, perms, batch, as_ranges=True)
+        fold_epochs(want, fed, perms, batch, as_ranges=False)
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.count.tobytes() == want.count.tobytes()
+
+    @pytest.mark.parametrize("perm", [[0, 0, 2], [0, 1], [0, 1, 2, 3], [1, 2, 3], [-1, 0, 1],
+                                      [[0, 1, 2]]])
+    def test_a_non_permutation_is_rejected_at_epoch_start(self, perm):
+        store = TDStore(3, 2)
+        feed(store, 1, [0.25, 0.75])
+        mean, count = store.mean.copy(), store.count.copy()
+        with pytest.raises(ValueError, match="not a permutation"):
+            with store.epoch(perm):
+                pytest.fail("the epoch opened")
+        assert store.mean.tobytes() == mean.tobytes() and store.count.tobytes() == count.tobytes()
+        with store.epoch([2, 0, 1]):  # still closed: a permutation opens an epoch
+            pass
+
+    def test_epochs_do_not_nest(self):
+        store = TDStore(2, 2)
+        with store.epoch([1, 0]):
+            with pytest.raises(RuntimeError, match="already open"):
+                with store.epoch([0, 1]):
+                    pass
+
+    def test_reads_are_in_dataset_order_during_and_after_an_epoch(self):
+        rng = np.random.default_rng(4)
+        n, C = 5, 3
+        first, second = rng.dirichlet(np.ones(C), size=(2, 2, n))
+        store = TDStore(n, C, (2,))
+        store.update_batch(np.arange(n), first)
+        perm = np.array([3, 0, 4, 1, 2])
+        with store.epoch(perm):
+            # positions 0 and 1 of the epoch: rows 3 and 0
+            store.update_batch(range(0, 2), second[:, perm[:2]])
+            want = first.copy()
+            want[:, perm[:2]] += (second[:, perm[:2]] - first[:, perm[:2]]) / 2
+            want_count = np.array([2, 1, 1, 2, 1])
+            assert store.values([0, 3, 1]).tobytes() == want[:, [0, 3, 1]].tobytes()
+            mean, count = store.by_row()
+            assert mean.tobytes() == want.tobytes() and count.tobytes() == want_count.tobytes()
+            run1, run1_mean = store.run(1), want[1].copy()
+            assert run1.mean.tobytes() == run1_mean.tobytes()
+            assert run1.values([2, 0]).tobytes() == want[1, [2, 0]].tobytes()
+            # an index fold inside the epoch names dataset rows
+            store.update_batch([1], second[:, [1]])
+            want[:, 1] += (second[:, 1] - first[:, 1]) / 2
+            want_count[1] = 2
+        assert store.mean.tobytes() == want.tobytes()
+        assert store.count.tobytes() == want_count.tobytes()
+        assert store.values(np.arange(n)).tobytes() == want.tobytes()
+        assert store.run(0).mean.tobytes() == want[0].tobytes()
+        assert np.shares_memory(store.run(0).mean, store.mean)
+        # a run taken inside the epoch is a copy: the later fold of row 1 missed it
+        assert run1.mean.tobytes() == run1_mean.tobytes() != store.mean[1].tobytes()
+
+    def test_an_epoch_ended_by_an_error_is_back_in_dataset_order(self):
+        store = TDStore(3, 2)
+        with pytest.raises(ZeroDivisionError):
+            with store.epoch([2, 0, 1]):
+                store.update_batch(range(0, 1), np.array([[1.0, 0.0]]))
+                1 / 0
+        np.testing.assert_array_equal(store.count, [0, 0, 1])
+        assert store.values([2]).tolist() == [[1.0, 0.0]]
+        np.testing.assert_array_equal(store.by_row()[0], store.mean)
+
+    def test_a_range_fold_returns_the_store_s_means_as_a_view(self):
+        store = TDStore(4, 2)
+        with store.epoch([3, 2, 1, 0]):
+            got = store.update_batch(range(1, 3), np.array([[0.5, 0.5], [0.25, 0.75]]))
+            assert np.shares_memory(got, store.mean)
+        assert got.tolist() == store.values([2, 1]).tolist()
