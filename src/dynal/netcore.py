@@ -28,16 +28,21 @@ Conventions
   as one: matmuls act per 2-D slice, every reduction names its axis from
   the end, and each run's numbers are those of its training alone.
 * One kernel, ``_joint_step``, takes a batch through one forward pass of
-  net and head and one backprop of the joint loss, the head's part by
-  ``tdhead.head_backward``, writing the gradient into views of a vector
-  its caller allocated (``_gradient``).  It checks nothing that a training
-  run cannot change between steps: ``alengine.train_lockstep``, the one
-  training loop, checks its inputs once, and ``grad_joint``, the kernel's
-  public face, checks them per call and backprops into a fresh vector.
-  Labels reach the kernel as a boolean one-hot (``one_hot``).  The KL
-  targets come from a callback on the batch's class probabilities, in
+  net and head (``_joint_forward``) and one backprop of the joint loss, the
+  head's part by ``tdhead.head_backward``, writing the gradient into views
+  of a vector its caller allocated (``_gradient``).  It checks nothing that
+  a training run cannot change between steps: ``alengine.train_lockstep``,
+  the one training loop, checks its inputs once, and ``grad_joint``, the
+  kernel's public face, checks them per call and backprops into a fresh
+  vector.  Labels reach the kernel as a boolean one-hot (``one_hot``).  The
+  KL targets come from a callback on the batch's class probabilities, in
   training ``TDStore.update_batch`` of the batch's range of the epoch's
-  order, which returns the means it stored.
+  order, which returns the means it stored: running means of probability
+  vectors.  For such targets the kernel forms no losses, only their
+  gradient, unless a shifted logit or ``lam`` leaves the bound inside which
+  every loss is finite; then ``_joint_losses`` evaluates them exactly to
+  name a sample whose loss is not.  ``grad_joint``, whose targets are any,
+  always evaluates them.
 * Inference over a set of rows is ``predict``: the net's and the head's
   passes over blocks of ``BLOCK_ROWS`` rows (``row_blocks``), so its
   memory stays near one block's, with the bits of one whole-array pass;
@@ -49,7 +54,7 @@ Conventions
   with two exceptions: the head's tap reductions, which
   ``tdhead._relu_concat`` writes into the column blocks of one array in
   place of concatenating them, and the training step's logits, which
-  ``_joint_step`` writes into the two halves of one ``(2, *runs, B, C)``
+  ``_joint_forward`` writes into the two halves of one ``(2, *runs, B, C)``
   array, the net's then the head's, for one softmax pass over both.
   No input is written, only the gradient views handed to ``_joint_step``
   and the state ``apply_update`` moves: ``theta`` and the ``OptState``,
@@ -65,7 +70,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tdhead
-from .numutil import kl_rows, softmax_and_log_softmax, stable_softmax
+from .numutil import _shifted_exp_sum, kl_rows, stable_softmax
 
 ACTIVATIONS = ("relu", "tanh")
 OPTIMIZER_KINDS = ("sgd_momentum", "adam")
@@ -336,11 +341,14 @@ def grad_joint(
     part then head part; the losses are the batch-mean cross entropy and
     KL(target || head) that ``grad`` differentiates, evaluated by the
     forward code alone.  The head-loss gradient flows into the classifier
-    through the tapped layers.  This is ``_joint_step``, the training
+    through the tapped layers.  ``grad`` is ``_joint_step``, the training
     kernel, on checked inputs and a fresh gradient vector.
 
-    Raises FloatingPointError naming the offending sample id if any
-    per-sample loss is non-finite.
+    The kernel evaluates the losses only outside a bound that keeps them
+    finite for probability targets, and these targets are any: so a
+    forward pass of their own (``_joint_forward``) evaluates them exactly,
+    before the kernel runs.  Raises FloatingPointError naming the
+    offending sample id if any per-sample loss is non-finite.
     """
     if not 0 <= lam < np.inf:
         raise ValueError("lam must be nonnegative and finite")
@@ -356,9 +364,11 @@ def grad_joint(
         raise ValueError(f"td_targets shape {q.shape} != {(B, n_classes)}")
     tdhead.check_taps(head, [cfg.hidden_sizes[t] for t in cfg.tap_layers])
     ids = np.arange(B) if sample_ids is None else np.asarray(sample_ids)
+    hot = one_hot(y, n_classes)
+    _, _, _, shifted, total, p = _joint_forward(state, cfg, head, X)
+    per_ce, per_kl = _joint_losses(shifted, total, p[1], hot, q, lam, ids)
     grad, grad_net, grad_head = _gradient(state, head)
-    per_ce, per_kl = _joint_step(state, cfg, head, X, one_hot(y, n_classes), lambda probs: q, lam,
-                                 ids, grad_net, grad_head)
+    _joint_step(state, cfg, head, X, hot, lambda probs: q, lam, ids, grad_net, grad_head)
     return grad, float(per_ce.mean()), float(per_kl.mean())
 
 
@@ -368,42 +378,80 @@ def check_labels(y: np.ndarray, n_classes: int) -> None:
         raise ValueError(f"class index out of range for {n_classes} classes")
 
 
-def _joint_step(state, cfg, head, X, hot, targets_of, lam, sample_ids, grad_net, grad_head):
-    """One batch of joint training on checked inputs: one forward pass of
-    net and head, then one backprop of ``L_target + lam * L_module`` whose
-    gradient is written into ``grad_net`` and ``grad_head`` (from
-    ``_gradient(state, head)``), every entry of them each call.
-
-    ``X`` is a (B, input_dim) float64 array, ``hot`` the (B, C) boolean
-    one-hot of its labels, ``targets_of`` maps the (B, C) class
-    probabilities to the (B, C) KL targets and is called once, after the
-    forward pass.  With a leading run axis on the states, every array has
-    it too.  Returns the per-sample cross entropies and KL divergences;
-    raises FloatingPointError naming the entry of ``sample_ids`` of the
-    first sample whose loss is non-finite.
+def _joint_forward(state, cfg, head, X):
+    """One forward pass of net and head over a checked batch: ``(act, taps,
+    concat, shifted, total, p)``, the net's hidden activations, its taps,
+    the head's relu concat, and three arrays of shape ``(2, *runs, B, .)``,
+    the net's half then the head's.
 
     The net's and the head's logits are written into the two halves of one
-    array, and one ``softmax_and_log_softmax`` over its last axis gives
-    both their probabilities (the head's log-softmax goes unread): each
-    row's bits are those of a pass over its own half, as every step of
-    the softmax acts on each row alone.
+    array, and one ``numutil._shifted_exp_sum`` over its last axis gives
+    ``shifted``, the logits less their row max, and ``total``, the row sums
+    of their exps; ``p`` is those exps divided by ``total`` in place, the
+    two softmaxes with the bits of ``stable_softmax``.  Each row's bits are
+    those of a pass over its own half, as every step acts on each row alone.
     """
-    logits = np.empty((2, *hot.shape))
+    logits = np.empty((2, *X.shape[:-1], state.biases[-1].shape[-1]))
     act, _ = _forward(state, cfg, X, out=logits[0])
     taps = [act[l] for l in cfg.tap_layers]
     concat = tdhead._relu_concat(head, taps)
     _affine(concat, head.weights[-1], head.biases[-1], out=logits[1])
-    p, log_p = softmax_and_log_softmax(logits, axis=-1)
-    probs, pt = p
-    q = targets_of(probs)
-    B = X.shape[-2]
+    shifted, p, total = _shifted_exp_sum(logits, -1)
+    p /= total
+    return act, taps, concat, shifted, total, p
+
+
+def _joint_losses(shifted, total, pt, hot, q, lam, sample_ids):
+    """``(per_ce, per_kl)``, each (*runs, B): the cross entropies of the net
+    at the labels ``hot`` and the KL(q || pt) of the head, from a
+    ``_joint_forward``'s ``shifted``, ``total`` and head probabilities ``pt``.
+    Raises FloatingPointError naming the entry of ``sample_ids`` of the
+    first sample whose ``per_ce + lam * per_kl`` is not finite."""
+    # log-softmax by the log-sum-exp identity, over both halves as one array
+    log_p = shifted - np.log(total)
     per_ce = -log_p[0][hot].reshape(hot.shape[:-1])
     per_kl = kl_rows(q, pt)
     per_total = per_ce + lam * per_kl
     if not np.isfinite(per_total).all():
         bad = sample_ids.flat[np.flatnonzero(~np.isfinite(per_total))[0]]
         raise FloatingPointError(f"non-finite loss for sample id {bad}")
+    return per_ce, per_kl
 
+
+def _joint_step(state, cfg, head, X, hot, targets_of, lam, sample_ids, grad_net, grad_head):
+    """One batch of joint training on checked inputs: ``_joint_forward``,
+    then one backprop of ``L_target + lam * L_module`` whose gradient is
+    written into ``grad_net`` and ``grad_head`` (from ``_gradient(state,
+    head)``), every entry of them each call.  Returns nothing.
+
+    ``X`` is a (B, input_dim) float64 array, ``hot`` the (B, C) boolean
+    one-hot of its labels, ``targets_of`` maps the (B, C) class
+    probabilities to the (B, C) KL targets and is called once, after the
+    forward pass.  The targets must be finite probability vectors or means
+    of them, as training's running means of the probabilities it is given
+    are.  With a leading run axis on the states, every array has it too.
+
+    Only the losses' gradient moves the parameters, so the losses are
+    evaluated (``_joint_losses``) only to raise its FloatingPointError, and
+    only when a shifted logit is below -1e300 or NaN, or ``lam`` above
+    1e300: after the targets, before any backprop.  Inside that bound every
+    loss is finite.  Each row's max is finite, so its exp sum lies in [1,
+    C] and ``per_ce = log(total) - shifted_y <= ln C + 1e300``.  Each KL
+    term is ``q * log(r)`` with ``r`` in [1e-12, 1e12] by ``kl_rows``'
+    floors, so ``|per_kl| <= sum(q) * ln 1e12``, about 27.6 for a
+    probability vector, and ``lam * per_kl`` stays below 3e301.  A NaN
+    fails the bound, as does a row with an infinite logit or one whose
+    ``z - max`` overflows; outside the bound the exact losses decide, so
+    the step raises exactly when a loss is not finite.
+    """
+    act, taps, concat, shifted, total, p = _joint_forward(state, cfg, head, X)
+    probs, pt = p
+    q = targets_of(probs)
+    # ``initial`` keeps an empty batch inside the bound; a NaN still propagates.
+    if not (shifted.min(initial=0.0) >= -1e300 and lam <= 1e300):
+        _joint_losses(shifted, total, pt, hot, q, lam, sample_ids)
+
+    B = X.shape[-2]
     dlogits = probs - hot
     dlogits /= B
     # d(lam * mean KL)/d(head logits) = lam * (softmax - target) / B, in that order
@@ -427,7 +475,6 @@ def _joint_step(state, cfg, head, X, hot, targets_of, lam, sample_ids, grad_net,
         dZ.sum(axis=-2, out=grad_net.biases[l])
         if l > 0:
             dA = dZ @ state.weights[l]
-    return per_ce, per_kl
 
 
 def lr_at(opt: OptimizerConfig, epoch: int) -> float:

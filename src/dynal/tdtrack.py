@@ -42,7 +42,7 @@ class TDStore:
         until the block ends; a ValueError for any other ``perm``."""
         if self._at is not None:
             raise RuntimeError("an epoch is already open")
-        perm = np.asarray(perm, dtype=np.intp)
+        perm = _index_rows(perm)
         n = self.count.size
         at = np.argsort(perm)  # the inverse of a permutation
         if perm.shape != (n,) or not np.array_equal(perm[at], np.arange(n)):
@@ -63,7 +63,8 @@ class TDStore:
         ``probs`` is (*runs, n, C), one vector per run and row.  Returns the
         rows' updated means, (*runs, n, C): for a range, a view of the
         store's, which the next fold of those rows changes; for indices, a
-        copy.  A row outside the store is a ValueError.
+        copy.  A row outside the store, or an index row that is not an
+        integer, is a ValueError.
         """
         probs = np.asarray(probs, dtype=np.float64)
         want = (*self.mean.shape[:-2], len(rows), self.mean.shape[-1])
@@ -79,7 +80,7 @@ class TDStore:
                 raise ValueError(f"row {bad} outside the store's {n} rows")
             at = slice(rows.start, rows.stop)
         else:
-            rows = np.asarray(rows, dtype=np.intp)
+            rows = _index_rows(rows)
             ordered = np.sort(rows, axis=None)
             if (ordered[1:] == ordered[:-1]).any():
                 raise ValueError("duplicate rows in one update")
@@ -97,8 +98,9 @@ class TDStore:
 
     def values(self, rows) -> np.ndarray:
         """(*runs, n, C) running means of the given dataset rows; a state
-        error for a row that was never updated."""
-        rows = np.asarray(rows, dtype=np.intp)
+        error for a row that was never updated, a ValueError for one outside
+        the store or not an integer."""
+        rows = _index_rows(rows)
         at = self._positions(rows)
         fresh = np.flatnonzero(self.count[at] < 1)
         if fresh.size:
@@ -127,3 +129,14 @@ class TDStore:
         if outside.size:
             raise ValueError(f"row {outside.flat[0]} outside the store's {n} rows")
         return rows if self._at is None else self._at[rows]
+
+
+def _index_rows(rows) -> np.ndarray:
+    """``rows`` as an intp array; a ValueError naming the first row of an
+    array of any other kind, such as floats or bools, which a cast would
+    turn into indices (2.5 into 2, True into 1).  An empty ``rows`` is no
+    rows, whatever its dtype."""
+    rows = np.asarray(rows)
+    if rows.size and rows.dtype.kind not in "iu":
+        raise ValueError(f"row {rows.flat[0].item()!r} is not an integer")
+    return rows.astype(np.intp, copy=False)

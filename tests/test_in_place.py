@@ -18,7 +18,12 @@ range of the TD store's epoch order, against index folds in dataset order;
 the reference takes the net's and the head's softmaxes each over its own
 logits, where the kernel takes one over both stacked, and masks each tap's
 block of the head's gradient by its own relu, where ``head_backward``
-masks the whole concat once.  A second group checks that no rewritten
+masks the whole concat once.  The kernel forms the per-sample losses only
+when a shifted logit or ``lam`` leaves the bound inside which they are
+finite; ``ref_checked_joint_step``, the step that formed and checked them
+on every call, is the reference for its raises and their messages, the TD
+store it leaves and its gradient, on NaN, infinite and overflowing logits in
+the net's half and in the head's.  A second group checks that no rewritten
 function writes an array it was given.
 """
 
@@ -148,6 +153,52 @@ def ref_joint_step(state, cfg, head, X, hot, targets_of, lam, grad_net, grad_hea
     return per_ce, per_kl
 
 
+def ref_checked_joint_step(state, cfg, head, X, hot, targets_of, lam, sample_ids, grad_net,
+                           grad_head):
+    """``netcore._joint_step`` as it was when it formed every step's losses
+    and checked them: verbatim but for the module prefixes."""
+    logits = np.empty((2, *hot.shape))
+    act, _ = netcore._forward(state, cfg, X, out=logits[0])
+    taps = [act[l] for l in cfg.tap_layers]
+    concat = tdhead._relu_concat(head, taps)
+    netcore._affine(concat, head.weights[-1], head.biases[-1], out=logits[1])
+    p, log_p = softmax_and_log_softmax(logits, axis=-1)
+    probs, pt = p
+    q = targets_of(probs)
+    B = X.shape[-2]
+    per_ce = -log_p[0][hot].reshape(hot.shape[:-1])
+    per_kl = kl_rows(q, pt)
+    per_total = per_ce + lam * per_kl
+    if not np.isfinite(per_total).all():
+        bad = sample_ids.flat[np.flatnonzero(~np.isfinite(per_total))[0]]
+        raise FloatingPointError(f"non-finite loss for sample id {bad}")
+
+    dlogits = probs - hot
+    dlogits /= B
+    # d(lam * mean KL)/d(head logits) = lam * (softmax - target) / B, in that order
+    dU = pt - q
+    dU *= lam
+    dU /= B
+    tap_grads = tdhead.head_backward(head, taps, concat, dU, grad_head)
+    tap_at_layer: dict[int, np.ndarray] = {}
+    for layer, g in zip(cfg.tap_layers, tap_grads):
+        tap_at_layer[layer] = tap_at_layer.get(layer, 0.0) + g
+
+    np.matmul(dlogits.mT, act[-1], out=grad_net.weights[-1])
+    dlogits.sum(axis=-2, out=grad_net.biases[-1])
+    dA = dlogits @ state.weights[-1]
+    for l in range(len(act) - 1, -1, -1):
+        if l in tap_at_layer:
+            dA += tap_at_layer[l]
+        dZ = dA
+        dZ *= netcore._act_deriv(act[l], cfg.activation)
+        np.matmul(dZ.mT, X if l == 0 else act[l - 1], out=grad_net.weights[l])
+        dZ.sum(axis=-2, out=grad_net.biases[l])
+        if l > 0:
+            dA = dZ @ state.weights[l]
+    return per_ce, per_kl
+
+
 class RefOpt:
     """``apply_update``'s state and step, each moment rebound to a fresh array."""
 
@@ -197,6 +248,13 @@ def mixture(n, dim, n_classes, seed):
     return rng.normal(size=(n, dim)) + 1.5 * np.eye(n_classes, dim)[y], y
 
 
+def step_losses(net, cfg, head, X, hot, q, lam, sample_ids):
+    """The per-sample losses of a training step with targets ``q``, by the
+    kernel's exact-loss path (the kernel itself forms none)."""
+    _, _, _, shifted, total, p = netcore._joint_forward(net, cfg, head, X)
+    return netcore._joint_losses(shifted, total, p[1], hot, q, lam, sample_ids)
+
+
 def train_against_reference(runs, activation, lam, kind, epoch_path):
     """Three epochs over 45 samples in batches of 16, the last batch 13 rows,
     so the store folds repeat visits; every step's per-sample losses,
@@ -236,13 +294,14 @@ def train_against_reference(runs, activation, lam, kind, epoch_path):
                 Xb, hotb = X[..., rows, :], hot[..., rows, :]
                 if epoch_path:
                     b = slice(span.start, span.stop)
-                    got = netcore._joint_step(net, cfg, head, X_p[..., b, :], hot_p[..., b, :],
-                                              lambda probs: store.update_batch(span, probs), lam,
-                                              ids[rows], grad_net, grad_head)
+                    Xk, hotk, fold = X_p[..., b, :], hot_p[..., b, :], span
                 else:
-                    got = netcore._joint_step(net, cfg, head, Xb, hotb,
-                                              lambda probs: store.update_batch(rows, probs), lam,
-                                              ids[rows], grad_net, grad_head)
+                    Xk, hotk, fold = Xb, hotb, rows
+                netcore._joint_step(net, cfg, head, Xk, hotk,
+                                    lambda probs: store.update_batch(fold, probs), lam, ids[rows],
+                                    grad_net, grad_head)
+                # the step's targets are its rows' means, just folded
+                got = step_losses(net, cfg, head, Xk, hotk, store.values(rows), lam, ids[rows])
                 want = ref_joint_step(ref_net, cfg, ref_head, Xb, hotb,
                                       lambda probs: ref_update_batch(ref_mean, ref_count, rows,
                                                                      probs),
@@ -276,6 +335,91 @@ def test_training_steps_match_the_out_of_place_reference(runs, activation, lam, 
 @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
 def test_epoch_path_steps_match_the_out_of_place_reference(runs, activation, lam, kind):
     train_against_reference(runs, activation, lam, kind, epoch_path=True)
+
+
+# Output-bias rows that put the logits where the kernel's loss check must
+# look, C = 4.  Each is added to every row's finite logits in the last run,
+# of the net or of the head.  Class 1 holds the edge; the labels put it off
+# every row's label or at rows 2 and 4.
+CHECK_ROWS = {
+    "finite": [0.3, -0.2, 0.1, 0.0],
+    # inside the bound, but the head's KL is 8 to 16 nats: lam * KL overflows at lam 1e308
+    "far": [0.3, -40.0, 0.1, 0.0],
+    "nan": [0.3, np.nan, 0.1, 0.0],
+    "pos_inf": [0.3, np.inf, 0.1, 0.0],
+    "neg_inf": [0.3, -np.inf, 0.1, 0.0],
+    # class 1's z - max overflows to -inf; class 2's is -1e308, a finite loss
+    "overflow": [1e308, -1e308, 0.1, 0.0],
+    "all_neg_inf": [-np.inf] * 4,
+}
+CHECK_LABELS = {"off": [0, 2, 3, 0, 2], "at": [0, 2, 1, 3, 1]}
+
+
+def checked_step_outcome(step, row, half, labels, lam, runs):
+    """What ``step`` leaves on one batch of five rows with ``CHECK_ROWS[row]``
+    in the output bias of ``half``'s last run: the message of the
+    FloatingPointError it raises or None, the store's means and counts, and
+    the gradient vector (NaN where unwritten), as bytes."""
+    cfg = NetConfig(hidden_sizes=[6, 5], tap_layers=[0, 1])
+    B, C = 5, 4
+    net0, head0 = netcore.init_net(cfg, 3, C, 15), tdhead.init_head([6, 5], C, 4, 16)
+    _, net, head = netcore.flatten(net0, head0, runs=runs)
+    (net if half == "net" else head).biases[-1].reshape(-1, C)[-1] = CHECK_ROWS[row]
+    grad, grad_net, grad_head = netcore._gradient(net0, head0, runs=runs)
+    grad[...] = np.nan
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(*runs, B, 3))
+    hot = netcore.one_hot(np.broadcast_to(CHECK_LABELS[labels], (*runs, B)), C)
+    ids = (100 * np.arange(runs[0] if runs else 1)[:, None] + np.arange(B)).reshape(*runs, B)
+    # the targets are running means: a first epoch's probabilities, then this step's
+    store = TDStore(B, C, runs)
+    store.update_batch(range(B), ref_stable_softmax(rng.normal(size=(*runs, B, C))))
+    raised = None
+    with np.errstate(all="ignore"):
+        try:
+            step(net, cfg, head, X, hot, lambda probs: store.update_batch(range(B), probs), lam,
+                 ids, grad_net, grad_head)
+        except FloatingPointError as e:
+            raised = str(e)
+    return raised, store.mean.tobytes(), store.count.tobytes(), grad.tobytes()
+
+
+@pytest.mark.parametrize("runs", [(), (1,), (3,)])
+@pytest.mark.parametrize("lam", [0.0, 0.7, 1e301, 1e308])
+@pytest.mark.parametrize("labels", ["off", "at"])
+@pytest.mark.parametrize("half", ["net", "head"])
+@pytest.mark.parametrize("row", list(CHECK_ROWS))
+def test_loss_check_matches_the_out_of_place_reference(row, half, labels, lam, runs):
+    # the kernel forms the losses only outside its bound; it must raise exactly
+    # when the step that formed them every time raised, with the same message,
+    # and leave the same store and gradient (written only when it does not raise)
+    assert (checked_step_outcome(netcore._joint_step, row, half, labels, lam, runs)
+            == checked_step_outcome(ref_checked_joint_step, row, half, labels, lam, runs))
+
+
+@pytest.mark.parametrize("runs", [(), (3,)])
+def test_loss_check_rows_reach_the_cases_they_name(runs):
+    def raised(row, half, labels, lam):
+        return checked_step_outcome(ref_checked_joint_step, row, half, labels, lam, runs)[0]
+
+    last = 200 if runs else 0  # the first sample id of the last run
+    for half in ["net", "head"]:
+        for row in ["nan", "pos_inf", "all_neg_inf"]:
+            assert raised(row, half, "off", 0.0) == f"non-finite loss for sample id {last}"
+        for lam in [0.0, 0.7, 1e301]:
+            assert raised("finite", half, "at", lam) is None
+            assert raised("far", half, "at", lam) is None
+    # -inf off the label trains on, at the label it raises; so does an
+    # overflowed z - max, while one of -1e308 is a finite loss
+    assert raised("neg_inf", "net", "off", 0.7) is None
+    assert raised("neg_inf", "net", "at", 0.7) == f"non-finite loss for sample id {last + 2}"
+    assert raised("overflow", "net", "off", 0.7) is None
+    assert raised("overflow", "net", "at", 0.7) == f"non-finite loss for sample id {last + 2}"
+    # in the head's half the KL floors a zero probability
+    assert raised("neg_inf", "head", "at", 1e301) is None
+    assert raised("overflow", "head", "at", 1e301) is None
+    # inside the logit bound, only lam above 1e300 can make a loss overflow
+    assert raised("far", "head", "off", 1e308) is not None
 
 
 @pytest.mark.parametrize("runs", [(), (3,)])

@@ -404,12 +404,15 @@ class TestGradJoint:
         X, y, q = rng.normal(size=(5, 2)), rng.integers(0, 3, size=5), rng.dirichlet([1.0] * 3, 5)
         want, lt, lm = netcore.grad_joint(net, cfg, head, X, y, q, lam=0.5)
         grad, grad_net, grad_head = netcore._gradient(net, head)
+        hot = netcore.one_hot(y, 3)
         for _ in range(2):
             grad[:] = np.nan
-            per_ce, per_kl = netcore._joint_step(net, cfg, head, X, netcore.one_hot(y, 3),
-                                                 lambda p: q, 0.5, np.arange(5), grad_net,
-                                                 grad_head)
+            assert netcore._joint_step(net, cfg, head, X, hot, lambda p: q, 0.5, np.arange(5),
+                                       grad_net, grad_head) is None
             assert grad.tobytes() == want.tobytes()
+            # the kernel forms no losses; its exact-loss path gives grad_joint's
+            _, _, _, shifted, total, p = netcore._joint_forward(net, cfg, head, X)
+            per_ce, per_kl = netcore._joint_losses(shifted, total, p[1], hot, q, 0.5, np.arange(5))
             assert (float(per_ce.mean()), float(per_kl.mean())) == (lt, lm)
 
     def test_targets_come_from_the_forward_pass_probabilities(self):

@@ -196,6 +196,43 @@ class TestRowsOutside:
             TDStore(4, 2).update_batch(range(0, 4, 2), np.full((2, 2), 0.5))
 
 
+class TestRowsNotIntegers:
+    # Cast to indices, 2.5 would name row 2, 0.7 row 0 and True row 1.
+    @pytest.mark.parametrize("rows, bad", [([2.5], "2.5"), ([1, 0.5], "1.0"),
+                                           (np.array([True, False]), "True")])
+    def test_index_rows_are_rejected_and_named(self, rows, bad):
+        store = TDStore(3, 2)
+        with pytest.raises(ValueError, match=f"row {bad} is not an integer"):
+            store.update_batch(rows, np.full((len(rows), 2), 0.5))
+        assert store.count.sum() == 0 and not store.mean.any()
+
+    @pytest.mark.parametrize("rows, bad", [([0.7], "0.7"), (np.array([False]), "False")])
+    def test_values_rejects_them(self, rows, bad):
+        store = TDStore(3, 2)
+        store.update_batch([0, 1, 2], np.full((3, 2), 0.5))
+        with pytest.raises(ValueError, match=f"row {bad} is not an integer"):
+            store.values(rows)
+
+    @pytest.mark.parametrize("perm, bad", [([2.5, 0, 1], "2.5"), ([2.0, 0.0, 1.0], "2.0"),
+                                           (np.array([True, False, True]), "True")])
+    def test_an_epoch_rejects_them_before_it_opens(self, perm, bad):
+        store = TDStore(3, 2)
+        feed(store, 1, [0.25, 0.75])
+        with pytest.raises(ValueError, match=f"row {bad} is not an integer"):
+            with store.epoch(perm):
+                pytest.fail("the epoch opened")
+        with store.epoch([2, 0, 1]):
+            np.testing.assert_array_equal(store.count, [0, 0, 1])
+
+    def test_integer_rows_of_any_width_and_empty_rows_pass(self):
+        store = TDStore(3, 2)
+        store.update_batch(np.array([2, 0], dtype=np.uint8), np.full((2, 2), 0.5))
+        store.update_batch(np.array([1], dtype=np.int32), np.full((1, 2), 0.5))
+        assert store.values([]).shape == (0, 2)
+        np.testing.assert_array_equal(store.values(np.array([0, 1, 2], dtype=np.int16)),
+                                      np.full((3, 2), 0.5))
+
+
 def fold_epochs(store, fed, perms, batch, as_ranges):
     """Feed ``fed[e]`` (*runs, n, C) over ``perms[e]`` in batches: as ranges
     of the store's epoch order, or as index rows with no epoch."""
@@ -233,12 +270,14 @@ class TestEpoch:
         assert got.count.tobytes() == want.count.tobytes()
 
     @pytest.mark.parametrize("perm", [[0, 0, 2], [0, 1], [0, 1, 2, 3], [1, 2, 3], [-1, 0, 1],
-                                      [[0, 1, 2]]])
+                                      [[0, 1, 2]], [2.5, 0, 1]])
     def test_a_non_permutation_is_rejected_at_epoch_start(self, perm):
         store = TDStore(3, 2)
         feed(store, 1, [0.25, 0.75])
         mean, count = store.mean.copy(), store.count.copy()
-        with pytest.raises(ValueError, match="not a permutation"):
+        # a float order is no order of rows: cast to indices it would be [2, 0, 1]
+        match = "row 2.5 is not an integer" if perm == [2.5, 0, 1] else "not a permutation"
+        with pytest.raises(ValueError, match=match):
             with store.epoch(perm):
                 pytest.fail("the epoch opened")
         assert store.mean.tobytes() == mean.tobytes() and store.count.tobytes() == count.tobytes()
