@@ -79,7 +79,10 @@ def _build_section(cls, mapping, path: str):
     values that do not match the field's type hint."""
     if not isinstance(mapping, dict):
         raise ValueError(f"config section '{path}' must be a mapping")
-    hints = typing.get_type_hints(cls)
+    # Names resolve in this module's namespace first: run as ``__main__``
+    # (``python -m cProfile -m dynal.cli``), sys.modules[cls.__module__] may
+    # be another module.
+    hints = typing.get_type_hints(cls, localns=globals())
     known = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in mapping.items():
@@ -112,13 +115,21 @@ def _check_value(hint, value, path: str):
     return value
 
 
-class _ConfigLoader(yaml.SafeLoader):
-    """``yaml.SafeLoader`` that rejects a key written twice in one mapping.
-    Each mapping is checked as it is composed, before ``<<:`` merges are
-    flattened, so a key that overrides a merged one is not a repeat."""
-
-    def compose_mapping_node(self, anchor):
-        node = super().compose_mapping_node(anchor)
+def _reject_repeated_keys(node, walked: set) -> None:
+    """ValueError naming the first key written twice in one mapping of the
+    composed tree below ``node``.  The walk takes children before their
+    mapping, in document order, as a streaming composer finishes them, and
+    takes each node once (by ``id``): an alias is the node of its anchor."""
+    if id(node) in walked:
+        return
+    walked.add(id(node))
+    if isinstance(node, yaml.SequenceNode):
+        for item in node.value:
+            _reject_repeated_keys(item, walked)
+    elif isinstance(node, yaml.MappingNode):
+        for key, value in node.value:
+            _reject_repeated_keys(key, walked)
+            _reject_repeated_keys(value, walked)
         seen = set()
         for key, _ in node.value:
             if isinstance(key, yaml.ScalarNode):
@@ -127,6 +138,19 @@ class _ConfigLoader(yaml.SafeLoader):
                     raise ValueError(f"{mark.name}: repeated config key '{key.value}'"
                                      f" at line {mark.line + 1}")
                 seen.add((key.tag, key.value))
+
+
+class _ConfigLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """PyYAML's safe loader, libyaml's when PyYAML was built with it, that
+    rejects a key written twice in one mapping.  libyaml composes the whole
+    document in C, so the check walks the composed tree once, before the
+    constructor flattens any ``<<:`` merge: a key that overrides a merged
+    one is not a repeat, and a repeat inside a merged mapping is one."""
+
+    def get_single_node(self):
+        node = super().get_single_node()
+        if node is not None:
+            _reject_repeated_keys(node, set())
         return node
 
 

@@ -112,7 +112,7 @@ def save_scores_csv(path, ids, scores_by_name, labels, selected=()) -> None:
     """
     ids = np.asarray(ids)
     id_list, labels = ids.tolist(), np.asarray(labels).tolist()
-    chosen = np.isin(ids, selected).tolist()
+    chosen = np.isin(ids, selected).astype(int).tolist()  # 0/1, as write_csv writes a bool
     rows = [(i, name, s, lbl, c) for name, scores in scores_by_name.items()
             for i, s, lbl, c in zip(id_list, np.asarray(scores).tolist(), labels, chosen)]
     write_csv(path, ["sample_id", "strategy", "score", "predicted_label", "selected"], rows)

@@ -3,10 +3,12 @@ import csv
 import dataclasses
 import multiprocessing
 import os
+import runpy
 import subprocess
 import sys
 import types
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +91,51 @@ def dump_config(cfg: ExperimentConfig) -> str:
     return yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=True)
 
 
+RUNPY_REIMPORT = "'dynal.cli' found in sys.modules"
+
+
+@pytest.fixture(scope="module")
+def pure_python_parse_config():
+    """``parse_config`` of a second copy of ``dynal.cli``, made while PyYAML
+    reports no libyaml: its loader's base is the pure-Python SafeLoader."""
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(yaml, "__with_libyaml__", False)
+        # runpy warns that dynal.cli is imported already; this copy is meant to be a second one
+        warnings.filterwarnings("ignore", RUNPY_REIMPORT, RuntimeWarning)
+        namespace = runpy.run_module("dynal.cli", run_name="dynal_cli_pure_yaml", alter_sys=True)
+    assert namespace["_ConfigLoader"].__bases__ == (yaml.SafeLoader,)
+    return namespace["parse_config"]
+
+
+def parse_outcome(parse, path):
+    """What ``parse(path)`` gives, comparable across the two copies of the
+    module: the config's repr, or the error's type and text.  libyaml and
+    PyYAML word a syntax error apart, so for one only the class and the
+    marks' lines and columns are kept."""
+    try:
+        return repr(parse(path))
+    except yaml.MarkedYAMLError as e:
+        marks = [(m.line, m.column) if m else None for m in (e.context_mark, e.problem_mark)]
+        return type(e), marks
+    except Exception as e:
+        return type(e), str(e)
+
+
+@pytest.fixture(autouse=True)
+def both_loader_bases(monkeypatch, pure_python_parse_config):
+    """Every config a test here parses, by ``parse_config`` or by ``main``,
+    is parsed by both loader bases, which must give equal configs or equal
+    errors; the test then sees the shipped loader's result."""
+    shipped = cli.parse_config
+
+    def parse_both(path):
+        assert parse_outcome(shipped, path) == parse_outcome(pure_python_parse_config, path)
+        return shipped(path)
+
+    monkeypatch.setattr(cli, "parse_config", parse_both)
+    monkeypatch.setitem(globals(), "parse_config", parse_both)
+
+
 @pytest.fixture
 def small_config(tmp_path):
     p = tmp_path / "cfg.yaml"
@@ -168,6 +215,12 @@ class TestParseConfig:
          "    ratio: 4\n", "ratio", 6),
         # Quoting does not make another key.
         ("pilot: {lam: 0.5}\n'pilot': {epochs: 2}\n", "pilot", 2),
+        # A repeat inside a mapping that ``<<:`` merges, inline or in a merged sequence.
+        ("pilot: {<<: {epochs: 3, epochs: 4}}\n", "epochs", 1),
+        ("al: {<<: [{epochs: 3}, {batch_size: 8, batch_size: 9}], lam: 0.5}\n", "batch_size", 1),
+        ("base: &b\n  epochs: 3\n  epochs: 4\npilot:\n  <<: *b\n", "epochs", 3),
+        # The inner mapping is finished first, as a streaming composer finishes it.
+        ("al: {epochs: 1}\npilot: {lam: 1, lam: 2}\nal: {epochs: 2}\n", "lam", 2),
     ])
     def test_repeated_key_rejected_naming_it_and_its_line(self, tmp_path, text, key, line):
         p = tmp_path / "bad.yaml"
@@ -185,6 +238,21 @@ class TestParseConfig:
         assert (f"error: {small_config}: repeated config key 'epochs' at line {line}\n"
                 == capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["al: [1, 2\n", "pilot:\n  epochs: 5\n bad\n",
+                                      "pilot: {epochs: *missing}\n", "a: b: c\n"])
+    @pytest.mark.parametrize("command", ["theory-closed-form", "al-run"])
+    def test_malformed_yaml_exits_2(self, tmp_path, capsys, command, text):
+        p = tmp_path / "bad.yaml"
+        p.write_text(text)
+        out = tmp_path / "x"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_loader_base_is_libyaml_when_pyyaml_has_it(self):
+        base = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert cli._ConfigLoader.__bases__ == (base,)
 
     def test_merge_override_and_aliases_parse(self, tmp_path):
         """A key that overrides one merged in by ``<<:`` is not a repeat."""
@@ -1079,6 +1147,19 @@ class TestMain:
         assert main(["pilot", "--config", str(small_config), "--out", str(out)]) == 2
         assert out.is_dir()
         assert [p.name for p in out.iterdir()] == ([] if keep == "empty" else ["notes.txt"])
+
+    @pytest.mark.filterwarnings(f"ignore:{RUNPY_REIMPORT}:RuntimeWarning")
+    def test_runs_as_main_module_under_a_foreign_main(self, small_config, tmp_path, monkeypatch):
+        """As ``python -m cProfile -m dynal.cli`` runs it: a fresh ``__main__``
+        namespace while sys.modules["__main__"] stays another module."""
+        out = tmp_path / "x"
+        monkeypatch.setattr(sys, "argv", ["dynal", "theory-closed-form", "--config",
+                                          str(small_config), "--out", str(out)])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("dynal.cli", run_name="__main__", alter_sys=False)
+        assert exit_info.value.code == 0
+        header = b"s_y,n_classes,entropy,margin\r\n"
+        assert (out / "closed_form.csv").read_bytes().startswith(header)
 
     def test_missing_config_is_reported(self, tmp_path, capsys):
         code = main([

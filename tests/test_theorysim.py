@@ -16,6 +16,7 @@ from dynal.theorysim import (
     theorem2_entropy,
     theorem2_margin,
 )
+from test_numutil import ref_write_csv
 
 
 def params(**kw):
@@ -186,6 +187,123 @@ class TestChunkedRecording:
         assert peak <= means_bytes + 8 * theorysim.SIM_CHUNK_FLOATS + slack
 
 
+def ref_simulate_discrete_ensemble(params, n_runs):
+    """simulate_discrete_ensemble as it was when ``record`` took each
+    group's means by ``ndarray.mean``: verbatim but for the module prefixes."""
+    if n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
+    h = params.step_size
+    sqrt_h = np.sqrt(h)
+    sizes = params.group_sizes()
+    n = params.n_total
+    group_of = np.repeat(np.arange(3), sizes)
+    G = elasticity_matrix(params)
+    # row g: the pull on each sample, times h, when the draw is in group g
+    h_col_fac = np.ascontiguousarray((h * G[group_of]).T)
+
+    rng = np.random.default_rng(params.seed)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    means = np.empty((params.iterations + 1, n_runs, 3))
+    hist = np.empty((min(max(1, theorysim.SIM_CHUNK_FLOATS // (n_runs * n)),
+                         params.iterations + 1), n_runs, n))
+    hist[0] = np.repeat(np.asarray(params.x0, dtype=np.float64), sizes)
+
+    def record(first, k):
+        for g in range(3):
+            means[first : first + k, :, g] = hist[:k, :, starts[g] : starts[g + 1]].mean(axis=2)
+
+    run_idx = np.arange(n_runs)
+    if params.noise == 0:
+        fac = np.empty_like(hist)  # the pull factors of the steps that fill the buffer
+        flat = hist.reshape(-1)
+    X, k, m = hist[0], 1, 1  # the first k buffer rows hold steps m - k .. m - 1
+    while m <= params.iterations:
+        if k == len(hist):
+            record(m - k, k)
+            k = 0
+        steps = min(len(hist) - k, params.iterations + 1 - m)  # to fill the buffer
+        if params.noise == 0:
+            J = rng.integers(0, n, size=(steps, n_runs))
+            # mode="clip" writes straight to out ("raise" would buffer it); no index is out of range
+            np.take(h_col_fac, group_of[J], axis=0, out=fac[:steps], mode="clip")
+            # flat positions of the drawn logits in the buffer row before each step's own;
+            # row -1 counts from the end, the last row, which a buffer's first step reads
+            read_rows = np.arange(k - 1, k - 1 + steps)
+            src = (read_rows[:, None] * (n_runs * n) + run_idx * n + J)[:, :, None]
+            for s, f, out in zip(src, fac, hist[k : k + steps]):
+                X = np.add(X, np.multiply(f, flat[s], out=f), out=out)
+        else:
+            for i in range(steps):
+                J = rng.integers(0, n, size=n_runs)
+                X = np.add(X, h_col_fac[group_of[J]] * X[run_idx, J][:, None], out=hist[k + i])
+                X += sqrt_h * params.noise * rng.standard_normal(size=X.shape)
+        k += steps
+        m += steps
+    record(params.iterations + 1 - k, k)
+    if not np.isfinite(means[-1]).all():  # inf and nan persist once reached
+        raise FloatingPointError(f"non-finite group means by iteration {params.iterations}")
+    return means.transpose(1, 0, 2)
+
+
+def ref_integrate_ode(params, dt, t_end):
+    """integrate_ode as it was when each step made fresh arrays: verbatim but
+    for the module prefixes."""
+    steps = theorysim.ode_steps(dt, t_end)
+    A = ode_matrix(params)
+    traj = np.empty((steps + 1, 3))
+    traj[0] = np.asarray(params.x0, dtype=np.float64)
+    x = traj[0].copy()
+    for k in range(1, steps + 1):
+        x = x + dt * (A @ x)
+        traj[k] = x
+    if not np.isfinite(x).all():  # inf and nan persist once reached
+        raise FloatingPointError(f"non-finite ODE group means by t_end={t_end}")
+    return np.arange(steps + 1) * dt, traj
+
+
+def outcome(f, *args):
+    """``f``'s result, or the type and message of the FloatingPointError it raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return f(*args)
+        except FloatingPointError as e:
+            return type(e), str(e)
+
+
+class TestReferenceBits:
+    """The ensemble's group means, summed by ``numutil.sum_first``, and the
+    ODE's steps, written into the trajectory, against the forms they
+    replaced; ``tobytes`` tells -0.0 from 0.0."""
+
+    @pytest.mark.parametrize("n_runs", [1, 3, 200])
+    @pytest.mark.parametrize("sizes", [(3, 9, 130), (10, 10, 10)])
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_ensemble_equals_the_reference_record(self, n_runs, sizes, noise):
+        steps = chunk_steps(n_runs, sum(sizes))
+        iterations = 2 * steps + steps // 2 + 1  # iterations + 1 is no multiple of the buffer
+        assert (iterations + 1) % steps != 0 or steps == 1
+        p = params(n_1e=sizes[0], n_1h=sizes[1], n_2=sizes[2], noise=noise,
+                   iterations=iterations, seed=11, x0=(1.0, -0.0, 0.5))
+        got = simulate_discrete_ensemble(p, n_runs)
+        assert got.tobytes() == ref_simulate_discrete_ensemble(p, n_runs).tobytes()
+
+    def test_diverging_ensemble_raises_as_the_reference(self):
+        p = params(step_size=10.0, iterations=2000)
+        got = outcome(simulate_discrete_ensemble, p, 3)
+        assert got == outcome(ref_simulate_discrete_ensemble, p, 3)
+        assert got[0] is FloatingPointError
+
+    @pytest.mark.parametrize("dt, t_end", [(1e-3, 5.0), (1e-2, 0.05), (0.5, 3.0)])
+    @pytest.mark.parametrize("x0", [(1.0, 1.0, 1.0), (-0.0, 0.0, -2.5), (1e307, 1e307, 1e307)])
+    def test_ode_equals_the_reference(self, dt, t_end, x0):
+        p = params(x0=x0, alpha_e=3.0)
+        got, want = outcome(integrate_ode, p, dt, t_end), outcome(ref_integrate_ode, p, dt, t_end)
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
 class TestODE:
     def test_matrix_weights(self):
         p = params(n_1e=1, n_1h=2, n_2=3)
@@ -326,3 +444,12 @@ class TestTrajectoryCsv:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[1]) == 1.0
+
+    def test_bytes_equal_the_reference_rows(self, tmp_path):
+        """The rows as they were built before, written by ``csv.writer``."""
+        _, traj = integrate_ode(params(x0=(1.0, -0.0, 2.0)), 1e-3, 5.0)
+        theorysim.save_trajectory_csv(tmp_path / "got.csv", traj)
+        rows = np.column_stack([traj, convergence_gap(traj)]).tolist()
+        ref_write_csv(tmp_path / "want.csv", ["step", "xbar_1e", "xbar_1h", "xbar_2", "gap"],
+                      [[k, *r] for k, r in enumerate(rows)])
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
