@@ -11,8 +11,8 @@ the head's predicted mean probabilities.
 
 ``train_lockstep`` is the one training loop: the trainings of same-size
 labeled sets share their init and their permutations, so they run as
-one, a kernel call with a leading run axis per step, with the bits of
-each training alone; ``train_joint`` is a lockstep of one run.
+one ``netcore.Joint`` with a leading run axis, one ``Joint.step`` per
+batch, with the bits of each training alone; ``train_joint`` is a lockstep of one run.
 ``run_experiments`` runs the strategies of one seed cycle by cycle.  Two
 runs whose labeled ids agree, in order, at the start of a cycle train
 the same model, so that cycle's training, evaluation and the pool
@@ -156,10 +156,10 @@ def train_lockstep(
     which hold the same number of samples, the net mapping their ``dim``
     features to their ``n_classes`` classes.  The runs share their init
     and every epoch's permutation, so they train as one training whose
-    arrays carry a leading run axis: each step is one
-    ``netcore._joint_step`` into one gradient array, one store update and
-    one ``netcore.apply_update`` for all of them.  Each result has the bits
-    of its set's training alone.
+    arrays carry a leading run axis: one ``netcore.Joint``, whose every
+    step, ``Joint.step``, is one kernel call, one store update and one
+    ``apply_update`` for all of them.  Each result has the bits of its
+    set's training alone.
 
     Per epoch, each labeled sample's probability vector from the
     training-time forward pass (taken before that batch's update) is
@@ -186,9 +186,7 @@ def train_lockstep(
     net0 = netcore.init_net(net_cfg, dim, n_classes, _stream_seed(cfg.seed, cycle, _STREAM_NET))
     head0 = tdhead.init_head([net_cfg.hidden_sizes[t] for t in net_cfg.tap_layers], n_classes,
                              cfg.head.reduce_dim, _stream_seed(cfg.seed, cycle, _STREAM_HEAD))
-    theta, net, head = netcore.flatten(net0, head0, runs=(runs,))
-    grad, grad_net, grad_head = netcore._gradient(net0, head0, runs=(runs,))
-    opt_state = netcore.init_opt_state(theta)
+    joint = netcore.Joint.init(net_cfg, net0, head0, runs=(runs,))
     shuffle_rng = np.random.default_rng(_stream_seed(cfg.seed, cycle, _STREAM_SHUFFLE))
 
     # The store's (runs, n, C) means are the KL targets, so their shape holds by construction.
@@ -204,13 +202,11 @@ def train_lockstep(
             for lo in range(0, n, cfg.batch_size):
                 rows = range(lo, min(lo + cfg.batch_size, n))
                 b = slice(rows.start, rows.stop)
-                netcore._joint_step(net, net_cfg, head, X_p[:, b], hot_p[:, b],
-                                    lambda probs: store.update_batch(rows, probs), cfg.lam,
-                                    ids_p[:, b], grad_net, grad_head)
-                netcore.apply_update(theta, grad, opt_state, cfg.opt, epoch)
+                joint.step(X_p[:, b], hot_p[:, b], lambda probs: store.update_batch(rows, probs),
+                           cfg.lam, ids_p[:, b], cfg.opt, epoch)
         if test is not None:
-            snapshots.append(netcore.predict(net, net_cfg, test.X, head=head)[:2])
-    return [TrainResult(net.run(r), net_cfg, head.run(r), store.run(r),
+            snapshots.append(netcore.predict(joint.net, net_cfg, test.X, head=joint.head)[:2])
+    return [TrainResult(joint.net.run(r), net_cfg, joint.head.run(r), store.run(r),
                         kl_analysis([(p[r], pt[r]) for p, pt in snapshots])
                         if test is not None else None)
             for r in range(runs)]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import traceback
@@ -74,22 +75,29 @@ class ExperimentConfig:
     pilot: Schedule = field(default_factory=Schedule)
 
 
+@functools.cache
+def _hints(cls) -> types.MappingProxyType:
+    """The type hints of a config section's fields, resolved once per class
+    and shared read-only by every parse.
+
+    Names resolve in this module's namespace first: run as ``__main__``
+    (``python -m cProfile -m dynal.cli``), sys.modules[cls.__module__] may
+    be another module."""
+    return types.MappingProxyType(typing.get_type_hints(cls, localns=globals()))
+
+
 def _build_section(cls, mapping, path: str):
     """Instantiate a dataclass from a mapping, rejecting unknown keys and
     values that do not match the field's type hint."""
     if not isinstance(mapping, dict):
         raise ValueError(f"config section '{path}' must be a mapping")
-    # Names resolve in this module's namespace first: run as ``__main__``
-    # (``python -m cProfile -m dynal.cli``), sys.modules[cls.__module__] may
-    # be another module.
-    hints = typing.get_type_hints(cls, localns=globals())
     known = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in mapping.items():
         key_path = f"{path}.{key}" if path else str(key)
         if key not in known:
             raise ValueError(f"unknown config key '{key_path}'")
-        kwargs[key] = _check_value(hints[key], value, key_path)
+        kwargs[key] = _check_value(_hints(cls)[key], value, key_path)
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as e:

@@ -17,10 +17,12 @@ Conventions
   b1, ..., W_out, b_out]``, and ``from_params`` is its inverse.
 * Training holds all parameters in one contiguous float64 vector ``theta``
   (``flatten``): ``net.params() + head.params()`` raveled end to end, the
-  states' arrays being views into it.  Only this module knows that layout:
-  gradients and the optimizer moments share it.  ``apply_update``, the one
-  place parameters change, rejects a step that leaves ``theta`` non-finite
-  with the FloatingPointError that a non-finite loss raises.
+  states' arrays being views into it.  A training is one ``Joint``: its
+  ``theta``, its gradient ``grad`` and its optimizer moments share that
+  layout, and ``Joint.init``, which builds all three, is the one place that
+  knows it.  ``apply_update``, the one place parameters change, rejects a
+  step that leaves ``theta`` non-finite with the FloatingPointError that a
+  non-finite loss raises.
 * A leading run axis: ``flatten(..., runs=(R,))`` gives ``theta`` the shape
   ``(R, P)``, one row per run, and every parameter, gradient and batch
   array the same leading axis (weights ``(R, fan_out, fan_in)``, batches
@@ -29,20 +31,20 @@ Conventions
   the end, and each run's numbers are those of its training alone.
 * One kernel, ``_joint_step``, takes a batch through one forward pass of
   net and head (``_joint_forward``) and one backprop of the joint loss, the
-  head's part by ``tdhead.head_backward``, writing the gradient into views
-  of a vector its caller allocated (``_gradient``).  It checks nothing that
-  a training run cannot change between steps: ``alengine.train_lockstep``,
-  the one training loop, checks its inputs once, and ``grad_joint``, the
-  kernel's public face, checks them per call and backprops into a fresh
-  vector.  Labels reach the kernel as a boolean one-hot (``one_hot``).  The
-  KL targets come from a callback on the batch's class probabilities, in
-  training ``TDStore.update_batch`` of the batch's range of the epoch's
-  order, which returns the means it stored: running means of probability
-  vectors.  For such targets the kernel forms no losses, only their
-  gradient, unless a shifted logit or ``lam`` leaves the bound inside which
-  every loss is finite; then ``_joint_losses`` evaluates them exactly to
-  name a sample whose loss is not.  ``grad_joint``, whose targets are any,
-  always evaluates them.
+  head's part by ``tdhead.head_backward``, writing the gradient into a
+  ``Joint``'s ``grad``; ``Joint.step`` is the kernel followed by
+  ``apply_update``.  It checks nothing that a training run cannot change
+  between steps: ``alengine.train_lockstep``, the one training loop, checks
+  its inputs once, and ``grad_joint``, the kernel's public face, checks them
+  per call and backprops into a fresh ``Joint``.  Labels reach the kernel
+  as a boolean one-hot (``one_hot``).  The KL targets come from a callback
+  on the batch's class probabilities, in training ``TDStore.update_batch``
+  of the batch's range of the epoch's order, which returns the means it
+  stored: running means of probability vectors.  For such targets the
+  kernel forms no losses, only their gradient, unless a shifted logit or
+  ``lam`` leaves the bound inside which every loss is finite; then
+  ``_joint_losses`` evaluates them exactly to name a sample whose loss is
+  not.  ``grad_joint``, whose targets are any, always evaluates them.
 * Inference over a set of rows is ``predict``: the net's and the head's
   passes over blocks of ``BLOCK_ROWS`` rows (``row_blocks``), so its
   memory stays near one block's, with the bits of one whole-array pass;
@@ -56,9 +58,9 @@ Conventions
   place of concatenating them, and the training step's logits, which
   ``_joint_forward`` writes into the two halves of one ``(2, *runs, B, C)``
   array, the net's then the head's, for one softmax pass over both.
-  No input is written, only the gradient views handed to ``_joint_step``
-  and the state ``apply_update`` moves: ``theta`` and the ``OptState``,
-  whose scratch arrays hold the update's intermediates.
+  No input is written, only a ``Joint``'s ``grad``, which ``_joint_step``
+  writes, and the state ``apply_update`` moves: ``theta`` and the
+  ``OptState``, whose scratch arrays hold the update's intermediates.
 * SGD momentum uses ``v = mu * v + g``, ``theta -= lr * v``.
 * Weight decay enters as gradient augmentation ``g += wd * theta``.
 """
@@ -162,14 +164,6 @@ def flatten(*states, runs: tuple[int, ...] = ()):
     return (theta, *_views(theta, states))
 
 
-def _gradient(*states, runs: tuple[int, ...] = ()):
-    """An unset float64 vector in the layout ``flatten(*states, runs=runs)``
-    gives the parameters, followed by one state per input whose arrays are
-    views into it: where ``_joint_step`` writes the gradient."""
-    grad = np.empty((*runs, sum(p.size for s in states for p in s.params())))
-    return (grad, *_views(grad, states))
-
-
 def _views(vec: np.ndarray, states) -> list:
     """States shaped like ``states``, behind the leading axes of ``vec``,
     whose arrays are consecutive views into ``vec``'s last axis."""
@@ -201,6 +195,39 @@ class NetState:
     def run(self, r: int) -> "NetState":
         """Run ``r`` of a state with a leading run axis, as views into it."""
         return NetState.from_params([p[r] for p in self.params()])
+
+
+@dataclass
+class Joint:
+    """One training of net and head: ``theta``, the flat parameters with
+    ``net`` and ``head`` as views into it; ``grad``, in the same layout,
+    with ``grad_net`` and ``grad_head`` as views into it, where
+    ``_joint_step`` writes the gradient; and the optimizer state.  Only
+    ``init`` knows that layout."""
+
+    cfg: NetConfig
+    theta: np.ndarray
+    net: NetState
+    head: NetState
+    grad: np.ndarray
+    grad_net: NetState
+    grad_head: NetState
+    opt_state: OptState
+
+    @classmethod
+    def init(cls, cfg: NetConfig, net: NetState, head: NetState, runs=()) -> Joint:
+        """A training that starts from copies of ``net`` and ``head`` (no
+        run axis), once per run of ``runs`` (``flatten``)."""
+        theta, *states = flatten(net, head, runs=runs)
+        grad = np.empty_like(theta)
+        return cls(cfg, theta, *states, grad, *_views(grad, (net, head)), init_opt_state(theta))
+
+    def step(self, X, hot, targets_of, lam, sample_ids, opt: OptimizerConfig, epoch: int) -> None:
+        """One training step on checked inputs: ``_joint_step``, then
+        ``apply_update`` of ``theta`` by the gradient."""
+        # Through the module globals, which a tracer or a test may wrap.
+        _joint_step(self, X, hot, targets_of, lam, sample_ids)
+        apply_update(self.theta, self.grad, self.opt_state, opt, epoch)
 
 
 @dataclass
@@ -342,7 +369,8 @@ def grad_joint(
     KL(target || head) that ``grad`` differentiates, evaluated by the
     forward code alone.  The head-loss gradient flows into the classifier
     through the tapped layers.  ``grad`` is ``_joint_step``, the training
-    kernel, on checked inputs and a fresh gradient vector.
+    kernel, on checked inputs and a fresh ``Joint`` of ``state`` and
+    ``head``: that training's ``grad``.
 
     The kernel evaluates the losses only outside a bound that keeps them
     finite for probability targets, and these targets are any: so a
@@ -367,9 +395,9 @@ def grad_joint(
     hot = one_hot(y, n_classes)
     _, _, _, shifted, total, p = _joint_forward(state, cfg, head, X)
     per_ce, per_kl = _joint_losses(shifted, total, p[1], hot, q, lam, ids)
-    grad, grad_net, grad_head = _gradient(state, head)
-    _joint_step(state, cfg, head, X, hot, lambda probs: q, lam, ids, grad_net, grad_head)
-    return grad, float(per_ce.mean()), float(per_kl.mean())
+    joint = Joint.init(cfg, state, head)
+    _joint_step(joint, X, hot, lambda probs: q, lam, ids)
+    return joint.grad, float(per_ce.mean()), float(per_kl.mean())
 
 
 def check_labels(y: np.ndarray, n_classes: int) -> None:
@@ -418,18 +446,18 @@ def _joint_losses(shifted, total, pt, hot, q, lam, sample_ids):
     return per_ce, per_kl
 
 
-def _joint_step(state, cfg, head, X, hot, targets_of, lam, sample_ids, grad_net, grad_head):
-    """One batch of joint training on checked inputs: ``_joint_forward``,
-    then one backprop of ``L_target + lam * L_module`` whose gradient is
-    written into ``grad_net`` and ``grad_head`` (from ``_gradient(state,
-    head)``), every entry of them each call.  Returns nothing.
+def _joint_step(joint: Joint, X, hot, targets_of, lam, sample_ids):
+    """One batch of joint training on checked inputs: ``_joint_forward``
+    of ``joint``'s net and head, then one backprop of ``L_target + lam *
+    L_module`` whose gradient is written into ``joint.grad``, every entry
+    of it each call.  Returns nothing; ``Joint.step`` applies the update.
 
     ``X`` is a (B, input_dim) float64 array, ``hot`` the (B, C) boolean
     one-hot of its labels, ``targets_of`` maps the (B, C) class
     probabilities to the (B, C) KL targets and is called once, after the
     forward pass.  The targets must be finite probability vectors or means
     of them, as training's running means of the probabilities it is given
-    are.  With a leading run axis on the states, every array has it too.
+    are.  With a leading run axis on ``joint``, every array has it too.
 
     Only the losses' gradient moves the parameters, so the losses are
     evaluated (``_joint_losses``) only to raise its FloatingPointError, and
@@ -444,6 +472,7 @@ def _joint_step(state, cfg, head, X, hot, targets_of, lam, sample_ids, grad_net,
     ``z - max`` overflows; outside the bound the exact losses decide, so
     the step raises exactly when a loss is not finite.
     """
+    state, cfg, head = joint.net, joint.cfg, joint.head
     act, taps, concat, shifted, total, p = _joint_forward(state, cfg, head, X)
     probs, pt = p
     q = targets_of(probs)
@@ -458,21 +487,21 @@ def _joint_step(state, cfg, head, X, hot, targets_of, lam, sample_ids, grad_net,
     dU = pt - q
     dU *= lam
     dU /= B
-    tap_grads = tdhead.head_backward(head, taps, concat, dU, grad_head)
+    tap_grads = tdhead.head_backward(head, taps, concat, dU, joint.grad_head)
     tap_at_layer: dict[int, np.ndarray] = {}
     for layer, g in zip(cfg.tap_layers, tap_grads):
         tap_at_layer[layer] = tap_at_layer.get(layer, 0.0) + g
 
-    np.matmul(dlogits.mT, act[-1], out=grad_net.weights[-1])
-    dlogits.sum(axis=-2, out=grad_net.biases[-1])
+    np.matmul(dlogits.mT, act[-1], out=joint.grad_net.weights[-1])
+    dlogits.sum(axis=-2, out=joint.grad_net.biases[-1])
     dA = dlogits @ state.weights[-1]
     for l in range(len(act) - 1, -1, -1):
         if l in tap_at_layer:
             dA += tap_at_layer[l]
         dZ = dA
         dZ *= _act_deriv(act[l], cfg.activation)
-        np.matmul(dZ.mT, X if l == 0 else act[l - 1], out=grad_net.weights[l])
-        dZ.sum(axis=-2, out=grad_net.biases[l])
+        np.matmul(dZ.mT, X if l == 0 else act[l - 1], out=joint.grad_net.weights[l])
+        dZ.sum(axis=-2, out=joint.grad_net.biases[l])
         if l > 0:
             dA = dZ @ state.weights[l]
 

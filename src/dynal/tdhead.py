@@ -8,13 +8,14 @@ per-sample running-mean probability vector.  The head is trained by
 minimizing KL(target || prediction), as part of netcore's joint loss.
 The head is a ``netcore.NetState``, as the classifier is: one reduction
 layer per tap, in tap order, then the layer from the relu concat to logits.
-``_forward`` is the unchecked forward pass, and ``head_forward_batch``
-wraps it with a check of its inputs.  netcore's training kernel calls its
-first part, ``_relu_concat``, and writes the head's logits next to the
-net's, for one softmax pass over both.  ``head_backward`` is the kernel's
-one backward pass, called each step: it applies the relu mask to the
-whole concat's gradient at once and reads each tap's block of it as a
-view.  All of them take a head with a leading run axis
+``head_forward_batch`` checks its inputs and runs the forward pass:
+``_relu_concat``, then the last layer and a softmax.  netcore's training
+kernel calls ``_relu_concat`` alone and writes the head's logits next to
+the net's, for one softmax pass over both.  ``head_backward`` is the
+kernel's one backward pass, called each step: it writes the head's
+gradient into a ``netcore.Joint``'s ``grad_head``, applies the relu mask
+to the whole concat's gradient at once and reads each tap's block of it
+as a view.  All of them take a head with a leading run axis
 (``netcore.flatten``'s ``runs``) and taps with the same axis, as the
 kernel does.
 """
@@ -54,8 +55,9 @@ def head_forward_batch(head: netcore.NetState,
     """Batched head pass: returns (probs (B, C), relu concat that ``head_backward`` reads)."""
     taps = [np.atleast_2d(np.asarray(t, dtype=np.float64)) for t in taps]
     check_taps(head, [t.shape[-1] for t in taps])
-    concat, probs = _forward(head, taps)
-    return probs, concat
+    concat = _relu_concat(head, taps)
+    return stable_softmax(netcore._affine(concat, head.weights[-1], head.biases[-1]),
+                          axis=-1), concat
 
 
 def check_taps(head: netcore.NetState, tap_dims: list[int]) -> None:
@@ -65,13 +67,6 @@ def check_taps(head: netcore.NetState, tap_dims: list[int]) -> None:
     for d, w in zip(tap_dims, head.weights[:-1]):
         if d != w.shape[-1]:
             raise ValueError(f"tap dim {d} != expected {w.shape[-1]}")
-
-
-def _forward(head: netcore.NetState, taps: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(relu concat of the tap reductions, probs) of checked (..., B, dim) float64 taps."""
-    concat = _relu_concat(head, taps)
-    return concat, stable_softmax(netcore._affine(concat, head.weights[-1], head.biases[-1]),
-                                  axis=-1)
 
 
 def _relu_concat(head: netcore.NetState, taps: list[np.ndarray]) -> np.ndarray:

@@ -861,10 +861,10 @@ class TestLockstep:
         bad = min(picked[1] - picked[0] - picked[2])
         step = netcore._joint_step
 
-        def poisoned(state, net_cfg, head, X, hot, targets_of, lam, sample_ids, *a):
+        def poisoned(joint, X, hot, targets_of, lam, sample_ids):
             if (sample_ids == bad).any():
                 raise FloatingPointError(f"non-finite loss for sample id {bad}")
-            return step(state, net_cfg, head, X, hot, targets_of, lam, sample_ids, *a)
+            return step(joint, X, hot, targets_of, lam, sample_ids)
 
         monkeypatch.setattr(netcore, "_joint_step", poisoned)
         raised = []

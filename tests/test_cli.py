@@ -164,6 +164,17 @@ class TestParseConfig:
         assert cfg.al.lam == 1.0
         assert cfg.net == NetConfig(hidden_sizes=[32, 32], activation="relu", tap_layers=[0, 1])
 
+    def test_a_second_parse_resolves_no_type_hints(self, monkeypatch):
+        # a section's hints are resolved once per class, in each copy of the module
+        path = CONFIG_DIR / "pilot_longtail.yaml"
+        first = parse_config(path)
+        calls = []
+        resolve = typing.get_type_hints
+        monkeypatch.setattr(typing, "get_type_hints",
+                            lambda *a, **k: calls.append(a) or resolve(*a, **k))
+        assert parse_config(path) == first
+        assert calls == []
+
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.yaml"
         p.write_text("dataset:\n  n_classez: 5\n")

@@ -152,11 +152,11 @@ def ref_joint_step(state, cfg, head, X, hot, targets_of, lam, grad_net, grad_hea
     return per_ce, per_kl
 
 
-def ref_checked_joint_step(state, cfg, head, X, hot, targets_of, lam, sample_ids, grad_net,
-                           grad_head):
+def ref_checked_joint_step(joint, X, hot, targets_of, lam, sample_ids):
     """``netcore._joint_step`` as it was when it formed every step's losses
     and checked them: verbatim but for the module prefixes and its
     log-softmax, which is ``ref_softmax_and_log_softmax``."""
+    state, cfg, head = joint.net, joint.cfg, joint.head
     logits = np.empty((2, *hot.shape))
     act, _ = netcore._forward(state, cfg, X, out=logits[0])
     taps = [act[l] for l in cfg.tap_layers]
@@ -179,21 +179,21 @@ def ref_checked_joint_step(state, cfg, head, X, hot, targets_of, lam, sample_ids
     dU = pt - q
     dU *= lam
     dU /= B
-    tap_grads = tdhead.head_backward(head, taps, concat, dU, grad_head)
+    tap_grads = tdhead.head_backward(head, taps, concat, dU, joint.grad_head)
     tap_at_layer: dict[int, np.ndarray] = {}
     for layer, g in zip(cfg.tap_layers, tap_grads):
         tap_at_layer[layer] = tap_at_layer.get(layer, 0.0) + g
 
-    np.matmul(dlogits.mT, act[-1], out=grad_net.weights[-1])
-    dlogits.sum(axis=-2, out=grad_net.biases[-1])
+    np.matmul(dlogits.mT, act[-1], out=joint.grad_net.weights[-1])
+    dlogits.sum(axis=-2, out=joint.grad_net.biases[-1])
     dA = dlogits @ state.weights[-1]
     for l in range(len(act) - 1, -1, -1):
         if l in tap_at_layer:
             dA += tap_at_layer[l]
         dZ = dA
         dZ *= netcore._act_deriv(act[l], cfg.activation)
-        np.matmul(dZ.mT, X if l == 0 else act[l - 1], out=grad_net.weights[l])
-        dZ.sum(axis=-2, out=grad_net.biases[l])
+        np.matmul(dZ.mT, X if l == 0 else act[l - 1], out=joint.grad_net.weights[l])
+        dZ.sum(axis=-2, out=joint.grad_net.biases[l])
         if l > 0:
             dA = dZ @ state.weights[l]
     return per_ce, per_kl
@@ -276,12 +276,10 @@ def train_against_reference(runs, activation, lam, kind, epoch_path):
     ids = np.arange(n)
     net0 = netcore.init_net(cfg, dim, C, 1)
     head0 = tdhead.init_head([7, 6], C, 4, 2)
-    theta, net, head = netcore.flatten(net0, head0, runs=runs)
-    grad, grad_net, grad_head = netcore._gradient(net0, head0, runs=runs)
-    opt_state, store = netcore.init_opt_state(theta), TDStore(n, C, runs)
-    ref_theta, ref_net, ref_head = netcore.flatten(net0, head0, runs=runs)
-    ref_grad, ref_grad_net, ref_grad_head = netcore._gradient(net0, head0, runs=runs)
-    ref_opt, ref_mean, ref_count = RefOpt(ref_theta), np.zeros((*runs, n, C)), np.zeros(n, int)
+    joint, store = netcore.Joint.init(cfg, net0, head0, runs=runs), TDStore(n, C, runs)
+    # the reference's own parameters and gradient, in the same layout; its optimizer is RefOpt
+    ref = netcore.Joint.init(cfg, net0, head0, runs=runs)
+    ref_opt, ref_mean, ref_count = RefOpt(ref.theta), np.zeros((*runs, n, C)), np.zeros(n, int)
     rng = np.random.default_rng(5)
     steps = 0
     for epoch in range(3):
@@ -297,24 +295,25 @@ def train_against_reference(runs, activation, lam, kind, epoch_path):
                     Xk, hotk, fold = X_p[..., b, :], hot_p[..., b, :], span
                 else:
                     Xk, hotk, fold = Xb, hotb, rows
-                netcore._joint_step(net, cfg, head, Xk, hotk,
-                                    lambda probs: store.update_batch(fold, probs), lam, ids[rows],
-                                    grad_net, grad_head)
-                # the step's targets are its rows' means, just folded
-                got = step_losses(net, cfg, head, Xk, hotk, store.values(rows), lam, ids[rows])
-                want = ref_joint_step(ref_net, cfg, ref_head, Xb, hotb,
+                joint.step(Xk, hotk, lambda probs: store.update_batch(fold, probs), lam, ids[rows],
+                           opt, epoch)
+                # the step's targets are its rows' means, just folded; its losses are taken at
+                # the parameters it differentiated, which the reference holds until its update
+                got = step_losses(ref.net, cfg, ref.head, Xk, hotk, store.values(rows), lam,
+                                  ids[rows])
+                want = ref_joint_step(ref.net, cfg, ref.head, Xb, hotb,
                                       lambda probs: ref_update_batch(ref_mean, ref_count, rows,
                                                                      probs),
-                                      lam, ref_grad_net, ref_grad_head)
+                                      lam, ref.grad_net, ref.grad_head)
                 assert all(same_bits(a, b) for a, b in zip(got, want))
-                assert same_bits(grad, ref_grad)
+                # the update writes theta and the moments only: the gradient is the step's
+                assert same_bits(joint.grad, ref.grad)
                 mean, count = store.by_row()
                 assert same_bits(mean, ref_mean) and same_bits(count, ref_count)
-                netcore.apply_update(theta, grad, opt_state, opt, epoch)
-                ref_opt.update(ref_theta, ref_grad, opt, epoch)
-                assert same_bits(theta, ref_theta) and same_bits(opt_state.m, ref_opt.m)
+                ref_opt.update(ref.theta, ref.grad, opt, epoch)
+                assert same_bits(joint.theta, ref.theta) and same_bits(joint.opt_state.m, ref_opt.m)
                 if kind == "adam":
-                    assert same_bits(opt_state.v, ref_opt.v)
+                    assert same_bits(joint.opt_state.v, ref_opt.v)
                 steps += 1
         # out of the epoch, the store's own arrays are in dataset order
         assert same_bits(store.mean, ref_mean) and same_bits(store.count, ref_count)
@@ -363,10 +362,9 @@ def checked_step_outcome(step, row, half, labels, lam, runs):
     cfg = NetConfig(hidden_sizes=[6, 5], tap_layers=[0, 1])
     B, C = 5, 4
     net0, head0 = netcore.init_net(cfg, 3, C, 15), tdhead.init_head([6, 5], C, 4, 16)
-    _, net, head = netcore.flatten(net0, head0, runs=runs)
-    (net if half == "net" else head).biases[-1].reshape(-1, C)[-1] = CHECK_ROWS[row]
-    grad, grad_net, grad_head = netcore._gradient(net0, head0, runs=runs)
-    grad[...] = np.nan
+    joint = netcore.Joint.init(cfg, net0, head0, runs=runs)
+    (joint.net if half == "net" else joint.head).biases[-1].reshape(-1, C)[-1] = CHECK_ROWS[row]
+    joint.grad[...] = np.nan
     rng = np.random.default_rng(17)
     X = rng.normal(size=(*runs, B, 3))
     hot = netcore.one_hot(np.broadcast_to(CHECK_LABELS[labels], (*runs, B)), C)
@@ -377,11 +375,10 @@ def checked_step_outcome(step, row, half, labels, lam, runs):
     raised = None
     with np.errstate(all="ignore"):
         try:
-            step(net, cfg, head, X, hot, lambda probs: store.update_batch(range(B), probs), lam,
-                 ids, grad_net, grad_head)
+            step(joint, X, hot, lambda probs: store.update_batch(range(B), probs), lam, ids)
         except FloatingPointError as e:
             raised = str(e)
-    return raised, store.mean.tobytes(), store.count.tobytes(), grad.tobytes()
+    return raised, store.mean.tobytes(), store.count.tobytes(), joint.grad.tobytes()
 
 
 @pytest.mark.parametrize("runs", [(), (1,), (3,)])
@@ -471,7 +468,7 @@ def test_head_forward_matches_the_out_of_place_reference(runs, widths, B):
     for b in head.biases:  # nonzero biases, each tap's own
         b[...] = rng.normal(size=b.shape)
     taps = [rng.normal(size=(*runs, B, d)) for d in widths]
-    got, want = tdhead._forward(head, taps), ref_head_forward(head, taps)
+    got, want = tdhead.head_forward_batch(head, taps)[::-1], ref_head_forward(head, taps)
     assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
     assert (got[0] == 0).any() and (got[0] > 0).any()
 
@@ -493,8 +490,6 @@ def test_taps_of_unequal_row_counts_raise(runs):
     _, head = netcore.flatten(tdhead.init_head([4, 3], 2, 2, 0), runs=runs)
     for rows in [(5, 4), (4, 5), (1, 4), (4, 1)]:
         taps = [np.ones((*runs, n, d)) for n, d in zip(rows, [4, 3])]
-        with pytest.raises(ValueError):
-            tdhead._forward(head, taps)
         with pytest.raises(ValueError):
             tdhead.head_forward_batch(head, taps)
 

@@ -404,13 +404,12 @@ class TestGradJoint:
         rng = np.random.default_rng(4)
         X, y, q = rng.normal(size=(5, 2)), rng.integers(0, 3, size=5), rng.dirichlet([1.0] * 3, 5)
         want, lt, lm = netcore.grad_joint(net, cfg, head, X, y, q, lam=0.5)
-        grad, grad_net, grad_head = netcore._gradient(net, head)
+        joint = netcore.Joint.init(cfg, net, head)
         hot = netcore.one_hot(y, 3)
         for _ in range(2):
-            grad[:] = np.nan
-            assert netcore._joint_step(net, cfg, head, X, hot, lambda p: q, 0.5, np.arange(5),
-                                       grad_net, grad_head) is None
-            assert grad.tobytes() == want.tobytes()
+            joint.grad[:] = np.nan
+            assert netcore._joint_step(joint, X, hot, lambda p: q, 0.5, np.arange(5)) is None
+            assert joint.grad.tobytes() == want.tobytes()
             # the kernel forms no losses; its exact-loss path gives grad_joint's
             _, _, _, shifted, total, p = netcore._joint_forward(net, cfg, head, X)
             per_ce, per_kl = netcore._joint_losses(shifted, total, p[1], hot, q, 0.5, np.arange(5))
@@ -419,9 +418,8 @@ class TestGradJoint:
     def test_targets_come_from_the_forward_pass_probabilities(self):
         cfg, net, head, X, y, _ = self.make_instance(12)
         seen = []
-        grad, grad_net, grad_head = netcore._gradient(net, head)
-        netcore._joint_step(net, cfg, head, X, netcore.one_hot(y, 2),
-                            lambda p: seen.append(p) or p, 1.0, np.arange(4), grad_net, grad_head)
+        netcore._joint_step(netcore.Joint.init(cfg, net, head), X, netcore.one_hot(y, 2),
+                            lambda p: seen.append(p) or p, 1.0, np.arange(4))
         assert len(seen) == 1
         assert seen[0].tobytes() == netcore.forward_batch(net, cfg, X).probs.tobytes()
 
@@ -465,6 +463,36 @@ class TestFlatten:
         for state in (net, head):
             rebuilt = type(state).from_params(state.params())
             assert all(a is b for a, b in zip(rebuilt.params(), state.params()))
+
+
+class TestJoint:
+    @staticmethod
+    def make(runs=()):
+        cfg = NetConfig(hidden_sizes=[4, 3], tap_layers=[1, 0])
+        net, head = netcore.init_net(cfg, 2, 3, 1), tdhead.init_head([3, 4], 3, 2, 2)
+        return net, head, netcore.Joint.init(cfg, net, head, runs=runs)
+
+    @pytest.mark.parametrize("runs", [(), (3,)])
+    def test_vectors_share_no_memory_and_the_states_are_views_of_theirs(self, runs):
+        net, head, joint = self.make(runs)
+        st = joint.opt_state
+        vectors = [joint.theta, joint.grad, st.m, st.v, *st.scratch]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(vectors) for b in vectors[:i])
+        for vec, states in [(joint.theta, (joint.net, joint.head)),
+                            (joint.grad, (joint.grad_net, joint.grad_head))]:
+            arrays = [p for s in states for p in s.params()]
+            assert [a.shape for a in arrays] == [(*runs, *p.shape)
+                                                 for p in net.params() + head.params()]
+            # each array is its own consecutive block of the vector, in params() order
+            vec[...] = np.arange(vec.size).reshape(vec.shape)
+            assert np.array_equal(np.concatenate([a.reshape(*runs, -1) for a in arrays], -1), vec)
+
+    def test_each_run_starts_from_a_copy_of_the_states(self):
+        net, head, joint = self.make((3,))
+        theta, _, _ = netcore.flatten(net, head)
+        assert all(row.tobytes() == theta.tobytes() for row in joint.theta)
+        joint.theta += 1.0
+        assert flat(net.params() + head.params()).tobytes() == theta.tobytes()
 
 
 class TestOptimizerConfig:
@@ -577,8 +605,7 @@ class TestOptimizer:
                               decay_epoch=3, decay_factor=0.1)
         ref = [np.tile(p, (*runs, *[1] * p.ndim))
                for p in netcore.init_net(cfg, 3, 3, 7).params() + head.params()]
-        theta, net, fhead = netcore.flatten(netcore.init_net(cfg, 3, 3, 7), head, runs=runs)
-        st = netcore.init_opt_state(theta)
+        joint = netcore.Joint.init(cfg, netcore.init_net(cfg, 3, 3, 7), head, runs=runs)
         m = [np.zeros_like(p) for p in ref]
         v = [np.zeros_like(p) for p in ref]
         rng = np.random.default_rng(3)
@@ -597,9 +624,9 @@ class TestOptimizer:
                     m_hat = m[i] / (1.0 - opt.beta1 ** t)
                     v_hat = v[i] / (1.0 - opt.beta2 ** t)
                     p -= lr * m_hat / (np.sqrt(v_hat) + opt.epsilon)
-            netcore.apply_update(theta, np.concatenate([g.reshape(*runs, -1) for g in grads],
-                                                       axis=-1), st, opt, epoch)
-            for a, b in zip(net.params() + fhead.params(), ref):
+            netcore.apply_update(joint.theta, np.concatenate([g.reshape(*runs, -1) for g in grads],
+                                                             axis=-1), joint.opt_state, opt, epoch)
+            for a, b in zip(joint.net.params() + joint.head.params(), ref):
                 assert a.tobytes() == b.tobytes()
 
 
@@ -619,18 +646,17 @@ class TestLrSchedule:
 
 
 def classifier_with_head(seed):
-    """A 2-8-2 classifier and a head in one parameter vector; at lam = 0
-    the head and its targets reach no classifier gradient."""
+    """The training of a 2-8-2 classifier and a head; at lam = 0 the head
+    and its targets reach no classifier gradient."""
     cfg = NetConfig(hidden_sizes=[8], tap_layers=[0])
-    theta, state, head = netcore.flatten(netcore.init_net(cfg, 2, 2, seed),
-                                          tdhead.init_head([8], 2, 4, 0))
-    return cfg, theta, state, head
+    net, head = netcore.init_net(cfg, 2, 2, seed), tdhead.init_head([8], 2, 4, 0)
+    return netcore.Joint.init(cfg, net, head)
 
 
 class TestTrainingBehavior:
     def test_deterministic_loss_trajectory(self):
         def run():
-            cfg, theta, state, head = classifier_with_head(3)
+            j = classifier_with_head(3)
             opt = OptimizerConfig(kind="sgd_momentum", initial_lr=0.1, momentum=0.9,
                                   weight_decay=5e-4, decay_epoch=40)
             rng = np.random.default_rng(0)
@@ -638,10 +664,9 @@ class TestTrainingBehavior:
             y = (X[:, 0] > 0).astype(int)
             q = np.full((len(y), 2), 0.5)
             losses = []
-            st = netcore.init_opt_state(theta)
             for epoch in range(10):
-                g, lt, _ = netcore.grad_joint(state, cfg, head, X, y, q, lam=0.0)
-                netcore.apply_update(theta, g, st, opt, epoch)
+                g, lt, _ = netcore.grad_joint(j.net, j.cfg, j.head, X, y, q, lam=0.0)
+                netcore.apply_update(j.theta, g, j.opt_state, opt, epoch)
                 losses.append(lt)
             return losses
 
@@ -652,16 +677,15 @@ class TestTrainingBehavior:
         n = 60
         X = np.concatenate([rng.normal(size=(n, 2)) + [3, 3], rng.normal(size=(n, 2)) - [3, 3]])
         y = np.concatenate([np.zeros(n, dtype=int), np.ones(n, dtype=int)])
-        cfg, theta, state, head = classifier_with_head(1)
+        j = classifier_with_head(1)
         q = np.full((len(y), 2), 0.5)
         opt = OptimizerConfig(kind="sgd_momentum", initial_lr=0.1, momentum=0.9,
                               weight_decay=0.0, decay_epoch=1000)
         first = None
-        st = netcore.init_opt_state(theta)
         for epoch in range(50):
-            g, lt, _ = netcore.grad_joint(state, cfg, head, X, y, q, lam=0.0)
+            g, lt, _ = netcore.grad_joint(j.net, j.cfg, j.head, X, y, q, lam=0.0)
             if first is None:
                 first = lt
-            netcore.apply_update(theta, g, st, opt, epoch)
-        _, last, _ = netcore.grad_joint(state, cfg, head, X, y, q, lam=0.0)
+            netcore.apply_update(j.theta, g, j.opt_state, opt, epoch)
+        _, last, _ = netcore.grad_joint(j.net, j.cfg, j.head, X, y, q, lam=0.0)
         assert last < 0.1 * first
