@@ -166,9 +166,10 @@ def train_lockstep(
     folded into its running mean, and the current mean is the head's KL
     target for the same batch; the head-loss gradient reaches the
     classifier through the tapped layers.  Store rows are positions in the
-    set.  Inputs are checked here, once.  Given ``test``, each epoch ends
-    with one ``netcore.predict`` of it, and ``kl_rows`` is ``kl_analysis``
-    of those snapshots.  It raises if any set's training would, not
+    set, and each batch is the store's fold of the next range of the
+    epoch's order.  Inputs are checked here, once.  Given ``test``, each
+    epoch ends with one ``netcore.predict`` of it, and ``kl_rows`` is
+    ``kl_analysis`` of those snapshots.  It raises if any set's training would, not
     necessarily with that text.
     """
     if len({len(s) for s in labeled_sets}) != 1:
@@ -430,13 +431,14 @@ def kl_analysis(snapshots: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[in
 
     ``snapshots`` holds one (test-set probs, head probs) pair per epoch,
     in training order; the final mean folds the test-set probs through
-    one TDStore.  Returns rows (epoch, kl_module, kl_snapshot), epochs
-    1-based.
+    one TDStore, one epoch each.  Returns rows (epoch, kl_module,
+    kl_snapshot), epochs 1-based.
     """
     n, n_classes = snapshots[0][0].shape
     test_store, rows = TDStore(n, n_classes), range(n)
     for p_t, _ in snapshots:
-        test_store.update_batch(rows, p_t)
+        with test_store.epoch(rows):  # an epoch in dataset order, folded whole
+            test_store.update_batch(rows, p_t)
     final_td = test_store.values(rows)
     return [(t, float(kl_rows(final_td, pt_t).mean()), float(kl_rows(final_td, p_t).mean()))
             for t, (p_t, pt_t) in enumerate(snapshots, start=1)]

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numutil import write_csv
+from .numutil import index_rows, write_csv
 
 GENERATORS = ("gaussian_mixture", "concentric_rings", "csv_file")
 IMBALANCE_PROFILES = ("step", "exponential")
@@ -57,9 +57,10 @@ class Dataset:
 
     def by_ids(self, wanted) -> "Dataset":
         """Row subset by sample ids, in the order given; KeyError names the
-        first id not in the dataset."""
+        first id not in the dataset, ValueError the first that is not an
+        integer."""
         sorted_ids, order = self._id_index
-        w = np.asarray(wanted, dtype=np.int64)
+        w = index_rows(wanted, "id")
         at = np.searchsorted(sorted_ids, w)
         found = at < len(sorted_ids)
         found[found] = sorted_ids[at[found]] == w[found]

@@ -39,12 +39,12 @@ Conventions
   per call and backprops into a fresh ``Joint``.  Labels reach the kernel
   as a boolean one-hot (``one_hot``).  The KL targets come from a callback
   on the batch's class probabilities, in training ``TDStore.update_batch``
-  of the batch's range of the epoch's order, which returns the means it
-  stored: running means of probability vectors.  For such targets the
-  kernel forms no losses, only their gradient, unless a shifted logit or
-  ``lam`` leaves the bound inside which every loss is finite; then
-  ``_joint_losses`` evaluates them exactly to name a sample whose loss is
-  not.  ``grad_joint``, whose targets are any, always evaluates them.
+  of the batch's range of the epoch's order, the store's one way to fold,
+  which returns the means it stored: running means of probability
+  vectors.  For such targets the kernel forms no losses, only their
+  gradient, unless a shifted logit or ``lam`` leaves the bound inside
+  which every loss is finite; then ``_joint_losses`` evaluates them
+  exactly to name a sample whose loss is not.  ``grad_joint``, whose targets are any, always evaluates them.
 * Inference over a set of rows is ``predict``: the net's and the head's
   passes over blocks of ``BLOCK_ROWS`` rows (``row_blocks``), so its
   memory stays near one block's, with the bits of one whole-array pass;

@@ -1,5 +1,6 @@
-"""Shared numerical helpers: stable softmax, the KL divergence, a sum over
-the first axis in numpy's reduce order, and the one CSV artifact writer.
+"""Shared numerical helpers: the one check that indices are integers,
+stable softmax, the KL divergence, a sum over the first axis in numpy's
+reduce order, and the one CSV artifact writer.
 
 The numerical helpers write no argument: they work in place only on arrays
 they made, by the ufuncs and in the order of the plain expressions."""
@@ -20,6 +21,17 @@ PROB_FLOOR = 1e-12
 CSV_BLOCK_ROWS = 1024
 # The characters for which csv's minimal quoting quotes a cell.
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def index_rows(rows, what: str = "row") -> np.ndarray:
+    """``rows`` as an intp array; a ValueError naming the first ``what`` of
+    an array of any other kind, such as floats or bools, which a cast would
+    turn into indices (2.5 into 2, True into 1).  An empty ``rows`` is no
+    rows, whatever its dtype."""
+    rows = np.asarray(rows)
+    if rows.size and rows.dtype.kind not in "iu":
+        raise ValueError(f"{what} {rows.flat[:1].tolist()[0]!r} is not an integer")
+    return rows.astype(np.intp, copy=False)
 
 
 def max_along(z: np.ndarray, axis: int) -> np.ndarray:

@@ -2,18 +2,19 @@
 
 A store holds, for every row of the dataset it was built for, the
 arithmetic mean of the probability vectors that row received across
-training epochs (one update per epoch) and the number of updates.
-Rows are positions in that dataset, not sample ids.  A store can hold
-the means of several runs trained in lockstep on the rows of one
-permutation, behind a leading run axis; they share their counts.
+training epochs, one per epoch, and the number of epochs folded.  Rows
+are positions in that dataset, not sample ids.  A store can hold the
+means of several runs trained in lockstep on the rows of one permutation,
+behind a leading run axis.
 
-Inside ``epoch(perm)`` the store holds its means and counts in that
-epoch's order, ``perm``, so a training step folds its batch, a ``range``
-of that order, into a contiguous slice in place: no sort, gather or
-scatter per step.  The epoch gathers the means into its order when it
-opens and writes them back to dataset order when it closes.  Index rows
-(``update_batch``, ``values``) and ``run`` keep their dataset-row meaning
-throughout.
+The one way to fold is an epoch: inside ``epoch(perm)`` the store holds
+its means in that epoch's order, ``perm``, and each ``update_batch``
+folds the next range of that order into a contiguous slice in place: no
+sort, gather or scatter per step.  An epoch that closes has folded every
+row once, so every row's mean is over the same ``epochs`` vectors and
+one count divides them all.  The epoch gathers the means into its order
+when it opens and writes them back to dataset order when it closes;
+``values`` and ``run`` read them in dataset order, outside an epoch.
 """
 
 from __future__ import annotations
@@ -23,120 +24,99 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .numutil import index_rows
+
 
 class TDStore:
-    """Dense running means: ``mean`` (*runs, n_rows, C) and ``count``
-    (n_rows,), in dataset row order but inside an ``epoch``, where they
-    are in the epoch's order; ``by_row`` reads them in dataset order."""
+    """Dense running means ``mean`` (*runs, n_rows, C) over ``epochs``
+    epochs: in dataset row order, but inside an ``epoch`` in its order."""
 
     def __init__(self, n_rows: int, n_classes: int, runs: tuple[int, ...] = ()):
         if n_classes < 2:
             raise ValueError("n_classes must be >= 2")
         self.mean = np.zeros((*runs, n_rows, n_classes))
-        self.count = np.zeros(n_rows, dtype=np.int64)
-        self._at = None  # inside an epoch: each dataset row's position in ``mean``
+        self.epochs = 0
+        # inside an epoch, the position its next fold starts at; after an epoch that ended
+        # by an error, lost: its means are part folded
+        self._next, self._lost = None, False
+
+    def _check(self, inside: bool) -> None:
+        """A RuntimeError unless an epoch is open, given ``inside``, or else
+        none is; and for any call after an epoch that ended by an error."""
+        if self._lost or (self._next is not None) != inside:
+            raise RuntimeError("an epoch of this store ended by an error" if self._lost else
+                               "no epoch is open" if inside else "an epoch is open")
 
     @contextmanager
     def epoch(self, perm):
-        """Hold the means in the order ``perm``, a permutation of the rows,
-        until the block ends; a ValueError for any other ``perm``."""
-        if self._at is not None:
-            raise RuntimeError("an epoch is already open")
-        perm = _index_rows(perm)
-        n = self.count.size
+        """Fold one epoch in the order ``perm``, a permutation of the rows
+        (a ValueError for any other ``perm``): inside the block, the folds
+        of ``update_batch`` must cover that order, each the next range of
+        it.  A block that ends having folded fewer rows raises a
+        RuntimeError.  An epoch ended by an error, that one included,
+        leaves the store refusing every later call."""
+        self._check(inside=False)
+        perm = index_rows(perm)
+        n = self.mean.shape[-2]
         at = np.argsort(perm)  # the inverse of a permutation
         if perm.shape != (n,) or not np.array_equal(perm[at], np.arange(n)):
             raise ValueError(f"epoch order is not a permutation of the store's {n} rows")
-        self.mean, self.count, self._at = self.mean.take(perm, axis=-2), self.count[perm], at
+        self.mean, self._next = self.mean.take(perm, axis=-2), 0
         try:
             yield
-        finally:
-            self.mean, self.count, self._at = self.mean.take(at, axis=-2), self.count[at], None
+            if self._next != n:
+                raise RuntimeError(f"the epoch ended after {self._next} of the store's {n} rows")
+        except BaseException:
+            self._lost = True
+            raise
+        self.mean, self._next = self.mean.take(at, axis=-2), None
+        self.epochs += 1
 
-    def update_batch(self, rows, probs: np.ndarray) -> np.ndarray:
+    def update_batch(self, rows: range, probs: np.ndarray) -> np.ndarray:
         """Fold one probability vector into each row's running mean.
 
-        ``rows`` is a ``range`` of step 1 over the store's order (inside an
-        epoch, the epoch's positions; else dataset rows), or dataset rows
-        as indices, distinct within one call.  Afterwards each mean equals
-        the arithmetic mean of all vectors that row was fed so far.
-        ``probs`` is (*runs, n, C), one vector per run and row.  Returns the
-        rows' updated means, (*runs, n, C): for a range, a view of the
-        store's, which the next fold of those rows changes; for indices, a
-        copy.  A row outside the store, or an index row that is not an
-        integer, is a ValueError.
+        ``rows`` is the open epoch's next range of positions: step 1,
+        starting where the last fold stopped (at 0 first), and within the
+        store; any other ``rows`` is a ValueError.  ``probs`` is (*runs, n,
+        C), one vector per run and row.  Afterwards each mean equals the
+        arithmetic mean of the ``epochs + 1`` vectors its row was fed.
+        Returns the rows' updated means, (*runs, n, C): a view of the
+        store's, which the next epoch's fold of those rows changes.
         """
-        probs = np.asarray(probs, dtype=np.float64)
+        self._check(inside=True)
+        n, at = self.mean.shape[-2], self._next
+        if type(rows) is not range or rows.step != 1 or not at == rows.start <= rows.stop <= n:
+            raise ValueError(f"rows {rows!r} are not the epoch's next range, from {at} to <= {n}")
         want = (*self.mean.shape[:-2], len(rows), self.mean.shape[-1])
-        if probs.shape != want:
-            raise ValueError(f"probs shape {probs.shape} != {want}")
-        span = type(rows) is range
-        if span:
-            n = self.count.size
-            if rows.step != 1:
-                raise ValueError("a range of rows must have step 1")
-            if rows and (rows.start < 0 or rows.stop > n):
-                bad = rows.start if not 0 <= rows.start < n else n
-                raise ValueError(f"row {bad} outside the store's {n} rows")
-            at = slice(rows.start, rows.stop)
-        else:
-            rows = _index_rows(rows)
-            ordered = np.sort(rows, axis=None)
-            if (ordered[1:] == ordered[:-1]).any():
-                raise ValueError("duplicate rows in one update")
-            at = self._positions(rows)
-        t = self.count[at] + 1
-        m = self.mean[..., at, :]
-        # m + (probs - m) / t: in place in the store for a range, else into the gathered copy
+        if np.shape(probs) != want:
+            raise ValueError(f"probs shape {np.shape(probs)} != {want}")
+        m = self.mean[..., rows.start : rows.stop, :]
+        # m + (probs - m) / (epochs + 1), in place in the store; probs - m promotes probs
+        # to float64
         d = probs - m
-        d /= t[:, None]
+        d /= self.epochs + 1
         m += d
-        if not span:
-            self.mean[..., at, :] = m
-        self.count[at] = t
+        self._next = rows.stop
         return m
 
     def values(self, rows) -> np.ndarray:
-        """(*runs, n, C) running means of the given dataset rows; a state
-        error for a row that was never updated, a ValueError for one outside
-        the store or not an integer."""
-        rows = _index_rows(rows)
-        at = self._positions(rows)
-        fresh = np.flatnonzero(self.count[at] < 1)
-        if fresh.size:
-            raise RuntimeError(f"row {rows.flat[fresh[0]]} has no td mean before its first update")
-        return self.mean[..., at, :]
-
-    def by_row(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(mean, count)`` in dataset row order: the store's own arrays
-        outside an epoch, copies inside one."""
-        if self._at is None:
-            return self.mean, self.count
-        return self.mean.take(self._at, axis=-2), self.count[self._at]
-
-    def run(self, r: int) -> "TDStore":
-        """Run ``r`` of a store with a leading run axis, in dataset row
-        order: its means (a view outside an epoch), the shared counts as a copy."""
-        mean, count = self.by_row()
-        store = copy.copy(self)
-        store.mean, store.count, store._at = mean[r], count.copy(), None
-        return store
-
-    def _positions(self, rows: np.ndarray) -> np.ndarray:
-        """Where dataset rows ``rows`` are held; a ValueError naming a row outside the store."""
-        n = self.count.size
+        """(*runs, n, C) running means of the given dataset rows, outside an
+        epoch; a ValueError for a row outside the store or not an integer,
+        a RuntimeError before the first epoch."""
+        self._check(inside=False)
+        rows = index_rows(rows)
+        n = self.mean.shape[-2]
         outside = rows[(rows < 0) | (rows >= n)]
         if outside.size:
             raise ValueError(f"row {outside.flat[0]} outside the store's {n} rows")
-        return rows if self._at is None else self._at[rows]
+        if not self.epochs:
+            raise RuntimeError("the store has no td means before its first epoch")
+        return self.mean[..., rows, :]
 
-
-def _index_rows(rows) -> np.ndarray:
-    """``rows`` as an intp array; a ValueError naming the first row of an
-    array of any other kind, such as floats or bools, which a cast would
-    turn into indices (2.5 into 2, True into 1).  An empty ``rows`` is no
-    rows, whatever its dtype."""
-    rows = np.asarray(rows)
-    if rows.size and rows.dtype.kind not in "iu":
-        raise ValueError(f"row {rows.flat[0].item()!r} is not an integer")
-    return rows.astype(np.intp, copy=False)
+    def run(self, r: int) -> "TDStore":
+        """Run ``r`` of a store with a leading run axis, outside an epoch:
+        its means a view of this store's, and the same epoch count."""
+        self._check(inside=False)
+        store = copy.copy(self)
+        store.mean = self.mean[r]
+        return store

@@ -4,9 +4,10 @@
 carry a leading run axis of length 1, so every matmul is a stacked one.
 ``train_2d`` is the same training written on 2-D arrays, with no run
 axis: features (n, dim), one-hot labels (n, C) and sample ids (n,), a
-``netcore.Joint`` of no runs stepped on them and the TD store folding
-dataset indices.  A test that holds the two equal, bit for bit, checks
-the run axis against code that has none.
+``netcore.Joint`` of no runs stepped on them and a TD store of no runs
+folding each batch as the next range of its epoch's order.  A test that
+holds the two equal, bit for bit, checks the run axis against code that
+has none.
 """
 
 import numpy as np
@@ -37,10 +38,12 @@ def train_2d(labeled, cfg, cycle, test=None) -> TrainResult:
     for epoch in range(cfg.epochs):
         perm = shuffle_rng.permutation(n)
         X_p, hot_p, ids_p = X[perm], hot[perm], labeled.ids[perm]
-        for lo in range(0, n, cfg.batch_size):
-            rows, b = perm[lo : lo + cfg.batch_size], slice(lo, lo + cfg.batch_size)
-            joint.step(X_p[b], hot_p[b], lambda probs: store.update_batch(rows, probs), cfg.lam,
-                       ids_p[b], cfg.opt, epoch)
+        with store.epoch(perm):
+            for lo in range(0, n, cfg.batch_size):
+                rows = range(lo, min(lo + cfg.batch_size, n))
+                b = slice(rows.start, rows.stop)
+                joint.step(X_p[b], hot_p[b], lambda probs: store.update_batch(rows, probs),
+                           cfg.lam, ids_p[b], cfg.opt, epoch)
         if test is not None:
             tt = netcore.forward_batch(joint.net, net_cfg, test.X)
             snapshots.append((tt.probs, tdhead.head_forward_batch(joint.head, tt.taps)[0]))

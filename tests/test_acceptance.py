@@ -265,7 +265,8 @@ def test_criterion_7_oracle_equivalences():
         vecs = rng.dirichlet(np.ones(C), size=n)
         store = tdtrack.TDStore(1, C)
         for v in vecs:
-            store.update_batch([0], v[None, :])
+            with store.epoch([0]):
+                store.update_batch(range(1), v[None, :])
         td_ok &= bool(np.abs(store.values([0])[0] - vecs.mean(axis=0)).max() <= 1e-12)
 
     elapsed = time.perf_counter() - t0

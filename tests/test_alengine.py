@@ -13,9 +13,8 @@ from dynal.datasets import DatasetSpec, ImbalanceSpec, build_dataset
 from dynal.estimators import StrategyKind
 from dynal.netcore import NetConfig, OptimizerConfig
 from dynal.numutil import kl_rows
-from dynal.tdtrack import TDStore
-
 from solo_training import train_2d
+from test_in_place import ref_update_batch
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -476,7 +475,7 @@ class TestTrainingModes:
         train, test = small_data()
         cfg = small_cfg(epochs=5, n_cycles=1)
         result = alengine.train_joint(train.by_ids(train.ids[:20]), cfg, cycle=0)
-        np.testing.assert_array_equal(result.store.count, np.full(20, 5))
+        assert result.store.epochs == 5
 
 
 def oracle_softmax(z):
@@ -548,9 +547,11 @@ def oracle_grad_joint(net, cfg, head, X, y, q, lam, act, probs):
 
 
 def oracle_train_joint(labeled, cfg, cycle, test=None):
-    """train_joint as a per-batch loop of separate passes: forward, store
-    update, a re-read of the updated means as KL targets, gradient,
-    update.  Returns (theta, store, test probs, head probs, test store)."""
+    """train_joint as a per-batch loop of separate passes: forward, a fold
+    of the batch's dataset rows into the means and per-row counts of
+    ``ref_update_batch``, a re-read of the updated means as KL targets,
+    gradient, update.  Returns (theta, (means, counts), test probs, head
+    probs, test-set means)."""
     net_cfg, n_classes = cfg.net, labeled.n_classes
     theta, net, head = netcore.flatten(
         netcore.init_net(net_cfg, labeled.dim, n_classes,
@@ -562,8 +563,9 @@ def oracle_train_joint(labeled, cfg, cycle, test=None):
     opt_state = netcore.init_opt_state(theta)
     rng = np.random.default_rng(alengine._stream_seed(cfg.seed, cycle, alengine._STREAM_SHUFFLE))
     n = len(labeled)
-    store = TDStore(n, n_classes)
-    test_store = TDStore(len(test), n_classes) if test is not None else None
+    mean, count = np.zeros((n, n_classes)), np.zeros(n, int)
+    if test is not None:
+        test_mean, test_count = np.zeros((len(test), n_classes)), np.zeros(len(test), int)
     test_probs, head_probs = [], []
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
@@ -571,28 +573,26 @@ def oracle_train_joint(labeled, cfg, cycle, test=None):
             idx = perm[lo : lo + cfg.batch_size]
             Xb, yb = labeled.X[idx], labeled.y[idx]
             act, _, probs = oracle_forward(net, net_cfg, Xb)
-            store.update_batch(idx, probs)
-            grad = oracle_grad_joint(net, net_cfg, head, Xb, yb, store.values(idx), cfg.lam, act,
-                                     probs)
+            ref_update_batch(mean, count, idx, probs)
+            grad = oracle_grad_joint(net, net_cfg, head, Xb, yb, mean[idx], cfg.lam, act, probs)
             netcore.apply_update(theta, grad, opt_state, cfg.opt, epoch)
         if test is not None:
             act, _, probs = oracle_forward(net, net_cfg, test.X)
             test_probs.append(probs)
             head_probs.append(oracle_head_forward(head, [act[l] for l in net_cfg.tap_layers])[1])
-            test_store.update_batch(np.arange(len(test)), probs)
-    return theta, store, test_probs, head_probs, test_store
+            ref_update_batch(test_mean, test_count, np.arange(len(test)), probs)
+    return theta, (mean, count), test_probs, head_probs, test_mean if test is not None else None
 
 
-def oracle_kl_rows(test_store, test_probs, head_probs):
+def oracle_kl_rows(final_td, test_probs, head_probs):
     """The KL table from the oracle's own test-set means and snapshots."""
-    final_td = test_store.values(np.arange(test_store.count.size))
     return [(t, float(kl_rows(final_td, h).mean()), float(kl_rows(final_td, p).mean()))
             for t, (p, h) in enumerate(zip(test_probs, head_probs), start=1)]
 
 
 class TestTrainJointOracle:
     """train_joint's fused steps against the per-batch loop of separate
-    passes, byte for byte: parameters, TD means and counts, and in
+    passes, byte for byte: parameters, TD means and epoch counts, and in
     analysis mode every per-epoch test snapshot."""
 
     @settings(max_examples=60, deadline=None)
@@ -621,15 +621,15 @@ class TestTrainJointOracle:
         net = NetConfig(hidden_sizes=[16, 16], tap_layers=taps, activation=activation)
         cfg = small_cfg(net=net, opt=opt, epochs=3, batch_size=batch_size, lam=lam, seed=seed)
         result = alengine.train_joint(labeled, cfg, cycle=1, test=test if analysis else None)
-        theta, store, test_probs, head_probs, test_store = oracle_train_joint(
+        theta, (mean, count), test_probs, head_probs, test_mean = oracle_train_joint(
             labeled, cfg, cycle=1, test=test if analysis else None)
 
         got = np.concatenate([p.ravel() for p in result.net.params() + result.head.params()])
         assert got.tobytes() == theta.tobytes()
-        assert result.store.mean.tobytes() == store.mean.tobytes()
-        assert result.store.count.tobytes() == store.count.tobytes()
+        assert result.store.mean.tobytes() == mean.tobytes()
+        assert result.store.epochs == 3 and (count == 3).all()
         if analysis:
-            assert result.kl_rows == oracle_kl_rows(test_store, test_probs, head_probs)
+            assert result.kl_rows == oracle_kl_rows(test_mean, test_probs, head_probs)
         else:
             assert result.kl_rows is None
 
@@ -713,10 +713,10 @@ def flat(result):
 
 
 def assert_same_training(got, want):
-    """Parameters, TD means and counts array_equal, KL rows equal."""
+    """Parameters and TD means array_equal, TD epoch counts and KL rows equal."""
     assert np.array_equal(flat(got), flat(want))
     assert np.array_equal(got.store.mean, want.store.mean)
-    assert np.array_equal(got.store.count, want.store.count)
+    assert got.store.epochs == want.store.epochs
     assert got.kl_rows == want.kl_rows
 
 
@@ -914,9 +914,8 @@ class TestKlAnalysis:
         train, test = small_data()
         cfg = small_cfg(epochs=4)
         result = alengine.train_joint(train, cfg, cycle=0, test=test)
-        _, _, test_probs, head_probs, test_store = oracle_train_joint(train, cfg, 0, test)
-        assert result.kl_rows == oracle_kl_rows(test_store, test_probs, head_probs)
-        final_td = test_store.values(np.arange(len(test)))
+        _, _, test_probs, head_probs, final_td = oracle_train_joint(train, cfg, 0, test)
+        assert result.kl_rows == oracle_kl_rows(final_td, test_probs, head_probs)
         assert kl_rows(final_td, final_td).mean() == pytest.approx(0.0, abs=1e-12)
 
     def test_two_epoch_table_by_hand(self):

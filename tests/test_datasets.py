@@ -77,6 +77,19 @@ class TestByIds:
         with pytest.raises(KeyError, match=str(unknown)):
             ds.by_ids([3, unknown, 5])
 
+    # Cast to ids, 7.9 would name id 7, and True and False ids 1 and 0.
+    @pytest.mark.parametrize("wanted, bad", [([7.9], "7.9"), ([3, 2.0], "3.0"),
+                                             (np.array([True, False]), "True")])
+    def test_an_id_that_is_not_an_integer_is_named(self, wanted, bad):
+        ds = gen_gaussian_mixture(mixture_spec())
+        with pytest.raises(ValueError, match=f"^id {bad} is not an integer$"):
+            ds.by_ids(wanted)
+
+    def test_integer_ids_of_any_width_pass(self):
+        ds = gen_gaussian_mixture(mixture_spec())
+        for dtype in (np.uint8, np.int16, np.int32, np.uint64):
+            np.testing.assert_array_equal(ds.by_ids(np.array([9, 2], dtype=dtype)).ids, [9, 2])
+
 
 class TestConcentricRings:
     def spec(self, **kw):

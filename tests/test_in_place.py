@@ -12,22 +12,20 @@ row max (``max_along``, a reduce over a class-major copy) is held against
 ``ndarray.max`` on the rows where a max's evaluation order could show: NaN,
 infinities, a -0.0/+0.0 tie and a unique -0.0 maximum.  The head's tap
 reductions, which BLAS writes into the column blocks of one array, are held
-against the per-tap products concatenated.  The training step is also
-driven as ``alengine.train_lockstep`` drives it, folding each batch as a
-range of the TD store's epoch order, against index folds in dataset order;
-the reference takes the net's and the head's softmaxes each over its own
-logits, where the kernel takes one over both stacked, and masks each tap's
-block of the head's gradient by its own relu, where ``head_backward``
-masks the whole concat once.  The kernel forms the per-sample losses only
-when a shifted logit or ``lam`` leaves the bound inside which they are
-finite; ``ref_checked_joint_step``, the step that formed and checked them
-on every call, is the reference for its raises and their messages, the TD
-store it leaves and its gradient, on NaN, infinite and overflowing logits in
-the net's half and in the head's.  A second group checks that no rewritten
+against the per-tap products concatenated.  The training step is driven
+as ``alengine.train_lockstep`` drives it, folding each batch as a range of
+the TD store's epoch order; the reference folds the batch's dataset rows
+into per-row counts (``ref_update_batch``), takes the net's and the head's
+softmaxes each over its own logits, where the kernel takes one over both
+stacked, and masks each tap's block of the head's gradient by its own
+relu, where ``head_backward`` masks the whole concat once.  The kernel
+forms the per-sample losses only when a shifted logit or ``lam`` leaves
+the bound inside which they are finite; ``ref_checked_joint_step``, the
+step that formed and checked them on every call, is the reference for its
+raises and their messages, the TD store it leaves and its gradient, on
+NaN, infinite and overflowing logits in the net's half and in the head's.  A second group checks that no rewritten
 function writes an array it was given.
 """
-
-import contextlib
 
 import numpy as np
 import pytest
@@ -255,15 +253,14 @@ def step_losses(net, cfg, head, X, hot, q, lam, sample_ids):
     return netcore._joint_losses(shifted, total, p[1], hot, q, lam, sample_ids)
 
 
-def train_against_reference(runs, activation, lam, kind, epoch_path):
+def train_against_reference(runs, activation, lam, kind):
     """Three epochs over 45 samples in batches of 16, the last batch 13 rows,
     so the store folds repeat visits; every step's per-sample losses,
-    gradient, every row's store mean and count in dataset order, and the
-    parameters are compared, and the moments.  ``epoch_path`` folds as
-    ``alengine.train_lockstep`` does: inside the store's epoch, each batch a
-    range of the epoch's order, its rows sliced from the epoch's gather;
-    else each batch's rows are dataset indices.  The reference folds
-    dataset indices in both cases."""
+    gradient, the store's means and count, and the parameters are compared,
+    and the moments.  The step folds as ``alengine.train_lockstep`` does:
+    inside the store's epoch, each batch a range of the epoch's order, its
+    rows sliced from the epoch's gather.  The reference folds the batch's
+    dataset rows into per-row counts."""
     cfg = NetConfig(hidden_sizes=[7, 6], activation=activation, tap_layers=[0, 1])
     opt = OptimizerConfig(kind=kind, initial_lr=0.05, weight_decay=5e-4, decay_epoch=2)
     n, dim, C, batch = 45, 5, 3, 16
@@ -285,38 +282,37 @@ def train_against_reference(runs, activation, lam, kind, epoch_path):
     for epoch in range(3):
         perm = rng.permutation(n)
         X_p, hot_p = X[..., perm, :], hot[..., perm, :]
-        with store.epoch(perm) if epoch_path else contextlib.nullcontext():
+        with store.epoch(perm):
             for lo in range(0, n, batch):
                 rows = perm[lo : lo + batch]
                 span = range(lo, min(lo + batch, n))
-                Xb, hotb = X[..., rows, :], hot[..., rows, :]
-                if epoch_path:
-                    b = slice(span.start, span.stop)
-                    Xk, hotk, fold = X_p[..., b, :], hot_p[..., b, :], span
-                else:
-                    Xk, hotk, fold = Xb, hotb, rows
-                joint.step(Xk, hotk, lambda probs: store.update_batch(fold, probs), lam, ids[rows],
+                b = slice(span.start, span.stop)
+                Xk, hotk = X_p[..., b, :], hot_p[..., b, :]
+                joint.step(Xk, hotk, lambda probs: store.update_batch(span, probs), lam, ids[rows],
                            opt, epoch)
-                # the step's targets are its rows' means, just folded; its losses are taken at
-                # the parameters it differentiated, which the reference holds until its update
-                got = step_losses(ref.net, cfg, ref.head, Xk, hotk, store.values(rows), lam,
+                # the step's targets are its rows' means, just folded at the batch's positions of
+                # the epoch's order; its losses are taken at the parameters it differentiated,
+                # which the reference holds until its update
+                got = step_losses(ref.net, cfg, ref.head, Xk, hotk, store.mean[..., b, :], lam,
                                   ids[rows])
-                want = ref_joint_step(ref.net, cfg, ref.head, Xb, hotb,
+                want = ref_joint_step(ref.net, cfg, ref.head, X[..., rows, :], hot[..., rows, :],
                                       lambda probs: ref_update_batch(ref_mean, ref_count, rows,
                                                                      probs),
                                       lam, ref.grad_net, ref.grad_head)
                 assert all(same_bits(a, b) for a, b in zip(got, want))
                 # the update writes theta and the moments only: the gradient is the step's
                 assert same_bits(joint.grad, ref.grad)
-                mean, count = store.by_row()
-                assert same_bits(mean, ref_mean) and same_bits(count, ref_count)
+                # inside the epoch, the store's means are in its order
+                assert same_bits(store.mean, ref_mean[..., perm, :])
+                assert (ref_count[rows] == epoch + 1).all()
                 ref_opt.update(ref.theta, ref.grad, opt, epoch)
                 assert same_bits(joint.theta, ref.theta) and same_bits(joint.opt_state.m, ref_opt.m)
                 if kind == "adam":
                     assert same_bits(joint.opt_state.v, ref_opt.v)
                 steps += 1
         # out of the epoch, the store's own arrays are in dataset order
-        assert same_bits(store.mean, ref_mean) and same_bits(store.count, ref_count)
+        assert same_bits(store.mean, ref_mean) and store.epochs == epoch + 1
+        assert (ref_count == store.epochs).all()
     assert steps == 9 and len(rows) == len(span) == 13
 
 
@@ -324,16 +320,8 @@ def train_against_reference(runs, activation, lam, kind, epoch_path):
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 @pytest.mark.parametrize("lam", [0.0, 0.7])
 @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
-def test_training_steps_match_the_out_of_place_reference(runs, activation, lam, kind):
-    train_against_reference(runs, activation, lam, kind, epoch_path=False)
-
-
-@pytest.mark.parametrize("runs", [(), (1,), (3,)])
-@pytest.mark.parametrize("activation", ["relu", "tanh"])
-@pytest.mark.parametrize("lam", [0.0, 0.7])
-@pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
 def test_epoch_path_steps_match_the_out_of_place_reference(runs, activation, lam, kind):
-    train_against_reference(runs, activation, lam, kind, epoch_path=True)
+    train_against_reference(runs, activation, lam, kind)
 
 
 # Output-bias rows that put the logits where the kernel's loss check must
@@ -357,8 +345,8 @@ CHECK_LABELS = {"off": [0, 2, 3, 0, 2], "at": [0, 2, 1, 3, 1]}
 def checked_step_outcome(step, row, half, labels, lam, runs):
     """What ``step`` leaves on one batch of five rows with ``CHECK_ROWS[row]``
     in the output bias of ``half``'s last run: the message of the
-    FloatingPointError it raises or None, the store's means and counts, and
-    the gradient vector (NaN where unwritten), as bytes."""
+    FloatingPointError it raises or None, the store's means as bytes and
+    its epoch count, and the gradient vector (NaN where unwritten) as bytes."""
     cfg = NetConfig(hidden_sizes=[6, 5], tap_layers=[0, 1])
     B, C = 5, 4
     net0, head0 = netcore.init_net(cfg, 3, C, 15), tdhead.init_head([6, 5], C, 4, 16)
@@ -369,16 +357,19 @@ def checked_step_outcome(step, row, half, labels, lam, runs):
     X = rng.normal(size=(*runs, B, 3))
     hot = netcore.one_hot(np.broadcast_to(CHECK_LABELS[labels], (*runs, B)), C)
     ids = (100 * np.arange(runs[0] if runs else 1)[:, None] + np.arange(B)).reshape(*runs, B)
-    # the targets are running means: a first epoch's probabilities, then this step's
-    store = TDStore(B, C, runs)
-    store.update_batch(range(B), ref_stable_softmax(rng.normal(size=(*runs, B, C))))
+    # the targets are running means: a first epoch's probabilities, then this step's, each
+    # epoch in dataset order
+    store, rows = TDStore(B, C, runs), range(B)
+    with store.epoch(rows):
+        store.update_batch(rows, ref_stable_softmax(rng.normal(size=(*runs, B, C))))
     raised = None
     with np.errstate(all="ignore"):
         try:
-            step(joint, X, hot, lambda probs: store.update_batch(range(B), probs), lam, ids)
+            with store.epoch(rows):
+                step(joint, X, hot, lambda probs: store.update_batch(rows, probs), lam, ids)
         except FloatingPointError as e:
             raised = str(e)
-    return raised, store.mean.tobytes(), store.count.tobytes(), joint.grad.tobytes()
+    return raised, store.mean.tobytes(), store.epochs, joint.grad.tobytes()
 
 
 @pytest.mark.parametrize("runs", [(), (1,), (3,)])
@@ -633,16 +624,13 @@ def test_softmaxes_and_kl_rows_write_no_input():
 
 
 def test_update_batch_writes_no_input():
-    store = TDStore(10, 3, (2,))
-    rows = np.array([4, 1, 7])
-    first, probs = ref_stable_softmax(np.random.default_rng(4).normal(size=(2, 2, 3, 3)))
-    store.update_batch(rows, first)  # nonzero means, so that probs - means differs from probs
-    assert unchanged(lambda rows, probs: store.update_batch(rows, probs), rows, probs)
-    assert unchanged(lambda probs: store.update_batch(range(4, 7), probs), probs)
-    # the returned means are not the store's own array
-    m = store.update_batch(rows, probs)
-    m[...] = -1.0
-    assert (store.mean >= 0).all()
+    store, rows = TDStore(10, 3, (2,)), range(10)
+    first, probs = ref_stable_softmax(np.random.default_rng(4).normal(size=(2, 2, 10, 3)))
+    with store.epoch(rows):
+        store.update_batch(rows, first)  # nonzero means, so that probs - means differs from probs
+    with store.epoch(rows[::-1]):
+        assert unchanged(lambda probs: store.update_batch(range(0, 4), probs), probs[:, :4])
+        assert unchanged(lambda probs: store.update_batch(range(4, 10), probs), probs[:, 4:])
 
 
 @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])

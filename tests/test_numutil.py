@@ -1,4 +1,5 @@
 import csv
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -249,3 +250,19 @@ def test_sum_first_keeps_numpys_signed_zeros_and_non_finite_sums(n):
             nan = np.isnan(want)
             assert np.array_equal(np.isnan(got), nan)
             assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("rows, what, message", [
+    ([3, 2.5], "row", "row 3.0 is not an integer"),
+    (np.array([None, 1], dtype=object), "row", "row None is not an integer"),
+    ([True], "id", "id True is not an integer"),
+])
+def test_index_rows_names_the_first_entry_that_is_not_an_integer(rows, what, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        numutil.index_rows(rows, what)
+
+
+@pytest.mark.parametrize("rows", [[], np.zeros(0), np.array([2, 0], dtype=np.uint8), range(3)])
+def test_index_rows_of_integers_or_of_none_come_back_as_intp(rows):
+    got = numutil.index_rows(rows)
+    assert got.dtype == np.intp and got.tolist() == list(rows)
