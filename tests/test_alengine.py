@@ -1003,6 +1003,23 @@ class TestPilot:
         for v in pilot.auroc.values():
             assert 0.0 <= v <= 1.0
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_kl_analysis_retrains_the_pilot_model_bit_for_bit(self, seed):
+        """``kl-analysis``'s training, which also snapshots the test set after
+        every epoch, ends at the net, head and TD store that ``pilot``'s
+        training ends at: the snapshots only read the model, so one training
+        per seed could serve both commands."""
+        cfg = parse_config(CONFIGS / "pilot_longtail.yaml")
+        train, test = build_dataset(cfg.dataset)
+        minor = cfg.dataset.imbalance.minor_classes_for(train.n_classes)
+        run = build_run_config(cfg, cfg.pilot, seed)
+        pilot = alengine.run_pilot(train, run, minor).train_result
+        traced = alengine.train_joint(train, run, 0, test=test)
+        assert np.array_equal(flat(traced), flat(pilot))
+        assert np.array_equal(traced.store.mean, pilot.store.mean)
+        assert pilot.kl_rows is None
+        assert len(traced.kl_rows) == cfg.pilot.epochs
+
     @pytest.mark.parametrize("minor", [[], [0, 1, 2, 3]])
     def test_one_sided_training_set_rejected_before_training(self, monkeypatch, minor):
         """Separation needs both minor and major samples; a training set

@@ -1108,6 +1108,12 @@ class TestMain:
         assert "pilot needs an imbalanced dataset" in capsys.readouterr().err
         assert not (tmp_path / "new").exists()
 
+    def test_kl_analysis_runs_on_a_balanced_dataset(self, small_config, tmp_path):
+        out = tmp_path / "kl"
+        assert main(["kl-analysis", "--config", str(small_config), "--out", str(out),
+                     "--seeds", "0,1"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["kl_seed0.csv", "kl_seed1.csv"]
+
     def test_pilot_with_every_class_minor_exits_2_before_training(self, pilot_config, tmp_path,
                                                                    capsys, monkeypatch):
         pilot_config.write_text(PILOT_CFG.replace("minor_classes: [2, 3]",
