@@ -288,8 +288,8 @@ def _run_theory_sde(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) 
     th = cfg.theory
     # The ODE first, so that a diverging ODE stops the run before any file is written.
     _, ode = theorysim.integrate_ode(th, th.dt, th.t_end)
-    for seed in args.seeds:
-        traj = theorysim.simulate_discrete_ensemble(th.elasticity_params(seed), 1)[0]
+    # All seeds in one step loop; a non-finite seed raises after its predecessors are written.
+    for seed, traj in zip(args.seeds, theorysim.simulate_seeds(th, args.seeds)):
         theorysim.save_trajectory_csv(out / f"trajectory_sde_seed{seed}.csv", traj)
     theorysim.save_trajectory_csv(out / "trajectory_ode.csv", ode)
     gap = theorysim.convergence_gap(ode)

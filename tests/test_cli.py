@@ -1155,6 +1155,17 @@ class TestMain:
         assert "error: non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_diverging_second_seed_exits_1_keeping_the_first(self, tmp_path, capsys):
+        # At step_size 1, seed 1's logits overflow at iteration 1974 and seed 0's at 2024.
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("theory: {step_size: 1.0, iterations: 2000}\n")
+        out = tmp_path / "x"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["theory-sde", "--config", str(cfg), "--out", str(out),
+                         "--seeds", "0,1"]) == 1
+        assert "error: non-finite group means by iteration 2000" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["trajectory_sde_seed0.csv"]
+
     @pytest.mark.parametrize("keep", ["empty", "with a file"])
     def test_command_check_leaves_an_existing_out_alone(self, small_config, tmp_path, keep):
         out = tmp_path / "pilot"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -138,6 +139,39 @@ class TestDiscreteSimulation:
             with pytest.raises(FloatingPointError,
                                match="non-finite group means by iteration 2000$"):
                 simulate_discrete_ensemble(p, 3)
+
+
+class TestSimulateSeeds:
+    """One replica per seed in one step loop, against each seed run alone."""
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    @pytest.mark.parametrize("seeds", [[2, 0, 1], [5]])
+    def test_each_seed_equals_its_solo_ensemble(self, noise, seeds):
+        steps = chunk_steps(3, 12)
+        # two full fills of the 3-replica buffer and a partial one
+        p = params(noise=noise, iterations=2 * steps + steps // 2)
+        assert (p.iterations + 1) % steps != 0
+        got = list(theorysim.simulate_seeds(p, seeds))
+        assert len(got) == len(seeds)
+        for seed, traj in zip(seeds, got):
+            solo = simulate_discrete_ensemble(dataclasses.replace(p, seed=seed), 1)[0]
+            assert traj.tobytes() == solo.tobytes()
+
+    def test_raises_in_place_of_the_first_diverging_seed(self):
+        # At step_size 1, seed 1's logits overflow at iteration 1974 and seed 0's at 2024.
+        p = params(n_1e=10, n_1h=10, n_2=10, step_size=1.0, iterations=2000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trajs = theorysim.simulate_seeds(p, [0, 1, 2])
+            assert np.isfinite(next(trajs)).all()
+            with pytest.raises(FloatingPointError,
+                               match="non-finite group means by iteration 2000$"):
+                next(trajs)
+
+    @pytest.mark.parametrize("seeds, message", [([], "seeds must not be empty"),
+                                                ([0, -1], "non-negative")])
+    def test_rejects_no_seed_and_a_negative_one(self, seeds, message):
+        with pytest.raises(ValueError, match=message):
+            theorysim.simulate_seeds(params(), seeds)
 
 
 class TestChunkedRecording:
