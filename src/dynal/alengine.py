@@ -111,10 +111,16 @@ class ALConfig(ALProtocol):
 
 @dataclass
 class TrainResult:
+    """One run's training: the classifier ``net``, built by ``net_cfg``;
+    the TD ``head``; ``td``, the (n, C) TD means of the labeled set in
+    dataset order, a view of the lockstep's one means array; and
+    ``kl_rows``, ``kl_analysis`` of the per-epoch test snapshots, or None
+    without a test set."""
+
     net: NetState
     net_cfg: NetConfig
     head: NetState
-    store: TDStore
+    td: np.ndarray
     kl_rows: list[tuple[int, float, float]] | None = None
 
 
@@ -207,7 +213,7 @@ def train_lockstep(
                            cfg.lam, ids_p[:, b], cfg.opt, epoch)
         if test is not None:
             snapshots.append(netcore.predict(joint.net, net_cfg, test.X, head=joint.head)[:2])
-    return [TrainResult(joint.net.run(r), net_cfg, joint.head.run(r), store.run(r),
+    return [TrainResult(joint.net.run(r), net_cfg, joint.head.run(r), store.mean[r],
                         kl_analysis([(p[r], pt[r]) for p, pt in snapshots])
                         if test is not None else None)
             for r in range(runs)]
@@ -497,9 +503,8 @@ def run_pilot(
         raise ValueError("pilot needs an imbalanced dataset: both minor and major training samples")
     result = train_joint(train, cfg, cycle=0)
     snap, pred_td, _ = netcore.predict(result.net, result.net_cfg, train.X, head=result.head)
-    td = result.store.values(np.arange(len(train)))
 
-    vectors = {"snapshot": snap, "td": td, "pred_td": pred_td}
+    vectors = {"snapshot": snap, "td": result.td, "pred_td": pred_td}
     scores = {f"{name}_entropy": entropy(p) for name, p in vectors.items()}
     scores.update({f"{name}_margin": margin(p, labels) for name, p in vectors.items()})
     auroc = {k: separation_auroc(uncertainty(k, v), is_minor) for k, v in scores.items()}

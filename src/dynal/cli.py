@@ -256,7 +256,7 @@ def _run_al(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _run_pilot(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
-    train, test = build_dataset(cfg.dataset)
+    train, _ = build_dataset(cfg.dataset)
     minor = cfg.dataset.imbalance.minor_classes_for(train.n_classes)
     auroc_rows = []
     for seed in args.seeds:

@@ -52,7 +52,10 @@ def init_head(tap_dims: list[int], n_classes: int, reduce_dim: int, seed: int) -
 
 def head_forward_batch(head: netcore.NetState,
                        taps: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Batched head pass: returns (probs (B, C), relu concat that ``head_backward`` reads)."""
+    """Batched head pass: returns (probs (B, C), relu concat).  No caller in
+    the package reads the concat: training's ``head_backward`` reads the
+    one ``netcore._joint_forward`` makes.  ROADMAP item 3 deletes it,
+    together with the change to the benchmark code that indexes this pair."""
     taps = [np.atleast_2d(np.asarray(t, dtype=np.float64)) for t in taps]
     check_taps(head, [t.shape[-1] for t in taps])
     concat = _relu_concat(head, taps)

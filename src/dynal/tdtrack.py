@@ -14,12 +14,11 @@ sort, gather or scatter per step.  An epoch that closes has folded every
 row once, so every row's mean is over the same ``epochs`` vectors and
 one count divides them all.  The epoch gathers the means into its order
 when it opens and writes them back to dataset order when it closes;
-``values`` and ``run`` read them in dataset order, outside an epoch.
+``values`` reads them in dataset order, outside an epoch.
 """
 
 from __future__ import annotations
 
-import copy
 from contextlib import contextmanager
 
 import numpy as np
@@ -112,11 +111,3 @@ class TDStore:
         if not self.epochs:
             raise RuntimeError("the store has no td means before its first epoch")
         return self.mean[..., rows, :]
-
-    def run(self, r: int) -> "TDStore":
-        """Run ``r`` of a store with a leading run axis, outside an epoch:
-        its means a view of this store's, and the same epoch count."""
-        self._check(inside=False)
-        store = copy.copy(self)
-        store.mean = self.mean[r]
-        return store

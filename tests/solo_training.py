@@ -47,5 +47,5 @@ def train_2d(labeled, cfg, cycle, test=None) -> TrainResult:
         if test is not None:
             tt = netcore.forward_batch(joint.net, net_cfg, test.X)
             snapshots.append((tt.probs, tdhead.head_forward_batch(joint.head, tt.taps)[0]))
-    return TrainResult(joint.net, net_cfg, joint.head, store,
+    return TrainResult(joint.net, net_cfg, joint.head, store.mean,
                        kl_analysis(snapshots) if test is not None else None)

@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,8 +14,9 @@ from dynal.datasets import DatasetSpec, ImbalanceSpec, build_dataset
 from dynal.estimators import StrategyKind
 from dynal.netcore import NetConfig, OptimizerConfig
 from dynal.numutil import kl_rows
+from dynal.tdtrack import TDStore
 from solo_training import train_2d
-from test_in_place import ref_update_batch
+from test_in_place import ref_update_batch, same_bits
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -167,7 +169,7 @@ class TestALConfig:
         assert a.net_cfg == small_cfg().net
         for p, q in zip(a.net.params() + a.head.params(), b.net.params() + b.head.params()):
             np.testing.assert_array_equal(p, q)
-        np.testing.assert_array_equal(a.store.values(np.arange(24)), b.store.values(np.arange(24)))
+        np.testing.assert_array_equal(a.td, b.td)
         assert not np.array_equal(a.net.weights[0], c.net.weights[0])
 
 
@@ -471,11 +473,20 @@ class TestTrainingModes:
             alengine.train_joint(train, small_cfg(opt=opt, n_cycles=1), cycle=0)
         assert len(calls) == 1
 
-    def test_batch_recording_counts_epochs(self):
+    def test_batch_recording_counts_epochs(self, monkeypatch):
         train, test = small_data()
         cfg = small_cfg(epochs=5, n_cycles=1)
-        result = alengine.train_joint(train.by_ids(train.ids[:20]), cfg, cycle=0)
-        assert result.store.epochs == 5
+        folds, epoch = [], TDStore.epoch
+
+        def counted(store, perm):
+            with epoch(store, perm):
+                yield
+            folds.append(store.epochs)
+
+        monkeypatch.setattr(TDStore, "epoch", contextmanager(counted))
+        alengine.train_joint(train.by_ids(train.ids[:20]), cfg, cycle=0)
+        # one store, folded once per epoch
+        assert folds == [1, 2, 3, 4, 5]
 
 
 def oracle_softmax(z):
@@ -626,8 +637,8 @@ class TestTrainJointOracle:
 
         got = np.concatenate([p.ravel() for p in result.net.params() + result.head.params()])
         assert got.tobytes() == theta.tobytes()
-        assert result.store.mean.tobytes() == mean.tobytes()
-        assert result.store.epochs == 3 and (count == 3).all()
+        assert result.td.tobytes() == mean.tobytes()
+        assert (count == 3).all()
         if analysis:
             assert result.kl_rows == oracle_kl_rows(test_mean, test_probs, head_probs)
         else:
@@ -658,7 +669,7 @@ class TestTrainJointChecks:
         result = alengine.train_joint(labeled, small_cfg(epochs=1), cycle=0)
         assert result.net.weights[0].shape == (16, dim)
         assert result.net.biases[-1].shape == (n_classes,)
-        assert result.store.mean.shape == (30, n_classes)
+        assert result.td.shape == (30, n_classes)
         assert result.head.biases[-1].shape == (n_classes,)
 
     @pytest.mark.parametrize("label", [-1, 4])
@@ -713,10 +724,9 @@ def flat(result):
 
 
 def assert_same_training(got, want):
-    """Parameters and TD means array_equal, TD epoch counts and KL rows equal."""
+    """Parameters array_equal, TD means bit for bit and KL rows equal."""
     assert np.array_equal(flat(got), flat(want))
-    assert np.array_equal(got.store.mean, want.store.mean)
-    assert got.store.epochs == want.store.epochs
+    assert same_bits(got.td, want.td)
     assert got.kl_rows == want.kl_rows
 
 
@@ -762,6 +772,17 @@ class TestLockstep:
                 assert len(got.kl_rows) == 4
         # the runs really differ: lockstep keeps their sets apart
         assert not np.array_equal(flat(together[0]), flat(together[1]))
+
+    def test_the_runs_td_means_are_views_of_one_array(self):
+        # Each result's means are its run of the lockstep's one means array, not a copy,
+        # and in dataset order: the bits of its set's means trained alone.
+        sets, cfg = training_case(3, "adam", "relu", [16, 16], [0, 1], 40, 16, 1.0)
+        together = alengine.train_lockstep(sets, cfg, cycle=2)
+        shared = together[0].td.base
+        for labeled, got in zip(sets, together):
+            assert np.shares_memory(got.td, shared)
+            assert same_bits(got.td, train_2d(labeled, cfg, cycle=2).td)
+        assert shared.shape == (3, 40, sets[0].n_classes)
 
     def test_sets_of_different_sizes_rejected(self):
         train, _ = small_data()
@@ -1006,7 +1027,7 @@ class TestPilot:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_kl_analysis_retrains_the_pilot_model_bit_for_bit(self, seed):
         """``kl-analysis``'s training, which also snapshots the test set after
-        every epoch, ends at the net, head and TD store that ``pilot``'s
+        every epoch, ends at the net, head and TD means that ``pilot``'s
         training ends at: the snapshots only read the model, so one training
         per seed could serve both commands."""
         cfg = parse_config(CONFIGS / "pilot_longtail.yaml")
@@ -1016,7 +1037,7 @@ class TestPilot:
         pilot = alengine.run_pilot(train, run, minor).train_result
         traced = alengine.train_joint(train, run, 0, test=test)
         assert np.array_equal(flat(traced), flat(pilot))
-        assert np.array_equal(traced.store.mean, pilot.store.mean)
+        assert np.array_equal(traced.td, pilot.td)
         assert pilot.kl_rows is None
         assert len(traced.kl_rows) == cfg.pilot.epochs
 
