@@ -224,12 +224,12 @@ def evaluate(net: NetState, net_cfg: NetConfig, test: Dataset) -> tuple[float, n
     if len(test) == 0:
         raise ValueError("test set is empty")
     pred = netcore.predict(net, net_cfg, test.X)[0].argmax(axis=1)
-    acc = float((pred == test.y).mean())
-    per_class = np.full(test.n_classes, np.nan)
-    for c in range(test.n_classes):
-        mask = test.y == c
-        if mask.any():
-            per_class[c] = float((pred[mask] == c).mean())
+    right = pred == test.y
+    acc = float(right.mean())
+    # Exact integer counts, divided as a mean divides them.
+    counts = np.bincount(test.y, minlength=test.n_classes)
+    hits = np.bincount(test.y[right], minlength=test.n_classes)
+    per_class = np.divide(hits, counts, out=np.full(test.n_classes, np.nan), where=counts > 0)
     return acc, per_class
 
 

@@ -23,7 +23,6 @@ import sys
 import traceback
 import types
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -225,6 +224,9 @@ def _run_al(args: argparse.Namespace, cfg: ExperimentConfig, out: Path) -> int:
     by_seed = []  # per seed, per strategy: (rows, traceback)
     # One worker runs in this process; more run in a pool of that many processes.
     workers = min(args.jobs, len(jobs))
+    if workers > 1:
+        # Imported only here: the pool loads multiprocessing, socket and subprocess.
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         futures = [pool.submit(_al_worker, job) if pool else None for job in jobs]
         for job, fut in zip(jobs, futures):

@@ -61,7 +61,11 @@ class Dataset:
         integer."""
         sorted_ids, order = self._id_index
         w = index_rows(wanted, "id")
-        at = np.searchsorted(sorted_ids, w)
+        # Consecutive searches for ascending ids take mostly the same
+        # branches; in random order each search mispredicts at every level.
+        asc = np.argsort(w)
+        at = np.empty_like(asc)
+        at[asc] = np.searchsorted(sorted_ids, w[asc])
         found = at < len(sorted_ids)
         found[found] = sorted_ids[at[found]] == w[found]
         if not found.all():
@@ -146,9 +150,13 @@ def gen_gaussian_mixture(spec: DatasetSpec) -> Dataset:
     dirs = rng.normal(size=(spec.n_classes, spec.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     means = spec.radius * dirs
-    X = np.concatenate(
-        [means[c] + spec.noise * rng.normal(size=(spec.per_class, spec.dim)) for c in range(spec.n_classes)]
-    )
+    # Each class block is ``means[c] + noise * rng.normal(size=...)``, drawn
+    # and computed in place: the same draws and the same two operations.
+    X = np.empty((spec.n_classes * spec.per_class, spec.dim))
+    for c, block in enumerate(X.reshape(spec.n_classes, spec.per_class, spec.dim)):
+        rng.standard_normal(out=block)
+        block *= spec.noise
+        block += means[c]
     y = np.repeat(np.arange(spec.n_classes), spec.per_class)
     ids = np.arange(len(y), dtype=np.int64)
     return Dataset(ids, X, y.astype(np.int64), spec.n_classes, class_means=means)

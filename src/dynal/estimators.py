@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numutil import PROB_FLOOR, max_along, write_csv
+from .numutil import PROB_FLOOR, write_csv
 
 
 class StrategyKind(str, Enum):
@@ -46,7 +46,11 @@ def entropy(p: np.ndarray) -> np.ndarray:
     """Shannon entropy in nats over the last axis, probabilities floored
     at 1e-12."""
     p = np.asarray(p, dtype=np.float64)
-    return -(p * np.log(np.maximum(p, PROB_FLOOR))).sum(axis=-1)
+    terms = np.maximum(p, PROB_FLOOR)
+    np.log(terms, out=terms)
+    terms *= p
+    # Negated after the sum: negated first, a one-hot row's -0.0 turns +0.0.
+    return -terms.sum(axis=-1)
 
 
 def margin(p: np.ndarray, y) -> np.ndarray:
@@ -58,9 +62,11 @@ def margin(p: np.ndarray, y) -> np.ndarray:
     bad = (y < 0) | (y >= C)
     if bad.any():
         raise ValueError(f"class index {y[bad][0]} out of range for {C} classes")
-    others = p.copy()
-    np.put_along_axis(others, y, -np.inf, axis=-1)
-    return np.take_along_axis(p, y, axis=-1)[..., 0] - max_along(others, -1)[..., 0]
+    # Class-major, the max over classes is one elementwise reduce across
+    # rows, not a short reduce per row.  A max is exact in any order.
+    others = np.moveaxis(p, -1, 0).copy()
+    np.put_along_axis(others, np.moveaxis(y, -1, 0), -np.inf, axis=0)
+    return np.take_along_axis(p, y, axis=-1)[..., 0] - np.maximum.reduce(others, axis=0)
 
 
 def strategy_scores(

@@ -91,6 +91,28 @@ class TestEvaluate:
         acc, per_class = evaluate(result.net, result.net_cfg, test)
         assert acc == pytest.approx(np.mean(per_class), abs=1e-12)
 
+    @staticmethod
+    def ref_per_class(pred, test):
+        """Per-class recall as ``evaluate`` took it before, one mask per class."""
+        per_class = np.full(test.n_classes, np.nan)
+        for c in range(test.n_classes):
+            mask = test.y == c
+            if mask.any():
+                per_class[c] = float((pred[mask] == c).mean())
+        return per_class
+
+    @pytest.mark.parametrize("absent", [[], [4], [2], [0, 4]])
+    def test_per_class_recall_matches_the_loop(self, absent):
+        train, test = small_data(seed=6, n_classes=5)
+        result = alengine.train_joint(train, small_cfg(epochs=5), cycle=0)
+        test = test.take(np.flatnonzero(~np.isin(test.y, absent)))
+        acc, per_class = evaluate(result.net, result.net_cfg, test)
+        pred = netcore.predict(result.net, result.net_cfg, test.X)[0].argmax(axis=1)
+        want = self.ref_per_class(pred, test)
+        assert same_bits(per_class, want) and np.isnan(want[absent]).all()
+        assert ((want > 0) & (want < 1)).any()  # some recall is a fraction
+        assert acc == float((pred == test.y).mean())
+
 
 class TestSeparationAuroc:
     def test_perfect_separation(self):

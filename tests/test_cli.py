@@ -1059,7 +1059,8 @@ class TestMain:
             self, small_config, tmp_path, capsys, monkeypatch, jobs):
         small_config.write_text(SMALL_CFG.replace("initial_labeled: 9", "initial_labeled: 90"))
         monkeypatch.setattr(cli, "_al_worker", lambda job: pytest.fail("a job ran"))
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda n: pytest.fail("a pool started"))
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            lambda n: pytest.fail("a pool started"))
         out = tmp_path / "x"
         assert main(["al-run", "--config", str(small_config), "--out", str(out),
                      "--seeds", "0,1", "--jobs", str(jobs)]) == 2
@@ -1212,6 +1213,14 @@ class TestMain:
         extra = (top_level_modules("dynal, dynal.cli") - top_level_modules("numpy, yaml")
                  - set(sys.stdlib_module_names))
         assert extra == {"dynal"}
+
+    def test_import_loads_no_process_pool(self):
+        """``al-run`` imports the process pool only to run more than one job."""
+        env = {**os.environ, "PYTHONPATH": str(Path(dynal.__file__).resolve().parent.parent)}
+        code = "import sys, dynal.cli; print('concurrent.futures.process' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "False\n"
 
 
 class TestOut:

@@ -19,6 +19,7 @@ from dynal.datasets import (
     save_csv,
     split,
 )
+from test_in_place import same_bits
 
 
 def mixture_spec(**kw):
@@ -26,6 +27,38 @@ def mixture_spec(**kw):
                 radius=4.0, noise=0.5, test_fraction=0.25, seed=3)
     base.update(kw)
     return DatasetSpec(**base)
+
+
+def ref_gaussian_mixture(spec):
+    """``gen_gaussian_mixture``'s earlier form, kept as the reference: each
+    class block a fresh array, the blocks concatenated.  (X, y, class_means)."""
+    rng = np.random.default_rng(spec.seed)
+    dirs = rng.normal(size=(spec.n_classes, spec.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    means = spec.radius * dirs
+    X = np.concatenate(
+        [means[c] + spec.noise * rng.normal(size=(spec.per_class, spec.dim)) for c in range(spec.n_classes)]
+    )
+    y = np.repeat(np.arange(spec.n_classes), spec.per_class)
+    return X, y.astype(np.int64), means
+
+
+def ref_by_ids(ds, wanted):
+    """``Dataset.by_ids``'s earlier form, kept as the reference: one
+    searchsorted over the wanted ids in the order given."""
+    order = np.argsort(ds.ids, kind="stable")
+    sorted_ids = ds.ids[order]
+    w = np.asarray(wanted).astype(np.intp)
+    at = np.searchsorted(sorted_ids, w)
+    found = at < len(sorted_ids)
+    found[found] = sorted_ids[at[found]] == w[found]
+    if not found.all():
+        raise KeyError(int(w[~found][0]))
+    return ds.take(order[at])
+
+
+def same_rows(a, b):
+    return same_bits(a.ids, b.ids) and same_bits(a.X, b.X) and same_bits(a.y, b.y)
 
 
 class TestGaussianMixture:
@@ -51,6 +84,17 @@ class TestGaussianMixture:
         assert len(ds) == 120
         assert len(set(ds.ids.tolist())) == 120
         np.testing.assert_array_equal(ds.class_counts(), [30, 30, 30, 30])
+
+    @pytest.mark.parametrize("n_classes", range(2, 11))
+    @pytest.mark.parametrize("per_class", [1, 300])
+    @pytest.mark.parametrize("dim", [2, 12])
+    @pytest.mark.parametrize("noise", [0.0, 1.1, 3.0])
+    def test_matches_the_list_and_concatenate_form(self, noise, dim, per_class, n_classes):
+        spec = mixture_spec(noise=noise, dim=dim, per_class=per_class, n_classes=n_classes,
+                            seed=n_classes)
+        ds = gen_gaussian_mixture(spec)
+        got = (ds.X, ds.y, ds.class_means)
+        assert [same_bits(a, b) for a, b in zip(got, ref_gaussian_mixture(spec))] == [True] * 3
 
 
 class TestByIds:
@@ -89,6 +133,47 @@ class TestByIds:
         ds = gen_gaussian_mixture(mixture_spec())
         for dtype in (np.uint8, np.int16, np.int32, np.uint64):
             np.testing.assert_array_equal(ds.by_ids(np.array([9, 2], dtype=dtype)).ids, [9, 2])
+
+    @staticmethod
+    def sparse_csv(tmp_path):
+        """A CSV dataset whose ids are near 10**12, sparse and out of order."""
+        rng = np.random.default_rng(8)
+        ids = 10**12 + rng.choice(10**6, size=60, replace=False)
+        ds = Dataset(ids, rng.normal(size=(60, 3)), np.arange(60) % 3, n_classes=3)
+        save_csv(ds, tmp_path / "sparse.csv")
+        return load_csv(tmp_path / "sparse.csv")
+
+    @pytest.mark.parametrize("source", ["reversed mixture", "split train side", "csv near 1e12"])
+    def test_matches_one_search_in_the_given_order(self, tmp_path, source):
+        if source == "reversed mixture":
+            ds = gen_gaussian_mixture(mixture_spec())
+            ds = ds.take(np.arange(len(ds))[::-1])
+        elif source == "split train side":
+            ds = split(gen_gaussian_mixture(mixture_spec()), 0.3, seed=1)[0]
+        else:
+            ds = self.sparse_csv(tmp_path)
+        rng = np.random.default_rng(5)
+        ids = ds.ids
+        for wanted in (rng.permutation(ids), rng.permutation(ids)[:17], ids[::-1], np.sort(ids),
+                       ids[[4, 4, 0, 9, 4, 0]], rng.choice(ids, size=50), ids[:0]):
+            assert same_rows(ds.by_ids(wanted), ref_by_ids(ds, wanted))
+            assert same_rows(ds.by_ids(wanted.tolist()), ref_by_ids(ds, wanted))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint16, np.int32,
+                                       np.uint32, np.int64, np.uint64, np.intp, np.uintp])
+    def test_matches_one_search_for_every_integer_dtype(self, dtype):
+        ds = gen_gaussian_mixture(mixture_spec())
+        ds = ds.take(np.random.default_rng(2).permutation(len(ds)))
+        wanted = np.array([119, 3, 64, 3, 0, 100, 7], dtype=dtype)
+        assert same_rows(ds.by_ids(wanted), ref_by_ids(ds, wanted))
+
+    def test_key_error_names_the_first_missing_id_in_the_given_order(self):
+        # -1 sorts first, so a check in ascending order would name it
+        ds = gen_gaussian_mixture(mixture_spec())
+        for lookup in (ds.by_ids, lambda w: ref_by_ids(ds, w)):
+            with pytest.raises(KeyError) as excinfo:
+                lookup([3, 10**9, 5, -1])
+            assert excinfo.value.args == (10**9,)
 
 
 class TestConcentricRings:

@@ -12,8 +12,11 @@ row max (``max_along``, a reduce over a class-major copy) is held against
 ``ndarray.max`` on the rows where a max's evaluation order could show: NaN,
 infinities, a -0.0/+0.0 tie and a unique -0.0 maximum.  The head's tap
 reductions, which BLAS writes into the column blocks of one array, are held
-against the per-tap products concatenated.  The training step is driven
-as ``alengine.train_lockstep`` drives it, folding each batch as a range of
+against the per-tap products concatenated.  ``estimators.entropy`` forms its
+terms in the one array it makes; it is held against the plain expression
+on one-hot and all-zero rows, whose terms' zeros carry both signs, so a
+negation before the sum would show.  The training step is driven as
+``alengine.train_lockstep`` drives it, folding each batch as a range of
 the TD store's epoch order; the reference folds the batch's dataset rows
 into per-row counts (``ref_update_batch``), takes the net's and the head's
 softmaxes each over its own logits, where the kernel takes one over both
@@ -31,7 +34,7 @@ import numpy as np
 import pytest
 
 from dynal import netcore, tdhead
-from dynal.estimators import margin
+from dynal.estimators import entropy, margin
 from dynal.netcore import NetConfig, OptimizerConfig
 from dynal.numutil import PROB_FLOOR, kl_rows, max_along, stable_softmax
 from dynal.tdtrack import TDStore
@@ -90,6 +93,11 @@ def ref_margin(p, y):
     others = p.copy()
     np.put_along_axis(others, y, -np.inf, axis=-1)
     return np.take_along_axis(p, y, axis=-1)[..., 0] - others.max(axis=-1)
+
+
+def ref_entropy(p):
+    p = np.asarray(p, dtype=np.float64)
+    return -(p * np.log(np.maximum(p, PROB_FLOOR))).sum(axis=-1)
 
 
 def ref_head_backward(head, taps, concat, dlogits, out):
@@ -572,6 +580,24 @@ def margin_cases():
 @pytest.mark.parametrize("p, y", margin_cases())
 def test_margin_matches_the_out_of_place_reference(p, y):
     got, want = margin(p, y), ref_margin(p, y)
+    assert same_bits(got, want) and type(got) is type(want)
+
+
+def entropy_cases():
+    rng = np.random.default_rng(12)
+    p = ref_stable_softmax(rng.normal(scale=3.0, size=(40, 6)))
+    p[0] = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]  # one-hot: terms +0.0 and -0.0, entropy -0.0
+    p[1] = [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+    p[2] = 0.0  # all zero: every term -0.0
+    p[3] = [-0.0, 0.0, -0.0, 1.0, 0.0, -0.0]
+    p[4, :3] = [1e-300, 5e-324, 1e-13]  # positive, below the floor
+    return [p, p[0], p[2], p[4], p.reshape(4, 10, 6), p[:, ::2], p.T.copy().T,
+            p.astype(np.float32), p[:3].tolist(), np.zeros((0, 6))]
+
+
+@pytest.mark.parametrize("p", entropy_cases())
+def test_entropy_matches_the_out_of_place_reference(p):
+    got, want = entropy(p), ref_entropy(p)
     assert same_bits(got, want) and type(got) is type(want)
 
 
