@@ -438,8 +438,10 @@ def kl_analysis(snapshots: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[in
     ``snapshots`` holds one (test-set probs, head probs) pair per epoch,
     in training order; the final mean folds the test-set probs through
     one TDStore, one epoch each.  Returns rows (epoch, kl_module,
-    kl_snapshot), epochs 1-based.
+    kl_snapshot), epochs 1-based; ValueError if ``snapshots`` is empty.
     """
+    if not snapshots:
+        raise ValueError("snapshots must not be empty")
     n, n_classes = snapshots[0][0].shape
     test_store, rows = TDStore(n, n_classes), range(n)
     for p_t, _ in snapshots:

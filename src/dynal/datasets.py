@@ -58,9 +58,11 @@ class Dataset:
     def by_ids(self, wanted) -> "Dataset":
         """Row subset by sample ids, in the order given; KeyError names the
         first id not in the dataset, ValueError the first that is not an
-        integer."""
+        integer, or the shape of ids that are not 1-D."""
         sorted_ids, order = self._id_index
         w = index_rows(wanted, "id")
+        if w.ndim != 1:
+            raise ValueError(f"ids must be 1-D, got shape {w.shape}")
         # Consecutive searches for ascending ids take mostly the same
         # branches; in random order each search mispredicts at every level.
         asc = np.argsort(w)

@@ -12,7 +12,11 @@ share the remaining mass equally.
 Every simulation is one pass of one step loop, ``_simulate``:
 ``simulate_discrete_ensemble`` steps many replicas of one seed, and
 ``simulate_seeds`` one replica of each of several seeds, each with the
-bits of that seed run alone.
+bits of that seed run alone.  The loop draws a buffer's steps at once and
+then runs one update per step, whatever the noise: only the draws differ,
+one draw of all the buffer's indices without noise, and each step's
+indices and then its normals with it.  Memory stays near the returned
+means plus two buffer-sized arrays, or three with noise.
 """
 
 from __future__ import annotations
@@ -105,9 +109,10 @@ def simulate_seeds(model: ElasticityModel, seeds) -> Iterator[np.ndarray]:
     order, equal bit for bit to ``simulate_discrete_ensemble`` of that seed
     and one replica; in place of the first that is non-finite, it raises
     that seed's FloatingPointError, so the caller keeps what came before."""
-    if not seeds:
+    generators = [np.random.default_rng(seed) for seed in seeds]
+    if not generators:
         raise ValueError("seeds must not be empty")
-    means = _simulate(model, [np.random.default_rng(seed) for seed in seeds], 1)
+    means = _simulate(model, generators, 1)
     return (_finite(traj, model.iterations) for traj in means)
 
 
@@ -137,17 +142,19 @@ def _simulate(model: ElasticityModel, generators, per_generator: int) -> np.ndar
     size, which costs one ufunc call per add rather than numpy's per-row
     overhead on millions of 10-sample rows.
 
-    Draw order, per generator and for its own replicas only, so that each
-    generator draws what a run of it alone would: with noise, each step
-    draws the replicas' sample indices and then their (per_generator, n)
-    normals.  Without noise, one (steps, per_generator) draw gives the
-    indices of all the steps that fill the buffer, and their pull factors
-    are gathered at once; it returns what ``steps`` draws of per_generator
-    would, because the bit generator keeps the unused 32-bit half of a word
-    between calls, so both paths give the per-step loop's bits whatever the
-    buffer's length.  Memory stays near the returned means plus two
-    buffer-sized arrays: the logits and, without noise, the buffer's pull
-    factors.
+    The draws of all the steps that fill the buffer come first, per
+    generator and for its own replicas only, so that each generator draws
+    what a run of it alone would.  Without noise, one (steps, per_generator)
+    draw gives their indices; it returns what ``steps`` draws of
+    per_generator would, because the bit generator keeps the unused 32-bit
+    half of a word between calls, so it gives the per-step loop's bits
+    whatever the buffer's length.  With noise, each step draws the
+    replicas' indices and then their (per_generator, n) normals, the
+    per-step loop's order.  A step reads only rows before its own, so
+    drawing ahead changes no value.  Then the steps' pull factors are
+    gathered at once, and each step adds its pull, then its scaled normals.
+    Memory stays near the returned means plus two buffer-sized arrays, the
+    logits and their pull factors, and with noise a third, the normals.
     """
     n_runs = len(generators) * per_generator
     h = model.step_size
@@ -172,43 +179,35 @@ def _simulate(model: ElasticityModel, generators, per_generator: int) -> np.ndar
             np.divide(sum_first(group), sizes[g], out=means[first : first + k, :, g])
 
     run_idx = np.arange(n_runs)
-    if model.noise == 0:
-        J = np.empty(hist.shape[:2], dtype=np.int64)  # the indices of a buffer's steps
-        fac = np.empty_like(hist)  # and their pull factors
-        flat = hist.reshape(-1)
-        draws = [(rng, J[:, c]) for rng, c in zip(generators, cols)]
-    else:
-        J = np.empty(n_runs, dtype=np.int64)  # a step's indices
-        Z = np.empty((n_runs, n))  # its normals, then its noise
-        draws = [(rng, J[c], Z[c]) for rng, c in zip(generators, cols)]
-        noise_scale = np.sqrt(h) * model.noise
+    J = np.empty(hist.shape[:2], dtype=np.int64)  # the indices of a buffer's steps
+    fac = np.empty_like(hist)  # their pull factors
+    Z = np.empty_like(hist) if model.noise > 0 else [None] * len(hist)  # their normals, if any
+    noise_scale = np.sqrt(h) * model.noise
+    flat = hist.reshape(-1)
     X, k, m = hist[0], 1, 1  # the first k buffer rows hold steps m - k .. m - 1
     while m <= model.iterations:
         if k == len(hist):
             record(m - k, k)
             k = 0
         steps = min(len(hist) - k, model.iterations + 1 - m)  # to fill the buffer
-        if model.noise == 0:
-            for rng, j in draws:
-                j[:steps] = rng.integers(0, n, size=(steps, per_generator))
-            # mode="clip" writes straight to out ("raise" would buffer it); no index is out of range
-            np.take(h_col_fac, group_of[J[:steps]], axis=0, out=fac[:steps], mode="clip")
-            # flat positions of the drawn logits in the buffer row before each step's own;
-            # row -1 counts from the end, the last row, which a buffer's first step reads
-            read_rows = np.arange(k - 1, k - 1 + steps)
-            src = (read_rows[:, None] * (n_runs * n) + run_idx * n + J[:steps])[:, :, None]
-            for s, f, out in zip(src, fac, hist[k : k + steps]):
-                X = np.add(X, np.multiply(f, flat[s], out=f), out=out)
-        else:
-            for out in hist[k : k + steps]:
-                for rng, j, z in draws:
+        for rng, c in zip(generators, cols):
+            if model.noise == 0:
+                J[:steps, c] = rng.integers(0, n, size=(steps, per_generator))
+            else:
+                for j, z in zip(J[:steps, c], Z[:steps, c]):
                     j[:] = rng.integers(0, n, size=per_generator)
                     rng.standard_normal(out=z)
-                pull = h_col_fac[group_of[J]]
-                pull *= X[run_idx, J][:, None]
-                X = np.add(X, pull, out=out)
-                Z *= noise_scale
-                X += Z
+        # mode="clip" writes straight to out ("raise" would buffer it); no index is out of range
+        np.take(h_col_fac, group_of[J[:steps]], axis=0, out=fac[:steps], mode="clip")
+        # flat positions of the drawn logits in the buffer row before each step's own;
+        # row -1 counts from the end, the last row, which a buffer's first step reads
+        read_rows = np.arange(k - 1, k - 1 + steps)
+        src = (read_rows[:, None] * (n_runs * n) + run_idx * n + J[:steps])[:, :, None]
+        for s, f, out, z in zip(src, fac, hist[k : k + steps], Z):
+            X = np.add(X, np.multiply(f, flat[s], out=f), out=out)
+            if z is not None:
+                z *= noise_scale
+                X += z
         k += steps
         m += steps
     record(model.iterations + 1 - k, k)

@@ -983,6 +983,10 @@ class TestKlAnalysis:
         p = np.array([[0.1, 0.2, 0.7], [1 / 3, 1 / 3, 1 / 3], [0.0, 1.0, 0.0]])
         assert kl_analysis([(p, p)] * 4) == [(t, 0.0, 0.0) for t in range(1, 5)]
 
+    def test_no_snapshots_is_a_value_error(self):
+        with pytest.raises(ValueError, match="^snapshots must not be empty$"):
+            kl_analysis([])
+
     def test_empty_test_set_is_rejected_before_training(self, monkeypatch):
         train, test = small_data()
         calls = []

@@ -145,7 +145,7 @@ class TestSimulateSeeds:
     """One replica per seed in one step loop, against each seed run alone."""
 
     @pytest.mark.parametrize("noise", [0.0, 0.3])
-    @pytest.mark.parametrize("seeds", [[2, 0, 1], [5]])
+    @pytest.mark.parametrize("seeds", [[2, 0, 1], [5], np.array([2, 0, 1])])
     def test_each_seed_equals_its_solo_ensemble(self, noise, seeds):
         steps = chunk_steps(3, 12)
         # two full fills of the 3-replica buffer and a partial one
@@ -168,6 +168,7 @@ class TestSimulateSeeds:
                 next(trajs)
 
     @pytest.mark.parametrize("seeds, message", [([], "seeds must not be empty"),
+                                                (np.array([], int), "seeds must not be empty"),
                                                 ([0, -1], "non-negative")])
     def test_rejects_no_seed_and_a_negative_one(self, seeds, message):
         with pytest.raises(ValueError, match=message):
@@ -201,15 +202,13 @@ class TestChunkedRecording:
         means_bytes = (p.iterations + 1) * n_runs * 3 * 8
         chunk_cells = chunk_steps(n_runs, p.n_total) * n_runs
         # Besides the means and the buffer: per chunk, one group's means and
-        # sum (chunk x n_runs floats each); 64 KiB for small arrays.  With
-        # noise, per step, the gathered pull factors, their product with the
-        # drawn logits and the noise draws (n_runs x n floats each).  Without
-        # noise, per buffer, the pull factors (at most one buffer's floats) and
-        # at most four index arrays of the draws (chunk x n_runs ints each).
+        # sum (chunk x n_runs floats each); 64 KiB for small arrays.  Per
+        # buffer, the pull factors (at most one buffer's floats) and at most
+        # four index arrays of the draws (chunk x n_runs ints each); with
+        # noise, also the normals (at most one buffer's floats).
+        per_path = theorysim.SIM_CHUNK_FLOATS + 4 * chunk_cells
         if noise > 0:
-            per_path = 3 * n_runs * p.n_total
-        else:
-            per_path = theorysim.SIM_CHUNK_FLOATS + 4 * chunk_cells
+            per_path += theorysim.SIM_CHUNK_FLOATS
         slack = 8 * (per_path + 2 * chunk_cells) + 2**16
         simulate_discrete_ensemble(params(noise=0.3, iterations=2), 2)  # the generator's imports
         tracemalloc.start()

@@ -15,6 +15,8 @@ and one BLAS thread.  The set:
   each epoch's snapshot two blocks of ``netcore.predict``;
 * ``pilot`` (seeds 0-4), ``kl-analysis`` (seed 0), ``theory-sde`` (seeds
   0-2), ``theory-closed-form`` and ``gen-data`` on the shipped configs;
+* ``theory-sde`` (seeds 0-2) on CI's noise-0.3 copy of configs/theory.yaml,
+  whose steps draw normals as well as indices;
 * each demo's standard output.
 
 Prints one line, the count of identical files and the names of the rest,
@@ -35,18 +37,27 @@ STRATEGIES = "random,snapshot_entropy,coreset,tidal_entropy,tidal_margin"
 
 
 def derived_configs(root: Path, work: Path) -> dict[str, Path]:
-    """CI's two edits of configs/al_mixture.yaml, written under ``work``."""
+    """CI's two edits of configs/al_mixture.yaml and its noisy copy of
+    configs/theory.yaml, written under ``work``."""
+
+    def replace_once(text, name, old, new):
+        if text.count(old) != 1:
+            raise SystemExit(f"parent_diff: {root}: configs/{name} has not one {old!r}")
+        return text.replace(old, new)
+
     # al: is the config's last section, so an indented line appended to it joins it.
     dump = (root / "configs" / "al_mixture.yaml").read_text() + "  dump_scores: true\n"
     big = dump
     for old, new in [("  per_class: 300\n", "  per_class: 6200\n"),
                      ("  n_cycles: 5\n", "  n_cycles: 2\n"), ("  epochs: 60\n", "  epochs: 3\n")]:
-        if big.count(old) != 1:
-            raise SystemExit(f"parent_diff: {root}: configs/al_mixture.yaml has not one {old!r}")
-        big = big.replace(old, new)
-    paths = {"al_dump": work / "al_dump.yaml", "al_big_test": work / "al_big_test.yaml"}
+        big = replace_once(big, "al_mixture.yaml", old, new)
+    noisy = replace_once((root / "configs" / "theory.yaml").read_text(), "theory.yaml",
+                         "  noise: 0.0\n", "  noise: 0.3\n")
+    paths = {"al_dump": work / "al_dump.yaml", "al_big_test": work / "al_big_test.yaml",
+             "theory_noisy": work / "theory_noisy.yaml"}
     paths["al_dump"].write_text(dump)
     paths["al_big_test"].write_text(big)
+    paths["theory_noisy"].write_text(noisy)
     return paths
 
 
@@ -70,6 +81,7 @@ def commands(root: Path, work: Path, out: Path) -> list[tuple[list[str], Path | 
         dynal("pilot", configs / "pilot_longtail.yaml", "pilot", "--seeds", "0,1,2,3,4"),
         dynal("kl-analysis", configs / "pilot_longtail.yaml", "kl", "--seeds", "0"),
         dynal("theory-sde", configs / "theory.yaml", "sde", "--seeds", "0,1,2"),
+        dynal("theory-sde", cfg["theory_noisy"], "sde_noisy", "--seeds", "0,1,2"),
         dynal("theory-closed-form", configs / "theory.yaml", "closed_form"),
         dynal("gen-data", configs / "al_mixture.yaml", "data"),
     ]
