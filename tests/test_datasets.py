@@ -121,14 +121,14 @@ class TestByIds:
         with pytest.raises(KeyError, match=str(unknown)):
             ds.by_ids([3, unknown, 5])
 
-    # Cast to ids, 7.9 would name id 7, and True and False ids 1 and 0; ids
-    # that are not 1-D are named by their shape.
+    # An id that is not an integer is named (cast to ids, 7.9 would name id
+    # 7, and True and False ids 1 and 0); ids that are not 1-D by their shape.
     @pytest.mark.parametrize("wanted, message", [
         ([7.9], "id 7.9 is not an integer"), ([3, 2.0], "id 3.0 is not an integer"),
         (np.array([True, False]), "id True is not an integer"),
         ([[0, 1]], r"ids must be 1-D, got shape \(1, 2\)"),
         (np.array([[3]]), r"ids must be 1-D, got shape \(1, 1\)")])
-    def test_an_id_that_is_not_an_integer_is_named(self, wanted, message):
+    def test_ids_that_are_not_1d_integers_are_rejected(self, wanted, message):
         ds = gen_gaussian_mixture(mixture_spec())
         with pytest.raises(ValueError, match=f"^{message}$"):
             ds.by_ids(wanted)
